@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import stratified_split_indices
 from .fabric import build_fabric, export_dot, load_fabric, param_breakdown
 from .noise import LabeledSet, fitting_report, load_noisy_labels
 from .pruning import Strategy, build_plan, reported_param_count
@@ -18,9 +17,9 @@ from .runner import (
     NoiseConfig,
     PruneConfig,
     evaluate_checkpoint,
-    load_experiment_dataset,
+    inject_noise,
+    load_split_dataset,
     run_experiment,
-    _inject_noise,
 )
 
 
@@ -132,15 +131,11 @@ def cmd_inject_noise(args) -> int:
     if config.noise is None:
         print("config has no noise section", file=sys.stderr)
         return 2
-    dataset = load_experiment_dataset(config.data)
-    fractions = (config.data.train_fraction, config.data.val_fraction,
-                 config.data.test_fraction)
-    train_idx, val_idx, _ = stratified_split_indices(dataset.labels, fractions,
-                                                     config.data.seed)
+    dataset, (train_idx, val_idx, _) = load_split_dataset(config.data)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, info = _inject_noise(LabeledSet.from_dataset(dataset), train_idx, val_idx,
-                            config.noise, out_dir)
+    _, info = inject_noise(LabeledSet.from_dataset(dataset), train_idx, val_idx,
+                           config.noise, out_dir)
     _emit(info)
     return 0
 
@@ -155,11 +150,7 @@ def cmd_evaluate(args) -> int:
 def cmd_fitting_report(args) -> int:
     config = _load_config(args.config)
     fabric = load_fabric(args.checkpoint)
-    dataset = load_experiment_dataset(config.data)
-    fractions = (config.data.train_fraction, config.data.val_fraction,
-                 config.data.test_fraction)
-    _, _, test_idx = stratified_split_indices(dataset.labels, fractions,
-                                              config.data.seed)
+    dataset, (_, _, test_idx) = load_split_dataset(config.data)
     full = load_noisy_labels(LabeledSet.from_dataset(dataset), args.labels)
     test_set = full.subset(test_idx)
     predictions = fabric.predict(test_set.images)

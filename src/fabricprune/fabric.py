@@ -18,7 +18,10 @@ from __future__ import annotations
 import enum
 import io
 import json
+import os
+import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -237,13 +240,20 @@ class Fabric:
         return linear(flat, self.head_weight, self.head_bias), activations
 
     def predict(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Argmax class indices in eval mode, without recording gradients."""
+        """Argmax class indices in eval mode, without recording gradients.
+
+        Raises FabricError when a batch yields a non-finite logit, which has
+        no argmax to report.
+        """
         from .tensor import no_grad
 
         preds = []
         with no_grad():
             for start in range(0, images.shape[0], batch_size):
                 logits = self.forward(images[start : start + batch_size], mode="eval")
+                if not np.isfinite(logits.data).all():
+                    raise FabricError(f"non-finite logits in the batch of images "
+                                      f"{start}..{start + logits.data.shape[0] - 1}")
                 preds.append(logits.data.argmax(axis=1))
         return np.concatenate(preds)
 
@@ -258,8 +268,64 @@ class Fabric:
             total += link.unmasked_weight_count() + self.C + 2 * self.C
         return total
 
-    def node_resolution(self, node: NodeId) -> int:
-        return self.input_resolution // (2 ** node[1])
+    def state(self) -> dict[str, np.ndarray]:
+        """Every array of the fabric by checkpoint name, in checkpoint order.
+
+        Parameters, running statistics and masks are the live arrays; a mask
+        appears only for a link that has one. "alive" is a new bool array of
+        the links' alive flags.
+        """
+        state = {
+            "stem_weight": self.stem_weight.data,
+            "stem_bias": self.stem_bias.data,
+            "stem_gamma": self.stem_gamma.data,
+            "stem_beta": self.stem_beta.data,
+            "stem_running_mean": self.stem_bn_state.running_mean,
+            "stem_running_var": self.stem_bn_state.running_var,
+            "head_weight": self.head_weight.data,
+            "head_bias": self.head_bias.data,
+        }
+        for link in self.links:
+            key = f"link{link.index}"
+            state[f"{key}_conv"] = link.conv_weight.data
+            state[f"{key}_bias"] = link.conv_bias.data
+            state[f"{key}_gamma"] = link.bn_gamma.data
+            state[f"{key}_beta"] = link.bn_beta.data
+            state[f"{key}_running_mean"] = link.bn_state.running_mean
+            state[f"{key}_running_var"] = link.bn_state.running_var
+            if link.conv_weight.mask is not None:
+                state[f"{key}_mask"] = link.conv_weight.mask
+        state["alive"] = np.array([link.alive for link in self.links])
+        return state
+
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copy a map shaped like state() into this fabric.
+
+        Every entry but the masks is required; an absent link mask means the
+        link is unmasked. Each array must have the shape and dtype of the
+        entry it replaces. Everything is checked before anything is copied,
+        and a FabricError names the first offending key.
+        """
+        masks = {f"link{link.index}_mask": link.conv_weight for link in self.links}
+        required = {key: live for key, live in self.state().items() if key not in masks}
+        # a mask has the shape and dtype of its weight
+        expected = {**required, **{key: w.data for key, w in masks.items() if key in state}}
+        unknown = sorted(state.keys() - expected.keys())
+        if unknown:
+            raise FabricError(f"state entry {unknown[0]!r} does not belong to this fabric")
+        for key, live in expected.items():
+            if key not in state:
+                raise FabricError(f"state is missing {key!r}")
+            value = state[key]
+            if value.shape != live.shape or value.dtype != live.dtype:
+                raise FabricError(f"state entry {key!r} is {value.dtype}{list(value.shape)}, "
+                                  f"expected {live.dtype}{list(live.shape)}")
+        for key, live in required.items():
+            live[...] = state[key]
+        for key, weight in masks.items():
+            weight.mask = state[key].copy() if key in state else None
+        for link, alive in zip(self.links, state["alive"]):
+            link.alive = bool(alive)
 
 
 def _link_direction(src: NodeId, dst: NodeId) -> Direction:
@@ -382,7 +448,13 @@ def export_dot(fabric: Fabric, include_pruned: bool = False) -> str:
 
 
 def save_fabric(fabric: Fabric, path) -> None:
-    """Write a lossless, versioned checkpoint (npz container)."""
+    """Write a lossless, versioned checkpoint (npz container) atomically.
+
+    The archive goes to a temporary file next to `path` that replaces it only
+    once complete, so an interrupted save never leaves a truncated checkpoint.
+    """
+    arrays = fabric.state()
+    alive = arrays.pop("alive")
     meta = {
         "version": CHECKPOINT_VERSION,
         "layers": fabric.L,
@@ -391,94 +463,48 @@ def save_fabric(fabric: Fabric, path) -> None:
         "input_resolution": fabric.input_resolution,
         "num_classes": fabric.num_classes,
         "dtype": fabric.dtype.name,
-        "alive": [link.alive for link in fabric.links],
-        "has_mask": [link.conv_weight.mask is not None for link in fabric.links],
+        "alive": alive.tolist(),
+        "has_mask": [f"link{link.index}_mask" in arrays for link in fabric.links],
     }
-    arrays = {
-        "stem_weight": fabric.stem_weight.data,
-        "stem_bias": fabric.stem_bias.data,
-        "stem_gamma": fabric.stem_gamma.data,
-        "stem_beta": fabric.stem_beta.data,
-        "stem_running_mean": fabric.stem_bn_state.running_mean,
-        "stem_running_var": fabric.stem_bn_state.running_var,
-        "head_weight": fabric.head_weight.data,
-        "head_bias": fabric.head_bias.data,
-    }
-    for link in fabric.links:
-        key = f"link{link.index}"
-        arrays[f"{key}_conv"] = link.conv_weight.data
-        arrays[f"{key}_bias"] = link.conv_bias.data
-        arrays[f"{key}_gamma"] = link.bn_gamma.data
-        arrays[f"{key}_beta"] = link.bn_beta.data
-        arrays[f"{key}_running_mean"] = link.bn_state.running_mean
-        arrays[f"{key}_running_var"] = link.bn_state.running_var
-        if link.conv_weight.mask is not None:
-            arrays[f"{key}_mask"] = link.conv_weight.mask
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_fabric(path) -> Fabric:
-    """Reconstruct a fabric from a checkpoint written by save_fabric."""
-    with np.load(path) as archive:
-        meta = json.loads(str(archive["__meta__"]))
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise FabricError(f"unsupported checkpoint version {meta['version']}")
-        fabric = build_fabric(meta["layers"], meta["scales"], meta["channels"],
-                              meta["input_resolution"], meta["num_classes"],
-                              dtype=np.dtype(meta["dtype"]))
-        fabric.stem_weight.data = archive["stem_weight"]
-        fabric.stem_bias.data = archive["stem_bias"]
-        fabric.stem_gamma.data = archive["stem_gamma"]
-        fabric.stem_beta.data = archive["stem_beta"]
-        fabric.stem_bn_state.running_mean = archive["stem_running_mean"]
-        fabric.stem_bn_state.running_var = archive["stem_running_var"]
-        fabric.head_weight.data = archive["head_weight"]
-        fabric.head_bias.data = archive["head_bias"]
-        for link, alive, has_mask in zip(fabric.links, meta["alive"], meta["has_mask"]):
-            key = f"link{link.index}"
-            link.alive = alive
-            link.conv_weight.data = archive[f"{key}_conv"]
-            link.conv_bias.data = archive[f"{key}_bias"]
-            link.bn_gamma.data = archive[f"{key}_gamma"]
-            link.bn_beta.data = archive[f"{key}_beta"]
-            link.bn_state.running_mean = archive[f"{key}_running_mean"]
-            link.bn_state.running_var = archive[f"{key}_running_var"]
-            if has_mask:
-                link.conv_weight.mask = archive[f"{key}_mask"]
+    """Reconstruct a fabric from a checkpoint written by save_fabric.
+
+    Raises FabricError on a truncated or corrupt file, an unsupported
+    version, or an array that is missing or does not fit the fabric.
+    """
+    try:
+        with np.load(path) as archive:
+            state = {name: archive[name] for name in archive.files}
+        meta = json.loads(str(state.pop("__meta__")))
+    except (zipfile.BadZipFile, NotImplementedError, EOFError, KeyError, ValueError) as exc:
+        raise FabricError(f"{path} is not a readable checkpoint: {exc!r}") from exc
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise FabricError(f"unsupported checkpoint version {meta.get('version')}")
+    fabric = build_fabric(meta["layers"], meta["scales"], meta["channels"],
+                          meta["input_resolution"], meta["num_classes"],
+                          dtype=np.dtype(meta["dtype"]))
+    state["alive"] = np.array(meta["alive"], dtype=bool)
+    fabric.load_state(state)
     return fabric
 
 
-def clone_parameters(fabric: Fabric) -> dict:
-    """Snapshot of all parameter arrays and BN state, for checkpoint-in-memory."""
-    snap = {"params": [], "states": []}
-    for p in _all_parameters(fabric):
-        snap["params"].append((p.data.copy(), None if p.mask is None else p.mask.copy()))
-    for st in _all_bn_states(fabric):
-        snap["states"].append((st.running_mean.copy(), st.running_var.copy()))
-    snap["alive"] = [link.alive for link in fabric.links]
-    return snap
+def clone_parameters(fabric: Fabric) -> dict[str, np.ndarray]:
+    """In-memory snapshot: a copy of every entry of the fabric's state()."""
+    return {key: value.copy() for key, value in fabric.state().items()}
 
 
-def restore_parameters(fabric: Fabric, snap: dict) -> None:
-    for p, (data, mask) in zip(_all_parameters(fabric), snap["params"]):
-        p.data = data.copy()
-        p.mask = None if mask is None else mask.copy()
-    for st, (rm, rv) in zip(_all_bn_states(fabric), snap["states"]):
-        st.running_mean = rm.copy()
-        st.running_var = rv.copy()
-    for link, alive in zip(fabric.links, snap["alive"]):
-        link.alive = alive
-
-
-def _all_parameters(fabric: Fabric) -> list[Parameter]:
-    params = fabric.stem_parameters()
-    for link in fabric.links:
-        params.extend(link.parameters())
-    params.extend(fabric.head_parameters())
-    return params
-
-
-def _all_bn_states(fabric: Fabric) -> list[BatchNormState]:
-    states = [fabric.stem_bn_state]
-    states.extend(link.bn_state for link in fabric.links)
-    return states
+def restore_parameters(fabric: Fabric, snap: dict[str, np.ndarray]) -> None:
+    """Copy a snapshot taken by clone_parameters back into the fabric."""
+    fabric.load_state(snap)

@@ -10,7 +10,7 @@ fitting fractions computable afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -223,12 +223,7 @@ class FittingReport:
     noisy_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "clean_fitting": self.clean_fitting,
-            "noisy_fitting": self.noisy_fitting,
-            "clean_count": self.clean_count,
-            "noisy_count": self.noisy_count,
-        }
+        return asdict(self)
 
 
 def fitting_report(predictions: np.ndarray, labeled: LabeledSet) -> FittingReport:

@@ -16,12 +16,20 @@ import enum
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .fabric import Fabric, Link, NodeId, longest_linear_path, param_breakdown
+from .fabric import (
+    Fabric,
+    Link,
+    NodeId,
+    clone_parameters,
+    longest_linear_path,
+    param_breakdown,
+    restore_parameters,
+)
 from .tensor import UsageError, backward, softmax_cross_entropy
 
 
@@ -66,15 +74,12 @@ def score_link(criterion: Criterion, link: Link, weight_scores=None) -> float:
 def sensitivity_grads(fabric: Fabric, batches) -> dict[int, np.ndarray]:
     """Average |w * dL/dw| per conv weight over one pass through a source.
 
-    The source yields (images, labels) batches. Parameters are left
+    The source yields (images, labels) batches. The fabric is left
     untouched: no optimizer step runs, gradients are zeroed afterwards and
-    batch-norm running statistics are restored.
+    its state, batch-norm running statistics included, is restored from a
+    snapshot taken before the pass.
     """
-    saved_stats = [(link.bn_state.running_mean.copy(), link.bn_state.running_var.copy())
-                   for link in fabric.links]
-    stem_stats = (fabric.stem_bn_state.running_mean.copy(),
-                  fabric.stem_bn_state.running_var.copy())
-
+    snapshot = clone_parameters(fabric)
     totals: dict[int, np.ndarray] = {}
     count = 0
     params = fabric.parameters()
@@ -96,11 +101,7 @@ def sensitivity_grads(fabric: Fabric, batches) -> dict[int, np.ndarray]:
 
     for p in params:
         p.zero_grad()
-    for link, (rm, rv) in zip(fabric.links, saved_stats):
-        link.bn_state.running_mean[:] = rm
-        link.bn_state.running_var[:] = rv
-    fabric.stem_bn_state.running_mean[:] = stem_stats[0]
-    fabric.stem_bn_state.running_var[:] = stem_stats[1]
+    restore_parameters(fabric, snapshot)
     return {index: total / count for index, total in totals.items()}
 
 
@@ -118,36 +119,6 @@ def link_condition(fabric: Fabric, proposed: set[int]) -> bool:
                 seen.add(link.dst)
                 frontier.append(link.dst)
     return goal in seen
-
-
-def weight_condition(mask: np.ndarray, position: int) -> bool:
-    """True iff masking flat `position` leaves the matrix at least one weight."""
-    flat = mask.reshape(-1)
-    if flat[position] == 0.0:
-        raise UsageError(f"position {position} is already masked")
-    return float(mask.sum()) > 1.0
-
-
-def select_prunable(elements, scores, n: int, condition):
-    """Walk elements from least to greatest score, adding each one whose
-    addition keeps `condition` true, until n are selected.
-
-    Ties break by element position, so selection is deterministic. Returns
-    (selected, skipped) in visit order; fewer than n selected is legal.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    order = sorted(range(len(elements)), key=lambda i: (scores[i], i))
-    selected: list = []
-    skipped: list = []
-    for i in order:
-        if len(selected) == n:
-            break
-        if condition(selected + [elements[i]]):
-            selected.append(elements[i])
-        else:
-            skipped.append(elements[i])
-    return selected, skipped
 
 
 def _node_degrees(fabric: Fabric, alive: set[int]):
@@ -328,21 +299,7 @@ class PruneReport:
         return len(self.killed_links) + len(self.cascade_links)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "epoch": self.epoch,
-            "link_quota": self.link_quota,
-            "weight_quota": self.weight_quota,
-            "killed_links": self.killed_links,
-            "cascade_links": self.cascade_links,
-            "skipped_links": [list(pair) for pair in self.skipped_links],
-            "masked_weights": self.masked_weights,
-            "skipped_weights": self.skipped_weights,
-            "link_shortfall": self.link_shortfall,
-            "weight_shortfall": self.weight_shortfall,
-            "alive_links": self.alive_links,
-            "live_params": self.live_params,
-            "reported_params": self.reported_params,
-        })
+        return json.dumps(asdict(self))
 
 
 def _apply_link_stage(fabric: Fabric, quota: int, criterion: Criterion,

@@ -138,8 +138,7 @@ class ExperimentConfig:
         return rescale_epochs(RECIPE_LR_MILESTONES, RECIPE_EPOCHS, self.epochs)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        return out
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -185,16 +184,9 @@ class EpochRecord:
     wall_time: float  # kept out of metrics.jsonl so reruns stay byte-identical
 
     def to_json(self) -> str:
-        return json.dumps({
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_error": self.val_error,
-            "test_error": self.test_error,
-            "learning_rate": self.learning_rate,
-            "alive_links": self.alive_links,
-            "live_params": self.live_params,
-            "reported_params": self.reported_params,
-        })
+        record = asdict(self)
+        del record["wall_time"]
+        return json.dumps(record)
 
 
 def lr_at(epoch: int, base_lr: float, milestones) -> float:
@@ -234,8 +226,15 @@ def load_experiment_dataset(data: DataConfig) -> ImageDataset:
     raise ValueError(f"unknown dataset kind {data.kind!r}")
 
 
-def _inject_noise(full: LabeledSet, train_idx, val_idx, config: NoiseConfig,
-                  out_dir: Path | None):
+def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[np.ndarray]]:
+    """The config's dataset and its stratified train/validation/test indices."""
+    dataset = load_experiment_dataset(data)
+    fractions = (data.train_fraction, data.val_fraction, data.test_fraction)
+    return dataset, stratified_split_indices(dataset.labels, fractions, data.seed)
+
+
+def inject_noise(full: LabeledSet, train_idx, val_idx, config: NoiseConfig,
+                 out_dir: Path | None):
     """Corrupt the given labels of the whole dataset, pre-split."""
     info: dict = {"kind": config.kind}
     if config.kind == "uniform":
@@ -285,17 +284,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     (out / "config.json").write_text(config.to_json())
     (out / "config.hash").write_text(config.hash() + "\n")
 
-    dataset = load_experiment_dataset(config.data)
-    fractions = (config.data.train_fraction, config.data.val_fraction,
-                 config.data.test_fraction)
-    train_idx, val_idx, test_idx = stratified_split_indices(
-        dataset.labels, fractions, config.data.seed)
+    dataset, (train_idx, val_idx, test_idx) = load_split_dataset(config.data)
     save_split_manifest([train_idx, val_idx, test_idx], out / "splits.txt")
 
     full = LabeledSet.from_dataset(dataset)
     noise_info = None
     if config.noise is not None:
-        full, noise_info = _inject_noise(full, train_idx, val_idx, config.noise, out)
+        full, noise_info = inject_noise(full, train_idx, val_idx, config.noise, out)
     train_set = full.subset(train_idx)
     val_set = full.subset(val_idx)
     test_set = full.subset(test_idx)
@@ -430,10 +425,7 @@ def _batched(labeled: LabeledSet, batch_size: int):
 def evaluate_checkpoint(fabric: Fabric, config: ExperimentConfig,
                         split: str = "test") -> dict:
     """Error of a checkpointed fabric on one split of the config's dataset."""
-    dataset = load_experiment_dataset(config.data)
-    fractions = (config.data.train_fraction, config.data.val_fraction,
-                 config.data.test_fraction)
-    indices = stratified_split_indices(dataset.labels, fractions, config.data.seed)
+    dataset, indices = load_split_dataset(config.data)
     chosen = {"train": 0, "validation": 1, "test": 2}[split]
     subset = dataset.subset(indices[chosen])
     error = classification_error(fabric, subset.images, subset.labels)

@@ -420,8 +420,3 @@ class SGD:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-
-def sgd_step(params: list[Parameter], config: SgdConfig) -> None:
-    """Single momentum-free step; momentum runs need a persistent SGD object."""
-    SGD(params, config).step()

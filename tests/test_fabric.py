@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fabricprune.fabric import (
     Direction,
     FabricError,
     build_fabric,
+    clone_parameters,
     export_dot,
     grid_link_count,
     head_param_count,
@@ -12,9 +15,11 @@ from fabricprune.fabric import (
     longest_linear_path,
     param_breakdown,
     per_link_param_count,
+    restore_parameters,
     save_fabric,
     stem_param_count,
 )
+from fabricprune.tensor import SGD, SgdConfig, backward, softmax_cross_entropy
 
 from oracles import bilinear_x2_reference, longest_path_exhaustive, naive_conv2d, path_exists
 
@@ -283,31 +288,175 @@ class TestDotExport:
         assert "style=dashed" in text
 
 
+def dirty_fabric(channels=2, seed=13):
+    """A small fabric with pruned links, masks and moved running statistics."""
+    fabric = build_fabric(3, 3, channels, 4, 3, seed=seed)
+    fabric.links[2].alive = False
+    fabric.links[5].alive = False
+    for index in (0, 7):
+        mask = np.ones_like(fabric.links[index].conv_weight.data)
+        mask.reshape(-1)[index::3] = 0.0
+        fabric.links[index].conv_weight.set_mask(mask)
+    fabric.forward(np.random.default_rng(0).random((2, 3, 4, 4)).astype(np.float32))
+    return fabric
+
+
+def assert_same_state(a, b):
+    expected, actual = a.state(), b.state()
+    assert list(actual) == list(expected)
+    for key, value in expected.items():
+        assert actual[key].dtype == value.dtype, key
+        np.testing.assert_array_equal(actual[key], value, err_msg=key)
+
+
+def rewrite_checkpoint(path, edit):
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    edit(members)
+    np.savez(path, **members)
+
+
 class TestCheckpoint:
     def test_round_trip_lossless(self, tmp_path):
-        fabric = build_fabric(3, 3, 2, 4, 3, seed=13)
-        # dirty the state: prune, mask, shift running stats
-        fabric.links[2].alive = False
-        fabric.links[5].alive = False
-        mask = np.ones_like(fabric.links[0].conv_weight.data)
-        mask.reshape(-1)[::3] = 0.0
-        fabric.links[0].conv_weight.set_mask(mask)
-        fabric.forward(np.random.default_rng(0).random((2, 3, 4, 4)).astype(np.float32))
+        fabric = dirty_fabric()
+        # gamma/beta move only under training: make them differ from the init
+        for link in fabric.links:
+            link.bn_gamma.data += 0.5
+            link.bn_beta.data -= 0.25
+        fabric.stem_gamma.data *= 3.0
+        fabric.head_bias.data += 1.0
 
         path = tmp_path / "fabric.npz"
         save_fabric(fabric, path)
         loaded = load_fabric(path)
 
         assert loaded.L == fabric.L and loaded.S == fabric.S and loaded.C == fabric.C
-        assert [l.alive for l in loaded.links] == [l.alive for l in fabric.links]
-        for a, b in zip(fabric.links, loaded.links):
-            np.testing.assert_array_equal(a.conv_weight.data, b.conv_weight.data)
-            np.testing.assert_array_equal(a.bn_state.running_mean, b.bn_state.running_mean)
-            if a.conv_weight.mask is None:
-                assert b.conv_weight.mask is None
-            else:
-                np.testing.assert_array_equal(a.conv_weight.mask, b.conv_weight.mask)
+        assert_same_state(fabric, loaded)
+        assert [l.conv_weight.mask is None for l in loaded.links] == \
+            [l.conv_weight.mask is None for l in fabric.links]
 
         x = np.random.default_rng(1).random((2, 3, 4, 4)).astype(np.float32)
         np.testing.assert_array_equal(fabric.forward(x, "eval").data,
                                       loaded.forward(x, "eval").data)
+
+    def test_member_names_and_meta_keys_pinned(self, tmp_path):
+        fabric = build_fabric(2, 2, 1, 2, 2)
+        fabric.links[1].alive = False
+        for index in (0, 3):
+            fabric.links[index].conv_weight.set_mask(np.ones((1, 1, 3, 3)))
+        path = tmp_path / "fabric.npz"
+        save_fabric(fabric, path)
+
+        links = []
+        for i in range(6):
+            links += [f"link{i}_{part}" for part in
+                      ("conv", "bias", "gamma", "beta", "running_mean", "running_var")]
+            if i in (0, 3):
+                links.append(f"link{i}_mask")
+        with np.load(path) as archive:
+            assert archive.files == [
+                "__meta__", "stem_weight", "stem_bias", "stem_gamma", "stem_beta",
+                "stem_running_mean", "stem_running_var", "head_weight", "head_bias",
+            ] + links
+            meta = json.loads(str(archive["__meta__"]))
+        assert list(meta) == ["version", "layers", "scales", "channels",
+                              "input_resolution", "num_classes", "dtype", "alive",
+                              "has_mask"]
+        assert meta["version"] == 1
+        assert meta["alive"] == [True, False, True, True, True, True]
+        assert meta["has_mask"] == [True, False, False, True, False, False]
+
+    def test_save_is_atomic(self, tmp_path, monkeypatch):
+        path = tmp_path / "fabric"
+        save_fabric(build_fabric(2, 2, 1, 2, 2, seed=1), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["fabric"]  # no .npz appended
+        before = path.read_bytes()
+
+        def interrupted(fh, **arrays):
+            fh.write(b"PK partial archive")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "savez", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            save_fabric(build_fabric(2, 2, 1, 2, 2, seed=2), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["fabric"]
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("key,edit", [
+        ("link0_conv", lambda m: m.update(link0_conv=np.zeros((2, 2, 3, 3), np.float32))),
+        ("stem_bias", lambda m: m.update(stem_bias=m["stem_bias"].astype(np.float64))),
+        ("link0_mask", lambda m: m.update(link0_mask=np.ones((4, 4, 3), np.float32))),
+        ("link3_running_var", lambda m: m.pop("link3_running_var")),
+        ("head_weight", lambda m: m.pop("head_weight")),
+        ("link99_mask", lambda m: m.update(link99_mask=np.ones(1, np.float32))),
+    ])
+    def test_mismatched_or_missing_array_names_key(self, tmp_path, key, edit):
+        fabric = build_fabric(2, 2, 4, 2, 2)
+        fabric.links[0].conv_weight.set_mask(np.ones((4, 4, 3, 3)))
+        path = tmp_path / "fabric.npz"
+        save_fabric(fabric, path)
+        rewrite_checkpoint(path, edit)
+        with pytest.raises(FabricError, match=key):
+            load_fabric(path)
+
+    @pytest.mark.parametrize("keep", [0.0, 0.1, 0.5, 0.99])
+    def test_truncated_file_raises_fabric_error(self, tmp_path, keep):
+        path = tmp_path / "fabric.npz"
+        save_fabric(dirty_fabric(), path)
+        data = path.read_bytes()
+        path.write_bytes(data[: int(keep * len(data))])
+        with pytest.raises(FabricError, match="not a readable checkpoint"):
+            load_fabric(path)
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        path = tmp_path / "fabric.npz"
+        save_fabric(build_fabric(2, 2, 1, 2, 2), path)
+
+        def bump(members):
+            meta = json.loads(str(members["__meta__"]))
+            meta["version"] = 2
+            members["__meta__"] = np.array(json.dumps(meta))
+
+        rewrite_checkpoint(path, bump)
+        with pytest.raises(FabricError, match="version 2"):
+            load_fabric(path)
+
+
+class TestSnapshot:
+    def test_restore_undoes_training_pruning_and_masking(self):
+        fabric = dirty_fabric(seed=21)
+        snapshot = clone_parameters(fabric)
+        reference = dirty_fabric(seed=21)
+
+        optimizer = SGD(fabric.parameters(), SgdConfig(learning_rate=0.1))
+        images = np.random.default_rng(2).random((4, 3, 4, 4)).astype(np.float32)
+        backward(softmax_cross_entropy(fabric.forward(images), np.array([0, 1, 2, 0])))
+        optimizer.step()
+        fabric.links[0].conv_weight.mask = None
+        fabric.links[9].conv_weight.set_mask(np.zeros((2, 2, 3, 3)))
+        fabric.links[2].alive = True
+        fabric.links[11].alive = False
+
+        restore_parameters(fabric, snapshot)
+        assert_same_state(reference, fabric)
+        # the snapshot is copied in, not aliased
+        fabric.stem_weight.data += 1.0
+        np.testing.assert_array_equal(snapshot["stem_weight"], reference.stem_weight.data)
+
+    def test_state_entries_are_live(self):
+        fabric = build_fabric(2, 2, 1, 2, 2)
+        state = fabric.state()
+        assert state["link4_running_var"] is fabric.links[4].bn_state.running_var
+        assert state["head_weight"] is fabric.head_weight.data
+        assert "link4_mask" not in state
+        assert state["alive"].dtype == bool and state["alive"].all()
+
+
+class TestPredict:
+    def test_non_finite_logits_rejected(self):
+        fabric = build_fabric(2, 2, 2, 2, 3)
+        images = np.random.default_rng(0).random((5, 3, 2, 2)).astype(np.float32)
+        assert fabric.predict(images, batch_size=2).shape == (5,)
+        images[3] = np.nan
+        with pytest.raises(FabricError, match="2..3"):
+            fabric.predict(images, batch_size=2)

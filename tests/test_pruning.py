@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from fabricprune.fabric import build_fabric, param_breakdown
+from fabricprune.fabric import build_fabric, clone_parameters, param_breakdown
 from fabricprune.pruning import (
     Criterion,
     PruneEvent,
@@ -15,9 +17,7 @@ from fabricprune.pruning import (
     rescale_plan,
     score_link,
     score_weight,
-    select_prunable,
     sensitivity_grads,
-    weight_condition,
 )
 from fabricprune.tensor import UsageError, backward, softmax_cross_entropy
 
@@ -115,12 +115,12 @@ class TestSensitivityGrads:
     def test_parameters_and_stats_untouched(self):
         fabric = tiny_fabric(seed=6)
         batch = _batch(fabric, np.random.default_rng(1))
-        before_w = [l.conv_weight.data.copy() for l in fabric.links]
-        before_rm = [l.bn_state.running_mean.copy() for l in fabric.links]
+        before = clone_parameters(fabric)
         sensitivity_grads(fabric, [batch])
-        for l, w, rm in zip(fabric.links, before_w, before_rm):
-            np.testing.assert_array_equal(l.conv_weight.data, w)
-            np.testing.assert_array_equal(l.bn_state.running_mean, rm)
+        after = fabric.state()
+        assert list(after) == list(before)
+        for key, value in before.items():
+            np.testing.assert_array_equal(after[key], value, err_msg=key)
 
     def test_zero_gradient_weights_score_zero(self):
         fabric = tiny_fabric(seed=7)
@@ -225,53 +225,100 @@ class TestCascade:
         assert post_alive == {sub_to_full[i] for i in on_path}
 
 
+def weight_stage_fabric(values, unmasked):
+    """Tiny fabric whose link 0 keeps only the flat `unmasked` positions, set
+    to `values`; every other conv weight is 10, so link 0 ranks first."""
+    fabric = tiny_fabric()
+    set_link_weights(fabric, [10.0] * len(fabric.links))
+    weight = fabric.links[0].conv_weight
+    mask = np.zeros(weight.data.size)
+    mask[list(unmasked)] = 1.0
+    weight.set_mask(mask.reshape(weight.data.shape))
+    weight.data.reshape(-1)[list(unmasked)] = values
+    return fabric
+
+
 class TestWeightCondition:
+    """The weight stage keeps at least one unmasked weight per conv matrix."""
+
     def test_two_unmasked_either_allowed(self):
-        mask = np.array([1.0, 1.0, 0.0])
-        assert weight_condition(mask, 0)
-        assert weight_condition(mask, 1)
+        for values in ((1.0, 2.0), (2.0, 1.0)):
+            fabric = weight_stage_fabric(values, unmasked=(0, 1))
+            report = apply_event(fabric, PruneEvent(1, 0, 1), Criterion.MAGNITUDE)
+            assert report.masked_weights == 1 and report.skipped_weights == 0
+            mask = fabric.links[0].conv_weight.mask.reshape(-1)
+            assert mask[int(np.argmax(values))] == 1.0
+            assert mask.sum() == 1.0
 
     def test_last_weight_refused(self):
-        mask = np.array([1.0, 0.0, 0.0])
-        assert not weight_condition(mask, 0)
+        fabric = weight_stage_fabric((0.5,), unmasked=(4,))
+        report = apply_event(fabric, PruneEvent(1, 0, 1), Criterion.MAGNITUDE)
+        assert report.skipped_weights == 1
+        assert report.masked_weights == 1 and report.weight_shortfall == 0
+        assert fabric.links[0].unmasked_weight_count() == 1
+        assert fabric.links[0].conv_weight.data.reshape(-1)[4] == 0.5
 
     def test_masked_position_rejected(self):
-        with pytest.raises(UsageError):
-            weight_condition(np.array([1.0, 0.0]), 1)
+        # masked weights are exactly 0, the lowest magnitude, yet never re-picked
+        fabric = weight_stage_fabric((3.0, 1.0, 5.0, 2.0, 4.0, 6.0),
+                                     unmasked=(0, 1, 2, 3, 4, 5))
+        report = apply_event(fabric, PruneEvent(1, 0, 2), Criterion.MAGNITUDE)
+        assert report.masked_weights == 2
+        mask = fabric.links[0].conv_weight.mask.reshape(-1)
+        np.testing.assert_array_equal(mask, [1, 0, 1, 0, 1, 1, 0, 0, 0])
+        assert all(l.conv_weight.mask is None for l in fabric.links[1:])
 
 
 class TestSelectPrunable:
+    """The link stage's greedy walk, least score first; on the 2x2 grid the
+    links are 0: (0,0)->(1,0), 1: (0,1)->(1,0), 2: (0,0)->(1,1),
+    3: (0,1)->(1,1), 4: (0,0)->(0,1) and 5: (1,0)->(1,1)."""
+
     def test_zero_quota(self):
-        selected, skipped = select_prunable([1, 2, 3], [0.1, 0.2, 0.3], 0, lambda p: True)
-        assert selected == [] and skipped == []
+        fabric = tiny_fabric()
+        set_link_weights(fabric, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        report = apply_event(fabric, PruneEvent(1, 0, 3), Criterion.MAGNITUDE)
+        assert report.killed_links == [] and report.skipped_links == []
+        assert report.link_shortfall == 0 and report.masked_weights == 3
+        assert all(l.alive for l in fabric.links)
 
     def test_unconditional_takes_lowest_scored(self):
-        elements = ["a", "b", "c", "d"]
-        scores = [4.0, 1.0, 3.0, 2.0]
-        selected, _ = select_prunable(elements, scores, 3, lambda p: True)
-        assert selected == ["b", "d", "c"]
+        fabric = tiny_fabric()
+        set_link_weights(fabric, [4.0, 1.0, 2.0, 5.0, 6.0, 3.0])
+        report = apply_event(fabric, PruneEvent(1, 2, 0), Criterion.MAGNITUDE)
+        assert report.killed_links == [1, 2]
+        assert report.cascade_links == [] and report.skipped_links == []
+        assert [l.index for l in fabric.alive_links()] == [0, 3, 4, 5]
 
     def test_condition_skips_are_recorded(self):
-        selected, skipped = select_prunable([0, 1, 2], [1.0, 2.0, 3.0], 2,
-                                            lambda p: 0 not in p)
-        assert selected == [1, 2]
-        assert skipped == [0]
+        fabric = tiny_fabric()
+        set_link_weights(fabric, [2.0, 9.0, 1.0, 9.0, 9.0, 3.0])
+        for index in (1, 3, 4):
+            fabric.links[index].alive = False
+        # after link 2 goes, 0 -> 5 is the only path left
+        report = apply_event(fabric, PruneEvent(1, 2, 0), Criterion.MAGNITUDE)
+        assert report.killed_links == [2]
+        assert report.skipped_links == [(0, "connectivity"), (5, "connectivity")]
+        assert report.link_shortfall == 1
 
     def test_ties_break_by_index(self):
-        selected, _ = select_prunable(["x", "y", "z"], [1.0, 1.0, 1.0], 2, lambda p: True)
-        assert selected == ["x", "y"]
+        fabric = tiny_fabric()
+        set_link_weights(fabric, [1.0] * 6)
+        report = apply_event(fabric, PruneEvent(1, 2, 0), Criterion.MAGNITUDE,
+                             count_cascade=False)
+        assert report.killed_links == [0, 1]
 
     @pytest.mark.parametrize("n", range(7))
     def test_connectivity_never_broken_exhaustive(self, n):
-        # all 2^6 subsets of the smallest grid confirm the kept graph connects
-        fabric = tiny_fabric(seed=9)
-        rng = np.random.default_rng(n)
-        scores = rng.random(len(fabric.links))
-        indices = [l.index for l in fabric.links]
-        selected, _ = select_prunable(
-            indices, list(scores), n, lambda p: link_condition(fabric, set(p)))
-        kept = [(l.src, l.dst) for l in fabric.links if l.index not in set(selected)]
-        assert path_exists(kept, (0, 0), (1, 1))
+        # every ranking of the smallest grid's six links, set through the
+        # weights' scale, keeps an input->output path and the link quota
+        for ranking in itertools.permutations(range(1, 7)):
+            fabric = tiny_fabric(seed=9)
+            set_link_weights(fabric, ranking)
+            report = apply_event(fabric, PruneEvent(1, n, 0), Criterion.MAGNITUDE)
+            assert report.links_removed + report.link_shortfall == n
+            kept = [(l.src, l.dst) for l in fabric.alive_links()]
+            assert path_exists(kept, (0, 0), (1, 1))
 
 
 class TestBuildPlan:

@@ -15,7 +15,6 @@ from fabricprune.tensor import (
     linear,
     no_grad,
     relu6,
-    sgd_step,
     softmax_cross_entropy,
     tensor_sum,
     upsample_bilinear_x2,
@@ -320,19 +319,19 @@ class TestSgd:
     def test_plain_step(self):
         w = Parameter(np.array([1.0]))
         w.grad = np.array([0.5])
-        sgd_step([w], SgdConfig(learning_rate=0.1))
+        SGD([w], SgdConfig(learning_rate=0.1)).step()
         np.testing.assert_allclose(w.data, [0.95])
 
     def test_zero_grad_leaves_weight(self):
         w = Parameter(np.array([1.0]))
-        sgd_step([w], SgdConfig(learning_rate=0.1))
+        SGD([w], SgdConfig(learning_rate=0.1)).step()
         np.testing.assert_allclose(w.data, [1.0])
 
     def test_masked_position_stays_zero(self):
         w = Parameter(np.array([1.0, 2.0]))
         w.set_mask(np.array([0.0, 1.0]))
         w.grad = np.array([5.0, 0.1])
-        sgd_step([w], SgdConfig(learning_rate=0.1))
+        SGD([w], SgdConfig(learning_rate=0.1)).step()
         assert w.data[0] == 0.0
         np.testing.assert_allclose(w.data[1], 1.99)
 
@@ -358,7 +357,7 @@ class TestSgd:
     def test_weight_decay(self):
         w = Parameter(np.array([2.0]))
         w.grad = np.array([0.0])
-        sgd_step([w], SgdConfig(learning_rate=0.1, weight_decay=0.5))
+        SGD([w], SgdConfig(learning_rate=0.1, weight_decay=0.5)).step()
         np.testing.assert_allclose(w.data, [1.9])
 
     def test_invalid_lr_rejected(self):
