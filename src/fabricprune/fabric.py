@@ -21,6 +21,7 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from .tensor import (
     batch_norm,
     conv2d,
     linear,
+    no_grad,
     relu6,
     upsample_bilinear_x2,
 )
@@ -160,13 +162,11 @@ class Fabric:
         self._in_links.setdefault(link.dst, []).append(link)
         self._out_links.setdefault(link.src, []).append(link)
 
-    def in_links(self, node: NodeId, alive_only: bool = True) -> list[Link]:
-        found = self._in_links.get(node, [])
-        return [l for l in found if l.alive] if alive_only else list(found)
+    def in_links(self, node: NodeId) -> list[Link]:
+        return [l for l in self._in_links.get(node, []) if l.alive]
 
-    def out_links(self, node: NodeId, alive_only: bool = True) -> list[Link]:
-        found = self._out_links.get(node, [])
-        return [l for l in found if l.alive] if alive_only else list(found)
+    def out_links(self, node: NodeId) -> list[Link]:
+        return [l for l in self._out_links.get(node, []) if l.alive]
 
     def alive_links(self) -> list[Link]:
         return [l for l in self.links if l.alive]
@@ -245,8 +245,6 @@ class Fabric:
         Raises FabricError when a batch yields a non-finite logit, which has
         no argmax to report.
         """
-        from .tensor import no_grad
-
         preds = []
         with no_grad():
             for start in range(0, images.shape[0], batch_size):
@@ -482,7 +480,8 @@ def load_fabric(path) -> Fabric:
     """Reconstruct a fabric from a checkpoint written by save_fabric.
 
     Raises FabricError on a truncated or corrupt file, an unsupported
-    version, or an array that is missing or does not fit the fabric.
+    version, a missing meta key, mask flags that disagree with the mask
+    members, or an array that is missing or does not fit the fabric.
     """
     try:
         with np.load(path) as archive:
@@ -492,9 +491,17 @@ def load_fabric(path) -> Fabric:
         raise FabricError(f"{path} is not a readable checkpoint: {exc!r}") from exc
     if meta.get("version") != CHECKPOINT_VERSION:
         raise FabricError(f"unsupported checkpoint version {meta.get('version')}")
+    for key in ("layers", "scales", "channels", "input_resolution", "num_classes", "dtype",
+                "alive", "has_mask"):
+        if key not in meta:
+            raise FabricError(f"checkpoint meta is missing {key!r}")
     fabric = build_fabric(meta["layers"], meta["scales"], meta["channels"],
                           meta["input_resolution"], meta["num_classes"],
                           dtype=np.dtype(meta["dtype"]))
+    present = [f"link{link.index}_mask" in state for link in fabric.links]
+    for index, (flagged, found) in enumerate(zip_longest(meta["has_mask"], present)):
+        if flagged != found:
+            raise FabricError(f"meta 'has_mask' disagrees with member 'link{index}_mask'")
     state["alive"] = np.array(meta["alive"], dtype=bool)
     fabric.load_state(state)
     return fabric

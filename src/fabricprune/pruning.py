@@ -256,21 +256,21 @@ def build_plan(strategy: Strategy, sparsity: float, fabric: Fabric) -> PrunePlan
     return PrunePlan(strategy=strategy, sparsity=sparsity, budget=budget, events=events)
 
 
+def rescale_epochs(values, old_total: int, new_total: int) -> list[int]:
+    """Proportional epoch mapping, round half up, floored at epoch 1."""
+    factor = new_total / old_total
+    return [max(1, math.floor(v * factor + 0.5)) for v in values]
+
+
 def rescale_plan(plan: PrunePlan, old_total: int, new_total: int) -> PrunePlan:
     """Map event epochs onto a new epoch budget, merging quota on collisions."""
-    factor = new_total / old_total
+    epochs = rescale_epochs([event.epoch for event in plan.events], old_total, new_total)
     merged: dict[int, PruneEvent] = {}
-    collided = False
-    for event in plan.events:
-        epoch = max(1, math.floor(event.epoch * factor + 0.5))
-        if epoch in merged:
-            collided = True
-            prev = merged[epoch]
-            merged[epoch] = PruneEvent(epoch, prev.links_to_remove + event.links_to_remove,
-                                       prev.weights_to_remove + event.weights_to_remove)
-        else:
-            merged[epoch] = PruneEvent(epoch, event.links_to_remove, event.weights_to_remove)
-    if collided:
+    for event, epoch in zip(plan.events, epochs):
+        prev = merged.get(epoch, PruneEvent(epoch, 0, 0))
+        merged[epoch] = PruneEvent(epoch, prev.links_to_remove + event.links_to_remove,
+                                   prev.weights_to_remove + event.weights_to_remove)
+    if len(merged) < len(plan.events):
         warnings.warn(f"rescaling {old_total}->{new_total} merged pruning events")
     events = [merged[e] for e in sorted(merged)]
     return PrunePlan(plan.strategy, plan.sparsity, plan.budget, events)

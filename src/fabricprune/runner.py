@@ -60,6 +60,7 @@ from .pruning import (
     apply_event,
     build_plan,
     reported_param_count,
+    rescale_epochs,
     rescale_plan,
     sensitivity_grads,
 )
@@ -193,12 +194,6 @@ def lr_at(epoch: int, base_lr: float, milestones) -> float:
     """Learning rate for an epoch: divided by 10 after each passed milestone."""
     passed = sum(1 for m in milestones if epoch > m)
     return base_lr / (10.0 ** passed)
-
-
-def rescale_epochs(values, old_total: int, new_total: int) -> list[int]:
-    """Proportional epoch mapping, round half up, floored at epoch 1."""
-    factor = new_total / old_total
-    return [max(1, math.floor(v * factor + 0.5)) for v in values]
 
 
 def scale_schedule(config: ExperimentConfig, total_epochs: int) -> ExperimentConfig:

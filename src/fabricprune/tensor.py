@@ -42,19 +42,19 @@ def no_grad():
 
 
 class Tensor:
-    """A node in the computation graph wrapping a dense numpy array."""
+    """A node in the computation graph wrapping a dense numpy array.
+
+    Ops pass their parents and a zero-argument backward closure to the
+    constructor, which records them only while grad is enabled.
+    """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward_fn=None):
         self.data = np.asarray(data)
         self.grad = None
-        if _grad_enabled:
-            self._parents = tuple(parents)
-            self._backward = backward_fn
-        else:
-            self._parents = ()
-            self._backward = None
+        self._parents = tuple(parents) if _grad_enabled else ()
+        self._backward = backward_fn if _grad_enabled else None
 
     @property
     def shape(self):
@@ -70,22 +70,19 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.data.shape != other.data.shape:
             raise ShapeError(f"add: {self.data.shape} vs {other.data.shape}")
-        out = Tensor(self.data + other.data, (self, other))
 
         def backward():
             _accumulate(self, out.grad)
             _accumulate(other, out.grad)
 
-        out._backward = backward
+        out = Tensor(self.data + other.data, (self, other), backward)
         return out
 
     def reshape(self, shape) -> "Tensor":
-        out = Tensor(self.data.reshape(shape), (self,))
-
         def backward():
             _accumulate(self, out.grad.reshape(self.data.shape))
 
-        out._backward = backward
+        out = Tensor(self.data.reshape(shape), (self,), backward)
         return out
 
     def __repr__(self):
@@ -130,11 +127,15 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate grads of every parameter reachable from a scalar loss node."""
+    """Populate grads of every parameter reachable from a scalar loss node.
+
+    Each node drops its closure and parents once it has run, so the graph is
+    freed during the pass and a loss can be backpropagated only once.
+    """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss._parents:
-        raise UsageError("backward called on a node with no recorded forward pass")
+        raise UsageError("no graph to backpropagate: built under no_grad, a leaf, or already used")
 
     topo: list[Tensor] = []
     visited: set[int] = set()
@@ -153,12 +154,14 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward()
-    # Masked weights never move: their gradient entries are zeroed here so
-    # neither the optimizer nor any consumer of .grad sees a pull on them.
-    for node in topo:
+        node._backward = None
+        node._parents = ()
+        # All consumers have run, so the grad is final. Masked weights never
+        # move: zeroing their entries hides any pull on them from .grad users.
         if isinstance(node, Parameter) and node.mask is not None:
             node.grad *= node.mask
 
@@ -192,9 +195,6 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None, stride: int = 1
     if bias is not None:
         out_data += bias.data[None, :, None, None]
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = Tensor(out_data, parents)
-
     def backward():
         g = out.grad.reshape(B, Cout, Ho * Wo)
         _accumulate(weight, np.tensordot(g, cols2, axes=([0, 2], [0, 2])).reshape(weight.data.shape))
@@ -208,7 +208,7 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None, stride: int = 1
                     j : j + (Wo - 1) * stride + 1 : stride] += dcols[:, :, i, j]
         _accumulate(x, dxp[:, :, 1 : 1 + H, 1 : 1 + W])
 
-    out._backward = backward
+    out = Tensor(out_data, (x, weight) if bias is None else (x, weight, bias), backward)
     return out
 
 
@@ -235,12 +235,11 @@ def upsample_bilinear_x2(x: Tensor) -> Tensor:
     uh = _bilinear_matrix(H, x.data.dtype)
     uw = _bilinear_matrix(W, x.data.dtype)
     out_data = np.einsum("ph,bchw,qw->bcpq", uh, x.data, uw, optimize=True)
-    out = Tensor(out_data, (x,))
 
     def backward():
         _accumulate(x, np.einsum("ph,bcpq,qw->bchw", uh, out.grad, uw, optimize=True))
 
-    out._backward = backward
+    out = Tensor(out_data, (x,), backward)
     return out
 
 
@@ -284,7 +283,6 @@ def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormSta
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
     out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-    out = Tensor(out_data, (x, gamma, beta))
 
     def backward():
         g = out.grad
@@ -301,19 +299,18 @@ def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormSta
             dx = dxhat * inv_std[None, :, None, None]
         _accumulate(x, dx)
 
-    out._backward = backward
+    out = Tensor(out_data, (x, gamma, beta), backward)
     return out
 
 
 def relu6(x: Tensor) -> Tensor:
     """Elementwise min(max(x, 0), 6)."""
-    out = Tensor(np.clip(x.data, 0.0, 6.0), (x,))
 
     def backward():
         inside = (x.data > 0.0) & (x.data < 6.0)
         _accumulate(x, out.grad * inside)
 
-    out._backward = backward
+    out = Tensor(np.clip(x.data, 0.0, 6.0), (x,), backward)
     return out
 
 
@@ -326,8 +323,6 @@ def linear(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tenso
     out_data = x.data @ weight.data.T
     if bias is not None:
         out_data += bias.data[None, :]
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = Tensor(out_data, parents)
 
     def backward():
         _accumulate(x, out.grad @ weight.data)
@@ -335,7 +330,7 @@ def linear(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tenso
         if bias is not None:
             _accumulate(bias, out.grad.sum(axis=0))
 
-    out._backward = backward
+    out = Tensor(out_data, (x, weight) if bias is None else (x, weight, bias), backward)
     return out
 
 
@@ -352,25 +347,22 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     log_z = np.log(np.exp(shifted).sum(axis=1))
     log_probs = shifted - log_z[:, None]
     loss_val = -log_probs[np.arange(B), targets].mean()
-    out = Tensor(np.asarray(loss_val, dtype=logits.data.dtype), (logits,))
 
     def backward():
         probs = np.exp(log_probs)
         probs[np.arange(B), targets] -= 1.0
         _accumulate(logits, probs * (out.grad / B))
 
-    out._backward = backward
+    out = Tensor(np.asarray(loss_val, dtype=logits.data.dtype), (logits,), backward)
     return out
 
 
 def tensor_sum(x: Tensor) -> Tensor:
     """Sum of all entries, as a scalar node."""
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype), (x,))
-
     def backward():
         _accumulate(x, np.broadcast_to(out.grad, x.data.shape))
 
-    out._backward = backward
+    out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype), (x,), backward)
     return out
 
 

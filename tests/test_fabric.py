@@ -389,6 +389,8 @@ class TestCheckpoint:
         ("link3_running_var", lambda m: m.pop("link3_running_var")),
         ("head_weight", lambda m: m.pop("head_weight")),
         ("link99_mask", lambda m: m.update(link99_mask=np.ones(1, np.float32))),
+        pytest.param("link0_mask", lambda m: m.pop("link0_mask"),  # meta still flags it
+                     id="link0_mask-flagged-but-absent"),
     ])
     def test_mismatched_or_missing_array_names_key(self, tmp_path, key, edit):
         fabric = build_fabric(2, 2, 4, 2, 2)
@@ -397,6 +399,37 @@ class TestCheckpoint:
         save_fabric(fabric, path)
         rewrite_checkpoint(path, edit)
         with pytest.raises(FabricError, match=key):
+            load_fabric(path)
+
+    @pytest.mark.parametrize("index,flag", [(0, False), (1, True)])
+    def test_has_mask_disagreeing_with_members_names_link(self, tmp_path, index, flag):
+        fabric = build_fabric(2, 2, 1, 2, 2)
+        fabric.links[0].conv_weight.set_mask(np.ones((1, 1, 3, 3)))
+        path = tmp_path / "fabric.npz"
+        save_fabric(fabric, path)
+
+        def flip(members):
+            meta = json.loads(str(members["__meta__"]))
+            meta["has_mask"][index] = flag
+            members["__meta__"] = np.array(json.dumps(meta))
+
+        rewrite_checkpoint(path, flip)
+        with pytest.raises(FabricError, match=f"link{index}_mask"):
+            load_fabric(path)
+
+    @pytest.mark.parametrize("key", ["layers", "scales", "channels", "input_resolution",
+                                     "num_classes", "dtype", "alive", "has_mask"])
+    def test_missing_meta_key_named(self, tmp_path, key):
+        path = tmp_path / "fabric.npz"
+        save_fabric(build_fabric(2, 2, 1, 2, 2), path)
+
+        def drop(members):
+            meta = json.loads(str(members["__meta__"]))
+            del meta[key]
+            members["__meta__"] = np.array(json.dumps(meta))
+
+        rewrite_checkpoint(path, drop)
+        with pytest.raises(FabricError, match=f"missing '{key}'"):
             load_fabric(path)
 
     @pytest.mark.parametrize("keep", [0.0, 0.1, 0.5, 0.99])

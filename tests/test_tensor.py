@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -233,7 +236,33 @@ class TestBackward:
         w = Parameter(np.ones((2, 2)))
         with no_grad():
             out = linear(Tensor(np.ones((1, 2))), w)
+            conv = conv2d(Tensor(np.ones((1, 2, 4, 4))), Parameter(np.ones((2, 2, 3, 3))), None)
         assert out._parents == ()
+        assert out._backward is None
+        assert conv._parents == () and conv._backward is None
+
+    def test_backward_frees_graph_without_cycle_collector(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)))
+        w = Parameter(rng.standard_normal((2, 2, 3, 3)))
+        gc.disable()
+        try:
+            hidden = conv2d(x, w, None)
+            hidden_data = weakref.ref(hidden.data)
+            loss = tensor_sum(relu6(hidden))
+            del hidden
+            backward(loss)
+            del loss
+            assert hidden_data() is None
+        finally:
+            gc.enable()
+
+    def test_second_backward_raises(self):
+        w = Parameter(np.array([1.0, 2.0]))
+        loss = tensor_sum(relu6(w))
+        backward(loss)
+        with pytest.raises(UsageError, match="already used"):
+            backward(loss)
 
 
 def _gradcheck(build_loss, params, step=1e-5, tol=1e-4):
