@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import bilinear_matrix
+
 
 class FormatError(ValueError):
     """Malformed binary record file."""
@@ -121,20 +123,8 @@ def resize_bilinear(image: np.ndarray, target: int) -> np.ndarray:
     if H == target and W == target:
         return image.copy()
 
-    def axis_matrix(n_in, n_out):
-        m = np.zeros((n_out, n_in), dtype=image.dtype)
-        scale = n_in / n_out
-        for i in range(n_out):
-            src = min(max((i + 0.5) * scale - 0.5, 0.0), n_in - 1.0)
-            i0 = int(np.floor(src))
-            i1 = min(i0 + 1, n_in - 1)
-            f = src - i0
-            m[i, i0] += 1.0 - f
-            m[i, i1] += f
-        return m
-
-    mh = axis_matrix(H, target)
-    mw = axis_matrix(W, target)
+    mh = bilinear_matrix(H, target, image.dtype)
+    mw = bilinear_matrix(W, target, image.dtype)
     return np.einsum("ph,chw,qw->cpq", mh, image, mw, optimize=True)
 
 

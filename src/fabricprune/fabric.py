@@ -144,7 +144,6 @@ class Fabric:
         self.head_bias: Parameter
         self.links: list[Link] = []
         self._in_links: dict[NodeId, list[Link]] = {}
-        self._out_links: dict[NodeId, list[Link]] = {}
 
     @property
     def input_node(self) -> NodeId:
@@ -160,13 +159,9 @@ class Fabric:
     def _register_link(self, link: Link) -> None:
         self.links.append(link)
         self._in_links.setdefault(link.dst, []).append(link)
-        self._out_links.setdefault(link.src, []).append(link)
 
     def in_links(self, node: NodeId) -> list[Link]:
         return [l for l in self._in_links.get(node, []) if l.alive]
-
-    def out_links(self, node: NodeId) -> list[Link]:
-        return [l for l in self._out_links.get(node, []) if l.alive]
 
     def alive_links(self) -> list[Link]:
         return [l for l in self.links if l.alive]
@@ -195,14 +190,10 @@ class Fabric:
 
     def forward(self, batch: Tensor | np.ndarray, mode: str = "train") -> Tensor:
         """Run a (B, 3, R, R) batch through the fabric, returning logits."""
-        logits, _ = self._forward_impl(batch, mode)
-        return logits
+        return self.forward_with_activations(batch, mode)[0]
 
     def forward_with_activations(self, batch, mode: str = "train"):
-        """Forward pass that also returns the per-node activation tensors."""
-        return self._forward_impl(batch, mode)
-
-    def _forward_impl(self, batch, mode: str):
+        """Forward pass returning the logits and the per-node activation tensors."""
         if not isinstance(batch, Tensor):
             batch = Tensor(np.asarray(batch, dtype=self.dtype))
         B, C_in, H, W = batch.data.shape
@@ -510,8 +501,3 @@ def load_fabric(path) -> Fabric:
 def clone_parameters(fabric: Fabric) -> dict[str, np.ndarray]:
     """In-memory snapshot: a copy of every entry of the fabric's state()."""
     return {key: value.copy() for key, value in fabric.state().items()}
-
-
-def restore_parameters(fabric: Fabric, snap: dict[str, np.ndarray]) -> None:
-    """Copy a snapshot taken by clone_parameters back into the fabric."""
-    fabric.load_state(snap)

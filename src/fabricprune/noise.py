@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import ImageDataset
-from .fabric import Fabric, build_fabric, clone_parameters, restore_parameters
+from .fabric import Fabric, build_fabric, clone_parameters
 from .tensor import SGD, SgdConfig, backward, softmax_cross_entropy
 
 
@@ -195,7 +195,7 @@ def train_annotator(train_set: LabeledSet, holdout: LabeledSet, epsilon: float,
             hit = True
             break
 
-    restore_parameters(fabric, best_snapshot)
+    fabric.load_state(best_snapshot)
     return fabric, AnnotatorInfo(chosen_epoch=best_epoch, holdout_error=best_error,
                                  hit_band=hit, error_curve=curve)
 

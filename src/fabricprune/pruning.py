@@ -21,15 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fabric import (
-    Fabric,
-    Link,
-    NodeId,
-    clone_parameters,
-    longest_linear_path,
-    param_breakdown,
-    restore_parameters,
-)
+from .fabric import Fabric, Link, clone_parameters, longest_linear_path, param_breakdown
 from .tensor import UsageError, backward, softmax_cross_entropy
 
 
@@ -101,76 +93,47 @@ def sensitivity_grads(fabric: Fabric, batches) -> dict[int, np.ndarray]:
 
     for p in params:
         p.zero_grad()
-    restore_parameters(fabric, snapshot)
+    fabric.load_state(snapshot)
     return {index: total / count for index, total in totals.items()}
+
+
+def _links_on_paths(fabric: Fabric, alive: set[int]) -> set[int]:
+    """The links of `alive` that lie on some input->output path.
+
+    One forward pass marks the nodes the input reaches, one backward pass
+    the nodes that reach the output; a link is on a path iff its source is
+    marked by the first and its destination by the second. The result is
+    empty exactly when the input no longer reaches the output.
+    """
+    # (layer, scale) order is topological: every in-link of a node has a
+    # smaller source than the node, so in source order a node's in-links
+    # come before its out-links, and in reverse destination order after
+    links = sorted((fabric.links[index] for index in alive), key=lambda l: l.src)
+    reached = {fabric.input_node}
+    for link in links:
+        if link.src in reached:
+            reached.add(link.dst)
+    reaching = {fabric.output_node}
+    for link in sorted(links, key=lambda l: l.dst, reverse=True):
+        if link.dst in reaching:
+            reaching.add(link.src)
+    return {link.index for link in links if link.src in reached and link.dst in reaching}
 
 
 def link_condition(fabric: Fabric, proposed: set[int]) -> bool:
     """True iff killing all of `proposed` leaves an input->output alive path."""
-    goal = fabric.output_node
-    seen = {fabric.input_node}
-    frontier = [fabric.input_node]
-    while frontier:
-        node = frontier.pop()
-        if node == goal:
-            return True
-        for link in fabric.out_links(node):
-            if link.index not in proposed and link.dst not in seen:
-                seen.add(link.dst)
-                frontier.append(link.dst)
-    return goal in seen
-
-
-def _node_degrees(fabric: Fabric, alive: set[int]):
-    ins: dict[NodeId, set[int]] = {}
-    outs: dict[NodeId, set[int]] = {}
-    for index in alive:
-        link = fabric.links[index]
-        outs.setdefault(link.src, set()).add(index)
-        ins.setdefault(link.dst, set()).add(index)
-    return ins, outs
-
-
-def _cascade_closure(fabric: Fabric, alive: set[int]) -> set[int]:
-    """Links that become obsolete under the given alive set (pure, worklist).
-
-    A node that cannot forward its activation (no alive out-links, not the
-    output) drags its in-links down; a node that receives nothing (no alive
-    in-links, not the input) drags its out-links down. Iterates to fixpoint.
-    """
-    ins, outs = _node_degrees(fabric, alive)
-    killed: set[int] = set()
-    worklist = list(ins.keys() | outs.keys())
-    while worklist:
-        node = worklist.pop()
-        node_ins = ins.get(node, set())
-        node_outs = outs.get(node, set())
-        if node != fabric.output_node and node_ins and not node_outs:
-            for index in list(node_ins):
-                killed.add(index)
-                node_ins.discard(index)
-                src = fabric.links[index].src
-                outs[src].discard(index)
-                worklist.append(src)
-            worklist.append(node)
-        elif node != fabric.input_node and node_outs and not node_ins:
-            for index in list(node_outs):
-                killed.add(index)
-                node_outs.discard(index)
-                dst = fabric.links[index].dst
-                ins[dst].discard(index)
-                worklist.append(dst)
-            worklist.append(node)
-    return killed
+    alive = {link.index for link in fabric.alive_links()}
+    return bool(_links_on_paths(fabric, alive - proposed))
 
 
 def cascade_remove(fabric: Fabric) -> list[int]:
-    """Kill every link made obsolete by earlier kills; returns their indices."""
+    """Kill every alive link that lies on no input->output path; returns
+    their indices. These are the links made obsolete by earlier kills."""
     alive = {link.index for link in fabric.alive_links()}
-    closure = _cascade_closure(fabric, alive)
-    for index in closure:
+    obsolete = alive - _links_on_paths(fabric, alive)
+    for index in obsolete:
         fabric.links[index].alive = False
-    return sorted(closure)
+    return sorted(obsolete)
 
 
 @dataclass
@@ -308,26 +271,27 @@ def _apply_link_stage(fabric: Fabric, quota: int, criterion: Criterion,
     links = fabric.alive_links()
     scores = {link.index: score_link(criterion, link, weight_scores) for link in links}
     order = sorted(links, key=lambda l: (scores[l.index], l.index))
+    alive = {link.index for link in links}
     remaining = quota
     for link in order:
         if remaining <= 0:
             break
-        if not link.alive:
+        if link.index not in alive:
             continue  # already swept away by an earlier cascade
-        if not link_condition(fabric, {link.index}):
+        kept = _links_on_paths(fabric, alive - {link.index})
+        if not kept:
             report.skipped_links.append((link.index, "connectivity"))
             continue
-        alive_after = {l.index for l in fabric.alive_links()} - {link.index}
-        closure = _cascade_closure(fabric, alive_after)
-        cost = 1 + len(closure) if count_cascade else 1
+        cascade = sorted(alive - kept - {link.index})
+        cost = 1 + len(cascade) if count_cascade else 1
         if count_cascade and cost > remaining:
             report.skipped_links.append((link.index, "cascade_overshoot"))
             continue
-        link.alive = False
-        for index in sorted(closure):
+        for index in [link.index, *cascade]:
             fabric.links[index].alive = False
+        alive = kept
         report.killed_links.append(link.index)
-        report.cascade_links.extend(sorted(closure))
+        report.cascade_links.extend(cascade)
         remaining -= cost
     report.link_shortfall = remaining
 

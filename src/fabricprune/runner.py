@@ -222,10 +222,18 @@ def load_experiment_dataset(data: DataConfig) -> ImageDataset:
 
 
 def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[np.ndarray]]:
-    """The config's dataset and its stratified train/validation/test indices."""
+    """The config's dataset and its stratified train/validation/test indices.
+
+    Raises ValueError naming a split that the fractions leave empty.
+    """
     dataset = load_experiment_dataset(data)
     fractions = (data.train_fraction, data.val_fraction, data.test_fraction)
-    return dataset, stratified_split_indices(dataset.labels, fractions, data.seed)
+    indices = stratified_split_indices(dataset.labels, fractions, data.seed)
+    for name, split in zip(("train", "validation", "test"), indices):
+        if split.size == 0:
+            raise ValueError(f"the {name} split is empty: {len(dataset)} items "
+                             f"split by fractions {fractions}")
+    return dataset, indices
 
 
 def inject_noise(full: LabeledSet, train_idx, val_idx, config: NoiseConfig,
@@ -274,12 +282,11 @@ def _augmented_batch(images: np.ndarray, config: AugmentConfig | None,
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Train (and optionally prune) one fabric end to end; returns a summary."""
+    dataset, (train_idx, val_idx, test_idx) = load_split_dataset(config.data)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(config.to_json())
     (out / "config.hash").write_text(config.hash() + "\n")
-
-    dataset, (train_idx, val_idx, test_idx) = load_split_dataset(config.data)
     save_split_manifest([train_idx, val_idx, test_idx], out / "splits.txt")
 
     full = LabeledSet.from_dataset(dataset)

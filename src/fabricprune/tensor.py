@@ -212,15 +212,16 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None, stride: int = 1
     return out
 
 
-def _bilinear_matrix(n_in: int, dtype) -> np.ndarray:
-    """Row-stochastic (2n x n) interpolation matrix for x2 upsampling.
+def bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
+    """Row-stochastic (n_out x n_in) bilinear interpolation matrix.
 
-    Source coordinate of output pixel i is (i + 0.5)/2 - 0.5, clamped to
-    [0, n_in - 1] (align-corners-false convention).
+    Source coordinate of output pixel i is (i + 0.5) * n_in / n_out - 0.5,
+    clamped to [0, n_in - 1] (align-corners-false convention).
     """
-    m = np.zeros((2 * n_in, n_in), dtype=dtype)
-    for i in range(2 * n_in):
-        src = min(max((i + 0.5) / 2.0 - 0.5, 0.0), n_in - 1.0)
+    m = np.zeros((n_out, n_in), dtype=dtype)
+    scale = n_in / n_out
+    for i in range(n_out):
+        src = min(max((i + 0.5) * scale - 0.5, 0.0), n_in - 1.0)
         i0 = int(np.floor(src))
         i1 = min(i0 + 1, n_in - 1)
         f = src - i0
@@ -232,8 +233,8 @@ def _bilinear_matrix(n_in: int, dtype) -> np.ndarray:
 def upsample_bilinear_x2(x: Tensor) -> Tensor:
     """Double both spatial extents of (B,C,H,W) by bilinear interpolation."""
     B, C, H, W = x.data.shape
-    uh = _bilinear_matrix(H, x.data.dtype)
-    uw = _bilinear_matrix(W, x.data.dtype)
+    uh = bilinear_matrix(H, 2 * H, x.data.dtype)
+    uw = bilinear_matrix(W, 2 * W, x.data.dtype)
     out_data = np.einsum("ph,bchw,qw->bcpq", uh, x.data, uw, optimize=True)
 
     def backward():

@@ -15,7 +15,6 @@ from fabricprune.fabric import (
     longest_linear_path,
     param_breakdown,
     per_link_param_count,
-    restore_parameters,
     save_fabric,
     stem_param_count,
 )
@@ -470,7 +469,7 @@ class TestSnapshot:
         fabric.links[2].alive = True
         fabric.links[11].alive = False
 
-        restore_parameters(fabric, snapshot)
+        fabric.load_state(snapshot)
         assert_same_state(reference, fabric)
         # the snapshot is copied in, not aliased
         fabric.stem_weight.data += 1.0

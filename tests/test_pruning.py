@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fabricprune.fabric import build_fabric, clone_parameters, param_breakdown
 from fabricprune.pruning import (
@@ -162,7 +164,7 @@ class TestLinkCondition:
 
     def test_cutting_input_outputs_false(self):
         fabric = tiny_fabric()
-        cut = {l.index for l in fabric.out_links((0, 0))}
+        cut = {l.index for l in fabric.links if l.src == (0, 0)}
         assert link_condition(fabric, cut) is False
 
     @pytest.mark.parametrize("seed", range(25))
@@ -592,3 +594,53 @@ class TestRandomizedSequences:
                 assert link.unmasked_weight_count() >= 1
             if report.link_shortfall == 0:
                 assert report.links_removed == report.link_quota
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@st.composite
+def grids(draw):
+    """A channel-1 fabric of 2-5 layers x 2-4 scales with drawn weights."""
+    layers = draw(st.integers(2, 5))
+    scales = draw(st.integers(2, 4))
+    return build_fabric(layers, scales, 1, 2 ** (scales - 1), 2,
+                        seed=draw(st.integers(0, 2**16)))
+
+
+@st.composite
+def grids_with_kills(draw):
+    """A grid whose alive flags are a drawn subset of its links."""
+    fabric = draw(grids())
+    flags = draw(st.lists(st.booleans(), min_size=len(fabric.links),
+                          max_size=len(fabric.links)))
+    for link, alive in zip(fabric.links, flags):
+        link.alive = alive
+    return fabric
+
+
+class TestPathRuleProperties:
+    @PROPERTY_SETTINGS
+    @given(grids_with_kills())
+    def test_cascade_reaches_the_fixpoint(self, fabric):
+        pre_alive = sorted(l.index for l in fabric.alive_links())
+        cascade_remove(fabric)
+        alive = fabric.alive_links()
+        fed = {l.dst for l in alive}
+        feeding = {l.src for l in alive}
+        for link in alive:
+            assert link.src == fabric.input_node or link.src in fed
+            assert link.dst == fabric.output_node or link.dst in feeding
+
+        sub_edges = [(fabric.links[i].src, fabric.links[i].dst) for i in pre_alive]
+        dangling = dangling_links_by_rescan(sub_edges, fabric.input_node, fabric.output_node)
+        assert {l.index for l in alive} == set(pre_alive) - {pre_alive[i] for i in dangling}
+
+    @PROPERTY_SETTINGS
+    @given(grids(), st.data())
+    def test_event_keeps_a_path_and_accounts_for_its_quota(self, fabric, data):
+        quota = data.draw(st.integers(0, len(fabric.links)))
+        report = apply_event(fabric, PruneEvent(1, quota, 0), Criterion.MAGNITUDE)
+        edges = [(l.src, l.dst) for l in fabric.alive_links()]
+        assert path_exists(edges, fabric.input_node, fabric.output_node)
+        assert report.links_removed + report.link_shortfall == report.link_quota

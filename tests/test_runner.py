@@ -92,6 +92,14 @@ class TestConfigSerialization:
 
 
 class TestRunExperiment:
+    def test_empty_split_rejected_before_any_output(self, tmp_path):
+        # 3 items per class, fractions 0.7/0.1/0.2: no class gives validation an item
+        config = tiny_config(tmp_path / "run",
+                             data=DataConfig(classes=3, n_per_class=3, resolution=4))
+        with pytest.raises(ValueError, match="validation"):
+            run_experiment(config)
+        assert not (tmp_path / "run").exists()
+
     def test_zero_epochs_writes_baseline_artifacts(self, tmp_path):
         config = tiny_config(tmp_path / "run", epochs=0)
         summary = run_experiment(config)
