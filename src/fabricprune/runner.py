@@ -280,8 +280,26 @@ def _augmented_batch(images: np.ndarray, config: AugmentConfig | None,
     ]).astype(images.dtype)
 
 
+def _check_resolutions(config: ExperimentConfig) -> None:
+    """Raise ValueError naming the field whose image size the fabric cannot take."""
+    r = config.input_resolution
+    if not isinstance(r, int) or r < 2 or r & (r - 1):
+        raise ValueError(f"input_resolution must be a power of two >= 2, got {r!r}")
+    if config.data.resolution != r:
+        raise ValueError(f"data.resolution {config.data.resolution} differs from "
+                         f"input_resolution {r}")
+    if config.augment is not None and config.augment.crop_size != r:
+        raise ValueError(f"augment.crop_size {config.augment.crop_size} differs from "
+                         f"input_resolution {r}")
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Train (and optionally prune) one fabric end to end; returns a summary."""
+    """Train (and optionally prune) one fabric end to end; returns a summary.
+
+    Raises ValueError naming the field, before anything is written, when the
+    image sizes disagree or a split is empty.
+    """
+    _check_resolutions(config)
     dataset, (train_idx, val_idx, test_idx) = load_split_dataset(config.data)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -171,8 +171,25 @@ def _conv_out_extent(n: int, stride: int) -> int:
     return (n - 1) // stride + 1
 
 
+def _im2col(x: np.ndarray, stride: int, Ho: int, Wo: int) -> np.ndarray:
+    """Zero-pad (B,Cin,H,W) by 1 and gather its 3x3 windows as (B, Cin*9, Ho*Wo)."""
+    B, Cin = x.shape[:2]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.empty((B, Cin, 3, 3, Ho, Wo), dtype=x.dtype)
+    for i in range(3):
+        for j in range(3):
+            cols[:, :, i, j] = xp[:, :, i : i + (Ho - 1) * stride + 1 : stride,
+                                  j : j + (Wo - 1) * stride + 1 : stride]
+    return cols.reshape(B, Cin * 9, Ho * Wo)
+
+
 def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None, stride: int = 1) -> Tensor:
-    """3x3 convolution with padding 1. Input (B,Cin,H,W) -> (B,Cout,H',W')."""
+    """3x3 convolution with padding 1. Input (B,Cin,H,W) -> (B,Cout,H',W').
+
+    The recorded node keeps no column buffer: backward rebuilds the columns
+    from x.data and reads weight.data, so neither may be changed in place
+    between the forward call and backward().
+    """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
     B, Cin, H, W = x.data.shape
@@ -183,25 +200,22 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None, stride: int = 1
         raise ShapeError(f"input has {Cin} channels, kernel expects {Cin_w}")
 
     Ho, Wo = _conv_out_extent(H, stride), _conv_out_extent(W, stride)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((B, Cin, 3, 3, Ho, Wo), dtype=x.data.dtype)
-    for i in range(3):
-        for j in range(3):
-            cols[:, :, i, j] = xp[:, :, i : i + (Ho - 1) * stride + 1 : stride,
-                                  j : j + (Wo - 1) * stride + 1 : stride]
-    cols2 = cols.reshape(B, Cin * 9, Ho * Wo)
     wflat = weight.data.reshape(Cout, Cin * 9)
-    out_data = np.matmul(wflat, cols2).reshape(B, Cout, Ho, Wo)
+    out_data = np.matmul(wflat, _im2col(x.data, stride, Ho, Wo)).reshape(B, Cout, Ho, Wo)
     if bias is not None:
         out_data += bias.data[None, :, None, None]
 
     def backward():
         g = out.grad.reshape(B, Cout, Ho * Wo)
-        _accumulate(weight, np.tensordot(g, cols2, axes=([0, 2], [0, 2])).reshape(weight.data.shape))
+        cols = _im2col(x.data, stride, Ho, Wo)
+        # per-sample GEMMs against a transposed view: no transposed copy of cols
+        _accumulate(weight, np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+                    .reshape(weight.data.shape))
+        del cols  # before dcols: one column-sized buffer at a time
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2)))
-        dcols = np.matmul(wflat.T, g).reshape(B, Cin, 3, 3, Ho, Wo)
-        dxp = np.zeros_like(xp)
+        dcols = np.matmul(weight.data.reshape(Cout, Cin * 9).T, g).reshape(B, Cin, 3, 3, Ho, Wo)
+        dxp = np.zeros((B, Cin, H + 2, W + 2), dtype=x.data.dtype)
         for i in range(3):
             for j in range(3):
                 dxp[:, :, i : i + (Ho - 1) * stride + 1 : stride,
@@ -273,16 +287,18 @@ def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormSta
     axes = (0, 2, 3)
 
     if mode == "train":
+        # x.var's own arithmetic, centring once; the centred copy becomes xhat
         mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xhat = x.data - mean[None, :, None, None]
+        var = (xhat * xhat).mean(axis=axes)
         state.running_mean[:] = (1.0 - momentum) * state.running_mean + momentum * mean
         state.running_var[:] = (1.0 - momentum) * state.running_var + momentum * var
     else:
-        mean = state.running_mean.copy()
-        var = state.running_var.copy()
+        var = state.running_var
+        xhat = x.data - state.running_mean[None, :, None, None]
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    xhat *= inv_std[None, :, None, None]
     out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
     def backward():

@@ -100,6 +100,18 @@ class TestRunExperiment:
             run_experiment(config)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("overrides,field", [
+        (dict(data=DataConfig(classes=3, n_per_class=20, resolution=8)), "data.resolution"),
+        (dict(augment=AugmentConfig(resize=8, crop_size=8)), "augment.crop_size"),
+        (dict(input_resolution=6, data=DataConfig(resolution=6)), "input_resolution"),
+        (dict(input_resolution=1, data=DataConfig(resolution=1)), "input_resolution"),
+    ], ids=["data", "augment", "not-power-of-two", "one"])
+    def test_resolution_mismatch_rejected_before_any_output(self, tmp_path, overrides, field):
+        config = tiny_config(tmp_path / "run", **overrides)
+        with pytest.raises(ValueError, match=field.replace(".", r"\.")):
+            run_experiment(config)
+        assert not (tmp_path / "run").exists()
+
     def test_zero_epochs_writes_baseline_artifacts(self, tmp_path):
         config = tiny_config(tmp_path / "run", epochs=0)
         summary = run_experiment(config)

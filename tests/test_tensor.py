@@ -1,8 +1,11 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fabricprune.tensor import (
     SGD,
@@ -81,6 +84,22 @@ class TestConv2d:
         expected = naive_conv2d(x.data, zeroed, None, 1)
         np.testing.assert_allclose(out.data, expected, rtol=1e-6)
 
+    def test_recorded_node_keeps_no_column_buffer(self):
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.standard_normal((4, 16, 16, 16)))
+        w = _param(rng, 16, 16, 3, 3)
+        b = _param(rng, 16)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, w, b)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None
+        # an im2col buffer alone would be 9x the input
+        assert retained - out.data.nbytes < 2 * x.data.nbytes
+
 
 class TestUpsample:
     def test_constant_field_is_fixed_point(self):
@@ -139,6 +158,27 @@ class TestBatchNorm:
         batch_norm(x, gamma, beta, state, "train")
         expected_mean = 0.1 * x.data.mean()
         np.testing.assert_allclose(state.running_mean, expected_mean, rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(16, 8, 8, 8), (3, 2, 3, 3), (8, 4, 1, 1), (2, 5, 7, 4)])
+    def test_train_mode_matches_np_var_bit_for_bit(self, shape, dtype):
+        rng = np.random.default_rng(11)
+        x = (rng.standard_normal(shape) * 2.0 + 1.0).astype(dtype)
+        c = shape[1]
+        gamma, beta = rng.standard_normal(c).astype(dtype), rng.standard_normal(c).astype(dtype)
+        state = BatchNormState(rng.standard_normal(c).astype(dtype),
+                               (rng.random(c) + 0.5).astype(dtype))
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        xhat = (x - mean[None, :, None, None]) * (1.0 / np.sqrt(var + 1e-5))[None, :, None, None]
+        expected = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+        expected_mean = 0.9 * state.running_mean + 0.1 * mean
+        expected_var = 0.9 * state.running_var + 0.1 * var
+
+        out = batch_norm(Tensor(x), Parameter(gamma), Parameter(beta), state, "train")
+        np.testing.assert_array_equal(out.data, expected)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(state.running_mean, expected_mean.astype(dtype))
+        np.testing.assert_array_equal(state.running_var, expected_var.astype(dtype))
 
     def test_train_mode_needs_two_values(self):
         with pytest.raises(UsageError):
@@ -342,6 +382,42 @@ class TestGradients:
         analytic = [w.grad.astype(np.float64)]
         numeric = finite_difference_grads(lambda: float(build().data), [w.data], 1e-3)
         assert max_grad_mismatch(analytic, numeric) < 1e-2
+
+
+@st.composite
+def conv_cases(draw):
+    """A small float64 conv2d problem: input, kernel, bias, stride, probe."""
+    b, cin, cout = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    stride = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    return (rng.standard_normal((b, cin, h, w)), rng.standard_normal((cout, cin, 3, 3)),
+            rng.standard_normal(cout), stride, rng.standard_normal((1, cout * ho * wo)))
+
+
+class TestConv2dProperties:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(conv_cases())
+    def test_matches_oracles(self, case):
+        x_data, w_data, b_data, stride, probe_data = case
+        x, w, b = Parameter(x_data), Parameter(w_data), Parameter(b_data)
+        probe = Tensor(probe_data)
+
+        def build():
+            out = conv2d(x, w, b, stride=stride)
+            # a random linear functional, so every output entry gets its own grad
+            return tensor_sum(linear(out.reshape((x.shape[0], -1)), probe)), out
+
+        loss, out = build()
+        np.testing.assert_allclose(out.data, naive_conv2d(x_data, w_data, b_data, stride),
+                                   rtol=1e-10, atol=1e-12)
+        backward(loss)
+        analytic = [x.grad.copy(), w.grad.copy(), b.grad.copy()]
+        with no_grad():
+            numeric = finite_difference_grads(lambda: build()[0].item(),
+                                              [x.data, w.data, b.data], 1e-5)
+        assert max_grad_mismatch(analytic, numeric) < 1e-7
 
 
 class TestSgd:
