@@ -31,10 +31,12 @@ from .tensor import (
     Parameter,
     Tensor,
     batch_norm,
+    concat,
     conv2d,
     linear,
     no_grad,
     relu6,
+    split,
     upsample_bilinear_x2,
 )
 
@@ -180,20 +182,44 @@ class Fabric:
         params.extend(self.head_parameters())
         return params
 
-    def _apply_link(self, link: Link, activation: Tensor, mode: str) -> Tensor:
-        h = conv2d(activation, link.conv_weight, link.conv_bias,
-                   stride=link.direction.stride)
-        if link.direction is Direction.UP:
-            h = upsample_bilinear_x2(h)
-        h = batch_norm(h, link.bn_gamma, link.bn_beta, link.bn_state, mode)
-        return relu6(h)
+    def _apply_links(self, activation: Tensor, links: list[Link], mode: str):
+        """Yield (destination, contribution) for one source's alive out-links.
+
+        Links of one stride share one conv over their stacked weights; each
+        link then upsamples (UP only), batch-normalizes and clips its slice.
+        """
+        for stride in (1, 2):
+            group = [link for link in links if link.direction.stride == stride]
+            if not group:
+                continue
+            if len(group) == 1:
+                convs = [conv2d(activation, group[0].conv_weight, group[0].conv_bias,
+                                stride=stride)]
+            else:
+                weight = concat([link.conv_weight for link in group])
+                bias = concat([link.conv_bias for link in group])
+                convs = split(conv2d(activation, weight, bias, stride=stride),
+                              [self.C] * len(group), axis=1)
+            for link, h in zip(group, convs):
+                if link.direction is Direction.UP:
+                    h = upsample_bilinear_x2(h)
+                h = batch_norm(h, link.bn_gamma, link.bn_beta, link.bn_state, mode)
+                yield link.dst, relu6(h)
 
     def forward(self, batch: Tensor | np.ndarray, mode: str = "train") -> Tensor:
         """Run a (B, 3, R, R) batch through the fabric, returning logits."""
-        return self.forward_with_activations(batch, mode)[0]
+        return self._forward(batch, mode, keep_activations=False)[0]
 
     def forward_with_activations(self, batch, mode: str = "train"):
         """Forward pass returning the logits and the per-node activation tensors."""
+        return self._forward(batch, mode, keep_activations=True)
+
+    def _forward(self, batch, mode: str, keep_activations: bool):
+        """Source-major forward pass.
+
+        A node's activation is dropped once its out-links have run unless
+        keep_activations is set; the output node's is always returned.
+        """
         if not isinstance(batch, Tensor):
             batch = Tensor(np.asarray(batch, dtype=self.dtype))
         B, C_in, H, W = batch.data.shape
@@ -204,24 +230,26 @@ class Fabric:
 
         h = conv2d(batch, self.stem_weight, self.stem_bias, stride=1)
         h = batch_norm(h, self.stem_gamma, self.stem_beta, self.stem_bn_state, mode)
-        activations: dict[NodeId, Tensor] = {self.input_node: relu6(h)}
+        sums: dict[NodeId, Tensor] = {self.input_node: relu6(h)}
+        out_links: dict[NodeId, list[Link]] = {}
+        for link in self.alive_links():
+            out_links.setdefault(link.src, []).append(link)
 
         # (layer asc, scale asc) is a topological order: grid links go to the
-        # next layer and column links to the next scale within a layer
-        for l in range(self.L):
-            for s in range(self.S):
-                node = (l, s)
-                if node == self.input_node:
-                    continue
-                total: Tensor | None = None
-                for link in self.in_links(node):
-                    src_act = activations.get(link.src)
-                    if src_act is None:
-                        continue
-                    contribution = self._apply_link(link, src_act, mode)
-                    total = contribution if total is None else total + contribution
-                if total is not None:
-                    activations[node] = total
+        # next layer and column links to the next scale within a layer. So a
+        # node's sum is complete when the walk reaches it, and each node's
+        # contributions arrive in source order, which is its in_links order.
+        activations: dict[NodeId, Tensor] = {}
+        for node in self.nodes():
+            activation = sums.pop(node, None)
+            if activation is None:
+                continue
+            if keep_activations or node == self.output_node:
+                activations[node] = activation
+            for dst, contribution in self._apply_links(activation, out_links.get(node, []),
+                                                       mode):
+                total = sums.get(dst)
+                sums[dst] = contribution if total is None else total + contribution
 
         out = activations.get(self.output_node)
         if out is None:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.1
@@ -121,7 +123,8 @@ class Parameter(Tensor):
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        # C order whatever g's layout, so a transposed view never leaks out
+        t.grad = g.astype(t.data.dtype, order="C", copy=True)
     else:
         t.grad += g
 
@@ -172,23 +175,25 @@ def _conv_out_extent(n: int, stride: int) -> int:
 
 
 def _im2col(x: np.ndarray, stride: int, Ho: int, Wo: int) -> np.ndarray:
-    """Zero-pad (B,Cin,H,W) by 1 and gather its 3x3 windows as (B, Cin*9, Ho*Wo)."""
-    B, Cin = x.shape[:2]
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((B, Cin, 3, 3, Ho, Wo), dtype=x.dtype)
-    for i in range(3):
-        for j in range(3):
-            cols[:, :, i, j] = xp[:, :, i : i + (Ho - 1) * stride + 1 : stride,
-                                  j : j + (Wo - 1) * stride + 1 : stride]
-    return cols.reshape(B, Cin * 9, Ho * Wo)
+    """Zero-pad (B,Cin,H,W) by 1 into one channel-major buffer and gather its
+    3x3 windows as (Cin*9, B*Ho*Wo) columns."""
+    B, Cin, H, W = x.shape
+    xp = np.zeros((Cin, B, H + 2, W + 2), dtype=x.dtype)
+    xp[:, :, 1 : H + 1, 1 : W + 1] = x.transpose(1, 0, 2, 3)
+    # (Cin, B, Ho, Wo, 3, 3): the window at every stride-th position
+    windows = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+    return windows.transpose(0, 4, 5, 1, 2, 3).reshape(Cin * 9, B * Ho * Wo)
 
 
-def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None, stride: int = 1) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> Tensor:
     """3x3 convolution with padding 1. Input (B,Cin,H,W) -> (B,Cout,H',W').
 
-    The recorded node keeps no column buffer: backward rebuilds the columns
-    from x.data and reads weight.data, so neither may be changed in place
-    between the forward call and backward().
+    Columns are channel-major (Cin*9, B*H'*W'). The forward pass runs one
+    GEMM per sample straight into the C-contiguous output; the weight and
+    input grads are one 2-D GEMM each, and the input grad is C-contiguous
+    (B,Cin,H,W) too. The recorded node keeps no column buffer: backward
+    rebuilds the columns from x.data and reads weight.data, so neither may
+    be changed in place between the forward call and backward().
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
@@ -200,29 +205,72 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None, stride: int = 1
         raise ShapeError(f"input has {Cin} channels, kernel expects {Cin_w}")
 
     Ho, Wo = _conv_out_extent(H, stride), _conv_out_extent(W, stride)
-    wflat = weight.data.reshape(Cout, Cin * 9)
-    out_data = np.matmul(wflat, _im2col(x.data, stride, Ho, Wo)).reshape(B, Cout, Ho, Wo)
+    K, N = Cin * 9, B * Ho * Wo
+    wflat = weight.data.reshape(Cout, K)
+    cols = _im2col(x.data, stride, Ho, Wo)
+    out_data = np.empty((B, Cout, Ho, Wo), dtype=np.result_type(wflat, cols))
+    # one GEMM per sample, written straight into the B-major output
+    np.matmul(wflat, cols.reshape(K, B, Ho * Wo).transpose(1, 0, 2),
+              out=out_data.reshape(B, Cout, Ho * Wo))
     if bias is not None:
         out_data += bias.data[None, :, None, None]
 
     def backward():
-        g = out.grad.reshape(B, Cout, Ho * Wo)
-        cols = _im2col(x.data, stride, Ho, Wo)
-        # per-sample GEMMs against a transposed view: no transposed copy of cols
-        _accumulate(weight, np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-                    .reshape(weight.data.shape))
-        del cols  # before dcols: one column-sized buffer at a time
         if bias is not None:
-            _accumulate(bias, g.sum(axis=(0, 2)))
-        dcols = np.matmul(weight.data.reshape(Cout, Cin * 9).T, g).reshape(B, Cin, 3, 3, Ho, Wo)
-        dxp = np.zeros((B, Cin, H + 2, W + 2), dtype=x.data.dtype)
+            _accumulate(bias, out.grad.sum(axis=(0, 2, 3)))
+        # dW: gradient columns in the columns' (b, y, x) order
+        g = out.grad.reshape(B, Cout, Ho * Wo).transpose(1, 0, 2).reshape(Cout, N)
+        cols = _im2col(x.data, stride, Ho, Wo)
+        _accumulate(weight, (g @ cols.T).reshape(weight.data.shape))
+        del cols, g  # before dcols: one column-sized buffer at a time
+        # dx: rows (i, j, c) and columns (y, x, b), so each tap's scatter into
+        # a (Cin, H+2, W+2, B) buffer runs over long contiguous stretches
+        g = out.grad.transpose(1, 2, 3, 0).reshape(Cout, Ho * Wo * B)
+        wtap = weight.data.transpose(0, 2, 3, 1).reshape(Cout, K)
+        dcols = (wtap.T @ g).reshape(3, 3, Cin, Ho, Wo, B)
+        dxp = np.zeros((Cin, H + 2, W + 2, B), dtype=x.data.dtype)
         for i in range(3):
             for j in range(3):
-                dxp[:, :, i : i + (Ho - 1) * stride + 1 : stride,
-                    j : j + (Wo - 1) * stride + 1 : stride] += dcols[:, :, i, j]
-        _accumulate(x, dxp[:, :, 1 : 1 + H, 1 : 1 + W])
+                dxp[:, i : i + (Ho - 1) * stride + 1 : stride,
+                    j : j + (Wo - 1) * stride + 1 : stride] += dcols[i, j]
+        _accumulate(x, dxp[:, 1 : 1 + H, 1 : 1 + W].transpose(3, 0, 1, 2))
 
     out = Tensor(out_data, (x, weight) if bias is None else (x, weight, bias), backward)
+    return out
+
+
+def _blocks(extents, axis: int) -> list[tuple[slice, ...]]:
+    """Index tuples of consecutive blocks with the given extents along axis."""
+    return [(slice(None),) * axis + (slice(stop - n, stop),)
+            for n, stop in zip(extents, accumulate(extents))]
+
+
+def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+    """Join tensors along an existing axis."""
+    blocks = _blocks([t.data.shape[axis] for t in tensors], axis)
+
+    def backward():
+        for t, block in zip(tensors, blocks):
+            _accumulate(t, out.grad[block])
+
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
+    return out
+
+
+def split(x: Tensor, extents: list[int], axis: int = 0) -> list[Tensor]:
+    """Consecutive pieces of x along axis, as views of its data."""
+    if sum(extents) != x.data.shape[axis]:
+        raise ShapeError(f"split: extents {list(extents)} do not sum to {x.data.shape[axis]}")
+    return [_piece(x, block) for block in _blocks(extents, axis)]
+
+
+def _piece(x: Tensor, block: tuple[slice, ...]) -> Tensor:
+    def backward():
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[block] += out.grad
+
+    out = Tensor(x.data[block], (x,), backward)
     return out
 
 

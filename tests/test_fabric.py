@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fabricprune.fabric import (
     Direction,
@@ -18,7 +20,18 @@ from fabricprune.fabric import (
     save_fabric,
     stem_param_count,
 )
-from fabricprune.tensor import SGD, SgdConfig, backward, softmax_cross_entropy
+from fabricprune.tensor import (
+    SGD,
+    SgdConfig,
+    Tensor,
+    backward,
+    batch_norm,
+    conv2d,
+    linear,
+    relu6,
+    softmax_cross_entropy,
+    upsample_bilinear_x2,
+)
 
 from oracles import bilinear_x2_reference, longest_path_exhaustive, naive_conv2d, path_exists
 
@@ -207,6 +220,94 @@ class TestForward:
             return fabric.forward(x, mode="train").data.tobytes()
 
         assert run() == run()
+
+
+def per_link_forward(fabric, x, mode):
+    """Reference forward: one conv2d per alive link, sums in in_links order."""
+    h = conv2d(Tensor(x), fabric.stem_weight, fabric.stem_bias, stride=1)
+    h = batch_norm(h, fabric.stem_gamma, fabric.stem_beta, fabric.stem_bn_state, mode)
+    acts = {fabric.input_node: relu6(h)}
+    for node in fabric.nodes():
+        total = None
+        for link in fabric.in_links(node):
+            if link.src not in acts:
+                continue
+            h = conv2d(acts[link.src], link.conv_weight, link.conv_bias,
+                       stride=link.direction.stride)
+            if link.direction is Direction.UP:
+                h = upsample_bilinear_x2(h)
+            h = relu6(batch_norm(h, link.bn_gamma, link.bn_beta, link.bn_state, mode))
+            total = h if total is None else total + h
+        if total is not None:
+            acts[node] = total
+    flat = acts[fabric.output_node].reshape((x.shape[0], fabric.C))
+    return linear(flat, fabric.head_weight, fabric.head_bias)
+
+
+@st.composite
+def pruned_fabric_cases(draw):
+    """A float64 fabric with random dead links, masks and affine parameters.
+
+    A path down layer 0's column and along the last scale stays alive, and
+    one node off it loses every in-link but keeps its out-links, so those
+    out-links have a source that no activation reaches.
+    """
+    layers, scales = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    channels = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kept = {((0, s), (0, s + 1)) for s in range(scales - 1)}
+    kept |= {((l, scales - 1), (l + 1, scales - 1)) for l in range(layers - 1)}
+    cut = draw(st.sampled_from([(l, s) for l in range(1, layers) for s in range(scales - 1)]))
+    n_links = grid_link_count(layers, scales)
+    dead = draw(st.lists(st.booleans(), min_size=n_links, max_size=n_links))
+    masked = draw(st.lists(st.booleans(), min_size=n_links, max_size=n_links))
+    mode = draw(st.sampled_from(["train", "eval"]))
+    return layers, scales, channels, seed, kept, cut, dead, masked, mode
+
+
+class TestSourceMajorForward:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(pruned_fabric_cases())
+    def test_matches_per_link_reference(self, case):
+        layers, scales, channels, seed, kept, cut, dead, masked, mode = case
+        rng = np.random.default_rng(seed)
+        resolution = 2 ** (scales - 1)
+        fabric = build_fabric(layers, scales, channels, resolution, 3, seed=seed,
+                              dtype=np.float64)
+        for link, kill, mask in zip(fabric.links, dead, masked):
+            if link.dst == cut:
+                link.alive = False
+            elif (link.src, link.dst) not in kept and link.src != cut:
+                link.alive = not kill
+            for p in (link.conv_bias, link.bn_gamma, link.bn_beta):
+                p.data[:] = rng.standard_normal(channels)
+            link.bn_state.running_mean[:] = rng.standard_normal(channels)
+            link.bn_state.running_var[:] = rng.random(channels) + 0.5
+            if mask:
+                link.conv_weight.set_mask((rng.random((channels, channels, 3, 3)) > 0.3)
+                                          .astype(np.float64))
+        assert any(l.alive for l in fabric.links if l.src == cut)
+        reference = build_fabric(layers, scales, channels, resolution, 3, dtype=np.float64)
+        reference.load_state(clone_parameters(fabric))
+        x = rng.random((2, 3, resolution, resolution))
+        labels = np.array([0, 2])
+
+        logits = fabric.forward(x, mode)
+        expected = per_link_forward(reference, x, mode)
+        np.testing.assert_allclose(logits.data, expected.data, rtol=1e-10)
+        backward(softmax_cross_entropy(logits, labels))
+        backward(softmax_cross_entropy(expected, labels))
+
+        def grads(f):
+            params = f.stem_parameters() + f.head_parameters()
+            return params + [p for link in f.links for p in link.parameters()]
+
+        for ours, theirs in zip(grads(fabric), grads(reference)):
+            np.testing.assert_allclose(ours.grad, theirs.grad, rtol=1e-10, atol=1e-13)
+        ours_state, their_state = fabric.state(), reference.state()
+        for key in ours_state:
+            np.testing.assert_allclose(ours_state[key], their_state[key], rtol=1e-10,
+                                       err_msg=key)
 
 
 class TestLongestPath:

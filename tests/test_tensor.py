@@ -17,11 +17,13 @@ from fabricprune.tensor import (
     UsageError,
     backward,
     batch_norm,
+    concat,
     conv2d,
     linear,
     no_grad,
     relu6,
     softmax_cross_entropy,
+    split,
     tensor_sum,
     upsample_bilinear_x2,
 )
@@ -99,6 +101,22 @@ class TestConv2d:
         assert out._backward is not None
         # an im2col buffer alone would be 9x the input
         assert retained - out.data.nbytes < 2 * x.data.nbytes
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_output_and_input_grad_are_c_contiguous(self, stride, dtype):
+        # batch norm's float32 reductions lose accuracy on a transposed layout
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((3, 2, 5, 6)).astype(dtype))
+        w = Parameter(rng.standard_normal((4, 2, 3, 3)).astype(dtype))
+        b = Parameter(rng.standard_normal(4).astype(dtype))
+        out = conv2d(x, w, b, stride=stride)
+        assert out.shape == (3, 4, (5 - 1) // stride + 1, (6 - 1) // stride + 1)
+        assert out.data.flags.c_contiguous and out.dtype == dtype
+        backward(tensor_sum(out))
+        assert x.grad.shape == x.shape
+        assert x.grad.flags.c_contiguous and x.grad.dtype == dtype
 
 
 class TestUpsample:
@@ -418,6 +436,59 @@ class TestConv2dProperties:
             numeric = finite_difference_grads(lambda: build()[0].item(),
                                               [x.data, w.data, b.data], 1e-5)
         assert max_grad_mismatch(analytic, numeric) < 1e-7
+
+
+@st.composite
+def concat_split_cases(draw):
+    """Float64 blocks joined along one axis and cut again at other places."""
+    axis = draw(st.integers(0, 2))
+    shape = [draw(st.integers(1, 3)) for _ in range(3)]
+    extents = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    total = sum(extents)
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=2))) if total > 1 else []
+    pieces = np.diff([0, *cuts, total]).tolist()
+    return axis, shape, extents, pieces, draw(st.integers(0, 2**32 - 1))
+
+
+class TestConcatSplitProperties:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(concat_split_cases())
+    def test_grads_match_finite_differences(self, case):
+        axis, shape, extents, pieces, seed = case
+        rng = np.random.default_rng(seed)
+
+        def block_shape(n):
+            return tuple(n if d == axis else e for d, e in enumerate(shape))
+
+        blocks = [Parameter(rng.standard_normal(block_shape(n))) for n in extents]
+        mask = (rng.random(blocks[0].shape) > 0.5).astype(np.float64)
+        blocks[0].set_mask(mask)
+        probes = [Tensor(rng.standard_normal((1, int(np.prod(block_shape(n))))))
+                  for n in pieces]
+
+        def build():
+            parts = split(concat(blocks, axis=axis), pieces, axis=axis)
+            assert [p.shape for p in parts] == [block_shape(n) for n in pieces]
+            losses = [tensor_sum(linear(p.reshape((1, -1)), probe))
+                      for p, probe in zip(parts, probes)]
+            total = losses[0]
+            for extra in losses[1:]:
+                total = total + extra
+            return total
+
+        backward(build())
+        analytic = [b.grad.copy() for b in blocks]
+        assert np.all(analytic[0][mask == 0.0] == 0.0)
+        with no_grad():
+            numeric = finite_difference_grads(lambda: build().item(),
+                                              [b.data for b in blocks], 1e-5)
+        # a masked weight never moves, so its pull is hidden from .grad
+        numeric[0] *= mask
+        assert max_grad_mismatch(analytic, numeric) < 1e-7
+
+    def test_split_extents_must_cover_axis(self):
+        with pytest.raises(ShapeError):
+            split(Tensor(np.zeros((2, 5))), [2, 2], axis=1)
 
 
 class TestSgd:
