@@ -43,6 +43,7 @@ from .pruning import (
     sensitivity_grads,
 )
 from .runner import (
+    ConfigError,
     DataConfig,
     ExperimentConfig,
     NoiseConfig,

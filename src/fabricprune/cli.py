@@ -13,6 +13,7 @@ from .fabric import build_fabric, export_dot, load_fabric, param_breakdown
 from .noise import LabeledSet, fitting_report, load_noisy_labels
 from .pruning import Strategy, build_plan, reported_param_count
 from .runner import (
+    ConfigError,
     ExperimentConfig,
     NoiseConfig,
     PruneConfig,
@@ -218,7 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigError as exc:
+        print(f"invalid config {args.config}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +72,26 @@ RECIPE_LR_MILESTONES = (80, 120)
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite; the run is aborted with a diagnostic."""
+
+
+class ConfigError(ValueError):
+    """A config section that is not an object, or a key no field matches."""
+
+
+def _checked_section(cls, raw, path: str) -> dict:
+    """A copy of raw once every key names a field of the dataclass cls.
+
+    path is the section's dotted place in the config ("" at the top level),
+    so an error names e.g. noise.annotator.bogus.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section {path or '(top level)'} must be an object, "
+                          f"got {type(raw).__name__}")
+    known = {f.name for f in fields(cls)}
+    unknown = [f"{path}.{key}" if path else str(key) for key in raw if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown config field {', '.join(unknown)}")
+    return dict(raw)
 
 
 @dataclass
@@ -146,18 +166,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
-        if "data" in raw and raw["data"] is not None:
-            raw["data"] = DataConfig(**raw["data"])
+        """Build a config, raising ConfigError that names any unknown field."""
+        raw = _checked_section(cls, raw, "")
+        if raw.get("data") is not None:
+            raw["data"] = DataConfig(**_checked_section(DataConfig, raw["data"], "data"))
         if raw.get("prune") is not None:
-            raw["prune"] = PruneConfig(**raw["prune"])
+            raw["prune"] = PruneConfig(**_checked_section(PruneConfig, raw["prune"], "prune"))
         if raw.get("noise") is not None:
-            noise_raw = dict(raw["noise"])
+            noise_raw = _checked_section(NoiseConfig, raw["noise"], "noise")
             if noise_raw.get("annotator") is not None:
-                noise_raw["annotator"] = AnnotatorConfig(**noise_raw["annotator"])
+                noise_raw["annotator"] = AnnotatorConfig(**_checked_section(
+                    AnnotatorConfig, noise_raw["annotator"], "noise.annotator"))
             raw["noise"] = NoiseConfig(**noise_raw)
         if raw.get("augment") is not None:
-            aug = dict(raw["augment"])
+            aug = _checked_section(AugmentConfig, raw["augment"], "augment")
             for key in ("normalize_mean", "normalize_std"):
                 if key in aug:
                     aug[key] = tuple(aug[key])
@@ -208,25 +230,22 @@ def scale_schedule(config: ExperimentConfig, total_epochs: int) -> ExperimentCon
     return replace(config, epochs=total_epochs, lr_milestones=milestones)
 
 
-def load_experiment_dataset(data: DataConfig) -> ImageDataset:
-    if data.kind == "synthetic":
-        return make_synthetic(data.classes, data.n_per_class, data.resolution,
-                              seed=data.seed, difficulty=data.difficulty,
-                              confusable_fraction=data.confusable_fraction)
-    if data.kind == "binary":
-        if data.path is None:
-            raise ValueError("binary dataset needs a path")
-        layout = RecordLayout(resolution=data.resolution, num_classes=data.classes)
-        return load_binary_records(data.path, layout)
-    raise ValueError(f"unknown dataset kind {data.kind!r}")
-
-
 def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[np.ndarray]]:
     """The config's dataset and its stratified train/validation/test indices.
 
     Raises ValueError naming a split that the fractions leave empty.
     """
-    dataset = load_experiment_dataset(data)
+    if data.kind == "synthetic":
+        dataset = make_synthetic(data.classes, data.n_per_class, data.resolution,
+                                 seed=data.seed, difficulty=data.difficulty,
+                                 confusable_fraction=data.confusable_fraction)
+    elif data.kind == "binary":
+        if data.path is None:
+            raise ValueError("binary dataset needs a path")
+        layout = RecordLayout(resolution=data.resolution, num_classes=data.classes)
+        dataset = load_binary_records(data.path, layout)
+    else:
+        raise ValueError(f"unknown dataset kind {data.kind!r}")
     fractions = (data.train_fraction, data.val_fraction, data.test_fraction)
     indices = stratified_split_indices(dataset.labels, fractions, data.seed)
     for name, split in zip(("train", "validation", "test"), indices):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import accumulate
 
 import numpy as np
@@ -43,20 +44,62 @@ def no_grad():
         _grad_enabled = prev
 
 
-class Tensor:
-    """A node in the computation graph wrapping a dense numpy array.
+class GradNode:
+    """A tensor's place in the graph, apart from its value.
 
-    Ops pass their parents and a zero-argument backward closure to the
-    constructor, which records them only while grad is enabled.
+    It holds the grad, the parents' nodes and a zero-argument backward that
+    pushes the grad into theirs. An edge never references a parent's value:
+    each op's closure saves only the arrays its backward reads and is bound
+    to its output's node, never the output tensor, so an intermediate value
+    dies with the last Python reference to its tensor. A Parameter's node
+    also carries its mask.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("grad", "dtype", "parents", "backward", "mask")
+
+    def __init__(self, dtype):
+        self.grad = None
+        self.dtype = dtype
+        self.parents = ()
+        self.backward = None
+        self.mask = None
+
+
+class Tensor:
+    """A dense numpy value and its graph node.
+
+    Ops pass their parents and a backward closure to the constructor. While
+    grad is enabled it records the parents' nodes and binds the closure to
+    the new node, whose grad the closure reads; under no_grad it records
+    nothing.
+    """
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, parents=(), backward_fn=None):
         self.data = np.asarray(data)
-        self.grad = None
-        self._parents = tuple(parents) if _grad_enabled else ()
-        self._backward = backward_fn if _grad_enabled else None
+        self._node = GradNode(self.data.dtype)
+        if _grad_enabled:
+            self._node.parents = tuple(p._node for p in parents)
+            if backward_fn is not None:
+                self._node.backward = partial(backward_fn, self._node)
+
+    @property
+    def grad(self):
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._node.grad = value
+
+    @property
+    def _backward(self):
+        """The node's backward closure; a span tracer may swap in a wrapper."""
+        return self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node.backward = fn
 
     @property
     def shape(self):
@@ -72,20 +115,21 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.data.shape != other.data.shape:
             raise ShapeError(f"add: {self.data.shape} vs {other.data.shape}")
+        a, b = self._node, other._node
 
-        def backward():
-            _accumulate(self, out.grad)
-            _accumulate(other, out.grad)
+        def backward(node):
+            _accumulate(a, node.grad)
+            _accumulate(b, node.grad)
 
-        out = Tensor(self.data + other.data, (self, other), backward)
-        return out
+        return Tensor(self.data + other.data, (self, other), backward)
 
     def reshape(self, shape) -> "Tensor":
-        def backward():
-            _accumulate(self, out.grad.reshape(self.data.shape))
+        parent, in_shape = self._node, self.data.shape
 
-        out = Tensor(self.data.reshape(shape), (self,), backward)
-        return out
+        def backward(node):
+            _accumulate(parent, node.grad.reshape(in_shape))
+
+        return Tensor(self.data.reshape(shape), (self,), backward)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -99,13 +143,20 @@ class Parameter(Tensor):
     backward() zeroes the corresponding gradient entries.
     """
 
-    __slots__ = ("mask", "trainable")
+    __slots__ = ("trainable",)
 
     def __init__(self, data, trainable=True):
         super().__init__(data)
         self.grad = np.zeros_like(self.data)
-        self.mask = None
         self.trainable = trainable
+
+    @property
+    def mask(self):
+        return self._node.mask
+
+    @mask.setter
+    def mask(self, value):
+        self._node.mask = value
 
     def set_mask(self, mask: np.ndarray) -> None:
         if mask.shape != self.data.shape:
@@ -121,12 +172,12 @@ class Parameter(Tensor):
         self.grad = np.zeros_like(self.data)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
+def _accumulate(node: GradNode, g: np.ndarray) -> None:
+    if node.grad is None:
         # C order whatever g's layout, so a transposed view never leaks out
-        t.grad = g.astype(t.data.dtype, order="C", copy=True)
+        node.grad = g.astype(node.dtype, order="C", copy=True)
     else:
-        t.grad += g
+        node.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -137,12 +188,13 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if not loss._parents:
+    root = loss._node
+    if not root.parents:
         raise UsageError("no graph to backpropagate: built under no_grad, a leaf, or already used")
 
-    topo: list[Tensor] = []
+    topo: list[GradNode] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[GradNode, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -152,20 +204,20 @@ def backward(loss: Tensor) -> None:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
+        for parent in node.parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
 
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
-        if node._backward is not None:
-            node._backward()
-        node._backward = None
-        node._parents = ()
+        if node.backward is not None:
+            node.backward()
+        node.backward = None
+        node.parents = ()
         # All consumers have run, so the grad is final. Masked weights never
         # move: zeroing their entries hides any pull on them from .grad users.
-        if isinstance(node, Parameter) and node.mask is not None:
+        if node.mask is not None:
             node.grad *= node.mask
 
 
@@ -192,8 +244,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
     GEMM per sample straight into the C-contiguous output; the weight and
     input grads are one 2-D GEMM each, and the input grad is C-contiguous
     (B,Cin,H,W) too. The recorded node keeps no column buffer: backward
-    rebuilds the columns from x.data and reads weight.data, so neither may
-    be changed in place between the forward call and backward().
+    rebuilds the columns from the saved input array and reads the saved
+    weight array, so neither may be changed in place between the forward
+    call and backward().
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
@@ -206,37 +259,39 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
 
     Ho, Wo = _conv_out_extent(H, stride), _conv_out_extent(W, stride)
     K, N = Cin * 9, B * Ho * Wo
-    wflat = weight.data.reshape(Cout, K)
-    cols = _im2col(x.data, stride, Ho, Wo)
+    x_data, w_data = x.data, weight.data
+    wflat = w_data.reshape(Cout, K)
+    cols = _im2col(x_data, stride, Ho, Wo)
     out_data = np.empty((B, Cout, Ho, Wo), dtype=np.result_type(wflat, cols))
     # one GEMM per sample, written straight into the B-major output
     np.matmul(wflat, cols.reshape(K, B, Ho * Wo).transpose(1, 0, 2),
               out=out_data.reshape(B, Cout, Ho * Wo))
     if bias is not None:
         out_data += bias.data[None, :, None, None]
+    x_node, w_node = x._node, weight._node
+    b_node = None if bias is None else bias._node
 
-    def backward():
-        if bias is not None:
-            _accumulate(bias, out.grad.sum(axis=(0, 2, 3)))
+    def backward(node):
+        if b_node is not None:
+            _accumulate(b_node, node.grad.sum(axis=(0, 2, 3)))
         # dW: gradient columns in the columns' (b, y, x) order
-        g = out.grad.reshape(B, Cout, Ho * Wo).transpose(1, 0, 2).reshape(Cout, N)
-        cols = _im2col(x.data, stride, Ho, Wo)
-        _accumulate(weight, (g @ cols.T).reshape(weight.data.shape))
+        g = node.grad.reshape(B, Cout, Ho * Wo).transpose(1, 0, 2).reshape(Cout, N)
+        cols = _im2col(x_data, stride, Ho, Wo)
+        _accumulate(w_node, (g @ cols.T).reshape(w_data.shape))
         del cols, g  # before dcols: one column-sized buffer at a time
         # dx: rows (i, j, c) and columns (y, x, b), so each tap's scatter into
         # a (Cin, H+2, W+2, B) buffer runs over long contiguous stretches
-        g = out.grad.transpose(1, 2, 3, 0).reshape(Cout, Ho * Wo * B)
-        wtap = weight.data.transpose(0, 2, 3, 1).reshape(Cout, K)
+        g = node.grad.transpose(1, 2, 3, 0).reshape(Cout, Ho * Wo * B)
+        wtap = w_data.transpose(0, 2, 3, 1).reshape(Cout, K)
         dcols = (wtap.T @ g).reshape(3, 3, Cin, Ho, Wo, B)
-        dxp = np.zeros((Cin, H + 2, W + 2, B), dtype=x.data.dtype)
+        dxp = np.zeros((Cin, H + 2, W + 2, B), dtype=x_data.dtype)
         for i in range(3):
             for j in range(3):
                 dxp[:, i : i + (Ho - 1) * stride + 1 : stride,
                     j : j + (Wo - 1) * stride + 1 : stride] += dcols[i, j]
-        _accumulate(x, dxp[:, 1 : 1 + H, 1 : 1 + W].transpose(3, 0, 1, 2))
+        _accumulate(x_node, dxp[:, 1 : 1 + H, 1 : 1 + W].transpose(3, 0, 1, 2))
 
-    out = Tensor(out_data, (x, weight) if bias is None else (x, weight, bias), backward)
-    return out
+    return Tensor(out_data, (x, weight) if bias is None else (x, weight, bias), backward)
 
 
 def _blocks(extents, axis: int) -> list[tuple[slice, ...]]:
@@ -248,13 +303,13 @@ def _blocks(extents, axis: int) -> list[tuple[slice, ...]]:
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Join tensors along an existing axis."""
     blocks = _blocks([t.data.shape[axis] for t in tensors], axis)
+    parents = [t._node for t in tensors]
 
-    def backward():
-        for t, block in zip(tensors, blocks):
-            _accumulate(t, out.grad[block])
+    def backward(node):
+        for parent, block in zip(parents, blocks):
+            _accumulate(parent, node.grad[block])
 
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 def split(x: Tensor, extents: list[int], axis: int = 0) -> list[Tensor]:
@@ -265,13 +320,14 @@ def split(x: Tensor, extents: list[int], axis: int = 0) -> list[Tensor]:
 
 
 def _piece(x: Tensor, block: tuple[slice, ...]) -> Tensor:
-    def backward():
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[block] += out.grad
+    parent, whole = x._node, x.data.shape
 
-    out = Tensor(x.data[block], (x,), backward)
-    return out
+    def backward(node):
+        if parent.grad is None:
+            parent.grad = np.zeros(whole, dtype=parent.dtype)
+        parent.grad[block] += node.grad
+
+    return Tensor(x.data[block], (x,), backward)
 
 
 def bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
@@ -292,18 +348,33 @@ def bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=64)
+def _upsample_plan(shape: tuple[int, int, int, int], dtype):
+    """Read-only bilinear matrices of a (B,C,H,W) x2 upsample and the einsum
+    contraction paths of its forward and backward, found once per shape."""
+    B, C, H, W = shape
+    uh = bilinear_matrix(H, 2 * H, dtype)
+    uw = bilinear_matrix(W, 2 * W, dtype)
+    uh.flags.writeable = uw.flags.writeable = False
+    # the path search reads only shapes, so zero-stride stand-ins do
+    x = np.broadcast_to(np.zeros((), dtype), shape)
+    g = np.broadcast_to(np.zeros((), dtype), (B, C, 2 * H, 2 * W))
+    forward_path = tuple(np.einsum_path("ph,bchw,qw->bcpq", uh, x, uw, optimize=True)[0])
+    backward_path = tuple(np.einsum_path("ph,bcpq,qw->bchw", uh, g, uw, optimize=True)[0])
+    return uh, uw, forward_path, backward_path
+
+
 def upsample_bilinear_x2(x: Tensor) -> Tensor:
     """Double both spatial extents of (B,C,H,W) by bilinear interpolation."""
-    B, C, H, W = x.data.shape
-    uh = bilinear_matrix(H, 2 * H, x.data.dtype)
-    uw = bilinear_matrix(W, 2 * W, x.data.dtype)
-    out_data = np.einsum("ph,bchw,qw->bcpq", uh, x.data, uw, optimize=True)
+    uh, uw, forward_path, backward_path = _upsample_plan(x.data.shape, x.data.dtype)
+    out_data = np.einsum("ph,bchw,qw->bcpq", uh, x.data, uw, optimize=forward_path)
+    parent = x._node
 
-    def backward():
-        _accumulate(x, np.einsum("ph,bcpq,qw->bchw", uh, out.grad, uw, optimize=True))
+    def backward(node):
+        _accumulate(parent, np.einsum("ph,bcpq,qw->bchw", uh, node.grad, uw,
+                                      optimize=backward_path))
 
-    out = Tensor(out_data, (x,), backward)
-    return out
+    return Tensor(out_data, (x,), backward)
 
 
 @dataclass
@@ -324,7 +395,8 @@ def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormSta
     """Per-channel normalization over batch and spatial dims, then affine.
 
     Train mode uses (biased) batch statistics and updates the running ones;
-    eval mode normalizes with the running statistics.
+    eval mode normalizes with the running statistics. The recorded node
+    saves xhat, the inverse std and gamma's array, not x.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -347,13 +419,15 @@ def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormSta
 
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std[None, :, None, None]
-    out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    gamma_data = gamma.data
+    out_data = gamma_data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    x_node, gamma_node, beta_node = x._node, gamma._node, beta._node
 
-    def backward():
-        g = out.grad
-        _accumulate(gamma, (g * xhat).sum(axis=axes))
-        _accumulate(beta, g.sum(axis=axes))
-        dxhat = g * gamma.data[None, :, None, None]
+    def backward(node):
+        g = node.grad
+        _accumulate(gamma_node, (g * xhat).sum(axis=axes))
+        _accumulate(beta_node, g.sum(axis=axes))
+        dxhat = g * gamma_data[None, :, None, None]
         if mode == "train":
             # batch stats depend on x: subtract the per-channel means the
             # normalization introduced
@@ -362,41 +436,50 @@ def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormSta
             dx = inv_std[None, :, None, None] * (dxhat - m1 - xhat * m2)
         else:
             dx = dxhat * inv_std[None, :, None, None]
-        _accumulate(x, dx)
+        _accumulate(x_node, dx)
 
-    out = Tensor(out_data, (x, gamma, beta), backward)
-    return out
+    return Tensor(out_data, (x, gamma, beta), backward)
 
 
 def relu6(x: Tensor) -> Tensor:
-    """Elementwise min(max(x, 0), 6)."""
+    """Elementwise min(max(x, 0), 6). The recorded node saves a bool mask of
+    the entries inside (0, 6), where the derivative is 1."""
+    out_data = np.clip(x.data, 0.0, 6.0)
+    if not _grad_enabled:
+        return Tensor(out_data)
+    inside = (x.data > 0.0) & (x.data < 6.0)
+    parent = x._node
 
-    def backward():
-        inside = (x.data > 0.0) & (x.data < 6.0)
-        _accumulate(x, out.grad * inside)
+    def backward(node):
+        _accumulate(parent, node.grad * inside)
 
-    out = Tensor(np.clip(x.data, 0.0, 6.0), (x,), backward)
-    return out
+    return Tensor(out_data, (x,), backward)
 
 
 def linear(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tensor:
-    """Affine map per batch row: (B,F) x (K,F) -> (B,K)."""
+    """Affine map per batch row: (B,F) x (K,F) -> (B,K).
+
+    Like conv2d, the recorded node saves the input and weight arrays, so
+    neither may be changed in place between the forward call and backward().
+    """
     B, F = x.data.shape
     K, F_w = weight.data.shape
     if F != F_w:
         raise ShapeError(f"input has {F} features, weight expects {F_w}")
-    out_data = x.data @ weight.data.T
+    x_data, w_data = x.data, weight.data
+    out_data = x_data @ w_data.T
     if bias is not None:
         out_data += bias.data[None, :]
+    x_node, w_node = x._node, weight._node
+    b_node = None if bias is None else bias._node
 
-    def backward():
-        _accumulate(x, out.grad @ weight.data)
-        _accumulate(weight, out.grad.T @ x.data)
-        if bias is not None:
-            _accumulate(bias, out.grad.sum(axis=0))
+    def backward(node):
+        _accumulate(x_node, node.grad @ w_data)
+        _accumulate(w_node, node.grad.T @ x_data)
+        if b_node is not None:
+            _accumulate(b_node, node.grad.sum(axis=0))
 
-    out = Tensor(out_data, (x, weight) if bias is None else (x, weight, bias), backward)
-    return out
+    return Tensor(out_data, (x, weight) if bias is None else (x, weight, bias), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -412,23 +495,24 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     log_z = np.log(np.exp(shifted).sum(axis=1))
     log_probs = shifted - log_z[:, None]
     loss_val = -log_probs[np.arange(B), targets].mean()
+    parent = logits._node
 
-    def backward():
+    def backward(node):
         probs = np.exp(log_probs)
         probs[np.arange(B), targets] -= 1.0
-        _accumulate(logits, probs * (out.grad / B))
+        _accumulate(parent, probs * (node.grad / B))
 
-    out = Tensor(np.asarray(loss_val, dtype=logits.data.dtype), (logits,), backward)
-    return out
+    return Tensor(np.asarray(loss_val, dtype=logits.data.dtype), (logits,), backward)
 
 
 def tensor_sum(x: Tensor) -> Tensor:
     """Sum of all entries, as a scalar node."""
-    def backward():
-        _accumulate(x, np.broadcast_to(out.grad, x.data.shape))
+    parent, shape = x._node, x.data.shape
 
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype), (x,), backward)
-    return out
+    def backward(node):
+        _accumulate(parent, np.broadcast_to(node.grad, shape))
+
+    return Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype), (x,), backward)
 
 
 @dataclass

@@ -128,6 +128,19 @@ class TestTrainAndArtifacts:
         assert payload["clean_count"] + payload["noisy_count"] == 12  # test split
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("command", ["train", "inject-noise", "prune-plan"])
+    def test_unknown_field_fails_before_any_output(self, capsys, tmp_path, command):
+        path, config = write_config(tmp_path, noise=NoiseConfig(kind="uniform"))
+        raw = config.to_dict()
+        raw["noise"]["annotator"]["bogus"] = 1
+        path.write_text(json.dumps(raw))
+        out_dir = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out_dir)]) == 2
+        assert "noise.annotator.bogus" in capsys.readouterr().err
+        assert not out_dir.exists() and not (tmp_path / "run").exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         import subprocess

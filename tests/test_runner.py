@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from fabricprune.data import AugmentConfig
 from fabricprune.fabric import load_fabric
 from fabricprune.noise import AnnotatorConfig
 from fabricprune.runner import (
+    ConfigError,
     DataConfig,
     ExperimentConfig,
     NoiseConfig,
@@ -89,6 +91,28 @@ class TestConfigSerialization:
 
     def test_scales_derived_from_resolution(self):
         assert tiny_config("x", input_resolution=16).scales == 5
+
+    @pytest.mark.parametrize("section", [(), ("data",), ("prune",), ("noise",),
+                                         ("noise", "annotator"), ("augment",)],
+                             ids=["top", "data", "prune", "noise", "annotator", "augment"])
+    def test_unknown_field_is_named(self, section):
+        config = tiny_config("somewhere", prune=PruneConfig(),
+                             noise=NoiseConfig(kind="annotator"),
+                             augment=AugmentConfig(resize=4, crop_size=4, crop_padding=1))
+        raw = config.to_dict()
+        target = raw
+        for key in section:
+            target = target[key]
+        target["bogus"] = 1
+        dotted = ".".join((*section, "bogus"))
+        with pytest.raises(ConfigError, match=rf"unknown config field {re.escape(dotted)}$"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_section_must_be_an_object(self):
+        raw = tiny_config("somewhere").to_dict()
+        raw["data"] = [1, 2]
+        with pytest.raises(ConfigError, match="section data must be an object"):
+            ExperimentConfig.from_dict(raw)
 
 
 class TestRunExperiment:

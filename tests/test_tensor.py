@@ -295,9 +295,9 @@ class TestBackward:
         with no_grad():
             out = linear(Tensor(np.ones((1, 2))), w)
             conv = conv2d(Tensor(np.ones((1, 2, 4, 4))), Parameter(np.ones((2, 2, 3, 3))), None)
-        assert out._parents == ()
+        assert out._node.parents == ()
         assert out._backward is None
-        assert conv._parents == () and conv._backward is None
+        assert conv._node.parents == () and conv._backward is None
 
     def test_backward_frees_graph_without_cycle_collector(self):
         rng = np.random.default_rng(3)
@@ -315,12 +315,83 @@ class TestBackward:
         finally:
             gc.enable()
 
+    def test_graph_does_not_pin_intermediate_values(self):
+        def run(keep_intermediates):
+            rng = np.random.default_rng(8)
+            x = Tensor(rng.standard_normal((2, 2, 4, 4)))
+            w, b = _param(rng, 3, 2, 3, 3), _param(rng, 3)
+            gamma, beta = _param(rng, 3), _param(rng, 3)
+            conv = conv2d(x, w, b)
+            normed = batch_norm(conv, gamma, beta, BatchNormState.create(3, np.float64))
+            loss = tensor_sum(relu6(normed))
+            values = [weakref.ref(conv.data), weakref.ref(normed.data)]
+            kept = [conv, normed] if keep_intermediates else []
+            del conv, normed
+            alive = [value() is not None for value in values]
+            backward(loss)
+            del kept
+            return alive, [t.grad for t in (x, w, b, gamma, beta)]
+
+        gc.disable()
+        try:
+            alive, grads = run(keep_intermediates=False)
+            kept_alive, kept_grads = run(keep_intermediates=True)
+        finally:
+            gc.enable()
+        # only the arrays backward reads are saved; conv and batch-norm outputs die
+        assert alive == [False, False] and kept_alive == [True, True]
+        for got, want in zip(grads, kept_grads):
+            np.testing.assert_array_equal(got, want)
+
     def test_second_backward_raises(self):
         w = Parameter(np.array([1.0, 2.0]))
         loss = tensor_sum(relu6(w))
         backward(loss)
         with pytest.raises(UsageError, match="already used"):
             backward(loss)
+
+
+class TestBackwardSlot:
+    def test_wrapped_slots_run_once_and_grads_are_unchanged(self):
+        # a span tracer swaps each op output's _backward for a zero-argument
+        # timing wrapper; backward() must call exactly the swapped-in slots
+        def run(wrap):
+            rng = np.random.default_rng(5)
+            x = Tensor(rng.standard_normal((2, 2, 4, 4)))
+            weights = [_param(rng, 2, 2, 3, 3), _param(rng, 2, 2, 3, 3)]
+            biases = [_param(rng, 2), _param(rng, 2)]
+            gamma, beta = _param(rng, 2), _param(rng, 2)
+            head_w, head_b = _param(rng, 3, 2 * 4 * 4), _param(rng, 3)
+            state = BatchNormState.create(2, np.float64)
+
+            conv = wrap("conv2d", conv2d(x, wrap("concat.w", concat(weights)),
+                                         wrap("concat.b", concat(biases)), stride=2))
+            a, b = (wrap(f"split.{i}", piece)
+                    for i, piece in enumerate(split(conv, [2, 2], axis=1)))
+            h = wrap("upsample.a", upsample_bilinear_x2(a))
+            h = wrap("relu6", relu6(wrap("batch_norm", batch_norm(h, gamma, beta, state))))
+            h = wrap("add", h + wrap("upsample.b", upsample_bilinear_x2(b)))
+            logits = wrap("linear", linear(wrap("reshape", h.reshape((2, -1))), head_w, head_b))
+            backward(wrap("cross_entropy", softmax_cross_entropy(logits, np.array([0, 2]))))
+            return [t.grad for t in (x, *weights, *biases, gamma, beta, head_w, head_b)]
+
+        calls: dict[str, int] = {}
+
+        def counted(name, out):
+            inner = out._backward
+            calls[name] = 0
+
+            def wrapper():
+                calls[name] += 1
+                inner()
+
+            out._backward = wrapper
+            return out
+
+        wrapped = run(counted)
+        assert len(calls) == 13 and set(calls.values()) == {1}
+        for got, want in zip(wrapped, run(lambda name, out: out)):
+            np.testing.assert_array_equal(got, want)
 
 
 def _gradcheck(build_loss, params, step=1e-5, tol=1e-4):
@@ -402,6 +473,24 @@ class TestGradients:
         assert max_grad_mismatch(analytic, numeric) < 1e-2
 
 
+def _probed(out: Tensor, probe: Tensor) -> Tensor:
+    """A random linear functional of out, so every entry gets its own grad."""
+    return tensor_sum(linear(out.reshape((out.shape[0], -1)), probe))
+
+
+def _assert_matches_oracles(build, params, expected):
+    """build() -> (loss, out) on float64 Parameters: out against the oracle's
+    values, every parameter's grad against central differences."""
+    loss, out = build()
+    np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
+    backward(loss)
+    analytic = [p.grad.copy() for p in params]
+    with no_grad():
+        numeric = finite_difference_grads(lambda: build()[0].item(),
+                                          [p.data for p in params], 1e-5)
+    assert max_grad_mismatch(analytic, numeric) < 1e-7
+
+
 @st.composite
 def conv_cases(draw):
     """A small float64 conv2d problem: input, kernel, bias, stride, probe."""
@@ -424,18 +513,9 @@ class TestConv2dProperties:
 
         def build():
             out = conv2d(x, w, b, stride=stride)
-            # a random linear functional, so every output entry gets its own grad
-            return tensor_sum(linear(out.reshape((x.shape[0], -1)), probe)), out
+            return _probed(out, probe), out
 
-        loss, out = build()
-        np.testing.assert_allclose(out.data, naive_conv2d(x_data, w_data, b_data, stride),
-                                   rtol=1e-10, atol=1e-12)
-        backward(loss)
-        analytic = [x.grad.copy(), w.grad.copy(), b.grad.copy()]
-        with no_grad():
-            numeric = finite_difference_grads(lambda: build()[0].item(),
-                                              [x.data, w.data, b.data], 1e-5)
-        assert max_grad_mismatch(analytic, numeric) < 1e-7
+        _assert_matches_oracles(build, [x, w, b], naive_conv2d(x_data, w_data, b_data, stride))
 
 
 @st.composite
@@ -489,6 +569,92 @@ class TestConcatSplitProperties:
     def test_split_extents_must_cover_axis(self):
         with pytest.raises(ShapeError):
             split(Tensor(np.zeros((2, 5))), [2, 2], axis=1)
+
+
+@st.composite
+def image_cases(draw, min_values=1):
+    """A float64 (B,C,H,W) batch with at least min_values entries per channel,
+    and a seed for the rest of the problem."""
+    b, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if b * h * w < min_values:
+        b = min_values
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((b, c, h, w)) * draw(st.sampled_from([0.5, 1.0, 3.0])), rng
+
+
+class TestOpProperties:
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(image_cases(min_values=2))
+    def test_batch_norm_matches_oracles(self, mode, case):
+        x_data, rng = case
+        c = x_data.shape[1]
+        x = Parameter(x_data)
+        gamma, beta = Parameter(rng.standard_normal(c) + 1.5), Parameter(rng.standard_normal(c))
+        running = (rng.standard_normal(c) * 0.1, rng.random(c) + 0.5)
+        probe = Tensor(rng.standard_normal((1, x_data[0].size)))
+
+        def build():
+            # a fresh state each call: train mode updates the running stats
+            state = BatchNormState(running[0].copy(), running[1].copy())
+            out = batch_norm(x, gamma, beta, state, mode)
+            return _probed(out, probe), out
+
+        axes = (0, 2, 3)
+        if mode == "train":
+            mean, var = x_data.mean(axis=axes), x_data.var(axis=axes)
+        else:
+            mean, var = running
+        xhat = (x_data - mean[None, :, None, None]) / np.sqrt(var + 1e-5)[None, :, None, None]
+        expected = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+        _assert_matches_oracles(build, [x, gamma, beta], expected)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(image_cases())
+    def test_upsample_matches_oracles(self, case):
+        x_data, rng = case
+        x = Parameter(x_data)
+        probe = Tensor(rng.standard_normal((1, 4 * x_data[0].size)))
+
+        def build():
+            out = upsample_bilinear_x2(x)
+            return _probed(out, probe), out
+
+        _assert_matches_oracles(build, [x], bilinear_x2_reference(x_data))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_linear_matches_oracles(self, b, f, k, with_bias, seed):
+        rng = np.random.default_rng(seed)
+        x, w = Parameter(rng.standard_normal((b, f))), Parameter(rng.standard_normal((k, f)))
+        bias = Parameter(rng.standard_normal(k)) if with_bias else None
+        probe = Tensor(rng.standard_normal((1, k)))
+
+        def build():
+            out = linear(x, w, bias)
+            return _probed(out, probe), out
+
+        params = [x, w] if bias is None else [x, w, bias]
+        expected = naive_linear(x.data, w.data, None if bias is None else bias.data)
+        _assert_matches_oracles(build, params, expected)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(1, 4), st.integers(1, 6), st.sampled_from([0.1, 1.0, 5.0]),
+           st.integers(0, 2**32 - 1))
+    def test_softmax_cross_entropy_matches_oracles(self, b, k, scale, seed):
+        rng = np.random.default_rng(seed)
+        logits = Parameter(rng.standard_normal((b, k)) * scale)
+        targets = rng.integers(0, k, size=b)
+        probe = Tensor(rng.standard_normal((1, 1)))
+
+        def build():
+            out = softmax_cross_entropy(logits, targets)
+            return _probed(out.reshape((1, 1)), probe), out
+
+        _assert_matches_oracles(build, [logits],
+                                cross_entropy_reference(logits.data, targets))
 
 
 class TestSgd:
