@@ -138,12 +138,6 @@ def normalize(image: np.ndarray, mean, std) -> np.ndarray:
     return (image - mean) / std
 
 
-def denormalize(image: np.ndarray, mean, std) -> np.ndarray:
-    mean = np.asarray(mean, dtype=image.dtype)[:, None, None]
-    std = np.asarray(std, dtype=image.dtype)[:, None, None]
-    return image * std + mean
-
-
 def augment(image: np.ndarray, config: AugmentConfig, seed) -> np.ndarray:
     """Seeded train-time transform: resize, random padded crop, random
     horizontal flip, normalize. Pure per-image function."""

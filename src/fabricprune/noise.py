@@ -87,15 +87,6 @@ def uniform_transition_matrix(num_classes: int, p: float) -> np.ndarray:
     return matrix
 
 
-def pair_flip_matrix(num_classes: int, p: float) -> np.ndarray:
-    """Each class leaks only into its successor (mod K) with probability p."""
-    matrix = np.zeros((num_classes, num_classes))
-    np.fill_diagonal(matrix, 1.0 - p)
-    for cls in range(num_classes):
-        matrix[cls, (cls + 1) % num_classes] += p
-    return matrix
-
-
 def apply_class_noise(labeled: LabeledSet, transition: np.ndarray, seed: int) -> LabeledSet:
     """Sample each given label from the transition row of its clean label."""
     transition = np.asarray(transition, dtype=np.float64)

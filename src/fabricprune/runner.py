@@ -71,7 +71,7 @@ RECIPE_LR_MILESTONES = (80, 120)
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; the run is aborted with a diagnostic."""
+    """Loss or a parameter became non-finite; the run is aborted with a diagnostic."""
 
 
 class ConfigError(ValueError):
@@ -384,7 +384,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
                         f"non-finite loss {loss_value} at epoch {epoch}, "
                         f"batch {batch_index} (lr={lr})")
                 backward(loss)
-                optimizer.step()
+                try:
+                    optimizer.step()
+                except FloatingPointError as exc:
+                    raise TrainingDiverged(f"{exc} at epoch {epoch}, batch {batch_index} "
+                                           f"(lr={lr})") from exc
                 losses.append(loss_value)
 
             record = EpochRecord(

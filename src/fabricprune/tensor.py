@@ -19,6 +19,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.1
+# bytes of im2col columns a conv2d call builds at once; well under glibc's
+# 32 MiB dynamic mmap ceiling, so the buffers are reused from the heap
+CONV_COLUMN_BUDGET = 8 * 2**20
 
 
 class ShapeError(ValueError):
@@ -226,27 +229,35 @@ def _conv_out_extent(n: int, stride: int) -> int:
     return (n - 1) // stride + 1
 
 
-def _im2col(x: np.ndarray, stride: int, Ho: int, Wo: int) -> np.ndarray:
+def _im2col(x: np.ndarray, stride: int, Ho: int, Wo: int,
+            per_sample: bool = False) -> np.ndarray:
     """Zero-pad (B,Cin,H,W) by 1 into one channel-major buffer and gather its
-    3x3 windows as (Cin*9, B*Ho*Wo) columns."""
+    3x3 windows as (Cin*9, B*Ho*Wo) columns, or with per_sample as
+    (B, Cin*9, Ho*Wo), each sample's block contiguous."""
     B, Cin, H, W = x.shape
     xp = np.zeros((Cin, B, H + 2, W + 2), dtype=x.dtype)
     xp[:, :, 1 : H + 1, 1 : W + 1] = x.transpose(1, 0, 2, 3)
     # (Cin, B, Ho, Wo, 3, 3): the window at every stride-th position
     windows = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+    if per_sample:
+        return windows.transpose(1, 0, 4, 5, 2, 3).reshape(B, Cin * 9, Ho * Wo)
     return windows.transpose(0, 4, 5, 1, 2, 3).reshape(Cin * 9, B * Ho * Wo)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> Tensor:
     """3x3 convolution with padding 1. Input (B,Cin,H,W) -> (B,Cout,H',W').
 
-    Columns are channel-major (Cin*9, B*H'*W'). The forward pass runs one
-    GEMM per sample straight into the C-contiguous output; the weight and
-    input grads are one 2-D GEMM each, and the input grad is C-contiguous
-    (B,Cin,H,W) too. The recorded node keeps no column buffer: backward
-    rebuilds the columns from the saved input array and reads the saved
-    weight array, so neither may be changed in place between the forward
-    call and backward().
+    Columns are channel-major (Cin*9, b*H'*W') and are built for a slice of b
+    consecutive samples at a time, each slice's columns within
+    CONV_COLUMN_BUDGET bytes (one sample when a sample alone is over it), so
+    no buffer grows with the batch. The forward pass runs one GEMM per
+    sample straight into the C-contiguous output, so its values do not
+    depend on the slicing. Backward makes one weight-grad GEMM per slice and
+    sums them, and scatters each slice's input-grad columns into that
+    slice's rows of the C-contiguous (B,Cin,H,W) input grad. The recorded
+    node keeps no column buffer: backward rebuilds the columns from the
+    saved input array and reads the saved weight array, so neither may be
+    changed in place between the forward call and backward().
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
@@ -258,14 +269,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
         raise ShapeError(f"input has {Cin} channels, kernel expects {Cin_w}")
 
     Ho, Wo = _conv_out_extent(H, stride), _conv_out_extent(W, stride)
-    K, N = Cin * 9, B * Ho * Wo
+    K = Cin * 9
     x_data, w_data = x.data, weight.data
     wflat = w_data.reshape(Cout, K)
-    cols = _im2col(x_data, stride, Ho, Wo)
-    out_data = np.empty((B, Cout, Ho, Wo), dtype=np.result_type(wflat, cols))
-    # one GEMM per sample, written straight into the B-major output
-    np.matmul(wflat, cols.reshape(K, B, Ho * Wo).transpose(1, 0, 2),
-              out=out_data.reshape(B, Cout, Ho * Wo))
+    step = max(1, CONV_COLUMN_BUDGET // (K * Ho * Wo * x_data.itemsize))
+    slices = [slice(start, min(start + step, B)) for start in range(0, B, step)]
+    out_data = np.empty((B, Cout, Ho, Wo), dtype=np.result_type(w_data, x_data))
+    for s in slices:
+        # one GEMM per sample, written straight into the B-major output; each
+        # sample's columns have the same layout whatever the slicing, which
+        # keeps BLAS's matrix-vector kernels from rounding differently
+        np.matmul(wflat, _im2col(x_data[s], stride, Ho, Wo, per_sample=True),
+                  out=out_data[s].reshape(s.stop - s.start, Cout, Ho * Wo))
     if bias is not None:
         out_data += bias.data[None, :, None, None]
     x_node, w_node = x._node, weight._node
@@ -274,22 +289,41 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
     def backward(node):
         if b_node is not None:
             _accumulate(b_node, node.grad.sum(axis=(0, 2, 3)))
-        # dW: gradient columns in the columns' (b, y, x) order
-        g = node.grad.reshape(B, Cout, Ho * Wo).transpose(1, 0, 2).reshape(Cout, N)
-        cols = _im2col(x_data, stride, Ho, Wo)
-        _accumulate(w_node, (g @ cols.T).reshape(w_data.shape))
-        del cols, g  # before dcols: one column-sized buffer at a time
+        # dW: gradient columns in the columns' (b, y, x) order, one GEMM per
+        # slice; the first product is the sum the others are added to
+        dw = None
+        for s in slices:
+            b = s.stop - s.start
+            g = node.grad[s].reshape(b, Cout, Ho * Wo).transpose(1, 0, 2).reshape(Cout, -1)
+            product = g @ _im2col(x_data[s], stride, Ho, Wo).T
+            if dw is None:
+                dw = product
+            else:
+                dw += product
+        _accumulate(w_node, dw.reshape(w_data.shape))
+        del g, product, dw  # before dcols: one column-sized buffer at a time
         # dx: rows (i, j, c) and columns (y, x, b), so each tap's scatter into
-        # a (Cin, H+2, W+2, B) buffer runs over long contiguous stretches
-        g = node.grad.transpose(1, 2, 3, 0).reshape(Cout, Ho * Wo * B)
+        # a (Cin, H+2, W+2, b) buffer runs over long contiguous stretches
         wtap = w_data.transpose(0, 2, 3, 1).reshape(Cout, K)
-        dcols = (wtap.T @ g).reshape(3, 3, Cin, Ho, Wo, B)
-        dxp = np.zeros((Cin, H + 2, W + 2, B), dtype=x_data.dtype)
-        for i in range(3):
-            for j in range(3):
-                dxp[:, i : i + (Ho - 1) * stride + 1 : stride,
-                    j : j + (Wo - 1) * stride + 1 : stride] += dcols[i, j]
-        _accumulate(x_node, dxp[:, 1 : 1 + H, 1 : 1 + W].transpose(3, 0, 1, 2))
+        fresh = x_node.grad is None
+        if fresh:
+            x_node.grad = np.empty(x_data.shape, dtype=x_node.dtype)
+        for s in slices:
+            b = s.stop - s.start
+            g = node.grad[s].transpose(1, 2, 3, 0).reshape(Cout, Ho * Wo * b)
+            dcols = (wtap.T @ g).reshape(3, 3, Cin, Ho, Wo, b)
+            del g
+            dxp = np.zeros((Cin, H + 2, W + 2, b), dtype=x_data.dtype)
+            for i in range(3):
+                for j in range(3):
+                    dxp[:, i : i + (Ho - 1) * stride + 1 : stride,
+                        j : j + (Wo - 1) * stride + 1 : stride] += dcols[i, j]
+            del dcols
+            dx = dxp[:, 1 : 1 + H, 1 : 1 + W].transpose(3, 0, 1, 2)
+            if fresh:
+                x_node.grad[s] = dx
+            else:
+                x_node.grad[s] += dx
 
     return Tensor(out_data, (x, weight) if bias is None else (x, weight, bias), backward)
 
@@ -533,6 +567,8 @@ class SGD:
     """Stochastic gradient descent with optional momentum and weight decay.
 
     Masks are re-applied after every step, so masked weights stay exactly 0.
+    A step that leaves a parameter non-finite raises FloatingPointError
+    naming the parameter's index in params and its shape.
     """
 
     params: list[Parameter]
@@ -541,7 +577,7 @@ class SGD:
 
     def step(self) -> None:
         cfg = self.config
-        for p in self.params:
+        for index, p in enumerate(self.params):
             if not p.trainable:
                 continue
             g = p.grad
@@ -557,6 +593,9 @@ class SGD:
                 g = buf
             p.data -= cfg.learning_rate * g
             p.apply_mask()
+            if not np.isfinite(p.data).all():
+                raise FloatingPointError(f"parameter {index} {list(p.data.shape)} is "
+                                         f"non-finite after the SGD step")
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fabricprune import tensor
 from fabricprune.fabric import (
     Direction,
     FabricError,
@@ -586,6 +587,15 @@ class TestSnapshot:
 
 
 class TestPredict:
+    def test_sliced_batch_predicts_like_single_images(self, monkeypatch):
+        fabric = build_fabric(3, 4, 4, 8, 5, seed=3)
+        images = np.random.default_rng(1).random((10, 3, 8, 8)).astype(np.float32)
+        one_at_a_time = fabric.predict(images, batch_size=1)
+        # three samples' columns of a full-resolution stride-1 conv: slices of
+        # 3, 3, 3 and 1 there, fewer and larger ones at the coarser scales
+        monkeypatch.setattr(tensor, "CONV_COLUMN_BUDGET", 3 * 4 * 9 * 8 * 8 * 4)
+        np.testing.assert_array_equal(fabric.predict(images, batch_size=10), one_at_a_time)
+
     def test_non_finite_logits_rejected(self):
         fabric = build_fabric(2, 2, 2, 2, 3)
         images = np.random.default_rng(0).random((5, 3, 2, 2)).astype(np.float32)

@@ -10,7 +10,6 @@ from fabricprune.noise import (
     classification_error,
     fitting_report,
     load_noisy_labels,
-    pair_flip_matrix,
     relabel_with_annotator,
     save_noisy_labels,
     train_annotator,
@@ -119,9 +118,14 @@ class TestClassNoise:
             validate_transition_matrix(matrix, 3)
 
     def test_pair_flip_matrix_is_stochastic(self):
-        matrix = pair_flip_matrix(6, 0.25)
+        # each class leaks only into its successor (mod 6)
+        matrix = 0.75 * np.eye(6) + 0.25 * np.roll(np.eye(6), 1, axis=1)
         validate_transition_matrix(matrix, 6)
-        assert matrix[5, 0] == 0.25  # wraps around
+        noisy = apply_class_noise(big_uniform_set(6000, num_classes=6, seed=5), matrix, seed=6)
+        flipped = noisy.given_labels != noisy.clean_labels
+        np.testing.assert_array_equal(noisy.given_labels[flipped],
+                                      (noisy.clean_labels[flipped] + 1) % 6)
+        assert (noisy.given_labels[flipped] == 0).any()  # wraps around
 
 
 class TestTypeEquivalence:

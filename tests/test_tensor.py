@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fabricprune import tensor
 from fabricprune.tensor import (
     SGD,
     BatchNormState,
@@ -492,9 +493,9 @@ def _assert_matches_oracles(build, params, expected):
 
 
 @st.composite
-def conv_cases(draw):
+def conv_cases(draw, max_batch=2):
     """A small float64 conv2d problem: input, kernel, bias, stride, probe."""
-    b, cin, cout = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    b, cin, cout = draw(st.integers(1, max_batch)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     stride = draw(st.sampled_from([1, 2]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -516,6 +517,74 @@ class TestConv2dProperties:
             return _probed(out, probe), out
 
         _assert_matches_oracles(build, [x, w, b], naive_conv2d(x_data, w_data, b_data, stride))
+
+
+@st.composite
+def sliced_conv_cases(draw):
+    """A conv_cases problem, a column budget that holds 0 (a single sample is
+    over it) to B samples' columns, and whether the input is a Parameter,
+    whose grad exists before backward, or a plain Tensor, whose does not."""
+    case = draw(conv_cases(max_batch=5))
+    x_data, stride = case[0], case[3]
+    b, cin, h, w = x_data.shape
+    sample_bytes = cin * 9 * ((h - 1) // stride + 1) * ((w - 1) // stride + 1) * 8
+    per_slice = draw(st.integers(0, b))
+    return case + (per_slice * sample_bytes or sample_bytes - 1, sample_bytes,
+                   draw(st.sampled_from([Parameter, Tensor])))
+
+
+class TestConv2dSlicing:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(sliced_conv_cases())
+    def test_slices_match_one_pass_and_oracles(self, case):
+        x_data, w_data, b_data, stride, probe_data, budget, sample_bytes, leaf = case
+        x, w, b = leaf(x_data), Parameter(w_data), Parameter(b_data)
+        probe = Tensor(probe_data)
+        with no_grad():  # the default budget holds these whole batches
+            one_pass = conv2d(x, w, b, stride=stride).data
+
+        def build():
+            out = conv2d(x, w, b, stride=stride)
+            return _probed(out, probe), out
+
+        built = []  # samples and bytes of every column buffer
+
+        def recording_im2col(x_slice, *args, **kwargs):
+            cols = im2col(x_slice, *args, **kwargs)
+            built.append((x_slice.shape[0], cols.nbytes))
+            return cols
+
+        im2col = tensor._im2col
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor, "CONV_COLUMN_BUDGET", budget)
+            mp.setattr(tensor, "_im2col", recording_im2col)
+            with no_grad():
+                np.testing.assert_array_equal(conv2d(x, w, b, stride=stride).data, one_pass)
+            per_slice, batch = max(1, budget // sample_bytes), x_data.shape[0]
+            assert [n for n, _ in built] == [min(per_slice, batch - start)
+                                             for start in range(0, batch, per_slice)]
+            assert all(n == 1 or nbytes <= budget for n, nbytes in built)
+            _assert_matches_oracles(build, [x, w, b],
+                                    naive_conv2d(x_data, w_data, b_data, stride))
+
+    def test_peak_memory_stays_within_the_budget(self, monkeypatch):
+        budget = 256 * 1024
+        monkeypatch.setattr(tensor, "CONV_COLUMN_BUDGET", budget)
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((8, 8, 16, 16)))
+        w, b = _param(rng, 8, 8, 3, 3), _param(rng, 8)
+        full_columns = 8 * 9 * 8 * 16 * 16 * 8
+        assert full_columns >= 4 * budget
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, w, b)
+            backward(tensor_sum(out))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        arrays = sum(a.nbytes for a in (x.data, out.data, out.grad, x.grad, w.grad, b.grad))
+        assert peak < budget + arrays
 
 
 @st.composite
@@ -705,6 +774,12 @@ class TestSgd:
     def test_invalid_lr_rejected(self):
         with pytest.raises(ValueError):
             SgdConfig(learning_rate=0.0)
+
+    def test_non_finite_update_names_the_parameter(self):
+        params = [Parameter(np.ones(3)), Parameter(np.ones((2, 2)))]
+        params[1].grad = np.array([[0.0, np.inf], [0.0, 0.0]])
+        with pytest.raises(FloatingPointError, match=r"parameter 1 \[2, 2\] is non-finite"):
+            SGD(params, SgdConfig(learning_rate=0.1)).step()
 
 
 class TestShapeComposition:
