@@ -9,7 +9,6 @@ from .data import (
     load_binary_records,
     make_synthetic,
     save_binary_records,
-    stratified_split,
 )
 from .fabric import (
     Fabric,
@@ -50,7 +49,6 @@ from .runner import (
     PruneConfig,
     lr_at,
     run_experiment,
-    scale_schedule,
 )
 from .tensor import SGD, Parameter, SgdConfig, Tensor, backward, no_grad
 

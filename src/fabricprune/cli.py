@@ -7,13 +7,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .fabric import build_fabric, export_dot, load_fabric, param_breakdown
 from .noise import LabeledSet, fitting_report, load_noisy_labels
 from .pruning import Strategy, build_plan, reported_param_count
 from .runner import (
     ConfigError,
+    DataConfig,
     ExperimentConfig,
     NoiseConfig,
     PruneConfig,
@@ -25,7 +24,10 @@ from .runner import (
 
 
 def _load_config(path: str) -> ExperimentConfig:
-    return ExperimentConfig.from_json(Path(path).read_text())
+    """The config at path, once its image sizes fit a fabric (ConfigError if not)."""
+    config = ExperimentConfig.from_json(Path(path).read_text())
+    config.check_resolutions()
+    return config
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -96,18 +98,19 @@ def cmd_prune_plan(args) -> int:
 def cmd_count_params(args) -> int:
     if args.config:
         config = _load_config(args.config)
-        layers, channels = config.layers, config.channels
-        resolution, classes = config.input_resolution, config.data.classes
     else:
-        layers, channels = args.layers, args.channels
-        resolution, classes = args.resolution, args.classes
-    scales = int(np.log2(resolution)) + 1
-    breakdown = param_breakdown(layers, scales, channels, classes)
+        config = ExperimentConfig(layers=args.layers, channels=args.channels,
+                                  input_resolution=args.resolution,
+                                  data=DataConfig(classes=args.classes,
+                                                  resolution=args.resolution))
+        config.check_resolutions()
+    classes = config.data.classes
+    breakdown = param_breakdown(config.layers, config.scales, config.channels, classes)
     _emit({
-        "layers": layers,
-        "scales": scales,
-        "channels": channels,
-        "input_resolution": resolution,
+        "layers": config.layers,
+        "scales": config.scales,
+        "channels": config.channels,
+        "input_resolution": config.input_resolution,
         "classes": classes,
         "stem": breakdown.stem,
         "links": breakdown.links,
@@ -222,7 +225,8 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except ConfigError as exc:
-        print(f"invalid config {args.config}: {exc}", file=sys.stderr)
+        source = f"config {args.config}" if args.config else "arguments"
+        print(f"invalid {source}: {exc}", file=sys.stderr)
         return 2
 
 

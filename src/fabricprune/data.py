@@ -80,27 +80,12 @@ def stratified_split_indices(labels: np.ndarray, fractions, seed: int) -> list[n
     return [np.array(sorted(s), dtype=np.int64) for s in splits]
 
 
-def stratified_split(dataset: ImageDataset, fractions, seed: int) -> list[ImageDataset]:
-    """Split a dataset keeping the same class proportions in every part."""
-    return [dataset.subset(idx)
-            for idx in stratified_split_indices(dataset.labels, fractions, seed)]
-
-
 def save_split_manifest(index_lists, path) -> None:
     """Plain-text sidecar: one `split_id item_index` pair per line."""
     with open(path, "w") as fh:
         for split_id, indices in enumerate(index_lists):
             for index in indices:
                 fh.write(f"{split_id} {index}\n")
-
-
-def load_split_manifest(path) -> list[np.ndarray]:
-    split_map: dict[int, list[int]] = {}
-    with open(path) as fh:
-        for line in fh:
-            split_id, index = line.split()
-            split_map.setdefault(int(split_id), []).append(int(index))
-    return [np.array(split_map[i], dtype=np.int64) for i in sorted(split_map)]
 
 
 @dataclass
@@ -180,19 +165,17 @@ def dominant_object_label(record) -> int | None:
 
 @dataclass
 class RecordLayout:
-    """Fixed-size records: 1 label byte, then channel-major pixel bytes."""
+    """Fixed-size records: 1 label byte, then channel-major bytes of 3 channels."""
 
     resolution: int
-    channels: int = 3
     num_classes: int | None = None
 
     @property
     def record_size(self) -> int:
-        return 1 + self.channels * self.resolution * self.resolution
+        return 1 + 3 * self.resolution * self.resolution
 
 
-def load_binary_records(path, layout: RecordLayout,
-                        class_names: list[str] | None = None) -> ImageDataset:
+def load_binary_records(path, layout: RecordLayout) -> ImageDataset:
     """Parse a file of fixed-size label+pixel records into a dataset."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -212,8 +195,8 @@ def load_binary_records(path, layout: RecordLayout,
                 f"{path}: label {labels[bad[0]]} at byte offset {offset} is outside "
                 f"[0, {layout.num_classes})")
     r = layout.resolution
-    images = records[:, 1:].reshape(-1, layout.channels, r, r).astype(np.float32) / 255.0
-    return ImageDataset(images, labels, class_names or [])
+    images = records[:, 1:].reshape(-1, 3, r, r).astype(np.float32) / 255.0
+    return ImageDataset(images, labels)
 
 
 def save_binary_records(dataset: ImageDataset, path) -> None:

@@ -145,7 +145,6 @@ class Fabric:
         self.head_weight: Parameter
         self.head_bias: Parameter
         self.links: list[Link] = []
-        self._in_links: dict[NodeId, list[Link]] = {}
 
     @property
     def input_node(self) -> NodeId:
@@ -157,13 +156,6 @@ class Fabric:
 
     def nodes(self) -> list[NodeId]:
         return [(l, s) for l in range(self.L) for s in range(self.S)]
-
-    def _register_link(self, link: Link) -> None:
-        self.links.append(link)
-        self._in_links.setdefault(link.dst, []).append(link)
-
-    def in_links(self, node: NodeId) -> list[Link]:
-        return [l for l in self._in_links.get(node, []) if l.alive]
 
     def alive_links(self) -> list[Link]:
         return [l for l in self.links if l.alive]
@@ -192,14 +184,10 @@ class Fabric:
             group = [link for link in links if link.direction.stride == stride]
             if not group:
                 continue
-            if len(group) == 1:
-                convs = [conv2d(activation, group[0].conv_weight, group[0].conv_bias,
-                                stride=stride)]
-            else:
-                weight = concat([link.conv_weight for link in group])
-                bias = concat([link.conv_bias for link in group])
-                convs = split(conv2d(activation, weight, bias, stride=stride),
-                              [self.C] * len(group), axis=1)
+            weight = concat([link.conv_weight for link in group])
+            bias = concat([link.conv_bias for link in group])
+            convs = split(conv2d(activation, weight, bias, stride=stride),
+                          [self.C] * len(group), axis=1)
             for link, h in zip(group, convs):
                 if link.direction is Direction.UP:
                     h = upsample_bilinear_x2(h)
@@ -207,18 +195,10 @@ class Fabric:
                 yield link.dst, relu6(h)
 
     def forward(self, batch: Tensor | np.ndarray, mode: str = "train") -> Tensor:
-        """Run a (B, 3, R, R) batch through the fabric, returning logits."""
-        return self._forward(batch, mode, keep_activations=False)[0]
+        """Run a (B, 3, R, R) batch through the fabric, returning logits.
 
-    def forward_with_activations(self, batch, mode: str = "train"):
-        """Forward pass returning the logits and the per-node activation tensors."""
-        return self._forward(batch, mode, keep_activations=True)
-
-    def _forward(self, batch, mode: str, keep_activations: bool):
-        """Source-major forward pass.
-
-        A node's activation is dropped once its out-links have run unless
-        keep_activations is set; the output node's is always returned.
+        The pass is source-major, and a node's activation is dropped once its
+        out-links have run.
         """
         if not isinstance(batch, Tensor):
             batch = Tensor(np.asarray(batch, dtype=self.dtype))
@@ -238,25 +218,23 @@ class Fabric:
         # (layer asc, scale asc) is a topological order: grid links go to the
         # next layer and column links to the next scale within a layer. So a
         # node's sum is complete when the walk reaches it, and each node's
-        # contributions arrive in source order, which is its in_links order.
-        activations: dict[NodeId, Tensor] = {}
-        for node in self.nodes():
+        # contributions arrive in source order, which is link index order.
+        # The output node comes last and feeds no link.
+        for node in self.nodes()[:-1]:
             activation = sums.pop(node, None)
             if activation is None:
                 continue
-            if keep_activations or node == self.output_node:
-                activations[node] = activation
             for dst, contribution in self._apply_links(activation, out_links.get(node, []),
                                                        mode):
                 total = sums.get(dst)
                 sums[dst] = contribution if total is None else total + contribution
 
-        out = activations.get(self.output_node)
+        out = sums.get(self.output_node)
         if out is None:
             raise FabricError("output node received no activation; "
                               "input->output connectivity is broken")
         flat = out.reshape((B, self.C))
-        return linear(flat, self.head_weight, self.head_bias), activations
+        return linear(flat, self.head_weight, self.head_bias)
 
     def predict(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Argmax class indices in eval mode, without recording gradients.
@@ -394,7 +372,7 @@ def build_fabric(layers: int, scales: int, channels: int, input_resolution: int,
     fabric.stem_bn_state = BatchNormState.create(channels, dt)
 
     for index, (src, dst) in enumerate(_grid_edges(layers, scales)):
-        fabric._register_link(Link(
+        fabric.links.append(Link(
             index=index,
             src=src,
             dst=dst,
@@ -420,25 +398,15 @@ def longest_linear_path(fabric: Fabric) -> int:
     ever coarser resolution, so up links never appear in one. On the full
     grid this equals (L-1) + (S-1).
     """
+    # in (layer, scale) order of sources, every in-link of a node comes before
+    # its out-links, so a source's distance is final when its out-links run
     dist: dict[NodeId, int] = {fabric.input_node: 0}
-    for l in range(fabric.L):
-        for s in range(fabric.S):
-            node = (l, s)
-            if node == fabric.input_node:
-                continue
-            best = -1
-            for link in fabric.in_links(node):
-                if link.direction is Direction.UP:
-                    continue
-                src_dist = dist.get(link.src, -1)
-                if src_dist >= 0:
-                    best = max(best, src_dist + 1)
-            if best >= 0:
-                dist[node] = best
-    result = dist.get(fabric.output_node, -1)
-    if result < 0:
+    for link in sorted(fabric.alive_links(), key=lambda l: l.src):
+        if link.direction is not Direction.UP and link.src in dist:
+            dist[link.dst] = max(dist.get(link.dst, 0), dist[link.src] + 1)
+    if fabric.output_node not in dist:
         raise FabricError("no scale-monotone input->output path is alive")
-    return result
+    return dist[fabric.output_node]
 
 
 def export_dot(fabric: Fabric, include_pruned: bool = False) -> str:
@@ -498,9 +466,10 @@ def save_fabric(fabric: Fabric, path) -> None:
 def load_fabric(path) -> Fabric:
     """Reconstruct a fabric from a checkpoint written by save_fabric.
 
-    Raises FabricError on a truncated or corrupt file, an unsupported
-    version, a missing meta key, mask flags that disagree with the mask
-    members, or an array that is missing or does not fit the fabric.
+    Raises FabricError on a truncated or corrupt file, meta that is not an
+    object, an unsupported version, a missing meta key, a dimension that is
+    not a positive int, an unknown dtype, mask flags that disagree with the mask members, or
+    an array that is missing or does not fit the fabric.
     """
     try:
         with np.load(path) as archive:
@@ -508,15 +477,23 @@ def load_fabric(path) -> Fabric:
         meta = json.loads(str(state.pop("__meta__")))
     except (zipfile.BadZipFile, NotImplementedError, EOFError, KeyError, ValueError) as exc:
         raise FabricError(f"{path} is not a readable checkpoint: {exc!r}") from exc
+    if not isinstance(meta, dict):
+        raise FabricError(f"checkpoint meta must be an object, got {type(meta).__name__}")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise FabricError(f"unsupported checkpoint version {meta.get('version')}")
-    for key in ("layers", "scales", "channels", "input_resolution", "num_classes", "dtype",
-                "alive", "has_mask"):
+    dims = ("layers", "scales", "channels", "input_resolution", "num_classes")
+    for key in (*dims, "dtype", "alive", "has_mask"):
         if key not in meta:
             raise FabricError(f"checkpoint meta is missing {key!r}")
-    fabric = build_fabric(meta["layers"], meta["scales"], meta["channels"],
-                          meta["input_resolution"], meta["num_classes"],
-                          dtype=np.dtype(meta["dtype"]))
+    for key in dims:
+        if type(meta[key]) is not int or meta[key] < 1:
+            raise FabricError(f"checkpoint meta {key!r} must be a positive int, "
+                              f"got {meta[key]!r}")
+    try:
+        dtype = np.dtype(meta["dtype"])
+    except TypeError as exc:
+        raise FabricError(f"checkpoint meta 'dtype' {meta['dtype']!r} is not a dtype") from exc
+    fabric = build_fabric(*(meta[key] for key in dims), dtype=dtype)
     present = [f"link{link.index}_mask" in state for link in fabric.links]
     for index, (flagged, found) in enumerate(zip_longest(meta["has_mask"], present)):
         if flagged != found:

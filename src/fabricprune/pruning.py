@@ -126,16 +126,6 @@ def link_condition(fabric: Fabric, proposed: set[int]) -> bool:
     return bool(_links_on_paths(fabric, alive - proposed))
 
 
-def cascade_remove(fabric: Fabric) -> list[int]:
-    """Kill every alive link that lies on no input->output path; returns
-    their indices. These are the links made obsolete by earlier kills."""
-    alive = {link.index for link in fabric.alive_links()}
-    obsolete = alive - _links_on_paths(fabric, alive)
-    for index in obsolete:
-        fabric.links[index].alive = False
-    return sorted(obsolete)
-
-
 @dataclass
 class PruneEvent:
     epoch: int

@@ -75,7 +75,8 @@ class TrainingDiverged(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A config section that is not an object, or a key no field matches."""
+    """A config section that is not an object, a key no field matches, or an
+    image size the fabric cannot take."""
 
 
 def _checked_section(cls, raw, path: str) -> dict:
@@ -153,6 +154,18 @@ class ExperimentConfig:
     def scales(self) -> int:
         return int(math.log2(self.input_resolution)) + 1
 
+    def check_resolutions(self) -> None:
+        """Raise ConfigError naming the field whose image size the fabric cannot take."""
+        r = self.input_resolution
+        if not isinstance(r, int) or r < 2 or r & (r - 1):
+            raise ConfigError(f"input_resolution must be a power of two >= 2, got {r!r}")
+        if self.data.resolution != r:
+            raise ConfigError(f"data.resolution {self.data.resolution} differs from "
+                              f"input_resolution {r}")
+        if self.augment is not None and self.augment.crop_size != r:
+            raise ConfigError(f"augment.crop_size {self.augment.crop_size} differs from "
+                              f"input_resolution {r}")
+
     def resolved_milestones(self) -> list[int]:
         if self.lr_milestones is not None:
             return list(self.lr_milestones)
@@ -216,18 +229,6 @@ def lr_at(epoch: int, base_lr: float, milestones) -> float:
     """Learning rate for an epoch: divided by 10 after each passed milestone."""
     passed = sum(1 for m in milestones if epoch > m)
     return base_lr / (10.0 ** passed)
-
-
-def scale_schedule(config: ExperimentConfig, total_epochs: int) -> ExperimentConfig:
-    """Adapt a config to a new epoch budget, rescaling its lr milestones.
-
-    Pruning-event epochs are rescaled at plan time by the same rule, with
-    colliding events merged (and warned about) by rescale_plan.
-    """
-    if total_epochs < 1:
-        raise ValueError(f"total_epochs must be >= 1, got {total_epochs}")
-    milestones = rescale_epochs(config.resolved_milestones(), config.epochs, total_epochs)
-    return replace(config, epochs=total_epochs, lr_milestones=milestones)
 
 
 def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[np.ndarray]]:
@@ -299,26 +300,13 @@ def _augmented_batch(images: np.ndarray, config: AugmentConfig | None,
     ]).astype(images.dtype)
 
 
-def _check_resolutions(config: ExperimentConfig) -> None:
-    """Raise ValueError naming the field whose image size the fabric cannot take."""
-    r = config.input_resolution
-    if not isinstance(r, int) or r < 2 or r & (r - 1):
-        raise ValueError(f"input_resolution must be a power of two >= 2, got {r!r}")
-    if config.data.resolution != r:
-        raise ValueError(f"data.resolution {config.data.resolution} differs from "
-                         f"input_resolution {r}")
-    if config.augment is not None and config.augment.crop_size != r:
-        raise ValueError(f"augment.crop_size {config.augment.crop_size} differs from "
-                         f"input_resolution {r}")
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
     """Train (and optionally prune) one fabric end to end; returns a summary.
 
     Raises ValueError naming the field, before anything is written, when the
-    image sizes disagree or a split is empty.
+    image sizes disagree (a ConfigError) or a split is empty.
     """
-    _check_resolutions(config)
+    config.check_resolutions()
     dataset, (train_idx, val_idx, test_idx) = load_split_dataset(config.data)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -139,19 +139,18 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A trainable leaf tensor with an optional permanent binary mask.
+    """A leaf tensor the optimizer updates, with an optional permanent binary mask.
 
     Masked positions of the value are kept exactly zero: the mask is
     re-applied whenever it is set and after every optimizer step, and
     backward() zeroes the corresponding gradient entries.
     """
 
-    __slots__ = ("trainable",)
+    __slots__ = ()
 
-    def __init__(self, data, trainable=True):
+    def __init__(self, data):
         super().__init__(data)
         self.grad = np.zeros_like(self.data)
-        self.trainable = trainable
 
     @property
     def mask(self):
@@ -335,7 +334,9 @@ def _blocks(extents, axis: int) -> list[tuple[slice, ...]]:
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Join tensors along an existing axis."""
+    """Join tensors along an existing axis; a single tensor is returned as is."""
+    if len(tensors) == 1:
+        return tensors[0]
     blocks = _blocks([t.data.shape[axis] for t in tensors], axis)
     parents = [t._node for t in tensors]
 
@@ -347,9 +348,12 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def split(x: Tensor, extents: list[int], axis: int = 0) -> list[Tensor]:
-    """Consecutive pieces of x along axis, as views of its data."""
+    """Consecutive pieces of x along axis, as views of its data; a single
+    piece is x itself."""
     if sum(extents) != x.data.shape[axis]:
         raise ShapeError(f"split: extents {list(extents)} do not sum to {x.data.shape[axis]}")
+    if len(extents) == 1:
+        return [x]
     return [_piece(x, block) for block in _blocks(extents, axis)]
 
 
@@ -424,8 +428,7 @@ class BatchNormState:
 
 
 def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormState,
-               mode: str = "train", eps: float = BN_EPSILON,
-               momentum: float = BN_MOMENTUM) -> Tensor:
+               mode: str = "train") -> Tensor:
     """Per-channel normalization over batch and spatial dims, then affine.
 
     Train mode uses (biased) batch statistics and updates the running ones;
@@ -445,13 +448,13 @@ def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormSta
         mean = x.data.mean(axis=axes)
         xhat = x.data - mean[None, :, None, None]
         var = (xhat * xhat).mean(axis=axes)
-        state.running_mean[:] = (1.0 - momentum) * state.running_mean + momentum * mean
-        state.running_var[:] = (1.0 - momentum) * state.running_var + momentum * var
+        state.running_mean[:] = (1.0 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
+        state.running_var[:] = (1.0 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
     else:
         var = state.running_var
         xhat = x.data - state.running_mean[None, :, None, None]
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat *= inv_std[None, :, None, None]
     gamma_data = gamma.data
     out_data = gamma_data[None, :, None, None] * xhat + beta.data[None, :, None, None]
@@ -578,8 +581,6 @@ class SGD:
     def step(self) -> None:
         cfg = self.config
         for index, p in enumerate(self.params):
-            if not p.trainable:
-                continue
             g = p.grad
             if cfg.weight_decay != 0.0:
                 g = g + cfg.weight_decay * p.data

@@ -140,6 +140,35 @@ class TestConfigErrors:
         assert "noise.annotator.bogus" in capsys.readouterr().err
         assert not out_dir.exists() and not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command,extra", [
+        ("train", ["--out"]), ("prune-plan", ["--out"]), ("inject-noise", ["--out"]),
+        ("count-params", []), ("evaluate", ["--checkpoint"]),
+        ("fitting-report", ["--checkpoint", "--labels"]),
+    ])
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(input_resolution=24), "input_resolution must be a power of two >= 2, got 24"),
+        (dict(input_resolution=8), "data.resolution 4 differs from input_resolution 8"),
+    ], ids=["not-a-power-of-two", "data-mismatch"])
+    def test_bad_resolution_fails_before_any_output(self, capsys, tmp_path, command, extra,
+                                                     overrides, message):
+        path, _ = write_config(tmp_path, prune=PruneConfig(),
+                               noise=NoiseConfig(kind="uniform"), **overrides)
+        out_dir = tmp_path / "out"
+        argv = [command, "--config", str(path)]
+        for flag in extra:
+            argv += [flag, str(out_dir / flag.strip("-"))]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not out_dir.exists() and not (tmp_path / "run").exists()
+
+    def test_count_params_resolution_flag_checked(self, capsys):
+        assert main(["count-params", "--resolution", "24"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input_resolution must be a power of two >= 2, got 24" in captured.err
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

@@ -180,7 +180,7 @@ class TestForward:
 
     def test_activation_resolutions_halve_per_scale(self):
         fabric = build_fabric(3, 4, 2, 8, 2, seed=3)
-        _, acts = fabric.forward_with_activations(np.zeros((2, 3, 8, 8), dtype=np.float32))
+        _, acts = per_link_forward(fabric, np.zeros((2, 3, 8, 8), dtype=np.float32), "train")
         for (l, s), act in acts.items():
             assert act.shape[2] == act.shape[3] == 8 // (2 ** s)
         assert acts[fabric.output_node].shape == (2, 2, 1, 1)
@@ -189,10 +189,10 @@ class TestForward:
         fabric = build_fabric(3, 3, 2, 4, 2, seed=11, dtype=np.float64)
         x = np.random.default_rng(1).random((2, 3, 4, 4))
         node = (1, 1)
-        in_links = fabric.in_links(node)
+        in_links = [l for l in fabric.links if l.dst == node]
         assert len(in_links) == 3
 
-        _, acts = fabric.forward_with_activations(x, mode="eval")
+        _, acts = per_link_forward(fabric, x, "eval")
         full = acts[node].data.copy()
 
         singles = []
@@ -202,7 +202,7 @@ class TestForward:
                 if other is not keep:
                     other.bn_gamma.data[:] = 0.0
                     other.bn_beta.data[:] = 0.0
-            _, acts_k = fabric.forward_with_activations(x, mode="eval")
+            _, acts_k = per_link_forward(fabric, x, "eval")
             singles.append(acts_k[node].data.copy())
             for l, g, b in saved:
                 l.bn_gamma.data = g
@@ -224,13 +224,15 @@ class TestForward:
 
 
 def per_link_forward(fabric, x, mode):
-    """Reference forward: one conv2d per alive link, sums in in_links order."""
+    """Reference forward: one conv2d per alive link, each node's in-links
+    summed in link index order. Returns the logits and every node's
+    activation; test_matches_per_link_reference ties it to Fabric.forward."""
     h = conv2d(Tensor(x), fabric.stem_weight, fabric.stem_bias, stride=1)
     h = batch_norm(h, fabric.stem_gamma, fabric.stem_beta, fabric.stem_bn_state, mode)
     acts = {fabric.input_node: relu6(h)}
     for node in fabric.nodes():
         total = None
-        for link in fabric.in_links(node):
+        for link in (l for l in fabric.links if l.alive and l.dst == node):
             if link.src not in acts:
                 continue
             h = conv2d(acts[link.src], link.conv_weight, link.conv_bias,
@@ -242,7 +244,7 @@ def per_link_forward(fabric, x, mode):
         if total is not None:
             acts[node] = total
     flat = acts[fabric.output_node].reshape((x.shape[0], fabric.C))
-    return linear(flat, fabric.head_weight, fabric.head_bias)
+    return linear(flat, fabric.head_weight, fabric.head_bias), acts
 
 
 @st.composite
@@ -294,7 +296,7 @@ class TestSourceMajorForward:
         labels = np.array([0, 2])
 
         logits = fabric.forward(x, mode)
-        expected = per_link_forward(reference, x, mode)
+        expected, _ = per_link_forward(reference, x, mode)
         np.testing.assert_allclose(logits.data, expected.data, rtol=1e-10)
         backward(softmax_cross_entropy(logits, labels))
         backward(softmax_cross_entropy(expected, labels))
@@ -330,6 +332,16 @@ class TestLongestPath:
         for link in fabric.links:
             link.alive = link.src == (0, 0) and link.dst == (1, 1)
         assert longest_linear_path(fabric) == 1
+
+    def test_longest_in_link_wins_over_the_last_one(self):
+        # in source order, the output's last in-link is the column link from
+        # (2, 1), which ends a 3-link chain once these two links are cut; the
+        # same-scale link from (1, 2) ends the 4-link chain along layer 0
+        fabric = build_fabric(3, 3, 1, 4, 2)
+        cut = {((0, 1), (1, 1)), ((2, 0), (2, 1))}
+        for link in fabric.links:
+            link.alive = (link.src, link.dst) not in cut
+        assert longest_linear_path(fabric) == 4
 
     @pytest.mark.parametrize("seed", range(8))
     def test_pruned_grid_matches_dfs(self, seed):
@@ -531,6 +543,32 @@ class TestCheckpoint:
 
         rewrite_checkpoint(path, drop)
         with pytest.raises(FabricError, match=f"missing '{key}'"):
+            load_fabric(path)
+
+    @pytest.mark.parametrize("meta", [[1, 2], "fabric", 7, None])
+    def test_meta_that_is_not_an_object_rejected(self, tmp_path, meta):
+        path = tmp_path / "fabric.npz"
+        save_fabric(build_fabric(2, 2, 1, 2, 2), path)
+        rewrite_checkpoint(path, lambda m: m.update(__meta__=np.array(json.dumps(meta))))
+        with pytest.raises(FabricError, match="meta must be an object"):
+            load_fabric(path)
+
+    @pytest.mark.parametrize("key,value,problem", [
+        ("layers", "2", "must be a positive int"), ("scales", 2.0, "must be a positive int"),
+        ("channels", True, "must be a positive int"), ("num_classes", 0, "must be a positive int"),
+        ("input_resolution", None, "must be a positive int"), ("dtype", "bogus", "is not a dtype"),
+    ])
+    def test_bad_dimension_or_dtype_named(self, tmp_path, key, value, problem):
+        path = tmp_path / "fabric.npz"
+        save_fabric(build_fabric(2, 2, 1, 2, 2), path)
+
+        def spoil(members):
+            meta = json.loads(str(members["__meta__"]))
+            meta[key] = value
+            members["__meta__"] = np.array(json.dumps(meta))
+
+        rewrite_checkpoint(path, spoil)
+        with pytest.raises(FabricError, match=f"'{key}' .*{problem}"):
             load_fabric(path)
 
     @pytest.mark.parametrize("keep", [0.0, 0.1, 0.5, 0.99])

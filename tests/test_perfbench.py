@@ -1,0 +1,37 @@
+"""The names perfbench's span tracer rebinds must stay where it looks them up."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# runs in a child process, so the tracer's rebinding cannot leak into other tests
+TRACED_STEP = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import numpy as np
+import fabricprune
+from tracer import Tracer
+
+tracer = Tracer(track_memory=False)
+tracer.install(fabricprune)
+fabric = fabricprune.fabric.build_fabric(2, 2, 2, 2, 3)
+images = np.random.default_rng(0).random((4, 3, 2, 2)).astype(np.float32)
+logits = fabric.forward(images, mode="train")
+loss = fabricprune.tensor.softmax_cross_entropy(logits, np.array([0, 1, 2, 0]))
+fabricprune.tensor.backward(loss)
+print(json.dumps(tracer.per_layer()))
+"""
+
+
+def test_traced_training_step_times_conv_forward_and_backward():
+    result = subprocess.run(
+        [sys.executable, "-c", TRACED_STEP, str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    metrics = json.loads(result.stdout)
+    assert metrics["tensor.conv2d.calls"] > 0
+    assert metrics["tensor.conv2d.bwd_s"] > 0
+    assert metrics["fabric.forward.s"] > 0 and metrics["tensor.backward.s"] > 0

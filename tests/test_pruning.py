@@ -5,15 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fabricprune.fabric import build_fabric, clone_parameters, param_breakdown
+from fabricprune.fabric import (
+    Direction,
+    FabricError,
+    build_fabric,
+    clone_parameters,
+    longest_linear_path,
+    param_breakdown,
+)
 from fabricprune.pruning import (
     Criterion,
     PruneEvent,
     PrunePlan,
     Strategy,
+    _links_on_paths,
     apply_event,
     build_plan,
-    cascade_remove,
     link_condition,
     reported_param_count,
     rescale_plan,
@@ -27,6 +34,7 @@ from oracles import (
     dangling_links_by_rescan,
     finite_difference_grads,
     links_on_some_path,
+    longest_path_exhaustive,
     path_exists,
 )
 
@@ -178,15 +186,20 @@ class TestLinkCondition:
 
 
 class TestCascade:
+    """The cascade a link-stage kill sweeps away: apply_event's cascade_links,
+    and _links_on_paths, from which the link stage computes it."""
+
     def test_orphan_chain_removal(self):
         # (0,0) -> (1,1) is the only consumer chain for node (1,1)'s inputs:
         # kill every out-link of (1,1) and its in-links must die, recursively
         # freeing anything that only fed (1,1)
         fabric = build_fabric(3, 2, 1, 2, 2)
-        for link in fabric.links:
-            if link.src == (1, 1):
-                link.alive = False
-        killed = cascade_remove(fabric)
+        out_of_11 = [l.index for l in fabric.links if l.src == (1, 1)]
+        set_link_weights(fabric, [1.0 if l.index in out_of_11 else 2.0 for l in fabric.links])
+        report = apply_event(fabric, PruneEvent(1, len(out_of_11), 0), Criterion.MAGNITUDE,
+                             count_cascade=False)
+        assert report.killed_links == out_of_11
+        killed = report.cascade_links
         assert killed  # in-links of (1,1) are gone
         assert all(not fabric.links[i].alive for i in killed)
         assert all(l.dst != (1, 1) for l in fabric.alive_links())
@@ -199,8 +212,10 @@ class TestCascade:
         # kill (0,0)->(1,0): source still feeds (0,1) and (1,1); (1,0) still
         # receives from (0,1)
         victim = next(l for l in fabric.links if l.src == (0, 0) and l.dst == (1, 0))
-        victim.alive = False
-        assert cascade_remove(fabric) == []
+        set_link_weights(fabric, [1.0 if l is victim else 2.0 for l in fabric.links])
+        report = apply_event(fabric, PruneEvent(1, 1, 0), Criterion.MAGNITUDE)
+        assert report.killed_links == [victim.index]
+        assert report.cascade_links == []
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_kills_match_rescan_and_path_oracles(self, seed):
@@ -212,8 +227,7 @@ class TestCascade:
         edges = [(l.src, l.dst) for l in fabric.links]
         pre_alive = {l.index for l in fabric.links if l.alive}
 
-        cascade_remove(fabric)
-        post_alive = {l.index for l in fabric.links if l.alive}
+        post_alive = _links_on_paths(fabric, pre_alive)
 
         # oracle 1: fixpoint by repeated full rescans over the same graph
         sub_edges = [edges[i] for i in sorted(pre_alive)]
@@ -624,8 +638,7 @@ class TestPathRuleProperties:
     @given(grids_with_kills())
     def test_cascade_reaches_the_fixpoint(self, fabric):
         pre_alive = sorted(l.index for l in fabric.alive_links())
-        cascade_remove(fabric)
-        alive = fabric.alive_links()
+        alive = [fabric.links[i] for i in sorted(_links_on_paths(fabric, set(pre_alive)))]
         fed = {l.dst for l in alive}
         feeding = {l.src for l in alive}
         for link in alive:
@@ -644,3 +657,15 @@ class TestPathRuleProperties:
         edges = [(l.src, l.dst) for l in fabric.alive_links()]
         assert path_exists(edges, fabric.input_node, fabric.output_node)
         assert report.links_removed + report.link_shortfall == report.link_quota
+
+    @PROPERTY_SETTINGS
+    @given(grids_with_kills())
+    def test_longest_linear_path_matches_exhaustive_oracle(self, fabric):
+        edges = [(l.src, l.dst) for l in fabric.alive_links()
+                 if l.direction is not Direction.UP]
+        expected = longest_path_exhaustive(edges, fabric.input_node, fabric.output_node)
+        if expected < 0:
+            with pytest.raises(FabricError, match="no scale-monotone"):
+                longest_linear_path(fabric)
+        else:
+            assert longest_linear_path(fabric) == expected

@@ -18,7 +18,6 @@ from fabricprune.runner import (
     lr_at,
     rescale_epochs,
     run_experiment,
-    scale_schedule,
 )
 
 
@@ -50,15 +49,15 @@ class TestLrSchedule:
 
 class TestScaleSchedule:
     def test_200_to_40_milestones(self):
-        config = tiny_config("unused", epochs=200, lr_milestones=[80, 120])
-        scaled = scale_schedule(config, 40)
-        assert scaled.lr_milestones == [16, 24]
-        assert scaled.epochs == 40
+        # the recipe's milestones 80 and 120 as run_experiment applies them
+        milestones = tiny_config("unused", epochs=40).resolved_milestones()
+        assert milestones == rescale_epochs([80, 120], 200, 40) == [16, 24]
+        rates = [lr_at(epoch, 0.1, milestones) for epoch in (16, 17, 24, 25)]
+        assert rates == pytest.approx([0.1, 0.01, 0.01, 0.001])
 
     def test_factor_one_is_identity(self):
-        config = tiny_config("unused", epochs=200, lr_milestones=[80, 120])
-        scaled = scale_schedule(config, 200)
-        assert scaled.lr_milestones == [80, 120]
+        assert tiny_config("unused", epochs=200).resolved_milestones() == [80, 120]
+        assert rescale_epochs([80, 120], 200, 200) == [80, 120]
 
     def test_default_milestones_resolve_rescaled(self):
         config = tiny_config("unused", epochs=40)

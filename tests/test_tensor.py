@@ -163,7 +163,7 @@ class TestBatchNorm:
         state = BatchNormState(np.array([0.5]), np.array([2.0]))
         x = np.array([1.0, 3.0]).reshape(2, 1, 1, 1)
         gamma, beta = Parameter(np.array([1.5])), Parameter(np.array([-0.25]))
-        out = batch_norm(Tensor(x), gamma, beta, state, "eval", eps=1e-5)
+        out = batch_norm(Tensor(x), gamma, beta, state, "eval")
         expected = (x - 0.5) / np.sqrt(2.0 + 1e-5) * 1.5 - 0.25
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
