@@ -468,8 +468,9 @@ def load_fabric(path) -> Fabric:
 
     Raises FabricError on a truncated or corrupt file, meta that is not an
     object, an unsupported version, a missing meta key, a dimension that is
-    not a positive int, an unknown dtype, mask flags that disagree with the mask members, or
-    an array that is missing or does not fit the fabric.
+    not a positive int, an unknown dtype, mask flags that are not a list or
+    disagree with the mask members, or an array that is missing or does not
+    fit the fabric.
     """
     try:
         with np.load(path) as archive:
@@ -493,6 +494,8 @@ def load_fabric(path) -> Fabric:
         dtype = np.dtype(meta["dtype"])
     except TypeError as exc:
         raise FabricError(f"checkpoint meta 'dtype' {meta['dtype']!r} is not a dtype") from exc
+    if type(meta["has_mask"]) is not list:
+        raise FabricError(f"checkpoint meta 'has_mask' must be a list, got {meta['has_mask']!r}")
     fabric = build_fabric(*(meta[key] for key in dims), dtype=dtype)
     present = [f"link{link.index}_mask" in state for link in fabric.links]
     for index, (flagged, found) in enumerate(zip_longest(meta["has_mask"], present)):

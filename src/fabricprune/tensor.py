@@ -182,6 +182,17 @@ def _accumulate(node: GradNode, g: np.ndarray) -> None:
         node.grad += g
 
 
+def _hand_off(node: GradNode, g: np.ndarray) -> None:
+    """_accumulate for a grad array the caller has just allocated and holds
+    no other reference to: a node without a grad takes it as is when it is
+    C-contiguous and of the node's dtype, so it is not copied. A view of
+    another node's grad or of a forward value must go through _accumulate."""
+    if node.grad is None and g.flags.c_contiguous and g.dtype == node.dtype:
+        node.grad = g
+    else:
+        _accumulate(node, g)
+
+
 def backward(loss: Tensor) -> None:
     """Populate grads of every parameter reachable from a scalar loss node.
 
@@ -387,30 +398,29 @@ def bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _upsample_plan(shape: tuple[int, int, int, int], dtype):
-    """Read-only bilinear matrices of a (B,C,H,W) x2 upsample and the einsum
-    contraction paths of its forward and backward, found once per shape."""
-    B, C, H, W = shape
+def _upsample_matrices(H: int, W: int, dtype):
+    """Read-only (2H x H) and (2W x W) bilinear matrices of a x2 upsample."""
     uh = bilinear_matrix(H, 2 * H, dtype)
     uw = bilinear_matrix(W, 2 * W, dtype)
     uh.flags.writeable = uw.flags.writeable = False
-    # the path search reads only shapes, so zero-stride stand-ins do
-    x = np.broadcast_to(np.zeros((), dtype), shape)
-    g = np.broadcast_to(np.zeros((), dtype), (B, C, 2 * H, 2 * W))
-    forward_path = tuple(np.einsum_path("ph,bchw,qw->bcpq", uh, x, uw, optimize=True)[0])
-    backward_path = tuple(np.einsum_path("ph,bcpq,qw->bchw", uh, g, uw, optimize=True)[0])
-    return uh, uw, forward_path, backward_path
+    return uh, uw
 
 
 def upsample_bilinear_x2(x: Tensor) -> Tensor:
-    """Double both spatial extents of (B,C,H,W) by bilinear interpolation."""
-    uh, uw, forward_path, backward_path = _upsample_plan(x.data.shape, x.data.dtype)
-    out_data = np.einsum("ph,bchw,qw->bcpq", uh, x.data, uw, optimize=forward_path)
+    """Double both spatial extents of (B,C,H,W) by bilinear interpolation.
+
+    out = uh @ x @ uw.T per (sample, channel), as two matmuls: the rows
+    first, as one (B*C*H, W) GEMM, then the columns over (B*C, H, 2W).
+    """
+    B, C, H, W = x.data.shape
+    uh, uw = _upsample_matrices(H, W, x.data.dtype)
+    rows = x.data.reshape(B * C * H, W) @ uw.T
+    out_data = (uh @ rows.reshape(B * C, H, 2 * W)).reshape(B, C, 2 * H, 2 * W)
     parent = x._node
 
     def backward(node):
-        _accumulate(parent, np.einsum("ph,bcpq,qw->bchw", uh, node.grad, uw,
-                                      optimize=backward_path))
+        cols = uh.T @ node.grad.reshape(B * C, 2 * H, 2 * W)
+        _hand_off(parent, (cols.reshape(B * C * H, 2 * W) @ uw).reshape(B, C, H, W))
 
     return Tensor(out_data, (x,), backward)
 
@@ -433,7 +443,9 @@ def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormSta
 
     Train mode uses (biased) batch statistics and updates the running ones;
     eval mode normalizes with the running statistics. The recorded node
-    saves xhat, the inverse std and gamma's array, not x.
+    saves xhat, the inverse std and gamma's array, not x. Backward computes
+    the input grad from two per-channel sums, sum(g) and sum(g * xhat),
+    which are also beta's and gamma's grads.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -443,52 +455,66 @@ def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormSta
         raise UsageError(f"train-mode batch norm needs >= 2 values per channel, got {n}")
     axes = (0, 2, 3)
 
+    # x.var's own arithmetic, centring once: the centred copy becomes xhat
+    # and its square fills the buffer that becomes the output. A ufunc
+    # reduction divided by n gives .mean's bits without its call overhead.
     if mode == "train":
-        # x.var's own arithmetic, centring once; the centred copy becomes xhat
-        mean = x.data.mean(axis=axes)
+        mean = np.add.reduce(x.data, axis=axes) / n
         xhat = x.data - mean[None, :, None, None]
-        var = (xhat * xhat).mean(axis=axes)
+        out_data = np.multiply(xhat, xhat)
+        var = np.add.reduce(out_data, axis=axes) / n
         state.running_mean[:] = (1.0 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
         state.running_var[:] = (1.0 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
     else:
         var = state.running_var
         xhat = x.data - state.running_mean[None, :, None, None]
+        # nothing saved under no_grad, so xhat itself becomes the output
+        out_data = xhat if not _grad_enabled else np.empty_like(xhat)
 
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat *= inv_std[None, :, None, None]
     gamma_data = gamma.data
-    out_data = gamma_data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    np.multiply(gamma_data[None, :, None, None], xhat, out=out_data)
+    out_data += beta.data[None, :, None, None]
+    if not _grad_enabled:
+        return Tensor(out_data)
     x_node, gamma_node, beta_node = x._node, gamma._node, beta._node
 
     def backward(node):
         g = node.grad
-        _accumulate(gamma_node, (g * xhat).sum(axis=axes))
-        _accumulate(beta_node, g.sum(axis=axes))
-        dxhat = g * gamma_data[None, :, None, None]
+        sum_g = np.add.reduce(g, axis=axes)
+        dx = np.multiply(g, xhat)
+        sum_gx = np.add.reduce(dx, axis=axes)
+        _accumulate(gamma_node, sum_gx)
+        _accumulate(beta_node, sum_g)
+        scale = (gamma_data * inv_std)[None, :, None, None]
         if mode == "train":
-            # batch stats depend on x: subtract the per-channel means the
-            # normalization introduced
-            m1 = dxhat.mean(axis=axes)[None, :, None, None]
-            m2 = (dxhat * xhat).mean(axis=axes)[None, :, None, None]
-            dx = inv_std[None, :, None, None] * (dxhat - m1 - xhat * m2)
+            # batch stats depend on x: remove the grad's per-channel mean and
+            # its projection on xhat, dx = gamma*inv_std*(g - mean(g) - xhat*mean(g*xhat))
+            np.multiply(xhat, (sum_gx / n)[None, :, None, None], out=dx)
+            np.subtract(g, dx, out=dx)
+            dx -= (sum_g / n)[None, :, None, None]
+            dx *= scale
         else:
-            dx = dxhat * inv_std[None, :, None, None]
-        _accumulate(x_node, dx)
+            np.multiply(g, scale, out=dx)
+        _hand_off(x_node, dx)
 
     return Tensor(out_data, (x, gamma, beta), backward)
 
 
 def relu6(x: Tensor) -> Tensor:
     """Elementwise min(max(x, 0), 6). The recorded node saves a bool mask of
-    the entries inside (0, 6), where the derivative is 1."""
+    the entries inside (0, 6), where the derivative is 1; it is read off the
+    output, since 0 < out < 6 exactly where 0 < x < 6, NaN included."""
     out_data = np.clip(x.data, 0.0, 6.0)
     if not _grad_enabled:
         return Tensor(out_data)
-    inside = (x.data > 0.0) & (x.data < 6.0)
+    inside = out_data > 0.0
+    inside &= out_data < 6.0
     parent = x._node
 
     def backward(node):
-        _accumulate(parent, node.grad * inside)
+        _hand_off(parent, node.grad * inside)
 
     return Tensor(out_data, (x,), backward)
 
@@ -511,7 +537,7 @@ def linear(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tenso
     b_node = None if bias is None else bias._node
 
     def backward(node):
-        _accumulate(x_node, node.grad @ w_data)
+        _hand_off(x_node, node.grad @ w_data)
         _accumulate(w_node, node.grad.T @ x_data)
         if b_node is not None:
             _accumulate(b_node, node.grad.sum(axis=0))
@@ -537,7 +563,8 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     def backward(node):
         probs = np.exp(log_probs)
         probs[np.arange(B), targets] -= 1.0
-        _accumulate(parent, probs * (node.grad / B))
+        probs *= node.grad / B
+        _hand_off(parent, probs)
 
     return Tensor(np.asarray(loss_val, dtype=logits.data.dtype), (logits,), backward)
 

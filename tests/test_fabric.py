@@ -557,6 +557,7 @@ class TestCheckpoint:
         ("layers", "2", "must be a positive int"), ("scales", 2.0, "must be a positive int"),
         ("channels", True, "must be a positive int"), ("num_classes", 0, "must be a positive int"),
         ("input_resolution", None, "must be a positive int"), ("dtype", "bogus", "is not a dtype"),
+        ("has_mask", 5, "must be a list"),
     ])
     def test_bad_dimension_or_dtype_named(self, tmp_path, key, value, problem):
         path = tmp_path / "fabric.npz"

@@ -32,6 +32,7 @@ def test_traced_training_step_times_conv_forward_and_backward():
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     metrics = json.loads(result.stdout)
-    assert metrics["tensor.conv2d.calls"] > 0
-    assert metrics["tensor.conv2d.bwd_s"] > 0
+    for op in ("conv2d", "batch_norm", "relu6", "upsample_bilinear_x2"):
+        assert metrics[f"tensor.{op}.calls"] > 0, op
+        assert metrics[f"tensor.{op}.bwd_s"] > 0, op
     assert metrics["fabric.forward.s"] > 0 and metrics["tensor.backward.s"] > 0

@@ -395,6 +395,47 @@ class TestBackwardSlot:
             np.testing.assert_array_equal(got, want)
 
 
+class TestGradHandOff:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_grad_is_a_private_c_contiguous_array(self, dtype):
+        # ops hand freshly allocated grads to their parents uncopied; a grad
+        # that is a view of another grad or of a forward value must never be
+        # handed over, or a later in-place update would corrupt both
+        rng = np.random.default_rng(9)
+
+        def param(*shape):
+            return Parameter(rng.standard_normal(shape).astype(dtype))
+
+        def leaf(*shape):  # its grad starts as None, as an intermediate's does
+            return Tensor(rng.standard_normal(shape).astype(dtype))
+
+        x = leaf(2, 3, 4, 4)
+        weights, biases = [leaf(2, 3, 3, 3), leaf(2, 3, 3, 3)], [leaf(2), leaf(2)]
+        gammas, betas = [param(2), param(2)], [param(2), param(2)]
+        head_w, head_b = param(5, 2 * 8 * 8), param(5)
+        weight, bias = concat(weights), concat(biases)
+        conv = conv2d(x, weight, bias)
+        pieces = split(conv, [2, 2], axis=1)
+        ups = [upsample_bilinear_x2(piece) for piece in pieces]
+        normed = [batch_norm(h, gamma, beta, BatchNormState.create(2, dtype), mode)
+                  for h, gamma, beta, mode in zip(ups, gammas, betas, ["train", "eval"])]
+        acts = [relu6(h) for h in normed]
+        total = acts[0] + acts[1]
+        flat = total.reshape((2, -1))
+        logits = linear(flat, head_w, head_b)
+        loss = softmax_cross_entropy(logits, np.array([0, 3]))
+        tensors = [x, *weights, *biases, *gammas, *betas, head_w, head_b, weight, bias, conv,
+                   *pieces, *ups, *normed, *acts, total, flat, logits, loss]
+        backward(loss)
+
+        for i, t in enumerate(tensors):
+            assert t.grad.flags.c_contiguous and t.grad.dtype == t.dtype, i
+            for j, other in enumerate(tensors):
+                assert not np.shares_memory(t.grad, other.data), (i, j)
+                if j != i:
+                    assert not np.shares_memory(t.grad, other.grad), (i, j)
+
+
 def _gradcheck(build_loss, params, step=1e-5, tol=1e-4):
     """Analytic grads vs central differences on float64 inputs."""
     loss = build_loss()
