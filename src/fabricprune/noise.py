@@ -73,6 +73,8 @@ def apply_uniform_noise(labeled: LabeledSet, p: float, seed: int) -> LabeledSet:
 def validate_transition_matrix(matrix: np.ndarray, num_classes: int) -> None:
     if matrix.shape != (num_classes, num_classes):
         raise ValueError(f"transition matrix must be {num_classes}x{num_classes}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("transition probabilities must be finite")
     if (matrix < 0).any():
         raise ValueError("transition probabilities must be nonnegative")
     sums = matrix.sum(axis=1)
@@ -245,8 +247,11 @@ def load_noisy_labels(labeled: LabeledSet, path) -> LabeledSet:
     """Re-apply a saved noisy labeling to the same set (clean labels checked)."""
     given = labeled.given_labels.copy()
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             index, clean, noisy = (int(v) for v in line.split())
+            if not 0 <= index < len(labeled):
+                raise ValueError(f"sidecar line {number}: index {index} is outside "
+                                 f"[0, {len(labeled)})")
             if labeled.clean_labels[index] != clean:
                 raise ValueError(
                     f"sidecar clean label {clean} at index {index} does not match "

@@ -3,11 +3,13 @@
 Links are scored by the Euclidean norm of the per-weight criterion over
 their conv matrix, removed smallest-first under the condition that input
 and output stay connected, and followed by cascade removal of links made
-obsolete. Weights on surviving links are then masked smallest-first under
-the condition that no conv matrix ends up all zero. Schedules place the
-work at epoch 5 (early), epoch 75 (late), or spread it over epochs
-5, 15, ..., 75 (iterative); the number of links kept never drops below
-the longest linear path.
+obsolete. Weights on surviving links are then ranked once, smallest
+first, and cut: each link's last unmasked weight in that ranking is
+protected, so no conv matrix ends up all zero, and the first `quota`
+unprotected weights are masked. Schedules place the work at epoch 5
+(early), epoch 75 (late), or spread it over epochs 5, 15, ..., 75
+(iterative); the number of links kept never drops below the longest
+linear path.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fabric import Fabric, Link, clone_parameters, longest_linear_path, param_breakdown
+from .fabric import Fabric, Link, clone_parameters, longest_linear_path
 from .tensor import UsageError, backward, softmax_cross_entropy
 
 
@@ -245,7 +247,7 @@ class PruneReport:
     weight_shortfall: int = 0
     alive_links: int = 0
     live_params: int = 0
-    reported_params: int = 0
+    reported_params: int = 0  # the run's accounting figure, set by the runner
 
     @property
     def links_removed(self) -> int:
@@ -298,51 +300,37 @@ def _apply_weight_stage(fabric: Fabric, quota: int, criterion: Criterion,
     score_parts, owner_parts, position_parts = [], [], []
     for slot, link in enumerate(links):
         w = link.conv_weight
-        if criterion is Criterion.SENSITIVITY:
-            flat = weight_scores[link.index].reshape(-1)
-        else:
-            flat = score_weight(criterion, w.data).reshape(-1)
-        if w.mask is None:
-            pos = np.arange(flat.size)
-        else:
-            pos = np.nonzero(w.mask.reshape(-1) != 0.0)[0]
-            flat = flat[pos]
-        score_parts.append(np.asarray(flat, dtype=np.float64))
+        flat = (weight_scores[link.index] if criterion is Criterion.SENSITIVITY
+                else score_weight(criterion, w.data)).reshape(-1)
+        pos = np.arange(flat.size) if w.mask is None else np.flatnonzero(w.mask)
+        score_parts.append(np.asarray(flat[pos], dtype=np.float64))
         owner_parts.append(np.full(pos.size, slot))
         position_parts.append(pos)
-    scores = np.concatenate(score_parts)
-    owners = np.concatenate(owner_parts)
-    positions = np.concatenate(position_parts)
-    order = np.argsort(scores, kind="stable")
+    order = np.argsort(np.concatenate(score_parts), kind="stable")
+    owners = np.concatenate(owner_parts)[order]
+    positions = np.concatenate(position_parts)[order]
 
-    unmasked = [link.unmasked_weight_count() for link in links]
-    new_masks: dict[int, np.ndarray] = {}
-    remaining = quota
-    for i in order:
-        if remaining <= 0:
-            break
-        slot = owners[i]
-        if unmasked[slot] <= 1:
-            report.skipped_weights += 1
-            continue
-        mask = new_masks.get(slot)
-        if mask is None:
-            w = links[slot].conv_weight
-            mask = np.ones_like(w.data) if w.mask is None else w.mask.copy()
-            new_masks[slot] = mask
-        mask.reshape(-1)[positions[i]] = 0.0
-        unmasked[slot] -= 1
-        report.masked_weights += 1
-        remaining -= 1
-    for slot, mask in new_masks.items():
-        links[slot].conv_weight.set_mask(mask)
-    report.weight_shortfall = remaining
+    # a link's last unmasked weight in ranking order is protected, as masking
+    # it would zero the conv matrix; the cut masks the first `quota`
+    # unprotected weights and skips the protected ones ranked before its end
+    protected = np.zeros(order.size, dtype=bool)
+    protected[order.size - 1 - np.unique(owners[::-1], return_index=True)[1]] = True
+    cut = np.flatnonzero(~protected)[:quota]
+    end = cut[-1] if cut.size == quota else order.size
+    report.masked_weights = int(cut.size)
+    report.skipped_weights = int(np.count_nonzero(protected[:end]))
+    report.weight_shortfall = quota - int(cut.size)
+    cut_owners, cut_positions = owners[cut], positions[cut]
+    for slot in np.unique(cut_owners):
+        w = links[slot].conv_weight
+        mask = np.ones_like(w.data) if w.mask is None else w.mask.copy()
+        mask.reshape(-1)[cut_positions[cut_owners == slot]] = 0.0
+        w.set_mask(mask)
 
 
 def apply_event(fabric: Fabric, event: PruneEvent, criterion: Criterion,
                 weight_scores: dict[int, np.ndarray] | None = None,
-                count_cascade: bool = True,
-                final_sparsity: float | None = None) -> PruneReport:
+                count_cascade: bool = True) -> PruneReport:
     """Run one pruning event: the link stage, then the weight stage.
 
     Cascade kills count toward the link quota by default; a candidate whose
@@ -362,9 +350,6 @@ def apply_event(fabric: Fabric, event: PruneEvent, criterion: Criterion,
                             report)
     report.alive_links = len(fabric.alive_links())
     report.live_params = fabric.live_param_count()
-    if final_sparsity is not None:
-        full = param_breakdown(fabric.L, fabric.S, fabric.C, fabric.num_classes)
-        report.reported_params = reported_param_count(full, final_sparsity)
     return report
 
 

@@ -327,6 +327,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                           seed=config.seed)
     full_counts = param_breakdown(config.layers, config.scales, config.channels,
                                   dataset.num_classes)
+    reported = full_counts.total
 
     plan = None
     events_by_epoch = {}
@@ -334,16 +335,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
         plan = build_plan(Strategy(config.prune.strategy), config.prune.sparsity, fabric)
         plan = rescale_plan(plan, RECIPE_EPOCHS, config.epochs)
         events_by_epoch = {event.epoch: event for event in plan.events}
+        reported = reported_param_count(full_counts, plan.sparsity)
 
     optimizer = SGD(fabric.parameters(),
                     SgdConfig(config.learning_rate, config.momentum, config.weight_decay))
     milestones = config.resolved_milestones()
     criterion = Criterion(config.prune.criterion) if config.prune else None
-
-    def current_reported() -> int:
-        if plan is not None:
-            return reported_param_count(full_counts, plan.sparsity)
-        return full_counts.total
 
     metrics_file = open(out / "metrics.jsonl", "w")
     timings_file = open(out / "timings.jsonl", "w")
@@ -389,7 +386,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 learning_rate=lr,
                 alive_links=len(fabric.alive_links()),
                 live_params=fabric.live_param_count(),
-                reported_params=current_reported(),
+                reported_params=reported,
                 wall_time=time.perf_counter() - started,
             )
             metrics_file.write(record.to_json() + "\n")
@@ -405,8 +402,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
                     batches = _batched(source, config.batch_size)
                     weight_scores = sensitivity_grads(fabric, batches)
                 report = apply_event(fabric, event, criterion, weight_scores,
-                                     count_cascade=config.prune.count_cascade,
-                                     final_sparsity=plan.sparsity)
+                                     count_cascade=config.prune.count_cascade)
+                report.reported_params = reported
                 prune_file.write(report.to_json() + "\n")
                 if report.link_shortfall or report.weight_shortfall:
                     warnings.warn(
@@ -430,7 +427,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                                                  test_set.clean_labels),
         "alive_links": len(fabric.alive_links()),
         "live_params": fabric.live_param_count(),
-        "reported_params": current_reported(),
+        "reported_params": reported,
         "param_total_baseline": full_counts.total,
     }
     if noise_info is not None:

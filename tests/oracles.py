@@ -175,3 +175,39 @@ def longest_path_exhaustive(edges, start, goal):
 
     dfs(start, 0)
     return best
+
+
+def weight_stage_reference(scores, masks, quota):
+    """The weight stage walked one weight at a time.
+
+    `scores` maps each alive link's index to its per-weight criterion array
+    and `masks` the same index to its current 0/1 mask (None: unmasked).
+    Every unmasked weight joins one ascending ranking, ties kept in (link
+    index, flat position) order. Down that ranking a weight is masked unless
+    it is the last unmasked weight of its link, until `quota` are masked.
+    Returns (masks, masked, skipped, shortfall) with a mask for every link.
+    """
+    candidates = []
+    for index in sorted(scores):
+        flat = np.asarray(scores[index], dtype=np.float64).reshape(-1)
+        mask = masks[index]
+        for pos in range(flat.size):
+            if mask is None or mask.reshape(-1)[pos] != 0.0:
+                candidates.append((float(flat[pos]), index, pos))
+    candidates.sort(key=lambda c: c[0])  # stable
+    new = {index: np.ones(np.shape(scores[index])) if masks[index] is None
+           else np.array(masks[index], dtype=np.float64) for index in scores}
+    unmasked = {index: int(np.count_nonzero(m)) for index, m in new.items()}
+    masked = skipped = 0
+    remaining = quota
+    for _, index, pos in candidates:
+        if remaining <= 0:
+            break
+        if unmasked[index] <= 1:
+            skipped += 1
+            continue
+        new[index].reshape(-1)[pos] = 0.0
+        unmasked[index] -= 1
+        masked += 1
+        remaining -= 1
+    return new, masked, skipped, remaining

@@ -117,6 +117,13 @@ class TestClassNoise:
         with pytest.raises(ValueError):
             validate_transition_matrix(matrix, 3)
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, rate):
+        # a NaN row passes both the sign and the row-sum checks
+        ls = big_uniform_set(10, num_classes=3)
+        with pytest.raises(ValueError, match="finite"):
+            apply_class_noise(ls, uniform_transition_matrix(3, rate), seed=0)
+
     def test_pair_flip_matrix_is_stochastic(self):
         # each class leaks only into its successor (mod 6)
         matrix = 0.75 * np.eye(6) + 0.25 * np.roll(np.eye(6), 1, axis=1)
@@ -220,6 +227,14 @@ class TestSidecar:
         other = label_only_set([2, 1, 0], 3)
         with pytest.raises(ValueError):
             load_noisy_labels(other, path)
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_outside_the_set_rejected(self, tmp_path, index):
+        ls = label_only_set([0, 1, 2], 3)
+        path = tmp_path / "labels.txt"
+        path.write_text(f"0 0 1\n{index} 2 0\n")
+        with pytest.raises(ValueError, match=f"line 2: index {index} is outside"):
+            load_noisy_labels(ls, path)
 
 
 def small_annotator_sets():

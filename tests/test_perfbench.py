@@ -1,4 +1,5 @@
-"""The names perfbench's span tracer rebinds must stay where it looks them up."""
+"""The names perfbench's span tracer rebinds must stay where it looks them up,
+and the hooks it runs on their results must still find what they read."""
 
 import json
 import subprocess
@@ -22,6 +23,8 @@ images = np.random.default_rng(0).random((4, 3, 2, 2)).astype(np.float32)
 logits = fabric.forward(images, mode="train")
 loss = fabricprune.tensor.softmax_cross_entropy(logits, np.array([0, 1, 2, 0]))
 fabricprune.tensor.backward(loss)
+pruning = fabricprune.pruning
+pruning.apply_event(fabric, pruning.PruneEvent(1, 1, 2), pruning.Criterion.MAGNITUDE)
 print(json.dumps(tracer.per_layer()))
 """
 
@@ -36,3 +39,5 @@ def test_traced_training_step_times_conv_forward_and_backward():
         assert metrics[f"tensor.{op}.calls"] > 0, op
         assert metrics[f"tensor.{op}.bwd_s"] > 0, op
     assert metrics["fabric.forward.s"] > 0 and metrics["tensor.backward.s"] > 0
+    assert metrics["pruning.apply_event.calls"] == 1
+    assert metrics["pruning.weights_masked"] > 0

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fabricprune.pruning import (
     Criterion,
     PruneEvent,
     PrunePlan,
+    PruneReport,
     Strategy,
     _links_on_paths,
     apply_event,
@@ -28,6 +30,7 @@ from fabricprune.pruning import (
     score_weight,
     sensitivity_grads,
 )
+from fabricprune.runner import DataConfig, ExperimentConfig, PruneConfig, run_experiment
 from fabricprune.tensor import UsageError, backward, softmax_cross_entropy
 
 from oracles import (
@@ -36,6 +39,7 @@ from oracles import (
     links_on_some_path,
     longest_path_exhaustive,
     path_exists,
+    weight_stage_reference,
 )
 
 
@@ -549,16 +553,21 @@ class TestApplyEvent:
         np.testing.assert_array_equal(np.argsort(scores, kind="stable"),
                                       np.argsort(scaled, kind="stable"))
 
-    def test_report_round_trips_as_json(self):
-        import json
-
-        fabric = tiny_fabric(seed=11)
-        report = apply_event(fabric, PruneEvent(3, 2, 4), Criterion.MAGNITUDE,
-                             final_sparsity=0.5)
-        parsed = json.loads(report.to_json())
-        assert parsed["epoch"] == 3
-        assert parsed["killed_links"] == report.killed_links
-        assert parsed["reported_params"] == report.reported_params
+    def test_report_round_trips_as_json(self, tmp_path):
+        # the runner writes each event's report as a line and stamps the run's
+        # reported parameter count on it
+        config = ExperimentConfig(
+            layers=2, channels=2, input_resolution=4, epochs=2, batch_size=16, seed=11,
+            data=DataConfig(kind="synthetic", classes=3, n_per_class=10, resolution=4,
+                            seed=2),
+            prune=PruneConfig(strategy="early", sparsity=0.5), out_dir=str(tmp_path))
+        summary = run_experiment(config)
+        (line,) = (tmp_path / "prune_events.jsonl").read_text().splitlines()
+        parsed = json.loads(line)
+        assert PruneReport(**parsed).to_json() == line
+        assert parsed["epoch"] == 1 and parsed["killed_links"]
+        assert parsed["reported_params"] == summary["reported_params"] \
+            == reported_param_count(param_breakdown(2, 3, 2, 3), 0.5)
 
 
 class TestReportedParamCount:
@@ -669,3 +678,60 @@ class TestPathRuleProperties:
                 longest_linear_path(fabric)
         else:
             assert longest_linear_path(fabric) == expected
+
+
+@st.composite
+def weight_stage_cases(draw):
+    """A small fabric with drawn dead links, existing masks and (optionally
+    rounded, so tied) weights, plus a criterion, per-weight scores for it
+    and a weight quota from 0 to past the unmasked capacity."""
+    fabric = build_fabric(draw(st.integers(2, 4)), 3, draw(st.integers(1, 2)), 4, 2,
+                          seed=draw(st.integers(0, 2**16)),
+                          dtype=draw(st.sampled_from([np.float32, np.float64])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    keep = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    for link in fabric.links:
+        w = link.conv_weight
+        link.alive = draw(st.booleans())
+        if decimals is not None:
+            w.data[:] = np.round(w.data, decimals)
+        if draw(st.booleans()):
+            w.set_mask((rng.random(w.data.shape) < keep).astype(w.data.dtype))
+    criterion = draw(st.sampled_from(list(Criterion)))
+    weight_scores = None
+    if criterion is Criterion.SENSITIVITY:
+        weight_scores = {}
+        for link in fabric.alive_links():
+            values = np.abs(rng.normal(size=link.conv_weight.data.shape))
+            weight_scores[link.index] = values if decimals is None \
+                else np.round(values, decimals)
+    capacity = sum(l.unmasked_weight_count() for l in fabric.alive_links())
+    return fabric, criterion, weight_scores, draw(st.integers(0, capacity + 3))
+
+
+def mask_or_ones(weight):
+    return np.ones(weight.data.shape) if weight.mask is None else weight.mask.copy()
+
+
+class TestWeightStageProperties:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(weight_stage_cases())
+    def test_rank_and_cut_matches_the_weight_at_a_time_reference(self, case):
+        fabric, criterion, weight_scores, quota = case
+        alive = fabric.alive_links()
+        if criterion is Criterion.SENSITIVITY:
+            scores = {l.index: weight_scores[l.index] for l in alive}
+        else:
+            scores = {l.index: np.abs(l.conv_weight.data) for l in alive}
+        expected = {l.index: mask_or_ones(l.conv_weight) for l in fabric.links}
+        new_masks, masked, skipped, shortfall = weight_stage_reference(
+            scores, {l.index: l.conv_weight.mask for l in alive}, quota)
+        expected.update(new_masks)
+
+        report = apply_event(fabric, PruneEvent(1, 0, quota), criterion, weight_scores)
+        assert (report.masked_weights, report.skipped_weights, report.weight_shortfall) \
+            == (masked, skipped, shortfall)
+        for link in fabric.links:
+            np.testing.assert_array_equal(mask_or_ones(link.conv_weight),
+                                          expected[link.index])

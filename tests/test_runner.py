@@ -4,9 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from fabricprune import runner
 from fabricprune.data import AugmentConfig
-from fabricprune.fabric import load_fabric
-from fabricprune.noise import AnnotatorConfig
+from fabricprune.fabric import build_fabric, load_fabric
+from fabricprune.noise import AnnotatorConfig, AnnotatorInfo, LabeledSet
 from fabricprune.runner import (
     ConfigError,
     DataConfig,
@@ -15,6 +16,7 @@ from fabricprune.runner import (
     PruneConfig,
     TrainingDiverged,
     evaluate_checkpoint,
+    inject_noise,
     lr_at,
     rescale_epochs,
     run_experiment,
@@ -247,3 +249,35 @@ class TestRunExperiment:
                              noise=NoiseConfig(kind="class", rate=0.2, seed=5))
         summary = run_experiment(config)
         assert summary["noise"]["kind"] == "class"
+
+
+class TestInjectNoise:
+    @pytest.mark.parametrize("fraction", [0.3, 0.01])
+    def test_annotator_trains_on_a_seeded_subset_of_the_train_split(self, monkeypatch,
+                                                                      fraction):
+        # item i's images are all i, so a subset's images name its indices
+        n = 60
+        images = np.broadcast_to(np.arange(n, dtype=np.float32)[:, None, None, None],
+                                 (n, 3, 4, 4)).copy()
+        labels = np.arange(n) % 3
+        full = LabeledSet(images, labels.copy(), labels.copy(), 3)
+        train_idx, val_idx = np.arange(20, 60), np.arange(10)
+        annotator = build_fabric(2, 3, 2, 4, 3, seed=0)
+        picked = []
+
+        def fake_train_annotator(train, holdout, epsilon, config):
+            picked.append(train.images[:, 0, 0, 0].astype(int))
+            return annotator, AnnotatorInfo(chosen_epoch=0, holdout_error=0.5,
+                                            hit_band=True)
+
+        monkeypatch.setattr(runner, "train_annotator", fake_train_annotator)
+        for seed in (4, 4, 5):
+            config = NoiseConfig(kind="annotator", annotator_train_fraction=fraction,
+                                 seed=seed)
+            inject_noise(full, train_idx, val_idx, config, None)
+        first, again, other = picked
+        assert first.size == max(2, round(fraction * train_idx.size))
+        assert np.unique(first).size == first.size
+        assert np.isin(first, train_idx).all()
+        np.testing.assert_array_equal(first, again)
+        assert not np.array_equal(first, other)
