@@ -5,10 +5,8 @@ from .data import (
     ImageDataset,
     RecordLayout,
     augment,
-    dominant_object_label,
     load_binary_records,
     make_synthetic,
-    save_binary_records,
 )
 from .fabric import (
     Fabric,

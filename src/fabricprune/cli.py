@@ -24,9 +24,9 @@ from .runner import (
 
 
 def _load_config(path: str) -> ExperimentConfig:
-    """The config at path, once its image sizes fit a fabric (ConfigError if not)."""
+    """The config at path, once ExperimentConfig.check passes (ConfigError if not)."""
     config = ExperimentConfig.from_json(Path(path).read_text())
-    config.check_resolutions()
+    config.check()
     return config
 
 
@@ -103,7 +103,7 @@ def cmd_count_params(args) -> int:
                                   input_resolution=args.resolution,
                                   data=DataConfig(classes=args.classes,
                                                   resolution=args.resolution))
-        config.check_resolutions()
+        config.check()
     classes = config.data.classes
     breakdown = param_breakdown(config.layers, config.scales, config.channels, classes)
     _emit({

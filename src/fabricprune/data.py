@@ -142,27 +142,6 @@ def augment(image: np.ndarray, config: AugmentConfig, seed) -> np.ndarray:
     return normalize(out, config.normalize_mean, config.normalize_std)
 
 
-def dominant_object_label(record) -> int | None:
-    """Label of an annotated image by its dominant object, or None to discard.
-
-    `record` lists (class label, bounding-box area) pairs. A single distinct
-    class wins outright; otherwise the class with the largest summed area
-    wins only if it covers at least twice the runner-up.
-    """
-    if not record:
-        raise ValueError("empty annotation record")
-    areas: dict[int, float] = {}
-    for label, area in record:
-        if area <= 0:
-            raise ValueError(f"object area must be positive, got {area}")
-        areas[label] = areas.get(label, 0.0) + float(area)
-    if len(areas) == 1:
-        return next(iter(areas))
-    ranked = sorted(areas.items(), key=lambda kv: -kv[1])
-    (top_label, top_area), (_, second_area) = ranked[0], ranked[1]
-    return top_label if top_area >= 2.0 * second_area else None
-
-
 @dataclass
 class RecordLayout:
     """Fixed-size records: 1 label byte, then channel-major bytes of 3 channels."""
@@ -197,15 +176,6 @@ def load_binary_records(path, layout: RecordLayout) -> ImageDataset:
     r = layout.resolution
     images = records[:, 1:].reshape(-1, 3, r, r).astype(np.float32) / 255.0
     return ImageDataset(images, labels)
-
-
-def save_binary_records(dataset: ImageDataset, path) -> None:
-    """Inverse of load_binary_records (pixels quantized to bytes)."""
-    pixels = np.clip(np.rint(dataset.images * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        for label, img in zip(dataset.labels, pixels):
-            fh.write(bytes([int(label)]))
-            fh.write(img.tobytes())
 
 
 _DIFFICULTY = {

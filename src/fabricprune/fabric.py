@@ -30,12 +30,14 @@ from .tensor import (
     BatchNormState,
     Parameter,
     Tensor,
+    backward,
     batch_norm,
     concat,
     conv2d,
     linear,
     no_grad,
     relu6,
+    softmax_cross_entropy,
     split,
     upsample_bilinear_x2,
 )
@@ -236,6 +238,19 @@ class Fabric:
         flat = out.reshape((B, self.C))
         return linear(flat, self.head_weight, self.head_bias)
 
+    def loss_backward(self, images: np.ndarray, labels: np.ndarray) -> float:
+        """Train-mode forward, cross entropy and backward over one batch; returns the loss.
+
+        Gradients accumulate, so zeroing them is the caller's job. A non-finite
+        loss raises FloatingPointError before backward runs.
+        """
+        loss = softmax_cross_entropy(self.forward(images, mode="train"), labels)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise FloatingPointError(f"non-finite loss {value}")
+        backward(loss)
+        return value
+
     def predict(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Argmax class indices in eval mode, without recording gradients.
 
@@ -321,6 +336,14 @@ class Fabric:
             weight.mask = state[key].copy() if key in state else None
         for link, alive in zip(self.links, state["alive"]):
             link.alive = bool(alive)
+
+
+def train_batches(order, batch_size: int) -> list:
+    """The consecutive batch_size slices of order, less any slice of one
+    item: train-mode batch norm needs at least 2 samples."""
+    batches = [order[start : start + batch_size]
+               for start in range(0, len(order), batch_size)]
+    return [batch for batch in batches if len(batch) >= 2]
 
 
 def _link_direction(src: NodeId, dst: NodeId) -> Direction:

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import ImageDataset
-from .fabric import Fabric, build_fabric, clone_parameters
-from .tensor import SGD, SgdConfig, backward, softmax_cross_entropy
+from .fabric import Fabric, build_fabric, clone_parameters, train_batches
+from .tensor import SGD, SgdConfig
 
 
 @dataclass
@@ -134,18 +134,6 @@ class AnnotatorInfo:
     error_curve: list[float] = field(default_factory=list)
 
 
-def _sgd_epoch(fabric: Fabric, images, labels, optimizer: SGD, batch_size: int, rng) -> None:
-    order = rng.permutation(images.shape[0])
-    for start in range(0, order.size, batch_size):
-        batch = order[start : start + batch_size]
-        if batch.size < 2:
-            continue  # train-mode batch norm needs at least 2 samples
-        optimizer.zero_grad()
-        logits = fabric.forward(images[batch], mode="train")
-        backward(softmax_cross_entropy(logits, labels[batch]))
-        optimizer.step()
-
-
 def train_annotator(train_set: LabeledSet, holdout: LabeledSet, epsilon: float,
                     config: AnnotatorConfig) -> tuple[Fabric, AnnotatorInfo]:
     """Train a small fabric until its held-out error lands near epsilon.
@@ -176,8 +164,10 @@ def train_annotator(train_set: LabeledSet, holdout: LabeledSet, epsilon: float,
     hit = False
     for epoch in range(config.max_epochs + 1):
         if epoch > 0:
-            _sgd_epoch(fabric, train_set.images, train_set.given_labels, optimizer,
-                       config.batch_size, rng)
+            for batch in train_batches(rng.permutation(len(train_set)), config.batch_size):
+                optimizer.zero_grad()
+                fabric.loss_backward(train_set.images[batch], train_set.given_labels[batch])
+                optimizer.step()
         error = classification_error(fabric, holdout.images, holdout.given_labels)
         curve.append(error)
         if abs(error - epsilon) < abs(best_error - epsilon):
@@ -244,18 +234,24 @@ def save_noisy_labels(labeled: LabeledSet, path) -> None:
 
 
 def load_noisy_labels(labeled: LabeledSet, path) -> LabeledSet:
-    """Re-apply a saved noisy labeling to the same set (clean labels checked)."""
+    """Re-apply a sidecar of one line per index to the same set (clean labels checked)."""
     given = labeled.given_labels.copy()
+    seen = np.zeros(len(labeled), dtype=bool)
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             index, clean, noisy = (int(v) for v in line.split())
             if not 0 <= index < len(labeled):
                 raise ValueError(f"sidecar line {number}: index {index} is outside "
                                  f"[0, {len(labeled)})")
+            if seen[index]:
+                raise ValueError(f"sidecar line {number}: index {index} is repeated")
+            seen[index] = True
             if labeled.clean_labels[index] != clean:
                 raise ValueError(
                     f"sidecar clean label {clean} at index {index} does not match "
                     f"the set ({labeled.clean_labels[index]})")
             given[index] = noisy
+    if not seen.all():
+        raise ValueError(f"sidecar has no line for index {int(np.argmin(seen))}")
     return LabeledSet(labeled.images, labeled.clean_labels.copy(), given,
                       labeled.num_classes)

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fabric import Fabric, Link, clone_parameters, longest_linear_path
-from .tensor import UsageError, backward, softmax_cross_entropy
+from .tensor import UsageError
 
 
 class Criterion(enum.Enum):
@@ -69,33 +69,33 @@ def sensitivity_grads(fabric: Fabric, batches) -> dict[int, np.ndarray]:
     """Average |w * dL/dw| per conv weight over one pass through a source.
 
     The source yields (images, labels) batches. The fabric is left
-    untouched: no optimizer step runs, gradients are zeroed afterwards and
-    its state, batch-norm running statistics included, is restored from a
-    snapshot taken before the pass.
+    untouched, even by a pass that raises: no optimizer step runs, gradients
+    are zeroed afterwards and its state, batch-norm running statistics
+    included, is restored from a snapshot taken before the pass.
     """
     snapshot = clone_parameters(fabric)
     totals: dict[int, np.ndarray] = {}
     count = 0
     params = fabric.parameters()
-    for images, labels in batches:
+    try:
+        for images, labels in batches:
+            for p in params:
+                p.zero_grad()
+            fabric.loss_backward(images, labels)
+            for link in fabric.alive_links():
+                w = link.conv_weight
+                contribution = score_weight(Criterion.SENSITIVITY, w.data, w.grad)
+                if link.index in totals:
+                    totals[link.index] += contribution
+                else:
+                    totals[link.index] = contribution.astype(np.float64)
+            count += 1
+    finally:
         for p in params:
             p.zero_grad()
-        loss = softmax_cross_entropy(fabric.forward(images, mode="train"), labels)
-        backward(loss)
-        for link in fabric.alive_links():
-            w = link.conv_weight
-            contribution = score_weight(Criterion.SENSITIVITY, w.data, w.grad)
-            if link.index in totals:
-                totals[link.index] += contribution
-            else:
-                totals[link.index] = contribution.astype(np.float64)
-        count += 1
+        fabric.load_state(snapshot)
     if count == 0:
         raise UsageError("sensitivity gradients need a non-empty source")
-
-    for p in params:
-        p.zero_grad()
-    fabric.load_state(snapshot)
     return {index: total / count for index, total in totals.items()}
 
 

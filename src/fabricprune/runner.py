@@ -41,6 +41,7 @@ from .fabric import (
     export_dot,
     param_breakdown,
     save_fabric,
+    train_batches,
 )
 from .noise import (
     AnnotatorConfig,
@@ -64,7 +65,7 @@ from .pruning import (
     rescale_plan,
     sensitivity_grads,
 )
-from .tensor import SGD, SgdConfig, backward, softmax_cross_entropy
+from .tensor import SGD, SgdConfig
 
 RECIPE_EPOCHS = 200
 RECIPE_LR_MILESTONES = (80, 120)
@@ -75,8 +76,8 @@ class TrainingDiverged(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A config section that is not an object, a key no field matches, or an
-    image size the fabric cannot take."""
+    """A config section that is not an object, a key no field matches, an
+    image size the fabric cannot take, or a batch size below 2."""
 
 
 def _checked_section(cls, raw, path: str) -> dict:
@@ -154,8 +155,8 @@ class ExperimentConfig:
     def scales(self) -> int:
         return int(math.log2(self.input_resolution)) + 1
 
-    def check_resolutions(self) -> None:
-        """Raise ConfigError naming the field whose image size the fabric cannot take."""
+    def check(self) -> None:
+        """Raise ConfigError naming a field whose image or batch size the fabric cannot take."""
         r = self.input_resolution
         if not isinstance(r, int) or r < 2 or r & (r - 1):
             raise ConfigError(f"input_resolution must be a power of two >= 2, got {r!r}")
@@ -165,6 +166,12 @@ class ExperimentConfig:
         if self.augment is not None and self.augment.crop_size != r:
             raise ConfigError(f"augment.crop_size {self.augment.crop_size} differs from "
                               f"input_resolution {r}")
+        sizes = {"batch_size": self.batch_size}
+        if self.noise is not None:
+            sizes["noise.annotator.batch_size"] = self.noise.annotator.batch_size
+        for name, size in sizes.items():
+            if not isinstance(size, int) or size < 2:
+                raise ConfigError(f"{name} must be an int >= 2, got {size!r}")
 
     def resolved_milestones(self) -> list[int]:
         if self.lr_milestones is not None:
@@ -304,9 +311,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Train (and optionally prune) one fabric end to end; returns a summary.
 
     Raises ValueError naming the field, before anything is written, when the
-    image sizes disagree (a ConfigError) or a split is empty.
+    config fails ExperimentConfig.check (a ConfigError) or a split is empty.
     """
-    config.check_resolutions()
+    config.check()
     dataset, (train_idx, val_idx, test_idx) = load_split_dataset(config.data)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -354,27 +361,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
             order = np.random.default_rng([config.seed, 101, epoch]).permutation(
                 len(train_set))
             losses = []
-            for batch_index, start in enumerate(range(0, order.size, config.batch_size)):
-                batch = order[start : start + config.batch_size]
-                if batch.size < 2:
-                    continue  # train-mode batch norm needs >= 2 samples
+            for batch_index, batch in enumerate(train_batches(order, config.batch_size)):
                 images = _augmented_batch(train_set.images[batch], config.augment,
                                           (config.seed, 202, epoch, batch_index))
                 optimizer.zero_grad()
-                logits = fabric.forward(images, mode="train")
-                loss = softmax_cross_entropy(logits, train_set.given_labels[batch])
-                loss_value = loss.item()
-                if not np.isfinite(loss_value):
-                    raise TrainingDiverged(
-                        f"non-finite loss {loss_value} at epoch {epoch}, "
-                        f"batch {batch_index} (lr={lr})")
-                backward(loss)
                 try:
+                    losses.append(fabric.loss_backward(images, train_set.given_labels[batch]))
                     optimizer.step()
                 except FloatingPointError as exc:
                     raise TrainingDiverged(f"{exc} at epoch {epoch}, batch {batch_index} "
                                            f"(lr={lr})") from exc
-                losses.append(loss_value)
 
             record = EpochRecord(
                 epoch=epoch,
@@ -399,7 +395,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 if criterion is Criterion.SENSITIVITY:
                     source = {"validation": val_set, "test": test_set,
                               "train": train_set}[config.prune.gradient_source]
-                    batches = _batched(source, config.batch_size)
+                    batches = [(source.images[b], source.given_labels[b])
+                               for b in train_batches(np.arange(len(source)), config.batch_size)]
                     weight_scores = sensitivity_grads(fabric, batches)
                 report = apply_event(fabric, event, criterion, weight_scores,
                                      count_cascade=config.prune.count_cascade)
@@ -438,16 +435,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         (out / "fitting.json").write_text(json.dumps(summary["fitting"], indent=2))
     (out / "report.json").write_text(json.dumps(summary, indent=2))
     return summary
-
-
-def _batched(labeled: LabeledSet, batch_size: int):
-    batches = []
-    for start in range(0, len(labeled), batch_size):
-        images = labeled.images[start : start + batch_size]
-        labels = labeled.given_labels[start : start + batch_size]
-        if images.shape[0] >= 2:
-            batches.append((images, labels))
-    return batches
 
 
 def evaluate_checkpoint(fabric: Fabric, config: ExperimentConfig,

@@ -211,3 +211,17 @@ def weight_stage_reference(scores, masks, quota):
         masked += 1
         remaining -= 1
     return new, masked, skipped, remaining
+
+
+def train_batches_reference(order, batch_size):
+    """(batch index, batch) pairs of one training epoch, walked slice by slice.
+
+    A slice of fewer than 2 items is skipped, since train-mode batch norm
+    needs 2 samples; the index counts every slice, kept or skipped.
+    """
+    kept = []
+    for batch_index, start in enumerate(range(0, order.size, batch_size)):
+        batch = order[start : start + batch_size]
+        if batch.size >= 2:
+            kept.append((batch_index, batch))
+    return kept

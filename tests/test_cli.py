@@ -163,6 +163,21 @@ class TestConfigErrors:
         assert message in captured.err
         assert not out_dir.exists() and not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["train", "inject-noise"])
+    @pytest.mark.parametrize("field", ["batch_size", "noise.annotator.batch_size"])
+    def test_batch_size_below_two_fails_before_any_output(self, capsys, tmp_path, command,
+                                                           field):
+        path, config = write_config(tmp_path, noise=NoiseConfig(kind="annotator"))
+        raw = config.to_dict()
+        (raw["noise"]["annotator"] if field.startswith("noise.") else raw)["batch_size"] = 1
+        path.write_text(json.dumps(raw))
+        out_dir = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field} must be an int >= 2, got 1" in captured.err
+        assert not out_dir.exists() and not (tmp_path / "run").exists()
+
     def test_count_params_resolution_flag_checked(self, capsys):
         assert main(["count-params", "--resolution", "24"]) == 2
         captured = capsys.readouterr()

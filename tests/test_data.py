@@ -7,13 +7,11 @@ from fabricprune.data import (
     ImageDataset,
     RecordLayout,
     augment,
-    dominant_object_label,
     horizontal_flip,
     load_binary_records,
     make_synthetic,
     normalize,
     resize_bilinear,
-    save_binary_records,
     save_split_manifest,
     stratified_split_indices,
 )
@@ -127,52 +125,14 @@ class TestAugment:
             AugmentConfig(resize=16, crop_size=20)
 
 
-class TestDominantObject:
-    def test_single_object(self):
-        assert dominant_object_label([(7, 120.0)]) == 7
-
-    def test_many_objects_same_class(self):
-        assert dominant_object_label([(2, 10.0), (2, 5.0), (2, 1.0)]) == 2
-
-    def test_twice_as_big_kept(self):
-        assert dominant_object_label([(0, 100.0), (1, 40.0)]) == 0
-
-    def test_not_twice_as_big_discarded(self):
-        assert dominant_object_label([(0, 100.0), (1, 60.0)]) is None
-
-    def test_exactly_twice_kept(self):
-        assert dominant_object_label([(3, 80.0), (4, 40.0)]) == 3
-
-    def test_areas_summed_per_class(self):
-        # class 1 totals 90, class 0 totals 100: 100 < 180 so discard
-        assert dominant_object_label([(0, 100.0), (1, 45.0), (1, 45.0)]) is None
-        # class 0 totals 200 via two boxes, class 1 is 90: keep 0
-        assert dominant_object_label([(0, 150.0), (0, 50.0), (1, 90.0)]) == 0
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(5)
-        record = [(0, 30.0), (1, 10.0), (0, 40.0), (2, 12.0)]
-        expected = dominant_object_label(record)
-        for _ in range(10):
-            shuffled = [record[i] for i in rng.permutation(len(record))]
-            assert dominant_object_label(shuffled) == expected
-
-    def test_empty_record_rejected(self):
-        with pytest.raises(ValueError):
-            dominant_object_label([])
-
-    def test_nonpositive_area_rejected(self):
-        with pytest.raises(ValueError):
-            dominant_object_label([(0, 0.0)])
-
-
 class TestBinaryRecords:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         images = (rng.integers(0, 256, (2, 3, 4, 4)) / 255.0).astype(np.float32)
         ds = ImageDataset(images, np.array([1, 0]), ["a", "b"])
         path = tmp_path / "records.bin"
-        save_binary_records(ds, path)
+        pixels = np.rint(images * 255.0).astype(np.uint8).reshape(2, -1)
+        path.write_bytes(np.hstack([ds.labels.astype(np.uint8)[:, None], pixels]).tobytes())
         loaded = load_binary_records(path, RecordLayout(resolution=4))
         np.testing.assert_allclose(loaded.images, ds.images, atol=1 / 255.0 / 2)
         np.testing.assert_array_equal(loaded.labels, ds.labels)

@@ -20,6 +20,7 @@ from fabricprune.fabric import (
     per_link_param_count,
     save_fabric,
     stem_param_count,
+    train_batches,
 )
 from fabricprune.tensor import (
     SGD,
@@ -34,7 +35,13 @@ from fabricprune.tensor import (
     upsample_bilinear_x2,
 )
 
-from oracles import bilinear_x2_reference, longest_path_exhaustive, naive_conv2d, path_exists
+from oracles import (
+    bilinear_x2_reference,
+    longest_path_exhaustive,
+    naive_conv2d,
+    path_exists,
+    train_batches_reference,
+)
 
 
 def enumerate_grid_edges(layers, scales):
@@ -642,3 +649,15 @@ class TestPredict:
         images[3] = np.nan
         with pytest.raises(FabricError, match="2..3"):
             fabric.predict(images, batch_size=2)
+
+
+class TestTrainBatches:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(0, 300), st.integers(2, 70))
+    def test_matches_the_slice_by_slice_reference(self, n, batch_size):
+        # the batch index seeds augmentation, so it must match too
+        expected = train_batches_reference(np.arange(n), batch_size)
+        got = list(enumerate(train_batches(np.arange(n), batch_size)))
+        assert [index for index, _ in got] == [index for index, _ in expected]
+        for (_, batch), (_, reference) in zip(got, expected):
+            np.testing.assert_array_equal(batch, reference)

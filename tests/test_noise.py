@@ -236,6 +236,20 @@ class TestSidecar:
         with pytest.raises(ValueError, match=f"line 2: index {index} is outside"):
             load_noisy_labels(ls, path)
 
+    def test_repeated_index_rejected(self, tmp_path):
+        ls = label_only_set([0, 1, 2], 3)
+        path = tmp_path / "labels.txt"
+        path.write_text("0 0 1\n1 1 1\n1 1 0\n2 2 2\n")
+        with pytest.raises(ValueError, match="line 3: index 1 is repeated"):
+            load_noisy_labels(ls, path)
+
+    def test_missing_index_rejected(self, tmp_path):
+        ls = label_only_set([0, 1, 2, 0], 3)
+        path = tmp_path / "labels.txt"
+        path.write_text("0 0 1\n2 2 2\n")
+        with pytest.raises(ValueError, match="no line for index 1$"):
+            load_noisy_labels(ls, path)
+
 
 def small_annotator_sets():
     dataset = make_synthetic(3, 40, 8, seed=20, difficulty="medium")

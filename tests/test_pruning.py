@@ -153,6 +153,19 @@ class TestSensitivityGrads:
         with pytest.raises(UsageError):
             sensitivity_grads(tiny_fabric(), [])
 
+    def test_nan_images_raise_and_leave_the_fabric_untouched(self):
+        fabric = tiny_fabric(seed=9)
+        images, labels = _batch(fabric, np.random.default_rng(4))
+        images[0, 0, 0, 0] = np.nan
+        before = clone_parameters(fabric)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite loss"):
+            sensitivity_grads(fabric, [_batch(fabric, np.random.default_rng(5)),
+                                       (images, labels)])
+        for key, value in before.items():
+            np.testing.assert_array_equal(fabric.state()[key], value, err_msg=key)
+        assert all(not p.grad.any() for p in fabric.parameters())
+
     def test_matches_finite_difference_oracle(self):
         fabric = tiny_fabric(seed=8, dtype=np.float64)
         images, labels = _batch(fabric, np.random.default_rng(3))

@@ -137,6 +137,19 @@ class TestRunExperiment:
             run_experiment(config)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("overrides,field", [
+        (dict(batch_size=1), "batch_size"),
+        (dict(batch_size=0), "batch_size"),
+        (dict(noise=NoiseConfig(kind="annotator", annotator=AnnotatorConfig(batch_size=1))),
+         "noise.annotator.batch_size"),
+    ], ids=["one", "zero", "annotator"])
+    def test_batch_size_below_two_rejected_before_any_output(self, tmp_path, overrides, field):
+        # a batch of one sample is skipped, so such a run would train nothing
+        config = tiny_config(tmp_path / "run", **overrides)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be an int >= 2"):
+            run_experiment(config)
+        assert not (tmp_path / "run").exists()
+
     def test_zero_epochs_writes_baseline_artifacts(self, tmp_path):
         config = tiny_config(tmp_path / "run", epochs=0)
         summary = run_experiment(config)
