@@ -22,7 +22,6 @@ from .fabric import (
 from .noise import (
     AnnotatorConfig,
     FittingReport,
-    LabeledSet,
     apply_class_noise,
     apply_uniform_noise,
     fitting_report,

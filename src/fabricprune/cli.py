@@ -8,8 +8,8 @@ import sys
 from pathlib import Path
 
 from .fabric import build_fabric, export_dot, load_fabric, param_breakdown
-from .noise import LabeledSet, fitting_report, load_noisy_labels
-from .pruning import Strategy, build_plan, reported_param_count
+from .noise import fitting_report, load_noisy_labels
+from .pruning import reported_param_count
 from .runner import (
     ConfigError,
     DataConfig,
@@ -76,7 +76,7 @@ def cmd_prune_plan(args) -> int:
     fabric = build_fabric(config.layers, config.scales, config.channels,
                           config.input_resolution, config.data.classes,
                           seed=config.seed)
-    plan = build_plan(Strategy(config.prune.strategy), config.prune.sparsity, fabric)
+    plan = config.prune_plan(fabric)
     full = param_breakdown(config.layers, config.scales, config.channels,
                            config.data.classes)
     _emit({
@@ -138,8 +138,7 @@ def cmd_inject_noise(args) -> int:
     dataset, (train_idx, val_idx, _) = load_split_dataset(config.data)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, info = inject_noise(LabeledSet.from_dataset(dataset), train_idx, val_idx,
-                           config.noise, out_dir)
+    _, info = inject_noise(dataset, train_idx, val_idx, config.noise, out_dir)
     _emit(info)
     return 0
 
@@ -155,7 +154,7 @@ def cmd_fitting_report(args) -> int:
     config = _load_config(args.config)
     fabric = load_fabric(args.checkpoint)
     dataset, (_, _, test_idx) = load_split_dataset(config.data)
-    full = load_noisy_labels(LabeledSet.from_dataset(dataset), args.labels)
+    full = load_noisy_labels(dataset, args.labels)
     test_set = full.subset(test_idx)
     predictions = fabric.predict(test_set.images)
     _emit(fitting_report(predictions, test_set).to_dict())
@@ -183,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(train)
     train.set_defaults(handler=cmd_train)
 
-    plan = sub.add_parser("prune-plan", help="print the pruning schedule (dry run)")
+    plan = sub.add_parser("prune-plan", help="print the run's pruning schedule (dry run)")
     add_common(plan)
     plan.set_defaults(handler=cmd_prune_plan)
 

@@ -8,7 +8,7 @@ class proportions of the whole; all randomness is seeded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,29 +21,35 @@ class FormatError(ValueError):
 
 @dataclass
 class ImageDataset:
+    """Images with their true labels and the labels a model gets to see."""
+
     images: np.ndarray  # (N, 3, R, R) float32 in [0, 1]
-    labels: np.ndarray  # (N,) int64
-    class_names: list[str] = field(default_factory=list)
+    labels: np.ndarray  # (N,) int64, the true labels
+    num_classes: int
+    given_labels: np.ndarray | None = None  # (N,) int64; None: a copy of labels
 
     def __post_init__(self):
-        if self.images.shape[0] == 0:
+        n = self.images.shape[0]
+        if n == 0:
             raise ValueError("dataset must contain at least one item")
-        if self.images.shape[0] != self.labels.shape[0]:
-            raise ValueError("images and labels misaligned")
+        if self.given_labels is None:
+            self.given_labels = self.labels.copy()
+        if self.labels.shape != (n,) or self.given_labels.shape != (n,):
+            raise ValueError("labels misaligned with items")
+        for labels in (self.labels, self.given_labels):
+            if labels.min() < 0 or labels.max() >= self.num_classes:
+                raise ValueError(f"label outside [0, {self.num_classes})")
 
     def __len__(self):
         return self.images.shape[0]
 
     @property
-    def num_classes(self) -> int:
-        return len(self.class_names) if self.class_names else int(self.labels.max()) + 1
-
-    @property
-    def resolution(self) -> int:
-        return self.images.shape[2]
+    def noise_rate(self) -> float:
+        return float((self.labels != self.given_labels).mean())
 
     def subset(self, indices) -> "ImageDataset":
-        return ImageDataset(self.images[indices], self.labels[indices], self.class_names)
+        return replace(self, images=self.images[indices], labels=self.labels[indices],
+                       given_labels=self.given_labels[indices])
 
 
 def stratified_split_indices(labels: np.ndarray, fractions, seed: int) -> list[np.ndarray]:
@@ -175,7 +181,9 @@ def load_binary_records(path, layout: RecordLayout) -> ImageDataset:
                 f"[0, {layout.num_classes})")
     r = layout.resolution
     images = records[:, 1:].reshape(-1, 3, r, r).astype(np.float32) / 255.0
-    return ImageDataset(images, labels)
+    num_classes = layout.num_classes if layout.num_classes is not None \
+        else int(labels.max()) + 1
+    return ImageDataset(images, labels, num_classes)
 
 
 _DIFFICULTY = {
@@ -237,5 +245,4 @@ def make_synthetic(classes: int, n_per_class: int, resolution: int, seed: int = 
             images[row] = np.clip(img, 0.0, 1.0)
             labels[row] = cls
             row += 1
-    names = [f"class_{c}" for c in range(classes)]
-    return ImageDataset(images, labels, names)
+    return ImageDataset(images, labels, classes)

@@ -3,14 +3,14 @@
 Three corruption processes: uniformly random flips, class-dependent flips
 through a row-stochastic transition matrix, and class-and-feature-dependent
 relabeling by an artificial annotator (a small fabric classifier trained
-until its held-out error lands near a target rate). Clean labels are always
-preserved alongside the given ones, which is what makes the clean/noisy
-fitting fractions computable afterwards.
+until its held-out error lands near a target rate). Each corrupts only an
+ImageDataset's given labels and keeps its true ones, which is what makes the
+clean/noisy fitting fractions computable afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -19,55 +19,20 @@ from .fabric import Fabric, build_fabric, clone_parameters, train_batches
 from .tensor import SGD, SgdConfig
 
 
-@dataclass
-class LabeledSet:
-    """Images with both their true labels and the labels a model gets to see."""
-
-    images: np.ndarray
-    clean_labels: np.ndarray
-    given_labels: np.ndarray
-    num_classes: int
-
-    def __post_init__(self):
-        n = self.images.shape[0]
-        if self.clean_labels.shape != (n,) or self.given_labels.shape != (n,):
-            raise ValueError("labels misaligned with items")
-        for labels in (self.clean_labels, self.given_labels):
-            if labels.min() < 0 or labels.max() >= self.num_classes:
-                raise ValueError(f"label outside [0, {self.num_classes})")
-
-    def __len__(self):
-        return self.images.shape[0]
-
-    @classmethod
-    def from_dataset(cls, dataset: ImageDataset) -> "LabeledSet":
-        return cls(dataset.images, dataset.labels.copy(), dataset.labels.copy(),
-                   dataset.num_classes)
-
-    @property
-    def noise_rate(self) -> float:
-        return float((self.clean_labels != self.given_labels).mean())
-
-    def subset(self, indices) -> "LabeledSet":
-        return LabeledSet(self.images[indices], self.clean_labels[indices],
-                          self.given_labels[indices], self.num_classes)
-
-
-def apply_uniform_noise(labeled: LabeledSet, p: float, seed: int) -> LabeledSet:
+def apply_uniform_noise(labeled: ImageDataset, p: float, seed: int) -> ImageDataset:
     """Flip each label with probability p, uniformly into another class."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"flip probability must be in [0, 1], got {p}")
     if labeled.num_classes < 2 and p > 0.0:
         raise ValueError("cannot flip labels with fewer than 2 classes")
-    given = labeled.clean_labels.copy()
+    given = labeled.labels.copy()
     if p > 0.0:
         rng = np.random.default_rng(seed)
         n = len(labeled)
         flips = rng.random(n) < p
         offsets = rng.integers(1, labeled.num_classes, size=n)
         given[flips] = (given[flips] + offsets[flips]) % labeled.num_classes
-    return LabeledSet(labeled.images, labeled.clean_labels.copy(), given,
-                      labeled.num_classes)
+    return replace(labeled, given_labels=given)
 
 
 def validate_transition_matrix(matrix: np.ndarray, num_classes: int) -> None:
@@ -89,17 +54,17 @@ def uniform_transition_matrix(num_classes: int, p: float) -> np.ndarray:
     return matrix
 
 
-def apply_class_noise(labeled: LabeledSet, transition: np.ndarray, seed: int) -> LabeledSet:
+def apply_class_noise(labeled: ImageDataset, transition: np.ndarray,
+                      seed: int) -> ImageDataset:
     """Sample each given label from the transition row of its clean label."""
     transition = np.asarray(transition, dtype=np.float64)
     validate_transition_matrix(transition, labeled.num_classes)
     rng = np.random.default_rng(seed)
-    cumulative = np.cumsum(transition[labeled.clean_labels], axis=1)
+    cumulative = np.cumsum(transition[labeled.labels], axis=1)
     draws = rng.random(len(labeled))
     given = (draws[:, None] >= cumulative).sum(axis=1)
-    given = np.minimum(given, labeled.num_classes - 1).astype(labeled.clean_labels.dtype)
-    return LabeledSet(labeled.images, labeled.clean_labels.copy(), given,
-                      labeled.num_classes)
+    given = np.minimum(given, labeled.num_classes - 1).astype(labeled.labels.dtype)
+    return replace(labeled, given_labels=given)
 
 
 def classification_error(fabric: Fabric, images: np.ndarray, labels: np.ndarray) -> float:
@@ -134,7 +99,7 @@ class AnnotatorInfo:
     error_curve: list[float] = field(default_factory=list)
 
 
-def train_annotator(train_set: LabeledSet, holdout: LabeledSet, epsilon: float,
+def train_annotator(train_set: ImageDataset, holdout: ImageDataset, epsilon: float,
                     config: AnnotatorConfig) -> tuple[Fabric, AnnotatorInfo]:
     """Train a small fabric until its held-out error lands near epsilon.
 
@@ -147,6 +112,8 @@ def train_annotator(train_set: LabeledSet, holdout: LabeledSet, epsilon: float,
     if not 0.0 < epsilon < 1.0 - 1.0 / num_classes:
         raise ValueError(
             f"epsilon must be in (0, {1.0 - 1.0 / num_classes:.3f}) for {num_classes} classes")
+    if config.batch_size < 2:  # train_batches drops every batch of one item
+        raise ValueError(f"batch_size must be >= 2, got {config.batch_size}")
 
     resolution = train_set.images.shape[2]
     scales = int(np.log2(resolution)) + 1
@@ -183,11 +150,10 @@ def train_annotator(train_set: LabeledSet, holdout: LabeledSet, epsilon: float,
                                  hit_band=hit, error_curve=curve)
 
 
-def relabel_with_annotator(labeled: LabeledSet, annotator: Fabric) -> LabeledSet:
+def relabel_with_annotator(labeled: ImageDataset, annotator: Fabric) -> ImageDataset:
     """Replace given labels with the annotator's predictions (pure inference)."""
-    predictions = annotator.predict(labeled.images).astype(labeled.clean_labels.dtype)
-    return LabeledSet(labeled.images, labeled.clean_labels.copy(), predictions,
-                      labeled.num_classes)
+    predictions = annotator.predict(labeled.images).astype(labeled.labels.dtype)
+    return replace(labeled, given_labels=predictions)
 
 
 @dataclass
@@ -209,31 +175,31 @@ class FittingReport:
         return asdict(self)
 
 
-def fitting_report(predictions: np.ndarray, labeled: LabeledSet) -> FittingReport:
+def fitting_report(predictions: np.ndarray, labeled: ImageDataset) -> FittingReport:
     predictions = np.asarray(predictions)
-    if predictions.shape != labeled.clean_labels.shape:
+    if predictions.shape != labeled.labels.shape:
         raise ValueError("predictions misaligned with the set")
-    clean = labeled.clean_labels == labeled.given_labels
+    clean = labeled.labels == labeled.given_labels
     noisy = ~clean
     clean_count = int(clean.sum())
     noisy_count = int(noisy.sum())
     clean_fitting = None
     noisy_fitting = None
     if clean_count:
-        clean_fitting = float((predictions[clean] == labeled.clean_labels[clean]).mean())
+        clean_fitting = float((predictions[clean] == labeled.labels[clean]).mean())
     if noisy_count:
         noisy_fitting = float((predictions[noisy] == labeled.given_labels[noisy]).mean())
     return FittingReport(clean_fitting, noisy_fitting, clean_count, noisy_count)
 
 
-def save_noisy_labels(labeled: LabeledSet, path) -> None:
+def save_noisy_labels(labeled: ImageDataset, path) -> None:
     """Order-stable sidecar: one `index clean given` line per item."""
     with open(path, "w") as fh:
         for index in range(len(labeled)):
-            fh.write(f"{index} {labeled.clean_labels[index]} {labeled.given_labels[index]}\n")
+            fh.write(f"{index} {labeled.labels[index]} {labeled.given_labels[index]}\n")
 
 
-def load_noisy_labels(labeled: LabeledSet, path) -> LabeledSet:
+def load_noisy_labels(labeled: ImageDataset, path) -> ImageDataset:
     """Re-apply a sidecar of one line per index to the same set (clean labels checked)."""
     given = labeled.given_labels.copy()
     seen = np.zeros(len(labeled), dtype=bool)
@@ -246,12 +212,11 @@ def load_noisy_labels(labeled: LabeledSet, path) -> LabeledSet:
             if seen[index]:
                 raise ValueError(f"sidecar line {number}: index {index} is repeated")
             seen[index] = True
-            if labeled.clean_labels[index] != clean:
+            if labeled.labels[index] != clean:
                 raise ValueError(
                     f"sidecar clean label {clean} at index {index} does not match "
-                    f"the set ({labeled.clean_labels[index]})")
+                    f"the set ({labeled.labels[index]})")
             given[index] = noisy
     if not seen.all():
         raise ValueError(f"sidecar has no line for index {int(np.argmin(seen))}")
-    return LabeledSet(labeled.images, labeled.clean_labels.copy(), given,
-                      labeled.num_classes)
+    return replace(labeled, given_labels=given)

@@ -247,7 +247,6 @@ class PruneReport:
     weight_shortfall: int = 0
     alive_links: int = 0
     live_params: int = 0
-    reported_params: int = 0  # the run's accounting figure, set by the runner
 
     @property
     def links_removed(self) -> int:

@@ -45,7 +45,6 @@ from .fabric import (
 )
 from .noise import (
     AnnotatorConfig,
-    LabeledSet,
     apply_class_noise,
     apply_uniform_noise,
     classification_error,
@@ -57,6 +56,7 @@ from .noise import (
 )
 from .pruning import (
     Criterion,
+    PrunePlan,
     Strategy,
     apply_event,
     build_plan,
@@ -173,6 +173,11 @@ class ExperimentConfig:
             if not isinstance(size, int) or size < 2:
                 raise ConfigError(f"{name} must be an int >= 2, got {size!r}")
 
+    def prune_plan(self, fabric: Fabric) -> PrunePlan:
+        """The prune section's schedule for fabric, rescaled to this run's epochs."""
+        plan = build_plan(Strategy(self.prune.strategy), self.prune.sparsity, fabric)
+        return rescale_plan(plan, RECIPE_EPOCHS, self.epochs)
+
     def resolved_milestones(self) -> list[int]:
         if self.lr_milestones is not None:
             return list(self.lr_milestones)
@@ -223,7 +228,6 @@ class EpochRecord:
     learning_rate: float
     alive_links: int
     live_params: int
-    reported_params: int
     wall_time: float  # kept out of metrics.jsonl so reruns stay byte-identical
 
     def to_json(self) -> str:
@@ -263,7 +267,7 @@ def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[np.ndarray]
     return dataset, indices
 
 
-def inject_noise(full: LabeledSet, train_idx, val_idx, config: NoiseConfig,
+def inject_noise(full: ImageDataset, train_idx, val_idx, config: NoiseConfig,
                  out_dir: Path | None):
     """Corrupt the given labels of the whole dataset, pre-split."""
     info: dict = {"kind": config.kind}
@@ -321,13 +325,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     (out / "config.hash").write_text(config.hash() + "\n")
     save_split_manifest([train_idx, val_idx, test_idx], out / "splits.txt")
 
-    full = LabeledSet.from_dataset(dataset)
     noise_info = None
     if config.noise is not None:
-        full, noise_info = inject_noise(full, train_idx, val_idx, config.noise, out)
-    train_set = full.subset(train_idx)
-    val_set = full.subset(val_idx)
-    test_set = full.subset(test_idx)
+        dataset, noise_info = inject_noise(dataset, train_idx, val_idx, config.noise, out)
+    train_set = dataset.subset(train_idx)
+    val_set = dataset.subset(val_idx)
+    test_set = dataset.subset(test_idx)
 
     fabric = build_fabric(config.layers, config.scales, config.channels,
                           config.input_resolution, dataset.num_classes,
@@ -336,11 +339,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
                                   dataset.num_classes)
     reported = full_counts.total
 
-    plan = None
     events_by_epoch = {}
     if config.prune is not None:
-        plan = build_plan(Strategy(config.prune.strategy), config.prune.sparsity, fabric)
-        plan = rescale_plan(plan, RECIPE_EPOCHS, config.epochs)
+        plan = config.prune_plan(fabric)
         events_by_epoch = {event.epoch: event for event in plan.events}
         reported = reported_param_count(full_counts, plan.sparsity)
 
@@ -378,11 +379,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 val_error=classification_error(fabric, val_set.images,
                                                val_set.given_labels),
                 test_error=classification_error(fabric, test_set.images,
-                                                test_set.clean_labels),
+                                                test_set.labels),
                 learning_rate=lr,
                 alive_links=len(fabric.alive_links()),
                 live_params=fabric.live_param_count(),
-                reported_params=reported,
                 wall_time=time.perf_counter() - started,
             )
             metrics_file.write(record.to_json() + "\n")
@@ -400,7 +400,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
                     weight_scores = sensitivity_grads(fabric, batches)
                 report = apply_event(fabric, event, criterion, weight_scores,
                                      count_cascade=config.prune.count_cascade)
-                report.reported_params = reported
                 prune_file.write(report.to_json() + "\n")
                 if report.link_shortfall or report.weight_shortfall:
                     warnings.warn(
@@ -421,7 +420,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "final_val_error": classification_error(fabric, val_set.images,
                                                 val_set.given_labels),
         "final_test_error": classification_error(fabric, test_set.images,
-                                                 test_set.clean_labels),
+                                                 test_set.labels),
         "alive_links": len(fabric.alive_links()),
         "live_params": fabric.live_param_count(),
         "reported_params": reported,

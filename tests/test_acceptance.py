@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from fabricprune.cli import main as cli_main
-from fabricprune.data import make_synthetic
+from fabricprune.data import ImageDataset, make_synthetic
 from fabricprune.fabric import build_fabric, param_breakdown
 from fabricprune.noise import (
     AnnotatorConfig,
-    LabeledSet,
     apply_class_noise,
     apply_uniform_noise,
     fitting_report,
@@ -358,7 +357,7 @@ def test_criterion_7_noise_suite(tmp_path_factory):
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 10, 10_000)
     images = np.zeros((10_000, 3, 2, 2), dtype=np.float32)
-    base = LabeledSet(images, labels.copy(), labels.copy(), 10)
+    base = ImageDataset(images, labels.copy(), 10, labels.copy())
     uniform = apply_uniform_noise(base, 0.2, seed=3)
     sigma = np.sqrt(0.2 * 0.8 / 10_000)
     assert abs(uniform.noise_rate - 0.2) <= 3 * sigma
@@ -371,13 +370,13 @@ def test_criterion_7_noise_suite(tmp_path_factory):
     clean = np.array([0, 0, 1, 1, 2, 2, 0, 1, 2, 0])
     given = np.array([0, 0, 1, 1, 2, 2, 1, 2, 0, 2])
     preds = np.array([0, 1, 1, 1, 2, 0, 1, 1, 0, 0])
-    ten = LabeledSet(np.zeros((10, 3, 2, 2), dtype=np.float32), clean, given, 3)
+    ten = ImageDataset(np.zeros((10, 3, 2, 2), dtype=np.float32), clean, 3, given)
     report = fitting_report(preds, ten)
     assert report.clean_fitting == pytest.approx(4 / 6)
     assert report.noisy_fitting == pytest.approx(2 / 4)
 
-    perfect = fitting_report(clean.copy(), LabeledSet(
-        np.zeros((10, 3, 2, 2), dtype=np.float32), clean, clean.copy(), 3))
+    perfect = fitting_report(clean.copy(), ImageDataset(
+        np.zeros((10, 3, 2, 2), dtype=np.float32), clean, 3, clean.copy()))
     assert perfect.clean_fitting == 1.0 and perfect.noisy_fitting is None
 
     # Type 3: annotator relabeling lands within +/-0.03 of both paper epsilons

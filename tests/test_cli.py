@@ -1,9 +1,17 @@
 import json
 
+import numpy as np
 import pytest
 
 from fabricprune.cli import main
-from fabricprune.runner import DataConfig, ExperimentConfig, NoiseConfig, PruneConfig
+from fabricprune.fabric import load_fabric
+from fabricprune.runner import (
+    DataConfig,
+    ExperimentConfig,
+    NoiseConfig,
+    PruneConfig,
+    run_experiment,
+)
 
 
 def run_cli(capsys, argv):
@@ -49,17 +57,44 @@ class TestCountParams:
         assert payload["layers"] == 2 and payload["channels"] == 2
         assert payload["total"] == payload["stem"] + payload["links"] + payload["head"]
 
+    def test_binary_run_head_has_the_configured_classes(self, capsys, tmp_path):
+        # the records hold labels 0 and 1 only, under data.classes 3
+        labels = np.arange(16, dtype=np.uint8) % 2
+        pixels = np.random.default_rng(0).integers(0, 256, (16, 48), dtype=np.uint8)
+        records = tmp_path / "records.bin"
+        records.write_bytes(np.hstack([labels[:, None], pixels]).tobytes())
+        data = DataConfig(kind="binary", path=str(records), classes=3, resolution=4,
+                          train_fraction=0.6, val_fraction=0.2, test_fraction=0.2)
+        path, config = write_config(tmp_path, epochs=1, batch_size=4, data=data)
+        summary = run_experiment(config)
+        assert load_fabric(tmp_path / "run" / "fabric.npz").num_classes == 3
+        code, out = run_cli(capsys, ["count-params", "--config", str(path)])
+        assert code == 0
+        assert summary["param_total_baseline"] == json.loads(out)["total"]
+
 
 class TestPrunePlan:
     def test_dry_run_prints_schedule(self, capsys, tmp_path):
         path, _ = write_config(tmp_path,
                                prune=PruneConfig(strategy="iterative", sparsity=0.3))
-        code, out = run_cli(capsys, ["prune-plan", "--config", str(path)])
+        code, out = run_cli(capsys, ["prune-plan", "--config", str(path),
+                                     "--epochs", "200"])
         assert code == 0
         payload = json.loads(out)
         assert [e["epoch"] for e in payload["events"]] == list(range(5, 76, 10))
         assert payload["links_kept"] >= payload["min_links_kept"]
         assert payload["reported_params"] < payload["baseline_params"]
+
+    def test_events_are_the_runs_event_epochs(self, capsys, tmp_path):
+        path, config = write_config(tmp_path, epochs=40,
+                                    prune=PruneConfig(strategy="iterative", sparsity=0.3))
+        code, out = run_cli(capsys, ["prune-plan", "--config", str(path)])
+        assert code == 0
+        planned = [e["epoch"] for e in json.loads(out)["events"]]
+        run_experiment(config)
+        lines = (tmp_path / "run" / "prune_events.jsonl").read_text().splitlines()
+        assert planned == [json.loads(line)["epoch"] for line in lines]
+        assert planned == [1, 3, 5, 7, 9, 11, 13, 15]
 
     def test_missing_prune_section_fails(self, capsys, tmp_path):
         path, _ = write_config(tmp_path)

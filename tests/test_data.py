@@ -22,7 +22,41 @@ def balanced_dataset(classes=10, per_class=100, resolution=4, seed=0):
     n = classes * per_class
     images = rng.random((n, 3, resolution, resolution)).astype(np.float32)
     labels = np.repeat(np.arange(classes), per_class)
-    return ImageDataset(images, labels)
+    return ImageDataset(images, labels, classes)
+
+
+class TestImageDataset:
+    def test_given_labels_default_to_a_copy_of_the_labels(self):
+        ds = balanced_dataset(3, 2)
+        np.testing.assert_array_equal(ds.given_labels, ds.labels)
+        ds.given_labels[0] = 2
+        assert ds.labels[0] == 0 and ds.noise_rate == pytest.approx(1 / 6)
+
+    def test_subset_keeps_both_labels_and_the_class_count(self):
+        ds = balanced_dataset(3, 2)
+        ds.given_labels[:] = (ds.labels + 1) % 3
+        part = ds.subset(np.array([1, 4]))
+        np.testing.assert_array_equal(part.labels, [0, 2])
+        np.testing.assert_array_equal(part.given_labels, [1, 0])
+        assert part.num_classes == 3 and len(part) == 2
+
+    def test_empty_set_rejected(self):
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="at least one item"):
+            ImageDataset(np.zeros((0, 3, 2, 2), dtype=np.float32), empty, 3)
+
+    def test_given_labels_misaligned_with_items_rejected(self):
+        images = np.zeros((3, 3, 2, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match="misaligned"):
+            ImageDataset(images, np.array([0, 1, 2]), 3, np.array([0, 1]))
+
+    @pytest.mark.parametrize("field", ["labels", "given_labels"])
+    def test_label_at_or_above_the_class_count_rejected(self, field):
+        images = np.zeros((3, 3, 2, 2), dtype=np.float32)
+        labels = {"labels": np.array([0, 1, 2]), "given_labels": np.array([0, 1, 2])}
+        labels[field] = np.array([0, 3, 1])
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            ImageDataset(images, num_classes=3, **labels)
 
 
 class TestStratifiedSplit:
@@ -129,7 +163,7 @@ class TestBinaryRecords:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         images = (rng.integers(0, 256, (2, 3, 4, 4)) / 255.0).astype(np.float32)
-        ds = ImageDataset(images, np.array([1, 0]), ["a", "b"])
+        ds = ImageDataset(images, np.array([1, 0]), 2)
         path = tmp_path / "records.bin"
         pixels = np.rint(images * 255.0).astype(np.uint8).reshape(2, -1)
         path.write_bytes(np.hstack([ds.labels.astype(np.uint8)[:, None], pixels]).tobytes())

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from fabricprune.data import make_synthetic
+from fabricprune.data import ImageDataset, make_synthetic
 from fabricprune.noise import (
     AnnotatorConfig,
-    LabeledSet,
     apply_class_noise,
     apply_uniform_noise,
     classification_error,
@@ -21,7 +20,7 @@ from fabricprune.noise import (
 def label_only_set(labels, num_classes):
     labels = np.asarray(labels, dtype=np.int64)
     images = np.zeros((labels.size, 3, 2, 2), dtype=np.float32)
-    return LabeledSet(images, labels.copy(), labels.copy(), num_classes)
+    return ImageDataset(images, labels.copy(), num_classes)
 
 
 def big_uniform_set(n=10_000, num_classes=10, seed=0):
@@ -33,12 +32,12 @@ class TestUniformNoise:
     def test_zero_probability_is_identity(self):
         ls = big_uniform_set(200)
         noisy = apply_uniform_noise(ls, 0.0, seed=1)
-        np.testing.assert_array_equal(noisy.given_labels, noisy.clean_labels)
+        np.testing.assert_array_equal(noisy.given_labels, noisy.labels)
 
     def test_probability_one_flips_everything(self):
         ls = big_uniform_set(500)
         noisy = apply_uniform_noise(ls, 1.0, seed=2)
-        assert np.all(noisy.given_labels != noisy.clean_labels)
+        assert np.all(noisy.given_labels != noisy.labels)
 
     def test_flip_rate_within_three_sigma(self):
         ls = big_uniform_set(10_000)
@@ -55,9 +54,9 @@ class TestUniformNoise:
 
     def test_clean_labels_preserved(self):
         ls = big_uniform_set(100)
-        before = ls.clean_labels.copy()
+        before = ls.labels.copy()
         noisy = apply_uniform_noise(ls, 0.5, seed=5)
-        np.testing.assert_array_equal(noisy.clean_labels, before)
+        np.testing.assert_array_equal(noisy.labels, before)
         np.testing.assert_array_equal(ls.given_labels, before)  # input untouched
 
     def test_deterministic_per_seed(self):
@@ -81,7 +80,7 @@ class TestClassNoise:
     def test_identity_matrix_changes_nothing(self):
         ls = big_uniform_set(300)
         noisy = apply_class_noise(ls, np.eye(10), seed=1)
-        np.testing.assert_array_equal(noisy.given_labels, noisy.clean_labels)
+        np.testing.assert_array_equal(noisy.given_labels, noisy.labels)
 
     def test_deterministic_pair_flip_row(self):
         ls = label_only_set([2] * 50 + [0] * 50, 4)
@@ -98,7 +97,7 @@ class TestClassNoise:
         ls = label_only_set(labels, 5)
         noisy = apply_class_noise(ls, uniform_transition_matrix(5, 0.1), seed=4)
         for cls in range(5):
-            members = ls.clean_labels == cls
+            members = ls.labels == cls
             n = members.sum()
             rate = (noisy.given_labels[members] != cls).mean()
             sigma = np.sqrt(0.1 * 0.9 / n)
@@ -129,9 +128,9 @@ class TestClassNoise:
         matrix = 0.75 * np.eye(6) + 0.25 * np.roll(np.eye(6), 1, axis=1)
         validate_transition_matrix(matrix, 6)
         noisy = apply_class_noise(big_uniform_set(6000, num_classes=6, seed=5), matrix, seed=6)
-        flipped = noisy.given_labels != noisy.clean_labels
+        flipped = noisy.given_labels != noisy.labels
         np.testing.assert_array_equal(noisy.given_labels[flipped],
-                                      (noisy.clean_labels[flipped] + 1) % 6)
+                                      (noisy.labels[flipped] + 1) % 6)
         assert (noisy.given_labels[flipped] == 0).any()  # wraps around
 
 
@@ -146,7 +145,7 @@ class TestTypeEquivalence:
             assert abs(noisy.noise_rate - 0.15) <= 3 * sigma
         # flipped destinations spread evenly in both
         for noisy in (direct, viamatrix):
-            flipped = noisy.given_labels[noisy.given_labels != noisy.clean_labels]
+            flipped = noisy.given_labels[noisy.given_labels != noisy.labels]
             counts = np.bincount(flipped, minlength=10)
             assert counts.min() > 0.5 * counts.max()
 
@@ -198,8 +197,8 @@ class TestFittingReport:
         preds = rng.integers(0, 4, 500)
         base = fitting_report(preds, noisy)
         perm = rng.permutation(500)
-        shuffled = LabeledSet(noisy.images[perm], noisy.clean_labels[perm],
-                              noisy.given_labels[perm], 4)
+        shuffled = ImageDataset(noisy.images[perm], noisy.labels[perm], 4,
+                                noisy.given_labels[perm])
         again = fitting_report(preds[perm], shuffled)
         assert again.clean_fitting == base.clean_fitting
         assert again.noisy_fitting == base.noisy_fitting
@@ -217,7 +216,7 @@ class TestSidecar:
         save_noisy_labels(noisy, path)
         restored = load_noisy_labels(ls, path)
         np.testing.assert_array_equal(restored.given_labels, noisy.given_labels)
-        np.testing.assert_array_equal(restored.clean_labels, noisy.clean_labels)
+        np.testing.assert_array_equal(restored.labels, noisy.labels)
 
     def test_clean_label_mismatch_detected(self, tmp_path):
         ls = label_only_set([0, 1, 2], 3)
@@ -252,8 +251,7 @@ class TestSidecar:
 
 
 def small_annotator_sets():
-    dataset = make_synthetic(3, 40, 8, seed=20, difficulty="medium")
-    ls = LabeledSet.from_dataset(dataset)
+    ls = make_synthetic(3, 40, 8, seed=20, difficulty="medium")
     split = np.arange(len(ls)) % 4 == 0
     return ls.subset(~split), ls.subset(split)
 
@@ -290,6 +288,13 @@ class TestAnnotator:
         with pytest.raises(ValueError):
             train_annotator(train, holdout, 0.7, config)  # >= 1 - 1/3
 
+    def test_batch_size_below_two_rejected(self):
+        # train_batches drops a batch of one item, so batch_size 1 trains nothing
+        train, holdout = small_annotator_sets()
+        config = AnnotatorConfig(layers=2, channels=2, batch_size=1, max_epochs=2)
+        with pytest.raises(ValueError, match="batch_size"):
+            train_annotator(train, holdout, 0.3, config)
+
 
 class TestRelabel:
     def test_relabel_deterministic_and_fraction_matches_error(self):
@@ -299,6 +304,6 @@ class TestRelabel:
         once = relabel_with_annotator(train, annotator)
         twice = relabel_with_annotator(train, annotator)
         np.testing.assert_array_equal(once.given_labels, twice.given_labels)
-        error_on_set = classification_error(annotator, train.images, train.clean_labels)
+        error_on_set = classification_error(annotator, train.images, train.labels)
         assert once.noise_rate == pytest.approx(error_on_set)
-        np.testing.assert_array_equal(once.clean_labels, train.clean_labels)
+        np.testing.assert_array_equal(once.labels, train.labels)

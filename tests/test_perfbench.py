@@ -1,5 +1,6 @@
 """The names perfbench's span tracer rebinds must stay where it looks them up,
-and the hooks it runs on their results must still find what they read."""
+the hooks it runs on their results must still find what they read, and its
+workloads' set-up must still run against the package."""
 
 import json
 import subprocess
@@ -44,6 +45,27 @@ print(json.dumps(tracer.per_layer()))
 """
 
 
+# the benchmark's own set-up: a renamed name or field it uses fails here, not
+# only in a benchmark run
+BENCHMARK_SETUP = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import unit
+
+fp = unit.import_package()
+work = Path(sys.argv[3])
+paper = unit.prepare_paper(fp, 0, work / "paper")
+noise = unit.prepare_noise(fp, 0, work / "noise")
+unit.noise_config(fp, 0, work / "run").check()
+print(json.dumps({"train": paper["train"].images.shape[0],
+                  "train_labels": paper["train"].labels.shape[0],
+                  "held_out": paper["held_out"].shape[0],
+                  "probe_labels": noise["probe"].labels.shape[0],
+                  "out_dir": noise["config"].out_dir}))
+"""
+
+
 def traced(script, *args):
     result = subprocess.run(
         [sys.executable, "-c", script, str(ROOT / "perfbench"), str(ROOT / "src"), *args],
@@ -67,3 +89,10 @@ def test_traced_run_splits_its_time_by_runner_phase(tmp_path):
     metrics = traced(TRACED_RUN, str(tmp_path / "run"))
     for phase in ("train", "eval", "artifacts"):
         assert metrics[f"runner.{phase}_s"] > 0, phase
+
+
+def test_benchmark_setup_runs_against_this_checkout(tmp_path):
+    shapes = traced(BENCHMARK_SETUP, str(tmp_path))
+    assert shapes["train"] == shapes["train_labels"] == 32
+    assert shapes["held_out"] == 16 and shapes["probe_labels"] == 192
+    assert shapes["out_dir"] == str(tmp_path / "noise" / "run")

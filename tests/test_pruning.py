@@ -567,8 +567,8 @@ class TestApplyEvent:
                                       np.argsort(scaled, kind="stable"))
 
     def test_report_round_trips_as_json(self, tmp_path):
-        # the runner writes each event's report as a line and stamps the run's
-        # reported parameter count on it
+        # the runner writes each event's report as a line; the run's reported
+        # parameter count goes to report.json only
         config = ExperimentConfig(
             layers=2, channels=2, input_resolution=4, epochs=2, batch_size=16, seed=11,
             data=DataConfig(kind="synthetic", classes=3, n_per_class=10, resolution=4,
@@ -579,7 +579,9 @@ class TestApplyEvent:
         parsed = json.loads(line)
         assert PruneReport(**parsed).to_json() == line
         assert parsed["epoch"] == 1 and parsed["killed_links"]
-        assert parsed["reported_params"] == summary["reported_params"] \
+        assert "reported_params" not in parsed
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["reported_params"] == summary["reported_params"] \
             == reported_param_count(param_breakdown(2, 3, 2, 3), 0.5)
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from fabricprune import runner
-from fabricprune.data import AugmentConfig
+from fabricprune.data import AugmentConfig, ImageDataset
 from fabricprune.fabric import build_fabric, load_fabric
-from fabricprune.noise import AnnotatorConfig, AnnotatorInfo, LabeledSet
+from fabricprune.noise import AnnotatorConfig, AnnotatorInfo
 from fabricprune.runner import (
     ConfigError,
     DataConfig,
@@ -167,8 +167,7 @@ class TestRunExperiment:
         assert len(lines) == 3
         record = json.loads(lines[0])
         assert set(record) == {"epoch", "train_loss", "val_error", "test_error",
-                               "learning_rate", "alive_links", "live_params",
-                               "reported_params"}
+                               "learning_rate", "alive_links", "live_params"}
         epochs = [json.loads(l)["epoch"] for l in lines]
         assert epochs == [1, 2, 3]
 
@@ -273,7 +272,7 @@ class TestInjectNoise:
         images = np.broadcast_to(np.arange(n, dtype=np.float32)[:, None, None, None],
                                  (n, 3, 4, 4)).copy()
         labels = np.arange(n) % 3
-        full = LabeledSet(images, labels.copy(), labels.copy(), 3)
+        full = ImageDataset(images, labels.copy(), 3, labels.copy())
         train_idx, val_idx = np.arange(20, 60), np.arange(10)
         annotator = build_fabric(2, 3, 2, 4, 3, seed=0)
         picked = []
