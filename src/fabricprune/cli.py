@@ -31,6 +31,8 @@ def _load_config(path: str) -> ExperimentConfig:
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
+    """config with the command line's overrides, once ExperimentConfig.check
+    passes on the result (ConfigError if not)."""
     if args.seed is not None:
         config.seed = args.seed
     if args.epochs is not None:
@@ -53,6 +55,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
             noise = config.noise or NoiseConfig()
             noise.kind = args.noise
             config.noise = noise
+    config.check()
     return config
 
 
@@ -156,7 +159,7 @@ def cmd_fitting_report(args) -> int:
     dataset, (_, _, test_idx) = load_split_dataset(config.data)
     full = load_noisy_labels(dataset, args.labels)
     test_set = full.subset(test_idx)
-    predictions = fabric.predict(test_set.images)
+    predictions = fabric.predict(config.model_inputs(test_set.images))
     _emit(fitting_report(predictions, test_set).to_dict())
     return 0
 

@@ -124,14 +124,16 @@ def horizontal_flip(image: np.ndarray) -> np.ndarray:
 
 
 def normalize(image: np.ndarray, mean, std) -> np.ndarray:
+    """Per-channel (x - mean) / std of a (C, H, W) image or an (N, C, H, W) batch."""
     mean = np.asarray(mean, dtype=image.dtype)[:, None, None]
     std = np.asarray(std, dtype=image.dtype)[:, None, None]
     return (image - mean) / std
 
 
 def augment(image: np.ndarray, config: AugmentConfig, seed) -> np.ndarray:
-    """Seeded train-time transform: resize, random padded crop, random
-    horizontal flip, normalize. Pure per-image function."""
+    """Seeded train-time geometric transform: resize, random padded crop,
+    random horizontal flip. Pure per-image function; normalization is the
+    run's, applied to training and evaluation inputs alike."""
     rng = np.random.default_rng(seed)
     out = resize_bilinear(image, config.resize)
 
@@ -145,7 +147,7 @@ def augment(image: np.ndarray, config: AugmentConfig, seed) -> np.ndarray:
 
     if rng.random() < config.flip_prob:
         out = horizontal_flip(out)
-    return normalize(out, config.normalize_mean, config.normalize_std)
+    return out
 
 
 @dataclass

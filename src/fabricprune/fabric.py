@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import (
+    BN_EPSILON,
     BatchNormState,
     Parameter,
     Tensor,
@@ -34,6 +35,7 @@ from .tensor import (
     batch_norm,
     concat,
     conv2d,
+    grad_enabled,
     linear,
     no_grad,
     relu6,
@@ -45,6 +47,9 @@ from .tensor import (
 NodeId = tuple[int, int]  # (layer, scale)
 
 CHECKPOINT_VERSION = 1
+# bytes of one predict slice's input-resolution activations, the largest a
+# forward holds (the stem's output, or a scale-0 source's stride-1 conv)
+PREDICT_ACTIVATION_BUDGET = 16 * 2**20
 
 
 class FabricError(ValueError):
@@ -176,31 +181,46 @@ class Fabric:
         params.extend(self.head_parameters())
         return params
 
-    def _apply_links(self, activation: Tensor, links: list[Link], mode: str):
+    def _apply_links(self, activation: Tensor, links: list[Link], mode: str, fold: bool):
         """Yield (destination, contribution) for one source's alive out-links.
 
         Links of one stride share one conv over their stacked weights; each
         link then upsamples (UP only), batch-normalizes and clips its slice.
+        With fold, each link's eval-mode batch norm is folded into its slice
+        of the stacked weights and biases, and the slice is clipped in place.
         """
         for stride in (1, 2):
             group = [link for link in links if link.direction.stride == stride]
             if not group:
                 continue
-            weight = concat([link.conv_weight for link in group])
-            bias = concat([link.conv_bias for link in group])
+            if fold:
+                folded = [_fold_batch_norm(link.conv_weight, link.conv_bias, link.bn_gamma,
+                                           link.bn_beta, link.bn_state) for link in group]
+                weight = Tensor(np.concatenate([w for w, _ in folded]))
+                bias = Tensor(np.concatenate([b for _, b in folded]))
+            else:
+                weight = concat([link.conv_weight for link in group])
+                bias = concat([link.conv_bias for link in group])
             convs = split(conv2d(activation, weight, bias, stride=stride),
                           [self.C] * len(group), axis=1)
             for link, h in zip(group, convs):
                 if link.direction is Direction.UP:
                     h = upsample_bilinear_x2(h)
-                h = batch_norm(h, link.bn_gamma, link.bn_beta, link.bn_state, mode)
-                yield link.dst, relu6(h)
+                if fold:
+                    np.clip(h.data, 0.0, 6.0, out=h.data)
+                else:
+                    h = relu6(batch_norm(h, link.bn_gamma, link.bn_beta, link.bn_state, mode))
+                yield link.dst, h
 
     def forward(self, batch: Tensor | np.ndarray, mode: str = "train") -> Tensor:
         """Run a (B, 3, R, R) batch through the fabric, returning logits.
 
         The pass is source-major, and a node's activation is dropped once its
-        out-links have run.
+        out-links have run. In eval mode under no_grad, every batch norm is
+        folded into the conv before it, on every call (nothing is cached, so
+        a parameter update is always seen), and each node's sum is built in
+        place. With grad recording on, or in train mode, each op runs on its
+        own and records its graph.
         """
         if not isinstance(batch, Tensor):
             batch = Tensor(np.asarray(batch, dtype=self.dtype))
@@ -210,9 +230,16 @@ class Fabric:
                 f"expected (B, 3, {self.input_resolution}, {self.input_resolution}) "
                 f"input, got {batch.data.shape}")
 
-        h = conv2d(batch, self.stem_weight, self.stem_bias, stride=1)
-        h = batch_norm(h, self.stem_gamma, self.stem_beta, self.stem_bn_state, mode)
-        sums: dict[NodeId, Tensor] = {self.input_node: relu6(h)}
+        fold = mode == "eval" and not grad_enabled()
+        stem_bn = (self.stem_gamma, self.stem_beta, self.stem_bn_state)
+        if fold:
+            weight, bias = _fold_batch_norm(self.stem_weight, self.stem_bias, *stem_bn)
+            h = conv2d(batch, Tensor(weight), Tensor(bias), stride=1)
+            np.clip(h.data, 0.0, 6.0, out=h.data)
+        else:
+            h = conv2d(batch, self.stem_weight, self.stem_bias, stride=1)
+            h = relu6(batch_norm(h, *stem_bn, mode))
+        sums: dict[NodeId, Tensor] = {self.input_node: h}
         out_links: dict[NodeId, list[Link]] = {}
         for link in self.alive_links():
             out_links.setdefault(link.src, []).append(link)
@@ -227,9 +254,14 @@ class Fabric:
             if activation is None:
                 continue
             for dst, contribution in self._apply_links(activation, out_links.get(node, []),
-                                                       mode):
+                                                       mode, fold):
                 total = sums.get(dst)
-                sums[dst] = contribution if total is None else total + contribution
+                if total is None:
+                    sums[dst] = contribution
+                elif fold:
+                    total.data += contribution.data
+                else:
+                    sums[dst] = total + contribution
 
         out = sums.get(self.output_node)
         if out is None:
@@ -254,13 +286,18 @@ class Fabric:
     def predict(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Argmax class indices in eval mode, without recording gradients.
 
-        Raises FabricError when a batch yields a non-finite logit, which has
-        no argmax to report.
+        Images go through in slices of at most batch_size, fewer when a
+        slice's input-resolution activations (C x R x R values a sample)
+        would exceed PREDICT_ACTIVATION_BUDGET bytes; a sample's logits do
+        not depend on the slicing. Raises FabricError when a slice yields a
+        non-finite logit, which has no argmax to report.
         """
+        per_sample = self.C * self.input_resolution ** 2 * self.dtype.itemsize
+        step = max(1, min(batch_size, PREDICT_ACTIVATION_BUDGET // per_sample))
         preds = []
         with no_grad():
-            for start in range(0, images.shape[0], batch_size):
-                logits = self.forward(images[start : start + batch_size], mode="eval")
+            for start in range(0, images.shape[0], step):
+                logits = self.forward(images[start : start + step], mode="eval")
                 if not np.isfinite(logits.data).all():
                     raise FabricError(f"non-finite logits in the batch of images "
                                       f"{start}..{start + logits.data.shape[0] - 1}")
@@ -336,6 +373,15 @@ class Fabric:
             weight.mask = state[key].copy() if key in state else None
         for link, alive in zip(self.links, state["alive"]):
             link.alive = bool(alive)
+
+
+def _fold_batch_norm(conv_weight: Parameter, conv_bias: Parameter, gamma: Parameter,
+                     beta: Parameter, state: BatchNormState) -> tuple[np.ndarray, np.ndarray]:
+    """New conv weight and bias arrays that give eval-mode batch_norm(conv(x)):
+    w * gamma/sigma and (b - mu) * gamma/sigma + beta, sigma the running std."""
+    scale = gamma.data / np.sqrt(state.running_var + BN_EPSILON)
+    return (conv_weight.data * scale[:, None, None, None],
+            (conv_bias.data - state.running_mean) * scale + beta.data)
 
 
 def train_batches(order, batch_size: int) -> list:

@@ -32,6 +32,7 @@ from .data import (
     augment,
     load_binary_records,
     make_synthetic,
+    normalize,
     save_split_manifest,
     stratified_split_indices,
 )
@@ -77,7 +78,8 @@ class TrainingDiverged(RuntimeError):
 
 class ConfigError(ValueError):
     """A config section that is not an object, a key no field matches, an
-    image size the fabric cannot take, or a batch size below 2."""
+    image size the fabric cannot take, a batch size below 2, or a prune
+    section with no epoch to prune in."""
 
 
 def _checked_section(cls, raw, path: str) -> dict:
@@ -156,7 +158,8 @@ class ExperimentConfig:
         return int(math.log2(self.input_resolution)) + 1
 
     def check(self) -> None:
-        """Raise ConfigError naming a field whose image or batch size the fabric cannot take."""
+        """Raise ConfigError naming a field whose image or batch size the fabric
+        cannot take, or epochs below 1 when a prune section is set."""
         r = self.input_resolution
         if not isinstance(r, int) or r < 2 or r & (r - 1):
             raise ConfigError(f"input_resolution must be a power of two >= 2, got {r!r}")
@@ -172,6 +175,16 @@ class ExperimentConfig:
         for name, size in sizes.items():
             if not isinstance(size, int) or size < 2:
                 raise ConfigError(f"{name} must be an int >= 2, got {size!r}")
+        if self.prune is not None and (not isinstance(self.epochs, int) or self.epochs < 1):
+            raise ConfigError(f"epochs must be an int >= 1 with a prune section, "
+                              f"got {self.epochs!r}")
+
+    def model_inputs(self, images: np.ndarray) -> np.ndarray:
+        """Images as the fabric takes them, for training and evaluation alike:
+        normalized by the augment section's mean and std when it is set."""
+        if self.augment is None:
+            return images
+        return normalize(images, self.augment.normalize_mean, self.augment.normalize_std)
 
     def prune_plan(self, fabric: Fabric) -> PrunePlan:
         """The prune section's schedule for fabric, rescaled to this run's epochs."""
@@ -301,14 +314,13 @@ def inject_noise(full: ImageDataset, train_idx, val_idx, config: NoiseConfig,
     return noisy, info
 
 
-def _augmented_batch(images: np.ndarray, config: AugmentConfig | None,
-                     seed_tuple) -> np.ndarray:
-    if config is None:
-        return images
-    return np.stack([
-        augment(images[i], config, seed=list(seed_tuple) + [i])
-        for i in range(images.shape[0])
-    ]).astype(images.dtype)
+def _train_inputs(images: np.ndarray, config: ExperimentConfig, seed_tuple) -> np.ndarray:
+    """One training batch's inputs: augmented when the config says so, then
+    as model_inputs gives them."""
+    if config.augment is not None:
+        images = np.stack([augment(images[i], config.augment, seed=list(seed_tuple) + [i])
+                           for i in range(images.shape[0])])
+    return config.model_inputs(images)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -331,6 +343,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     train_set = dataset.subset(train_idx)
     val_set = dataset.subset(val_idx)
     test_set = dataset.subset(test_idx)
+    val_inputs = config.model_inputs(val_set.images)
+    test_inputs = config.model_inputs(test_set.images)
 
     fabric = build_fabric(config.layers, config.scales, config.channels,
                           config.input_resolution, dataset.num_classes,
@@ -363,8 +377,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 len(train_set))
             losses = []
             for batch_index, batch in enumerate(train_batches(order, config.batch_size)):
-                images = _augmented_batch(train_set.images[batch], config.augment,
-                                          (config.seed, 202, epoch, batch_index))
+                images = _train_inputs(train_set.images[batch], config,
+                                       (config.seed, 202, epoch, batch_index))
                 optimizer.zero_grad()
                 try:
                     losses.append(fabric.loss_backward(images, train_set.given_labels[batch]))
@@ -376,10 +390,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
             record = EpochRecord(
                 epoch=epoch,
                 train_loss=float(np.mean(losses)) if losses else 0.0,
-                val_error=classification_error(fabric, val_set.images,
-                                               val_set.given_labels),
-                test_error=classification_error(fabric, test_set.images,
-                                                test_set.labels),
+                val_error=classification_error(fabric, val_inputs, val_set.given_labels),
+                test_error=classification_error(fabric, test_inputs, test_set.labels),
                 learning_rate=lr,
                 alive_links=len(fabric.alive_links()),
                 live_params=fabric.live_param_count(),
@@ -395,7 +407,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 if criterion is Criterion.SENSITIVITY:
                     source = {"validation": val_set, "test": test_set,
                               "train": train_set}[config.prune.gradient_source]
-                    batches = [(source.images[b], source.given_labels[b])
+                    inputs = config.model_inputs(source.images)
+                    batches = [(inputs[b], source.given_labels[b])
                                for b in train_batches(np.arange(len(source)), config.batch_size)]
                     weight_scores = sensitivity_grads(fabric, batches)
                 report = apply_event(fabric, event, criterion, weight_scores,
@@ -417,17 +430,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
     summary = {
         "config_hash": config.hash(),
         "epochs": config.epochs,
-        "final_val_error": classification_error(fabric, val_set.images,
-                                                val_set.given_labels),
-        "final_test_error": classification_error(fabric, test_set.images,
-                                                 test_set.labels),
+        "final_val_error": classification_error(fabric, val_inputs, val_set.given_labels),
+        "final_test_error": classification_error(fabric, test_inputs, test_set.labels),
         "alive_links": len(fabric.alive_links()),
         "live_params": fabric.live_param_count(),
         "reported_params": reported,
         "param_total_baseline": full_counts.total,
     }
     if noise_info is not None:
-        predictions = fabric.predict(test_set.images)
+        predictions = fabric.predict(test_inputs)
         report = fitting_report(predictions, test_set)
         summary["noise"] = noise_info
         summary["fitting"] = report.to_dict()
@@ -442,5 +453,5 @@ def evaluate_checkpoint(fabric: Fabric, config: ExperimentConfig,
     dataset, indices = load_split_dataset(config.data)
     chosen = {"train": 0, "validation": 1, "test": 2}[split]
     subset = dataset.subset(indices[chosen])
-    error = classification_error(fabric, subset.images, subset.labels)
+    error = classification_error(fabric, config.model_inputs(subset.images), subset.labels)
     return {"split": split, "items": len(subset), "error": error}

@@ -47,6 +47,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops record a graph: False inside no_grad."""
+    return _grad_enabled
+
+
 class GradNode:
     """A tensor's place in the graph, apart from its value.
 
@@ -468,8 +473,7 @@ def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormSta
     else:
         var = state.running_var
         xhat = x.data - state.running_mean[None, :, None, None]
-        # nothing saved under no_grad, so xhat itself becomes the output
-        out_data = xhat if not _grad_enabled else np.empty_like(xhat)
+        out_data = np.empty_like(xhat)
 
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat *= inv_std[None, :, None, None]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fabricprune.cli import main
+from fabricprune.data import AugmentConfig
 from fabricprune.fabric import load_fabric
 from fabricprune.runner import (
     DataConfig,
@@ -163,6 +164,26 @@ class TestTrainAndArtifacts:
         assert payload["clean_count"] + payload["noisy_count"] == 12  # test split
 
 
+    def test_augmented_evaluate_and_fitting_report_match_the_run(self, capsys, tmp_path):
+        # both score the checkpoint on the normalized images the run trained on
+        path, _ = write_config(tmp_path, noise=NoiseConfig(kind="uniform", rate=0.4, seed=3),
+                               augment=AugmentConfig(resize=4, crop_size=4, crop_padding=1,
+                                                     normalize_std=(0.1, 0.1, 0.1)))
+        code, out = run_cli(capsys, ["train", "--config", str(path)])
+        assert code == 0
+        summary = json.loads(out)
+        checkpoint = str(tmp_path / "run" / "fabric.npz")
+        code, out = run_cli(capsys, ["evaluate", "--config", str(path),
+                                     "--checkpoint", checkpoint])
+        assert code == 0
+        assert json.loads(out)["error"] == summary["final_test_error"]
+        code, out = run_cli(capsys, ["fitting-report", "--config", str(path),
+                                     "--checkpoint", checkpoint,
+                                     "--labels", str(tmp_path / "run" / "noisy_labels.txt")])
+        assert code == 0
+        assert json.loads(out) == summary["fitting"]
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("command", ["train", "inject-noise", "prune-plan"])
     def test_unknown_field_fails_before_any_output(self, capsys, tmp_path, command):
@@ -211,6 +232,19 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{field} must be an int >= 2, got 1" in captured.err
+        assert not out_dir.exists() and not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "prune-plan"])
+    def test_prune_section_with_zero_epochs_fails_before_any_output(self, capsys, tmp_path,
+                                                                     command):
+        # the --epochs override is checked, not only the config file
+        path, _ = write_config(tmp_path, prune=PruneConfig(strategy="early", sparsity=0.1))
+        out_dir = tmp_path / "out"
+        argv = [command, "--config", str(path), "--epochs", "0", "--out", str(out_dir)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "epochs must be an int >= 1 with a prune section, got 0" in captured.err
         assert not out_dir.exists() and not (tmp_path / "run").exists()
 
     def test_count_params_resolution_flag_checked(self, capsys):

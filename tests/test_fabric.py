@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fabricprune import fabric as fabric_module
 from fabricprune import tensor
 from fabricprune.fabric import (
     Direction,
+    Fabric,
     FabricError,
     build_fabric,
     clone_parameters,
@@ -275,29 +277,37 @@ def pruned_fabric_cases(draw):
     return layers, scales, channels, seed, kept, cut, dead, masked, mode
 
 
+def build_pruned_case(case):
+    """The fabric a pruned_fabric_cases draw describes, and the rng that drew
+    its link parameters, for the test to draw on."""
+    layers, scales, channels, seed, kept, cut, dead, masked, _ = case
+    rng = np.random.default_rng(seed)
+    fabric = build_fabric(layers, scales, channels, 2 ** (scales - 1), 3, seed=seed,
+                          dtype=np.float64)
+    for link, kill, mask in zip(fabric.links, dead, masked):
+        if link.dst == cut:
+            link.alive = False
+        elif (link.src, link.dst) not in kept and link.src != cut:
+            link.alive = not kill
+        for p in (link.conv_bias, link.bn_gamma, link.bn_beta):
+            p.data[:] = rng.standard_normal(channels)
+        link.bn_state.running_mean[:] = rng.standard_normal(channels)
+        link.bn_state.running_var[:] = rng.random(channels) + 0.5
+        if mask:
+            link.conv_weight.set_mask((rng.random((channels, channels, 3, 3)) > 0.3)
+                                      .astype(np.float64))
+    assert any(l.alive for l in fabric.links if l.src == cut)
+    return fabric, rng
+
+
 class TestSourceMajorForward:
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(pruned_fabric_cases())
     def test_matches_per_link_reference(self, case):
-        layers, scales, channels, seed, kept, cut, dead, masked, mode = case
-        rng = np.random.default_rng(seed)
-        resolution = 2 ** (scales - 1)
-        fabric = build_fabric(layers, scales, channels, resolution, 3, seed=seed,
-                              dtype=np.float64)
-        for link, kill, mask in zip(fabric.links, dead, masked):
-            if link.dst == cut:
-                link.alive = False
-            elif (link.src, link.dst) not in kept and link.src != cut:
-                link.alive = not kill
-            for p in (link.conv_bias, link.bn_gamma, link.bn_beta):
-                p.data[:] = rng.standard_normal(channels)
-            link.bn_state.running_mean[:] = rng.standard_normal(channels)
-            link.bn_state.running_var[:] = rng.random(channels) + 0.5
-            if mask:
-                link.conv_weight.set_mask((rng.random((channels, channels, 3, 3)) > 0.3)
-                                          .astype(np.float64))
-        assert any(l.alive for l in fabric.links if l.src == cut)
-        reference = build_fabric(layers, scales, channels, resolution, 3, dtype=np.float64)
+        mode = case[-1]
+        fabric, rng = build_pruned_case(case)
+        resolution = fabric.input_resolution
+        reference = build_fabric(fabric.L, fabric.S, fabric.C, resolution, 3, dtype=np.float64)
         reference.load_state(clone_parameters(fabric))
         x = rng.random((2, 3, resolution, resolution))
         labels = np.array([0, 2])
@@ -318,6 +328,57 @@ class TestSourceMajorForward:
         for key in ours_state:
             np.testing.assert_allclose(ours_state[key], their_state[key], rtol=1e-10,
                                        err_msg=key)
+
+
+class TestFoldedEval:
+    """Eval mode under no_grad folds each batch norm into its conv; the
+    unfolded per-link reference runs every op on its own, with grad on."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(pruned_fabric_cases())
+    def test_matches_unfolded_per_link_reference(self, case):
+        fabric, rng = build_pruned_case(case)
+        C = fabric.C
+        for p in (fabric.stem_bias, fabric.stem_gamma, fabric.stem_beta):
+            p.data[:] = rng.standard_normal(C)
+        fabric.stem_bn_state.running_mean[:] = rng.standard_normal(C)
+        fabric.stem_bn_state.running_var[:] = rng.random(C) + 0.5
+        fabric.head_bias.data[:] = rng.standard_normal(3)
+        x = rng.random((3, 3, fabric.input_resolution, fabric.input_resolution))
+        with tensor.no_grad():
+            folded = fabric.forward(x, "eval")
+        expected, _ = per_link_forward(fabric, x, "eval")
+        np.testing.assert_allclose(folded.data, expected.data, rtol=1e-12)
+
+    def test_folds_the_parameters_of_the_call(self):
+        # nothing folded is kept between calls, so an SGD step is seen at once
+        fabric = build_fabric(3, 3, 2, 4, 3, seed=5, dtype=np.float64)
+        x = np.random.default_rng(6).random((4, 3, 4, 4))
+        fabric.forward(x, "train")  # running statistics off their initial values
+        optimizer = SGD(fabric.parameters(), SgdConfig(0.5))
+        with tensor.no_grad():
+            before = fabric.forward(x, "eval").data
+        fabric.loss_backward(x, np.array([0, 1, 2, 0]))
+        optimizer.step()
+        with tensor.no_grad():
+            after = fabric.forward(x, "eval").data
+        expected, _ = per_link_forward(fabric, x, "eval")
+        np.testing.assert_allclose(after, expected.data, rtol=1e-12)
+        assert not np.allclose(after, before)
+
+    def test_eval_forward_with_grad_on_records_a_graph(self):
+        # the unfolded path: backward() gives the per-link reference's grads
+        fabric = build_fabric(3, 3, 2, 4, 3, seed=7, dtype=np.float64)
+        x = np.random.default_rng(8).random((2, 3, 4, 4))
+        fabric.forward(x, "train")
+        reference = build_fabric(3, 3, 2, 4, 3, dtype=np.float64)
+        reference.load_state(clone_parameters(fabric))
+        labels = np.array([0, 2])
+        backward(softmax_cross_entropy(fabric.forward(x, "eval"), labels))
+        backward(softmax_cross_entropy(per_link_forward(reference, x, "eval")[0], labels))
+        for ours, theirs in zip(fabric.parameters(), reference.parameters()):
+            np.testing.assert_allclose(ours.grad, theirs.grad, rtol=1e-10, atol=1e-13)
+        assert np.abs(fabric.head_weight.grad).sum() > 0
 
 
 class TestLongestPath:
@@ -641,6 +702,44 @@ class TestPredict:
         # 3, 3, 3 and 1 there, fewer and larger ones at the coarser scales
         monkeypatch.setattr(tensor, "CONV_COLUMN_BUDGET", 3 * 4 * 9 * 8 * 8 * 4)
         np.testing.assert_array_equal(fabric.predict(images, batch_size=10), one_at_a_time)
+
+    def test_batch_sliced_to_the_activation_budget(self, monkeypatch):
+        fabric = build_fabric(3, 4, 4, 8, 5, seed=3)
+        images = np.random.default_rng(1).random((10, 3, 8, 8)).astype(np.float32)
+        one_at_a_time = fabric.predict(images, batch_size=1)
+        sizes = []
+        forward = Fabric.forward
+
+        def spy(self, batch, mode="train"):
+            sizes.append(batch.shape[0])
+            return forward(self, batch, mode)
+
+        monkeypatch.setattr(Fabric, "forward", spy)
+        # three samples' input-resolution activations: 4 channels x 8 x 8 float32
+        monkeypatch.setattr(fabric_module, "PREDICT_ACTIVATION_BUDGET", 3 * 4 * 8 * 8 * 4)
+        np.testing.assert_array_equal(fabric.predict(images), one_at_a_time)
+        assert sizes == [3, 3, 3, 1]
+        sizes.clear()
+        fabric.predict(images, batch_size=2)
+        assert sizes == [2] * 5
+
+    @pytest.mark.parametrize("dims,images,batch_size,slices", [
+        ((8, 6, 64, 32, 10), 16, 16, [16]),  # the paper-scale benchmark predict
+        ((4, 5, 8, 16, 3), 64, 64, [64]),  # the annotator victim's benchmark predict
+        ((8, 6, 64, 32, 10), 256, 256, [64] * 4),  # 256 KiB a sample: 16 MiB slices
+    ])
+    def test_slices_at_the_default_budget(self, monkeypatch, dims, images, batch_size, slices):
+        sizes = []
+
+        def spy(self, batch, mode="train"):
+            sizes.append(batch.shape[0])
+            return Tensor(np.zeros((batch.shape[0], self.num_classes), dtype=self.dtype))
+
+        monkeypatch.setattr(Fabric, "forward", spy)
+        fabric = build_fabric(*dims)
+        R = fabric.input_resolution
+        fabric.predict(np.zeros((images, 3, R, R), dtype=np.float32), batch_size=batch_size)
+        assert sizes == slices
 
     def test_non_finite_logits_rejected(self):
         fabric = build_fabric(2, 2, 2, 2, 3)

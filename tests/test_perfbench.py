@@ -29,6 +29,20 @@ pruning.apply_event(fabric, pruning.PruneEvent(1, 1, 2), pruning.Criterion.MAGNI
 print(json.dumps(tracer.per_layer()))
 """
 
+TRACED_PREDICT = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import numpy as np
+import fabricprune
+from tracer import Tracer
+
+tracer = Tracer(track_memory=False)
+tracer.install(fabricprune)
+fabric = fabricprune.fabric.build_fabric(2, 2, 2, 2, 3)
+fabric.predict(np.random.default_rng(0).random((4, 3, 2, 2)).astype(np.float32))
+print(json.dumps(tracer.per_layer()))
+"""
+
 TRACED_RUN = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -82,6 +96,13 @@ def test_traced_training_step_times_conv_forward_and_backward():
     assert metrics["fabric.forward.s"] > 0 and metrics["tensor.backward.s"] > 0
     assert metrics["pruning.apply_event.calls"] == 1
     assert metrics["pruning.weights_masked"] > 0
+
+
+def test_traced_predict_times_its_convs():
+    # predict's folded forward must call conv2d through fabric's module global
+    metrics = traced(TRACED_PREDICT)
+    assert metrics["fabric.predict.calls"] >= 1
+    assert metrics["tensor.conv2d.calls"] > 0
 
 
 def test_traced_run_splits_its_time_by_runner_phase(tmp_path):

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 from fabricprune import runner
-from fabricprune.data import AugmentConfig, ImageDataset
+from fabricprune.data import AugmentConfig, ImageDataset, normalize
 from fabricprune.fabric import build_fabric, load_fabric
-from fabricprune.noise import AnnotatorConfig, AnnotatorInfo
+from fabricprune.noise import (
+    AnnotatorConfig,
+    AnnotatorInfo,
+    classification_error,
+    fitting_report,
+)
 from fabricprune.runner import (
     ConfigError,
     DataConfig,
@@ -150,6 +155,15 @@ class TestRunExperiment:
             run_experiment(config)
         assert not (tmp_path / "run").exists()
 
+    def test_prune_section_with_zero_epochs_rejected_before_any_output(self, tmp_path):
+        # no epoch would run the plan's event, yet the report would count it as run
+        config = tiny_config(tmp_path / "run", epochs=0,
+                             prune=PruneConfig(strategy="early", sparsity=0.1))
+        with pytest.raises(ConfigError, match=r"^epochs must be an int >= 1 with a prune "
+                                              r"section, got 0$"):
+            run_experiment(config)
+        assert not (tmp_path / "run").exists()
+
     def test_zero_epochs_writes_baseline_artifacts(self, tmp_path):
         config = tiny_config(tmp_path / "run", epochs=0)
         summary = run_experiment(config)
@@ -248,6 +262,44 @@ class TestRunExperiment:
                                                    crop_padding=1, flip_prob=0.5))
         summary = run_experiment(config)
         assert summary["epochs"] == 2
+
+    def test_augmented_run_scores_normalized_test_images(self, tmp_path):
+        augment = AugmentConfig(resize=4, crop_size=4, crop_padding=1,
+                                normalize_mean=(0.3, 0.4, 0.5), normalize_std=(0.1, 0.2, 0.15))
+        config = tiny_config(tmp_path / "run", epochs=2, augment=augment,
+                             noise=NoiseConfig(kind="uniform", rate=0.3, seed=4))
+        summary = run_experiment(config)
+        dataset, (train_idx, val_idx, test_idx) = runner.load_split_dataset(config.data)
+        noisy, _ = inject_noise(dataset, train_idx, val_idx, config.noise, None)
+        test_set = noisy.subset(test_idx)
+        images = normalize(test_set.images, augment.normalize_mean, augment.normalize_std)
+        fabric = load_fabric(tmp_path / "run" / "fabric.npz")
+        error = classification_error(fabric, images, test_set.labels)
+        assert summary["final_test_error"] == error
+        last = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()[-1]
+        assert json.loads(last)["test_error"] == error
+        assert evaluate_checkpoint(fabric, config)["error"] == error
+        expected = fitting_report(fabric.predict(images), test_set).to_dict()
+        assert json.loads((tmp_path / "run" / "fitting.json").read_text()) == expected
+
+    def test_sensitivity_batches_are_normalized(self, tmp_path, monkeypatch):
+        augment = AugmentConfig(resize=4, crop_size=4, crop_padding=1, normalize_std=(0.1,) * 3)
+        seen = []
+        sensitivity_grads = runner.sensitivity_grads
+
+        def spy(fabric, batches):
+            seen.extend(images for images, _ in batches)
+            return sensitivity_grads(fabric, batches)
+
+        monkeypatch.setattr(runner, "sensitivity_grads", spy)
+        config = tiny_config(tmp_path / "run", epochs=1, augment=augment,
+                             prune=PruneConfig(strategy="early", sparsity=0.3,
+                                               criterion="sensitivity"))
+        run_experiment(config)
+        dataset, (_, val_idx, _) = runner.load_split_dataset(config.data)
+        expected = normalize(dataset.images[val_idx], augment.normalize_mean,
+                             augment.normalize_std)
+        np.testing.assert_array_equal(np.concatenate(seen), expected)
 
     def test_checkpoint_matches_final_state(self, tmp_path):
         config = tiny_config(tmp_path / "run", epochs=3)
