@@ -11,6 +11,7 @@ from .fabric import build_fabric, export_dot, load_fabric, param_breakdown
 from .noise import fitting_report, load_noisy_labels
 from .pruning import reported_param_count
 from .runner import (
+    SPLITS,
     ConfigError,
     DataConfig,
     ExperimentConfig,
@@ -210,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", help="error of a checkpoint on a split")
     evaluate.add_argument("--config", required=True)
     evaluate.add_argument("--checkpoint", required=True)
-    evaluate.add_argument("--split", choices=["train", "validation", "test"],
-                          default="test")
+    evaluate.add_argument("--split", choices=SPLITS, default="test")
     evaluate.set_defaults(handler=cmd_evaluate)
 
     fitting = sub.add_parser("fitting-report", help="clean/noisy fitting of a checkpoint")

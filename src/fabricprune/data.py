@@ -152,10 +152,11 @@ def augment(image: np.ndarray, config: AugmentConfig, seed) -> np.ndarray:
 
 @dataclass
 class RecordLayout:
-    """Fixed-size records: 1 label byte, then channel-major bytes of 3 channels."""
+    """Fixed-size records: 1 label byte, then channel-major bytes of 3 channels.
+    Every label must lie in [0, num_classes)."""
 
     resolution: int
-    num_classes: int | None = None
+    num_classes: int
 
     @property
     def record_size(self) -> int:
@@ -174,18 +175,15 @@ def load_binary_records(path, layout: RecordLayout) -> ImageDataset:
             f"{size}-byte record (nearest would be {expected})")
     records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, size)
     labels = records[:, 0].astype(np.int64)
-    if layout.num_classes is not None:
-        bad = np.nonzero(labels >= layout.num_classes)[0]
-        if bad.size:
-            offset = int(bad[0]) * size
-            raise FormatError(
-                f"{path}: label {labels[bad[0]]} at byte offset {offset} is outside "
-                f"[0, {layout.num_classes})")
+    bad = np.nonzero(labels >= layout.num_classes)[0]
+    if bad.size:
+        offset = int(bad[0]) * size
+        raise FormatError(
+            f"{path}: label {labels[bad[0]]} at byte offset {offset} is outside "
+            f"[0, {layout.num_classes})")
     r = layout.resolution
     images = records[:, 1:].reshape(-1, 3, r, r).astype(np.float32) / 255.0
-    num_classes = layout.num_classes if layout.num_classes is not None \
-        else int(labels.max()) + 1
-    return ImageDataset(images, labels, num_classes)
+    return ImageDataset(images, labels, layout.num_classes)
 
 
 _DIFFICULTY = {

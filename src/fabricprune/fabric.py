@@ -2,9 +2,9 @@
 
 Every node holds an activation tensor; activations flow along directed
 links, each applying conv -> (optional resample) -> batch norm -> ReLU6.
-A never-pruned stem convolution feeds the input node at (0, 0) and a
-never-pruned fully connected head reads the output node at (L-1, S-1),
-whose spatial resolution is 1x1.
+A never-pruned stem link, the same block from the image's 3 channels,
+feeds the input node at (0, 0) and a never-pruned fully connected head
+reads the output node at (L-1, S-1), whose spatial resolution is 1x1.
 
 Grid wiring: node (l+1, s) receives links from (l, s-1), (l, s) and
 (l, s+1) where those exist; layers 0 and L-1 additionally carry
@@ -69,13 +69,14 @@ class Direction(enum.Enum):
 
 @dataclass
 class Link:
-    """One directed edge of the grid and all of its parameters."""
+    """One directed edge of the grid and all of its parameters; the stem is
+    the link with index -1 and no source, from the image."""
 
     index: int
-    src: NodeId
+    src: NodeId | None
     dst: NodeId
     direction: Direction
-    conv_weight: Parameter  # (C, C, 3, 3); carries the prune mask
+    conv_weight: Parameter  # (C, C_in, 3, 3); carries the prune mask
     conv_bias: Parameter  # (C,)
     bn_gamma: Parameter
     bn_beta: Parameter
@@ -102,13 +103,9 @@ class ParamBreakdown:
         return self.stem + self.links + self.head
 
 
-def stem_param_count(channels: int) -> int:
-    # conv 3->C with bias, plus BN affine
-    return 3 * channels * 9 + channels + 2 * channels
-
-
-def per_link_param_count(channels: int) -> int:
-    return channels * channels * 9 + channels + 2 * channels
+def link_param_count(c_in: int, channels: int) -> int:
+    # conv c_in->C with bias, plus BN affine
+    return c_in * channels * 9 + channels + 2 * channels
 
 
 def head_param_count(channels: int, num_classes: int) -> int:
@@ -126,8 +123,8 @@ def param_breakdown(layers: int, scales: int, channels: int, num_classes: int,
     if alive_links is None:
         alive_links = grid_link_count(layers, scales)
     return ParamBreakdown(
-        stem=stem_param_count(channels),
-        links=alive_links * per_link_param_count(channels),
+        stem=link_param_count(3, channels),
+        links=alive_links * link_param_count(channels, channels),
         head=head_param_count(channels, num_classes),
     )
 
@@ -144,11 +141,7 @@ class Fabric:
         self.num_classes = num_classes
         self.dtype = np.dtype(dtype)
 
-        self.stem_weight: Parameter
-        self.stem_bias: Parameter
-        self.stem_gamma: Parameter
-        self.stem_beta: Parameter
-        self.stem_bn_state: BatchNormState
+        self.stem: Link
         self.head_weight: Parameter
         self.head_bias: Parameter
         self.links: list[Link] = []
@@ -167,16 +160,13 @@ class Fabric:
     def alive_links(self) -> list[Link]:
         return [l for l in self.links if l.alive]
 
-    def stem_parameters(self) -> list[Parameter]:
-        return [self.stem_weight, self.stem_bias, self.stem_gamma, self.stem_beta]
-
     def head_parameters(self) -> list[Parameter]:
         return [self.head_weight, self.head_bias]
 
     def parameters(self) -> list[Parameter]:
         """Trainable parameters of the stem, all alive links, and the head."""
-        params = self.stem_parameters()
-        for link in self.alive_links():
+        params = []
+        for link in [self.stem, *self.alive_links()]:
             params.extend(link.parameters())
         params.extend(self.head_parameters())
         return params
@@ -194,8 +184,7 @@ class Fabric:
             if not group:
                 continue
             if fold:
-                folded = [_fold_batch_norm(link.conv_weight, link.conv_bias, link.bn_gamma,
-                                           link.bn_beta, link.bn_state) for link in group]
+                folded = [_fold_batch_norm(link) for link in group]
                 weight = Tensor(np.concatenate([w for w, _ in folded]))
                 bias = Tensor(np.concatenate([b for _, b in folded]))
             else:
@@ -231,15 +220,7 @@ class Fabric:
                 f"input, got {batch.data.shape}")
 
         fold = mode == "eval" and not grad_enabled()
-        stem_bn = (self.stem_gamma, self.stem_beta, self.stem_bn_state)
-        if fold:
-            weight, bias = _fold_batch_norm(self.stem_weight, self.stem_bias, *stem_bn)
-            h = conv2d(batch, Tensor(weight), Tensor(bias), stride=1)
-            np.clip(h.data, 0.0, 6.0, out=h.data)
-        else:
-            h = conv2d(batch, self.stem_weight, self.stem_bias, stride=1)
-            h = relu6(batch_norm(h, *stem_bn, mode))
-        sums: dict[NodeId, Tensor] = {self.input_node: h}
+        sums: dict[NodeId, Tensor] = dict(self._apply_links(batch, [self.stem], mode, fold))
         out_links: dict[NodeId, list[Link]] = {}
         for link in self.alive_links():
             out_links.setdefault(link.src, []).append(link)
@@ -310,8 +291,8 @@ class Fabric:
 
     def live_param_count(self) -> int:
         """Surviving parameters: unmasked conv weights plus everything unpruned."""
-        total = stem_param_count(self.C) + head_param_count(self.C, self.num_classes)
-        for link in self.alive_links():
+        total = head_param_count(self.C, self.num_classes)
+        for link in [self.stem, *self.alive_links()]:
             total += link.unmasked_weight_count() + self.C + 2 * self.C
         return total
 
@@ -322,13 +303,14 @@ class Fabric:
         appears only for a link that has one. "alive" is a new bool array of
         the links' alive flags.
         """
+        stem = self.stem
         state = {
-            "stem_weight": self.stem_weight.data,
-            "stem_bias": self.stem_bias.data,
-            "stem_gamma": self.stem_gamma.data,
-            "stem_beta": self.stem_beta.data,
-            "stem_running_mean": self.stem_bn_state.running_mean,
-            "stem_running_var": self.stem_bn_state.running_var,
+            "stem_weight": stem.conv_weight.data,
+            "stem_bias": stem.conv_bias.data,
+            "stem_gamma": stem.bn_gamma.data,
+            "stem_beta": stem.bn_beta.data,
+            "stem_running_mean": stem.bn_state.running_mean,
+            "stem_running_var": stem.bn_state.running_var,
             "head_weight": self.head_weight.data,
             "head_bias": self.head_bias.data,
         }
@@ -375,13 +357,14 @@ class Fabric:
             link.alive = bool(alive)
 
 
-def _fold_batch_norm(conv_weight: Parameter, conv_bias: Parameter, gamma: Parameter,
-                     beta: Parameter, state: BatchNormState) -> tuple[np.ndarray, np.ndarray]:
-    """New conv weight and bias arrays that give eval-mode batch_norm(conv(x)):
-    w * gamma/sigma and (b - mu) * gamma/sigma + beta, sigma the running std."""
-    scale = gamma.data / np.sqrt(state.running_var + BN_EPSILON)
-    return (conv_weight.data * scale[:, None, None, None],
-            (conv_bias.data - state.running_mean) * scale + beta.data)
+def _fold_batch_norm(link: Link) -> tuple[np.ndarray, np.ndarray]:
+    """New conv weight and bias arrays that give the link's eval-mode
+    batch_norm(conv(x)): w * gamma/sigma and (b - mu) * gamma/sigma + beta,
+    sigma the running std."""
+    state = link.bn_state
+    scale = link.bn_gamma.data / np.sqrt(state.running_var + BN_EPSILON)
+    return (link.conv_weight.data * scale[:, None, None, None],
+            (link.conv_bias.data - state.running_mean) * scale + link.bn_beta.data)
 
 
 def train_batches(order, batch_size: int) -> list:
@@ -430,28 +413,25 @@ def build_fabric(layers: int, scales: int, channels: int, input_resolution: int,
     rng = np.random.default_rng(seed)
     dt = fabric.dtype
 
-    def he_conv(c_out, c_in):
+    def new_link(index, src, dst, direction, c_in):
+        # He-normal conv weights, drawn from rng in construction order
         std = np.sqrt(2.0 / (c_in * 9))
-        return Parameter((rng.standard_normal((c_out, c_in, 3, 3)) * std).astype(dt))
-
-    fabric.stem_weight = he_conv(channels, 3)
-    fabric.stem_bias = Parameter(np.zeros(channels, dtype=dt))
-    fabric.stem_gamma = Parameter(np.ones(channels, dtype=dt))
-    fabric.stem_beta = Parameter(np.zeros(channels, dtype=dt))
-    fabric.stem_bn_state = BatchNormState.create(channels, dt)
-
-    for index, (src, dst) in enumerate(_grid_edges(layers, scales)):
-        fabric.links.append(Link(
+        weight = (rng.standard_normal((channels, c_in, 3, 3)) * std).astype(dt)
+        return Link(
             index=index,
             src=src,
             dst=dst,
-            direction=_link_direction(src, dst),
-            conv_weight=he_conv(channels, channels),
+            direction=direction,
+            conv_weight=Parameter(weight),
             conv_bias=Parameter(np.zeros(channels, dtype=dt)),
             bn_gamma=Parameter(np.ones(channels, dtype=dt)),
             bn_beta=Parameter(np.zeros(channels, dtype=dt)),
             bn_state=BatchNormState.create(channels, dt),
-        ))
+        )
+
+    fabric.stem = new_link(-1, None, fabric.input_node, Direction.SAME, 3)
+    for index, (src, dst) in enumerate(_grid_edges(layers, scales)):
+        fabric.links.append(new_link(index, src, dst, _link_direction(src, dst), channels))
 
     head_std = np.sqrt(1.0 / channels)
     fabric.head_weight = Parameter(

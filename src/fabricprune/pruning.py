@@ -1,12 +1,13 @@
 """Two-stage fabric pruning: whole links first, then individual weights.
 
-Links are scored by the Euclidean norm of the per-weight criterion over
-their conv matrix, removed smallest-first under the condition that input
-and output stay connected, and followed by cascade removal of links made
-obsolete. Weights on surviving links are then ranked once, smallest
-first, and cut: each link's last unmasked weight in that ranking is
-protected, so no conv matrix ends up all zero, and the first `quota`
-unprotected weights are masked. Schedules place the work at epoch 5
+Each event builds one score map, a per-weight criterion value for every
+conv weight of the alive links. Links are scored by the Euclidean norm of
+their scores, removed smallest-first under the condition that input and
+output stay connected, and followed by cascade removal of links made
+obsolete. Weights on surviving links are then ranked once by their
+scores, smallest first, and cut: each link's last unmasked weight in that
+ranking is protected, so no conv matrix ends up all zero, and the first
+`quota` unprotected weights are masked. Schedules place the work at epoch 5
 (early), epoch 75 (late), or spread it over epochs 5, 15, ..., 75
 (iterative); the number of links kept never drops below the longest
 linear path.
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fabric import Fabric, Link, clone_parameters, longest_linear_path
+from .fabric import Fabric, clone_parameters, longest_linear_path
 from .tensor import UsageError
 
 
@@ -41,28 +42,6 @@ class Strategy(enum.Enum):
 EARLY_EPOCH = 5
 LATE_EPOCH = 75
 ITERATIVE_EPOCHS = tuple(range(5, 76, 10))  # 5, 15, ..., 75
-
-
-def score_weight(criterion: Criterion, w, grad=None):
-    """Per-weight criterion value; works on scalars and arrays alike."""
-    if criterion is Criterion.SENSITIVITY:
-        if grad is None:
-            raise UsageError("sensitivity criterion needs a gradient")
-        return np.abs(w * grad)
-    return np.abs(w)
-
-
-def score_link(criterion: Criterion, link: Link, weight_scores=None) -> float:
-    """Euclidean norm of the per-weight criterion over the link's conv matrix."""
-    if not link.alive:
-        raise UsageError(f"cannot score dead link {link.index}")
-    if criterion is Criterion.SENSITIVITY:
-        if weight_scores is None:
-            raise UsageError("sensitivity link scoring needs per-weight scores")
-        values = weight_scores[link.index]
-    else:
-        values = score_weight(criterion, link.conv_weight.data)
-    return float(np.sqrt(np.sum(np.square(values, dtype=np.float64))))
 
 
 def sensitivity_grads(fabric: Fabric, batches) -> dict[int, np.ndarray]:
@@ -84,7 +63,7 @@ def sensitivity_grads(fabric: Fabric, batches) -> dict[int, np.ndarray]:
             fabric.loss_backward(images, labels)
             for link in fabric.alive_links():
                 w = link.conv_weight
-                contribution = score_weight(Criterion.SENSITIVITY, w.data, w.grad)
+                contribution = np.abs(w.data * w.grad)
                 if link.index in totals:
                     totals[link.index] += contribution
                 else:
@@ -256,12 +235,13 @@ class PruneReport:
         return json.dumps(asdict(self))
 
 
-def _apply_link_stage(fabric: Fabric, quota: int, criterion: Criterion,
-                      weight_scores, report: PruneReport,
-                      count_cascade: bool) -> None:
+def _apply_link_stage(fabric: Fabric, quota: int, scores: dict[int, np.ndarray],
+                      report: PruneReport, count_cascade: bool) -> None:
     links = fabric.alive_links()
-    scores = {link.index: score_link(criterion, link, weight_scores) for link in links}
-    order = sorted(links, key=lambda l: (scores[l.index], l.index))
+    # a link's score is the Euclidean norm of its weights' scores
+    norms = {link.index: np.sqrt(np.sum(np.square(scores[link.index], dtype=np.float64)))
+             for link in links}
+    order = sorted(links, key=lambda l: (norms[l.index], l.index))
     alive = {link.index for link in links}
     remaining = quota
     for link in order:
@@ -287,8 +267,8 @@ def _apply_link_stage(fabric: Fabric, quota: int, criterion: Criterion,
     report.link_shortfall = remaining
 
 
-def _apply_weight_stage(fabric: Fabric, quota: int, criterion: Criterion,
-                        weight_scores, report: PruneReport) -> None:
+def _apply_weight_stage(fabric: Fabric, quota: int, scores: dict[int, np.ndarray],
+                        report: PruneReport) -> None:
     links = fabric.alive_links()
     if not links:
         report.weight_shortfall = quota
@@ -299,8 +279,7 @@ def _apply_weight_stage(fabric: Fabric, quota: int, criterion: Criterion,
     score_parts, owner_parts, position_parts = [], [], []
     for slot, link in enumerate(links):
         w = link.conv_weight
-        flat = (weight_scores[link.index] if criterion is Criterion.SENSITIVITY
-                else score_weight(criterion, w.data)).reshape(-1)
+        flat = scores[link.index].reshape(-1)
         pos = np.arange(flat.size) if w.mask is None else np.flatnonzero(w.mask)
         score_parts.append(np.asarray(flat[pos], dtype=np.float64))
         owner_parts.append(np.full(pos.size, slot))
@@ -332,21 +311,26 @@ def apply_event(fabric: Fabric, event: PruneEvent, criterion: Criterion,
                 count_cascade: bool = True) -> PruneReport:
     """Run one pruning event: the link stage, then the weight stage.
 
-    Cascade kills count toward the link quota by default; a candidate whose
-    cascade would overshoot the quota is skipped like a condition failure.
-    Quota that cannot be met is reported as a shortfall, never forced.
+    Both stages read one score map, link index -> per-weight scores: |w| of
+    each alive link's conv weights under magnitude, or weight_scores (as
+    sensitivity_grads gives them) under sensitivity. Cascade kills count
+    toward the link quota by default; a candidate whose cascade would
+    overshoot the quota is skipped like a condition failure. Quota that
+    cannot be met is reported as a shortfall, never forced.
     """
-    if criterion is Criterion.SENSITIVITY and weight_scores is None \
-            and (event.links_to_remove > 0 or event.weights_to_remove > 0):
-        raise UsageError("sensitivity pruning needs per-weight scores")
+    if criterion is Criterion.SENSITIVITY:
+        if weight_scores is None and (event.links_to_remove > 0
+                                      or event.weights_to_remove > 0):
+            raise UsageError("sensitivity pruning needs per-weight scores")
+        scores = weight_scores
+    else:
+        scores = {link.index: np.abs(link.conv_weight.data) for link in fabric.alive_links()}
     report = PruneReport(epoch=event.epoch, link_quota=event.links_to_remove,
                          weight_quota=event.weights_to_remove)
     if event.links_to_remove > 0:
-        _apply_link_stage(fabric, event.links_to_remove, criterion, weight_scores,
-                          report, count_cascade)
+        _apply_link_stage(fabric, event.links_to_remove, scores, report, count_cascade)
     if event.weights_to_remove > 0:
-        _apply_weight_stage(fabric, event.weights_to_remove, criterion, weight_scores,
-                            report)
+        _apply_weight_stage(fabric, event.weights_to_remove, scores, report)
     report.alive_links = len(fabric.alive_links())
     report.live_params = fabric.live_param_count()
     return report

@@ -70,6 +70,9 @@ from .tensor import SGD, SgdConfig
 
 RECIPE_EPOCHS = 200
 RECIPE_LR_MILESTONES = (80, 120)
+# the dataset's splits, in split-manifest order; prune.gradient_source names one
+SPLITS = ("train", "validation", "test")
+NOISE_KINDS = ("uniform", "class", "annotator")
 
 
 class TrainingDiverged(RuntimeError):
@@ -78,8 +81,9 @@ class TrainingDiverged(RuntimeError):
 
 class ConfigError(ValueError):
     """A config section that is not an object, a key no field matches, an
-    image size the fabric cannot take, a batch size below 2, or a prune
-    section with no epoch to prune in."""
+    image size the fabric cannot take, a batch size below 2, a prune or
+    noise setting outside its choices, or a prune section with no epoch to
+    prune in."""
 
 
 def _checked_section(cls, raw, path: str) -> dict:
@@ -115,16 +119,16 @@ class DataConfig:
 
 @dataclass
 class PruneConfig:
-    strategy: str = "iterative"  # early | late | iterative
-    sparsity: float = 0.05
-    criterion: str = "magnitude"  # magnitude | sensitivity
-    gradient_source: str = "validation"  # validation | test | train
+    strategy: str = "iterative"  # a Strategy value: early | late | iterative
+    sparsity: float = 0.05  # in (0, 1)
+    criterion: str = "magnitude"  # a Criterion value: magnitude | sensitivity
+    gradient_source: str = "validation"  # one of SPLITS
     count_cascade: bool = True
 
 
 @dataclass
 class NoiseConfig:
-    kind: str = "uniform"  # uniform | class | annotator
+    kind: str = "uniform"  # one of NOISE_KINDS
     rate: float = 0.1  # flip probability for uniform / symmetric class noise
     epsilon: float = 0.1  # target annotator error for kind="annotator"
     seed: int = 0
@@ -159,7 +163,8 @@ class ExperimentConfig:
 
     def check(self) -> None:
         """Raise ConfigError naming a field whose image or batch size the fabric
-        cannot take, or epochs below 1 when a prune section is set."""
+        cannot take, a prune or noise field outside its choices, or epochs
+        below 1 when a prune section is set."""
         r = self.input_resolution
         if not isinstance(r, int) or r < 2 or r & (r - 1):
             raise ConfigError(f"input_resolution must be a power of two >= 2, got {r!r}")
@@ -175,9 +180,23 @@ class ExperimentConfig:
         for name, size in sizes.items():
             if not isinstance(size, int) or size < 2:
                 raise ConfigError(f"{name} must be an int >= 2, got {size!r}")
-        if self.prune is not None and (not isinstance(self.epochs, int) or self.epochs < 1):
-            raise ConfigError(f"epochs must be an int >= 1 with a prune section, "
-                              f"got {self.epochs!r}")
+        choices = {}
+        if self.prune is not None:
+            choices["prune.strategy"] = (self.prune.strategy, [s.value for s in Strategy])
+            choices["prune.criterion"] = (self.prune.criterion, [c.value for c in Criterion])
+            choices["prune.gradient_source"] = (self.prune.gradient_source, SPLITS)
+        if self.noise is not None:
+            choices["noise.kind"] = (self.noise.kind, NOISE_KINDS)
+        for name, (value, allowed) in choices.items():
+            if value not in allowed:
+                raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
+        if self.prune is not None:
+            sparsity = self.prune.sparsity
+            if not isinstance(sparsity, (int, float)) or not 0.0 < sparsity < 1.0:
+                raise ConfigError(f"prune.sparsity must be in (0, 1), got {sparsity!r}")
+            if not isinstance(self.epochs, int) or self.epochs < 1:
+                raise ConfigError(f"epochs must be an int >= 1 with a prune section, "
+                                  f"got {self.epochs!r}")
 
     def model_inputs(self, images: np.ndarray) -> np.ndarray:
         """Images as the fabric takes them, for training and evaluation alike:
@@ -273,7 +292,7 @@ def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[np.ndarray]
         raise ValueError(f"unknown dataset kind {data.kind!r}")
     fractions = (data.train_fraction, data.val_fraction, data.test_fraction)
     indices = stratified_split_indices(dataset.labels, fractions, data.seed)
-    for name, split in zip(("train", "validation", "test"), indices):
+    for name, split in zip(SPLITS, indices):
         if split.size == 0:
             raise ValueError(f"the {name} split is empty: {len(dataset)} items "
                              f"split by fractions {fractions}")
@@ -405,8 +424,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
             if event is not None:
                 weight_scores = None
                 if criterion is Criterion.SENSITIVITY:
-                    source = {"validation": val_set, "test": test_set,
-                              "train": train_set}[config.prune.gradient_source]
+                    source = (train_set, val_set, test_set)[
+                        SPLITS.index(config.prune.gradient_source)]
                     inputs = config.model_inputs(source.images)
                     batches = [(inputs[b], source.given_labels[b])
                                for b in train_batches(np.arange(len(source)), config.batch_size)]
@@ -451,7 +470,6 @@ def evaluate_checkpoint(fabric: Fabric, config: ExperimentConfig,
                         split: str = "test") -> dict:
     """Error of a checkpointed fabric on one split of the config's dataset."""
     dataset, indices = load_split_dataset(config.data)
-    chosen = {"train": 0, "validation": 1, "test": 2}[split]
-    subset = dataset.subset(indices[chosen])
+    subset = dataset.subset(indices[SPLITS.index(split)])
     error = classification_error(fabric, config.model_inputs(subset.images), subset.labels)
     return {"split": split, "items": len(subset), "error": error}

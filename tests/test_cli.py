@@ -247,6 +247,26 @@ class TestConfigErrors:
         assert "epochs must be an int >= 1 with a prune section, got 0" in captured.err
         assert not out_dir.exists() and not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["train", "prune-plan", "inject-noise"])
+    @pytest.mark.parametrize("section,key,field", [
+        ("prune", "strategy", "prune.strategy"),
+        ("prune", "gradient_source", "prune.gradient_source"),
+        ("noise", "kind", "noise.kind"),
+    ])
+    def test_bad_choice_fails_before_any_output(self, capsys, tmp_path, command, section,
+                                                key, field):
+        path, config = write_config(tmp_path, prune=PruneConfig(),
+                                    noise=NoiseConfig(kind="uniform"))
+        raw = config.to_dict()
+        raw[section][key] = "bogus"
+        path.write_text(json.dumps(raw))
+        out_dir = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field} must be one of " in captured.err
+        assert not out_dir.exists() and not (tmp_path / "run").exists()
+
     def test_count_params_resolution_flag_checked(self, capsys):
         assert main(["count-params", "--resolution", "24"]) == 2
         captured = capsys.readouterr()

@@ -167,12 +167,14 @@ class TestBinaryRecords:
         path = tmp_path / "records.bin"
         pixels = np.rint(images * 255.0).astype(np.uint8).reshape(2, -1)
         path.write_bytes(np.hstack([ds.labels.astype(np.uint8)[:, None], pixels]).tobytes())
-        loaded = load_binary_records(path, RecordLayout(resolution=4))
+        # the class count is the layout's, even above the largest label
+        loaded = load_binary_records(path, RecordLayout(resolution=4, num_classes=5))
         np.testing.assert_allclose(loaded.images, ds.images, atol=1 / 255.0 / 2)
         np.testing.assert_array_equal(loaded.labels, ds.labels)
+        assert loaded.num_classes == 5
 
     def test_size_arithmetic(self, tmp_path):
-        layout = RecordLayout(resolution=32)
+        layout = RecordLayout(resolution=32, num_classes=10)
         assert layout.record_size == 3073
         path = tmp_path / "five.bin"
         path.write_bytes(bytes(3073 * 5))
@@ -182,7 +184,7 @@ class TestBinaryRecords:
     def test_truncated_file_names_sizes(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(bytes(100))
-        layout = RecordLayout(resolution=4)
+        layout = RecordLayout(resolution=4, num_classes=2)
         with pytest.raises(FormatError, match="100 bytes"):
             load_binary_records(path, layout)
 

@@ -16,12 +16,11 @@ from fabricprune.fabric import (
     export_dot,
     grid_link_count,
     head_param_count,
+    link_param_count,
     load_fabric,
     longest_linear_path,
     param_breakdown,
-    per_link_param_count,
     save_fabric,
-    stem_param_count,
     train_batches,
 )
 from fabricprune.tensor import (
@@ -99,10 +98,38 @@ class TestConstruction:
         edges = [(l.src, l.dst) for l in fabric.alive_links()]
         assert path_exists(edges, (0, 0), (4, 3))
 
+    def test_init_draw_order_pinned(self):
+        # He-normal conv weights come off one default_rng(seed) stream: the
+        # stem's first, then each grid link's in index order, then the head's
+        layers, scales, channels, classes, seed = 2, 3, 2, 3, 17
+        fabric = build_fabric(layers, scales, channels, 4, classes, seed=seed)
+        rng = np.random.default_rng(seed)
+        expected = [(rng.standard_normal((channels, c_in, 3, 3))
+                     * np.sqrt(2.0 / (c_in * 9))).astype(np.float32)
+                    for c_in in [3] + [channels] * len(fabric.links)]
+        head = (rng.standard_normal((classes, channels))
+                * np.sqrt(1.0 / channels)).astype(np.float32)
+        convs = [fabric.stem.conv_weight.data] + [l.conv_weight.data for l in fabric.links]
+        for index, (ours, theirs) in enumerate(zip(convs, expected, strict=True)):
+            np.testing.assert_array_equal(ours, theirs, err_msg=f"conv {index - 1}")
+        np.testing.assert_array_equal(fabric.head_weight.data, head)
+
+    def test_stem_is_a_link_outside_the_grid(self):
+        fabric = build_fabric(2, 2, 2, 2, 3)
+        stem = fabric.stem
+        assert (stem.index, stem.src, stem.dst) == (-1, None, fabric.input_node)
+        assert stem.direction is Direction.SAME
+        assert stem.conv_weight.data.shape == (2, 3, 3, 3)
+        assert all(link is not stem for link in fabric.links)
+        assert all(a is b for a, b in zip(fabric.parameters(), stem.parameters()))
+        _, edges = parse_dot(export_dot(fabric, include_pruned=True))
+        assert len(edges) == len(fabric.links)
+        assert "None" not in export_dot(fabric, include_pruned=True)
+
 
 class TestParamCount:
     def test_per_link_at_64_channels(self):
-        assert per_link_param_count(64) == 37_056
+        assert link_param_count(64, 64) == 37_056
 
     def test_cifar10_baseline(self):
         assert param_breakdown(8, 6, 64, 10).total == 4_523_402
@@ -116,7 +143,7 @@ class TestParamCount:
     def test_breakdown_sums(self):
         b = param_breakdown(8, 6, 64, 10)
         assert b.total == b.stem + b.links + b.head
-        assert b.stem == stem_param_count(64) == 1_920
+        assert b.stem == link_param_count(3, 64) == 1_920
         assert b.head == head_param_count(64, 10) == 650
         assert b.links == 122 * 37_056
 
@@ -124,7 +151,7 @@ class TestParamCount:
         fabric = build_fabric(3, 3, 4, 4, 2)
         full = fabric.param_count()
         fabric.links[0].alive = False
-        assert fabric.param_count().links == full.links - per_link_param_count(4)
+        assert fabric.param_count().links == full.links - link_param_count(4, 4)
 
     def test_live_count_tracks_masks(self):
         fabric = build_fabric(2, 2, 2, 2, 2)
@@ -147,7 +174,7 @@ class TestForward:
         for link in fabric.links:
             link.conv_weight.data[:] = 0.0
             link.conv_bias.data[:] = 0.0
-        fabric.stem_weight.data[:] = 0.0
+        fabric.stem.conv_weight.data[:] = 0.0
         fabric.head_weight.data[:] = 0.0
         fabric.head_bias.data[:] = np.arange(4.0, dtype=np.float32)
         logits = fabric.forward(np.ones((2, 3, 4, 4), dtype=np.float32), mode="eval")
@@ -174,8 +201,7 @@ class TestForward:
             return relu6_ref(bn_eval(h))
 
         by_pair = {(l.src, l.dst): l for l in fabric.links}
-        act00 = relu6_ref(bn_eval(naive_conv2d(x, fabric.stem_weight.data,
-                                               fabric.stem_bias.data, 1)))
+        act00 = link_out(x, fabric.stem)
         act01 = link_out(act00, by_pair[((0, 0), (0, 1))])
         act10 = link_out(act00, by_pair[((0, 0), (1, 0))]) + \
             link_out(act01, by_pair[((0, 1), (1, 0))])
@@ -236,8 +262,9 @@ def per_link_forward(fabric, x, mode):
     """Reference forward: one conv2d per alive link, each node's in-links
     summed in link index order. Returns the logits and every node's
     activation; test_matches_per_link_reference ties it to Fabric.forward."""
-    h = conv2d(Tensor(x), fabric.stem_weight, fabric.stem_bias, stride=1)
-    h = batch_norm(h, fabric.stem_gamma, fabric.stem_beta, fabric.stem_bn_state, mode)
+    stem = fabric.stem
+    h = conv2d(Tensor(x), stem.conv_weight, stem.conv_bias, stride=1)
+    h = batch_norm(h, stem.bn_gamma, stem.bn_beta, stem.bn_state, mode)
     acts = {fabric.input_node: relu6(h)}
     for node in fabric.nodes():
         total = None
@@ -319,7 +346,7 @@ class TestSourceMajorForward:
         backward(softmax_cross_entropy(expected, labels))
 
         def grads(f):
-            params = f.stem_parameters() + f.head_parameters()
+            params = f.stem.parameters() + f.head_parameters()
             return params + [p for link in f.links for p in link.parameters()]
 
         for ours, theirs in zip(grads(fabric), grads(reference)):
@@ -339,10 +366,11 @@ class TestFoldedEval:
     def test_matches_unfolded_per_link_reference(self, case):
         fabric, rng = build_pruned_case(case)
         C = fabric.C
-        for p in (fabric.stem_bias, fabric.stem_gamma, fabric.stem_beta):
+        stem = fabric.stem
+        for p in (stem.conv_bias, stem.bn_gamma, stem.bn_beta):
             p.data[:] = rng.standard_normal(C)
-        fabric.stem_bn_state.running_mean[:] = rng.standard_normal(C)
-        fabric.stem_bn_state.running_var[:] = rng.random(C) + 0.5
+        stem.bn_state.running_mean[:] = rng.standard_normal(C)
+        stem.bn_state.running_var[:] = rng.random(C) + 0.5
         fabric.head_bias.data[:] = rng.standard_normal(3)
         x = rng.random((3, 3, fabric.input_resolution, fabric.input_resolution))
         with tensor.no_grad():
@@ -504,7 +532,7 @@ class TestCheckpoint:
         for link in fabric.links:
             link.bn_gamma.data += 0.5
             link.bn_beta.data -= 0.25
-        fabric.stem_gamma.data *= 3.0
+        fabric.stem.bn_gamma.data *= 3.0
         fabric.head_bias.data += 1.0
 
         path = tmp_path / "fabric.npz"
@@ -681,8 +709,8 @@ class TestSnapshot:
         fabric.load_state(snapshot)
         assert_same_state(reference, fabric)
         # the snapshot is copied in, not aliased
-        fabric.stem_weight.data += 1.0
-        np.testing.assert_array_equal(snapshot["stem_weight"], reference.stem_weight.data)
+        fabric.stem.conv_weight.data += 1.0
+        np.testing.assert_array_equal(snapshot["stem_weight"], reference.stem.conv_weight.data)
 
     def test_state_entries_are_live(self):
         fabric = build_fabric(2, 2, 1, 2, 2)

@@ -26,8 +26,6 @@ from fabricprune.pruning import (
     link_condition,
     reported_param_count,
     rescale_plan,
-    score_link,
-    score_weight,
     sensitivity_grads,
 )
 from fabricprune.runner import DataConfig, ExperimentConfig, PruneConfig, run_experiment
@@ -36,6 +34,7 @@ from fabricprune.tensor import UsageError, backward, softmax_cross_entropy
 from oracles import (
     dangling_links_by_rescan,
     finite_difference_grads,
+    link_norm,
     links_on_some_path,
     longest_path_exhaustive,
     path_exists,
@@ -54,61 +53,94 @@ def set_link_weights(fabric, values):
         link.conv_weight.data[:] = v
 
 
-class TestScoreWeight:
-    def test_magnitude_absolute_value(self):
-        assert score_weight(Criterion.MAGNITUDE, -2.5) == 2.5
+class TestScoreMap:
+    """apply_event scores every alive link's weights once: |w| under
+    magnitude, the passed weight_scores under sensitivity. The link stage
+    ranks links by the Euclidean norm of their scores, the weight stage
+    ranks the scores themselves."""
 
-    def test_sensitivity_product(self):
-        assert score_weight(Criterion.SENSITIVITY, 2.0, -0.5) == 1.0
+    def test_magnitude_scores_are_absolute_values(self):
+        fabric = weight_stage_fabric((-2.5, 1.0, 3.0), unmasked=(0, 1, 2))
+        apply_event(fabric, PruneEvent(1, 0, 1), Criterion.MAGNITUDE)
+        np.testing.assert_array_equal(
+            fabric.links[0].conv_weight.mask.reshape(-1), [1, 0, 1, 0, 0, 0, 0, 0, 0])
 
-    def test_magnitude_needs_no_gradient(self):
-        assert score_weight(Criterion.MAGNITUDE, -3.0, None) == 3.0
+    def test_magnitude_ignores_weight_scores(self):
+        def event(weight_scores):
+            fabric = build_fabric(3, 3, 1, 4, 2, seed=12)
+            report = apply_event(fabric, PruneEvent(1, 3, 10), Criterion.MAGNITUDE,
+                                 weight_scores)
+            return report.to_json(), fabric.state()
 
-    def test_sensitivity_without_gradient_raises(self):
-        with pytest.raises(UsageError):
-            score_weight(Criterion.SENSITIVITY, 1.0)
+        inverted = {l.index: -np.abs(l.conv_weight.data)
+                    for l in build_fabric(3, 3, 1, 4, 2, seed=12).links}
+        (report, state), (report_scored, state_scored) = event(None), event(inverted)
+        assert report == report_scored
+        for key, value in state.items():
+            np.testing.assert_array_equal(state_scored[key], value, err_msg=key)
 
-    def test_vectorized(self):
-        w = np.array([1.0, -2.0])
-        g = np.array([-3.0, 0.5])
-        np.testing.assert_array_equal(score_weight(Criterion.SENSITIVITY, w, g), [3.0, 1.0])
+    @pytest.mark.parametrize("quotas", [(1, 0), (0, 1)])
+    def test_sensitivity_without_scores_raises(self, quotas):
+        with pytest.raises(UsageError, match="per-weight scores"):
+            apply_event(tiny_fabric(), PruneEvent(1, *quotas), Criterion.SENSITIVITY)
 
+    def test_sensitivity_without_scores_and_quota_is_a_no_op(self):
+        report = apply_event(tiny_fabric(), PruneEvent(1, 0, 0), Criterion.SENSITIVITY)
+        assert report.killed_links == [] and report.masked_weights == 0
 
-class TestScoreLink:
-    def test_three_four_five(self):
+    def test_link_score_is_the_euclidean_norm(self):
+        # link 1's scores (3, -4) have norm 5, below link 2's single 5.5 but
+        # above it in L1; on the 2x2 grid one link can go without a cascade
         fabric = tiny_fabric()
-        link = fabric.links[0]
-        link.conv_weight.data[:] = 0.0
-        link.conv_weight.data[0, 0, 0, 0] = 3.0
-        link.conv_weight.data[0, 0, 2, 2] = -4.0
-        assert score_link(Criterion.MAGNITUDE, link) == pytest.approx(5.0)
+        scores = {l.index: np.full((1, 1, 3, 3), 9.0) for l in fabric.links}
+        scores[1] = np.zeros((1, 1, 3, 3))
+        scores[1][0, 0, 0, 0], scores[1][0, 0, 2, 2] = 3.0, 4.0
+        scores[2] = np.zeros((1, 1, 3, 3))
+        scores[2][0, 0, 1, 1] = 5.5
+        report = apply_event(fabric, PruneEvent(1, 1, 0), Criterion.SENSITIVITY, scores)
+        assert report.killed_links == [1]
+        assert link_norm(scores[1]) == 5.0
 
-    def test_all_zero_weights(self):
+    def test_all_zero_link_ranks_first(self):
         fabric = tiny_fabric()
-        fabric.links[0].conv_weight.data[:] = 0.0
-        assert score_link(Criterion.MAGNITUDE, fabric.links[0]) == 0.0
+        set_link_weights(fabric, [1.0, 2.0, 3.0, 0.0, 5.0, 6.0])
+        report = apply_event(fabric, PruneEvent(1, 1, 0), Criterion.MAGNITUDE)
+        assert report.killed_links == [3]
 
-    def test_matches_elementwise_then_norm_oracle(self):
-        rng = np.random.default_rng(3)
+    def test_sensitivity_ranks_by_weight_scores_not_weights(self):
         fabric = tiny_fabric()
-        link = fabric.links[0]
-        link.conv_weight.data = rng.standard_normal((1, 1, 3, 3))
-        expected = np.sqrt(np.sum(np.abs(link.conv_weight.data) ** 2))
-        assert score_link(Criterion.MAGNITUDE, link) == pytest.approx(expected, rel=1e-12)
+        set_link_weights(fabric, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        scores = {l.index: np.full((1, 1, 3, 3), 6.0 - l.index) for l in fabric.links}
+        report = apply_event(fabric, PruneEvent(1, 1, 1), Criterion.SENSITIVITY, scores)
+        # killing 5 or 4 would sweep two more links away: over the quota of 1
+        assert report.skipped_links == [(5, "cascade_overshoot"), (4, "cascade_overshoot")]
+        assert report.killed_links == [3]
+        (masked,) = [l for l in fabric.alive_links() if l.conv_weight.mask is not None]
+        assert masked.index == 5
 
-    def test_dead_link_raises(self):
-        fabric = tiny_fabric()
-        fabric.links[0].alive = False
-        with pytest.raises(UsageError):
-            score_link(Criterion.MAGNITUDE, fabric.links[0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_magnitude_event_equals_sensitivity_on_absolute_weights(self, seed):
+        def event(criterion):
+            fabric = build_fabric(4, 3, 2, 4, 2, seed=seed)
+            for link in fabric.links[::5]:
+                link.conv_weight.set_mask(
+                    (np.random.default_rng(seed).random((2, 2, 3, 3)) > 0.4)
+                    .astype(np.float32))
+            weight_scores = {l.index: np.abs(l.conv_weight.data)
+                             for l in fabric.alive_links()}
+            report = apply_event(fabric, PruneEvent(1, 6, 40), criterion,
+                                 weight_scores=weight_scores)
+            return report, fabric
 
-    def test_sensitivity_uses_weight_scores(self):
-        fabric = tiny_fabric()
-        link = fabric.links[0]
-        scores = {link.index: np.full((1, 1, 3, 3), 2.0)}
-        assert score_link(Criterion.SENSITIVITY, link, scores) == pytest.approx(6.0)
-        with pytest.raises(UsageError):
-            score_link(Criterion.SENSITIVITY, link)
+        (magnitude, ours), (sensitivity, theirs) = \
+            event(Criterion.MAGNITUDE), event(Criterion.SENSITIVITY)
+        assert magnitude.killed_links and magnitude.masked_weights == 40
+        assert magnitude.to_json() == sensitivity.to_json()
+        assert [l.alive for l in ours.links] == [l.alive for l in theirs.links]
+        for a, b in zip(ours.links, theirs.links):
+            assert (a.conv_weight.mask is None) == (b.conv_weight.mask is None)
+            if a.conv_weight.mask is not None:
+                np.testing.assert_array_equal(a.conv_weight.mask, b.conv_weight.mask)
 
 
 def _batch(fabric, rng, n=4):
@@ -152,6 +184,17 @@ class TestSensitivityGrads:
     def test_empty_source_raises(self):
         with pytest.raises(UsageError):
             sensitivity_grads(tiny_fabric(), [])
+
+    def test_scores_are_absolute_weight_times_grad(self):
+        fabric = tiny_fabric(seed=10)
+        images, labels = _batch(fabric, np.random.default_rng(6))
+        scores = sensitivity_grads(fabric, [(images, labels)])
+        for p in fabric.parameters():
+            p.zero_grad()
+        fabric.loss_backward(images, labels)
+        for link in fabric.links:
+            w = link.conv_weight
+            np.testing.assert_array_equal(scores[link.index], np.abs(w.data * w.grad))
 
     def test_nan_images_raise_and_leave_the_fabric_untouched(self):
         fabric = tiny_fabric(seed=9)
@@ -475,7 +518,7 @@ class TestApplyEvent:
         n = int(rng.integers(0, 6))
 
         edges = [(l.src, l.dst) for l in fabric.links]
-        scores = [score_link(Criterion.MAGNITUDE, l) for l in fabric.links]
+        scores = [link_norm(np.abs(l.conv_weight.data)) for l in fabric.links]
         expected_killed, expected_cascaded, expected_alive = greedy_oracle(
             edges, scores, n, (0, 0), (1, 1))
 
@@ -489,8 +532,7 @@ class TestApplyEvent:
         fabric = tiny_fabric(seed=seed + 50)
         batch = _batch(fabric, np.random.default_rng(seed))
         weight_scores = sensitivity_grads(fabric, [batch])
-        link_scores = [score_link(Criterion.SENSITIVITY, l, weight_scores)
-                       for l in fabric.links]
+        link_scores = [link_norm(weight_scores[l.index]) for l in fabric.links]
         edges = [(l.src, l.dst) for l in fabric.links]
         expected_killed, expected_cascaded, _ = greedy_oracle(
             edges, link_scores, 3, (0, 0), (1, 1))
@@ -522,10 +564,11 @@ class TestApplyEvent:
 
     def test_stem_and_head_bit_identical(self):
         fabric = build_fabric(4, 3, 2, 4, 3, seed=3)
-        stem_before = [p.data.tobytes() for p in fabric.stem_parameters()]
+        stem_before = [p.data.tobytes() for p in fabric.stem.parameters()]
         head_before = [p.data.tobytes() for p in fabric.head_parameters()]
         apply_event(fabric, PruneEvent(1, 10, 40), Criterion.MAGNITUDE)
-        assert [p.data.tobytes() for p in fabric.stem_parameters()] == stem_before
+        assert fabric.stem.alive and fabric.stem.conv_weight.mask is None
+        assert [p.data.tobytes() for p in fabric.stem.parameters()] == stem_before
         assert [p.data.tobytes() for p in fabric.head_parameters()] == head_before
 
     def test_no_all_zero_filter_after_weight_stage(self):
@@ -548,7 +591,7 @@ class TestApplyEvent:
 
     def test_ranking_order_auditable(self):
         fabric = build_fabric(3, 3, 1, 4, 2, seed=5)
-        scores = {l.index: score_link(Criterion.MAGNITUDE, l) for l in fabric.links}
+        scores = {l.index: link_norm(np.abs(l.conv_weight.data)) for l in fabric.links}
         report = apply_event(fabric, PruneEvent(1, 5, 0), Criterion.MAGNITUDE)
         accounted = set(report.killed_links) | set(report.cascade_links) \
             | {i for i, _ in report.skipped_links}
@@ -559,10 +602,10 @@ class TestApplyEvent:
 
     def test_scale_invariance_of_magnitude_ranking(self):
         fabric = build_fabric(3, 3, 2, 4, 2, seed=6)
-        scores = np.array([score_link(Criterion.MAGNITUDE, l) for l in fabric.links])
+        scores = np.array([link_norm(np.abs(l.conv_weight.data)) for l in fabric.links])
         for link in fabric.links:
             link.conv_weight.data *= 7.3
-        scaled = np.array([score_link(Criterion.MAGNITUDE, l) for l in fabric.links])
+        scaled = np.array([link_norm(np.abs(l.conv_weight.data)) for l in fabric.links])
         np.testing.assert_array_equal(np.argsort(scores, kind="stable"),
                                       np.argsort(scaled, kind="stable"))
 

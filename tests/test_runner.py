@@ -164,6 +164,22 @@ class TestRunExperiment:
             run_experiment(config)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("overrides,field", [
+        (dict(prune=PruneConfig(strategy="bogus")), "prune.strategy"),
+        (dict(prune=PruneConfig(criterion="bogus")), "prune.criterion"),
+        (dict(prune=PruneConfig(gradient_source="bogus")), "prune.gradient_source"),
+        (dict(prune=PruneConfig(sparsity=1.5)), "prune.sparsity"),
+        (dict(prune=PruneConfig(sparsity=0.0)), "prune.sparsity"),
+        (dict(prune=PruneConfig(sparsity="0.1")), "prune.sparsity"),
+        (dict(noise=NoiseConfig(kind="bogus")), "noise.kind"),
+    ], ids=["strategy", "criterion", "gradient-source", "sparsity-above-one",
+            "sparsity-zero", "sparsity-string", "noise-kind"])
+    def test_bad_choice_rejected_before_any_output(self, tmp_path, overrides, field):
+        config = tiny_config(tmp_path / "run", **overrides)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be "):
+            run_experiment(config)
+        assert not (tmp_path / "run").exists()
+
     def test_zero_epochs_writes_baseline_artifacts(self, tmp_path):
         config = tiny_config(tmp_path / "run", epochs=0)
         summary = run_experiment(config)
