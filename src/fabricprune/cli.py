@@ -9,55 +9,34 @@ from pathlib import Path
 
 from .fabric import build_fabric, export_dot, load_fabric, param_breakdown
 from .noise import fitting_report, load_noisy_labels
-from .pruning import reported_param_count
+from .pruning import Criterion, Strategy, reported_param_count
 from .runner import (
+    NOISE_KINDS,
     SPLITS,
     ConfigError,
-    DataConfig,
     ExperimentConfig,
-    NoiseConfig,
-    PruneConfig,
     evaluate_checkpoint,
     inject_noise,
     load_split_dataset,
     run_experiment,
 )
 
-
-def _load_config(path: str) -> ExperimentConfig:
-    """The config at path, once ExperimentConfig.check passes (ConfigError if not)."""
-    config = ExperimentConfig.from_json(Path(path).read_text())
-    config.check()
-    return config
+# override flag -> the dotted config field it sets; --noise none drops the section
+OVERRIDES = {"seed": "seed", "epochs": "epochs", "out": "out_dir",
+             "sparsity": "prune.sparsity", "strategy": "prune.strategy",
+             "criterion": "prune.criterion", "noise": "noise.kind"}
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    """config with the command line's overrides, once ExperimentConfig.check
-    passes on the result (ConfigError if not)."""
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.epochs is not None:
-        config.epochs = args.epochs
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.sparsity is not None or args.strategy is not None or args.criterion is not None:
-        prune = config.prune or PruneConfig()
-        if args.sparsity is not None:
-            prune.sparsity = args.sparsity
-        if args.strategy is not None:
-            prune.strategy = args.strategy
-        if args.criterion is not None:
-            prune.criterion = args.criterion
-        config.prune = prune
-    if args.noise is not None:
-        if args.noise == "none":
-            config.noise = None
-        else:
-            noise = config.noise or NoiseConfig()
-            noise.kind = args.noise
-            config.noise = noise
-    config.check()
-    return config
+def _load_config(args) -> ExperimentConfig:
+    """The config at args.config with the override flags that are set, built and checked."""
+    overrides = {}
+    for flag, dotted in OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value == "none":
+            overrides["noise"] = None
+        elif value is not None:
+            overrides[dotted] = value
+    return ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()), overrides)
 
 
 def _emit(payload) -> None:
@@ -66,14 +45,14 @@ def _emit(payload) -> None:
 
 
 def cmd_train(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
+    config = _load_config(args)
     summary = run_experiment(config)
     _emit(summary)
     return 0
 
 
 def cmd_prune_plan(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
+    config = _load_config(args)
     if config.prune is None:
         print("config has no prune section", file=sys.stderr)
         return 2
@@ -100,14 +79,9 @@ def cmd_prune_plan(args) -> int:
 
 
 def cmd_count_params(args) -> int:
-    if args.config:
-        config = _load_config(args.config)
-    else:
-        config = ExperimentConfig(layers=args.layers, channels=args.channels,
-                                  input_resolution=args.resolution,
-                                  data=DataConfig(classes=args.classes,
-                                                  resolution=args.resolution))
-        config.check()
+    config = _load_config(args) if args.config else ExperimentConfig.from_dict({}, {
+        "layers": args.layers, "channels": args.channels, "data.classes": args.classes,
+        "input_resolution": args.resolution, "data.resolution": args.resolution})
     classes = config.data.classes
     breakdown = param_breakdown(config.layers, config.scales, config.channels, classes)
     _emit({
@@ -135,7 +109,7 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_inject_noise(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
+    config = _load_config(args)
     if config.noise is None:
         print("config has no noise section", file=sys.stderr)
         return 2
@@ -148,14 +122,14 @@ def cmd_inject_noise(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     fabric = load_fabric(args.checkpoint)
     _emit(evaluate_checkpoint(fabric, config, split=args.split))
     return 0
 
 
 def cmd_fitting_report(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     fabric = load_fabric(args.checkpoint)
     dataset, (_, _, test_idx) = load_split_dataset(config.data)
     full = load_noisy_labels(dataset, args.labels)
@@ -176,10 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--sparsity", type=float, default=None)
-        p.add_argument("--strategy", choices=["early", "iterative", "late"], default=None)
-        p.add_argument("--criterion", choices=["magnitude", "sensitivity"], default=None)
-        p.add_argument("--noise", choices=["none", "uniform", "class", "annotator"],
-                       default=None)
+        p.add_argument("--strategy", choices=[s.value for s in Strategy], default=None)
+        p.add_argument("--criterion", choices=[c.value for c in Criterion], default=None)
+        p.add_argument("--noise", choices=["none", *NOISE_KINDS], default=None)
         p.add_argument("--out", default=None)
 
     train = sub.add_parser("train", help="run an experiment end to end")

@@ -186,8 +186,8 @@ def load_binary_records(path, layout: RecordLayout) -> ImageDataset:
     return ImageDataset(images, labels, layout.num_classes)
 
 
-_DIFFICULTY = {
-    # (center jitter, pixel noise, color contrast)
+# difficulty, a choice of data.difficulty -> (center jitter, pixel noise, color contrast)
+DIFFICULTY = {
     "easy": (0.04, 0.05, 0.48),
     "medium": (0.10, 0.16, 0.30),
     "hard": (0.16, 0.26, 0.20),
@@ -209,11 +209,11 @@ def make_synthetic(classes: int, n_per_class: int, resolution: int, seed: int = 
     """
     if resolution < 2 or resolution & (resolution - 1):
         raise ValueError(f"resolution must be a power of two, got {resolution}")
-    if difficulty not in _DIFFICULTY:
+    if difficulty not in DIFFICULTY:
         raise ValueError(f"unknown difficulty {difficulty!r}")
     if not 0.0 <= confusable_fraction < 1.0:
         raise ValueError(f"confusable_fraction must be in [0, 1), got {confusable_fraction}")
-    jitter, noise, contrast = _DIFFICULTY[difficulty]
+    jitter, noise, contrast = DIFFICULTY[difficulty]
 
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(classes) / classes

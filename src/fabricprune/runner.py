@@ -21,11 +21,13 @@ import math
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
+    DIFFICULTY,
     AugmentConfig,
     ImageDataset,
     RecordLayout,
@@ -73,6 +75,7 @@ RECIPE_LR_MILESTONES = (80, 120)
 # the dataset's splits, in split-manifest order; prune.gradient_source names one
 SPLITS = ("train", "validation", "test")
 NOISE_KINDS = ("uniform", "class", "annotator")
+DATA_KINDS = ("synthetic", "binary")  # load_split_dataset's dispatch
 
 
 class TrainingDiverged(RuntimeError):
@@ -80,35 +83,45 @@ class TrainingDiverged(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A config section that is not an object, a key no field matches, an
-    image size the fabric cannot take, a batch size below 2, a prune or
-    noise setting outside its choices, or a prune section with no epoch to
-    prune in."""
+    """A config section that is not an object or that its dataclass rejects, a key
+    no field matches, or a value ExperimentConfig.check rejects, named by its dotted place."""
 
 
-def _checked_section(cls, raw, path: str) -> dict:
-    """A copy of raw once every key names a field of the dataclass cls.
-
-    path is the section's dotted place in the config ("" at the top level),
-    so an error names e.g. noise.annotator.bogus.
-    """
+def _object(raw, path: str) -> dict:
+    """raw, once it is a dict; path is its dotted place ("" at the top level)."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config section {path or '(top level)'} must be an object, "
                           f"got {type(raw).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = [f"{path}.{key}" if path else str(key) for key in raw if key not in known]
+    return raw
+
+
+def _checked_section(cls, raw, path: str):
+    """The dataclass cls built from raw, its nested _SECTIONS built alike and
+    its tuple fields' lists made tuples. path is its dotted place ("" at the
+    top level), so a ConfigError names e.g. noise.annotator.bogus."""
+    raw, names = dict(_object(raw, path)), [f.name for f in fields(cls)]
+    unknown = [f"{path}.{key}".lstrip(".") for key in raw if key not in names]
     if unknown:
         raise ConfigError(f"unknown config field {', '.join(unknown)}")
-    return dict(raw)
+    for f in fields(cls):
+        dotted, value = f"{path}.{f.name}".lstrip("."), raw.get(f.name)
+        if dotted in _SECTIONS and f.name in raw and (value is not None or f.default is not None):
+            raw[f.name] = _checked_section(_SECTIONS[dotted], value, dotted)
+        elif isinstance(value, list) and str(f.type).startswith("tuple"):
+            raw[f.name] = tuple(value)
+    try:
+        return cls(**raw)
+    except ValueError as exc:  # the section's own __post_init__ check
+        raise ConfigError(f"config section {path}: {exc}") from exc
 
 
 @dataclass
 class DataConfig:
-    kind: str = "synthetic"  # synthetic | binary
+    kind: str = "synthetic"  # one of DATA_KINDS
     classes: int = 3
     n_per_class: int = 150
     resolution: int = 16
-    difficulty: str = "easy"
+    difficulty: str = "easy"  # a key of data.DIFFICULTY
     confusable_fraction: float = 0.0
     path: str | None = None  # binary record file for kind="binary"
     train_fraction: float = 0.7
@@ -139,6 +152,50 @@ class NoiseConfig:
     annotator_train_fraction: float = 1.0
 
 
+# dotted field -> the dataclass of the config section there
+_SECTIONS = {"data": DataConfig, "prune": PruneConfig, "noise": NoiseConfig,
+             "noise.annotator": AnnotatorConfig, "augment": AugmentConfig}
+
+
+def _number(test, requirement: str, kind=(int, float)):
+    return (lambda v, config: isinstance(v, kind) and test(v)), requirement
+
+
+def _one_of(allowed):
+    return (lambda v, config: v in allowed), f"one of {', '.join(allowed)}"
+
+
+_POSITIVE = _number(lambda v: v > 0, "a number > 0")
+_NONNEGATIVE = _number(lambda v: v >= 0, "a number >= 0")
+_INT_FROM_1 = _number(lambda v: v >= 1, "an int >= 1", int)
+_INT_FROM_2 = _number(lambda v: v >= 2, "an int >= 2", int)
+# dotted field -> (test of its value and the config, requirement), in check's order
+_RULES = {
+    "input_resolution": _number(lambda v: v >= 2 and not v & (v - 1), "a power of two >= 2", int),
+    "layers": _INT_FROM_2, "channels": _INT_FROM_1, "batch_size": _INT_FROM_2,
+    "learning_rate": _POSITIVE, "momentum": _NONNEGATIVE, "weight_decay": _NONNEGATIVE,
+    "lr_milestones": (lambda v, config: v is None or isinstance(v, (list, tuple))
+                      and all(isinstance(m, int) for m in v), "null or a list of ints"),
+    "data.kind": _one_of(DATA_KINDS), "data.classes": _INT_FROM_1,
+    "data.difficulty": _one_of(DIFFICULTY),
+    "data.path": (lambda v, config: v is not None or config.data.kind != "binary",
+                  "set for data.kind binary"),
+    "prune.strategy": _one_of([s.value for s in Strategy]),
+    "prune.criterion": _one_of([c.value for c in Criterion]),
+    "prune.gradient_source": _one_of(SPLITS),
+    "prune.sparsity": _number(lambda v: 0 < v < 1, "in (0, 1)"),
+    "epochs": (lambda v, config: config.prune is None or isinstance(v, int) and v >= 1,
+               "an int >= 1 with a prune section"),
+    "noise.kind": _one_of(NOISE_KINDS), "noise.rate": _number(lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "noise.epsilon": (lambda v, config: config.noise.kind != "annotator" or isinstance(
+        v, (int, float)) and 0 < v < 1 - 1 / config.data.classes,
+        "in (0, 1 - 1/data.classes) for noise.kind annotator"),
+    "noise.annotator.layers": _INT_FROM_2, "noise.annotator.channels": _INT_FROM_1,
+    "noise.annotator.batch_size": _INT_FROM_2,
+    "noise.annotator.learning_rate": _POSITIVE, "noise.annotator.weight_decay": _NONNEGATIVE,
+}
+
+
 @dataclass
 class ExperimentConfig:
     layers: int = 4
@@ -162,41 +219,21 @@ class ExperimentConfig:
         return int(math.log2(self.input_resolution)) + 1
 
     def check(self) -> None:
-        """Raise ConfigError naming a field whose image or batch size the fabric
-        cannot take, a prune or noise field outside its choices, or epochs
-        below 1 when a prune section is set."""
+        """Raise ConfigError naming the first field that fails its rule in
+        _RULES, or a data or augment image size other than input_resolution."""
+        for name, (test, requirement) in _RULES.items():
+            if "." in name and getattr(self, name.split(".")[0]) is None:
+                continue  # a prune, noise or augment section that is not set
+            value = reduce(getattr, name.split("."), self)
+            if not test(value, self):
+                raise ConfigError(f"{name} must be {requirement}, got {value!r}")
         r = self.input_resolution
-        if not isinstance(r, int) or r < 2 or r & (r - 1):
-            raise ConfigError(f"input_resolution must be a power of two >= 2, got {r!r}")
         if self.data.resolution != r:
             raise ConfigError(f"data.resolution {self.data.resolution} differs from "
                               f"input_resolution {r}")
         if self.augment is not None and self.augment.crop_size != r:
             raise ConfigError(f"augment.crop_size {self.augment.crop_size} differs from "
                               f"input_resolution {r}")
-        sizes = {"batch_size": self.batch_size}
-        if self.noise is not None:
-            sizes["noise.annotator.batch_size"] = self.noise.annotator.batch_size
-        for name, size in sizes.items():
-            if not isinstance(size, int) or size < 2:
-                raise ConfigError(f"{name} must be an int >= 2, got {size!r}")
-        choices = {}
-        if self.prune is not None:
-            choices["prune.strategy"] = (self.prune.strategy, [s.value for s in Strategy])
-            choices["prune.criterion"] = (self.prune.criterion, [c.value for c in Criterion])
-            choices["prune.gradient_source"] = (self.prune.gradient_source, SPLITS)
-        if self.noise is not None:
-            choices["noise.kind"] = (self.noise.kind, NOISE_KINDS)
-        for name, (value, allowed) in choices.items():
-            if value not in allowed:
-                raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
-        if self.prune is not None:
-            sparsity = self.prune.sparsity
-            if not isinstance(sparsity, (int, float)) or not 0.0 < sparsity < 1.0:
-                raise ConfigError(f"prune.sparsity must be in (0, 1), got {sparsity!r}")
-            if not isinstance(self.epochs, int) or self.epochs < 1:
-                raise ConfigError(f"epochs must be an int >= 1 with a prune section, "
-                                  f"got {self.epochs!r}")
 
     def model_inputs(self, images: np.ndarray) -> np.ndarray:
         """Images as the fabric takes them, for training and evaluation alike:
@@ -222,26 +259,22 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Build a config, raising ConfigError that names any unknown field."""
-        raw = _checked_section(cls, raw, "")
-        if raw.get("data") is not None:
-            raw["data"] = DataConfig(**_checked_section(DataConfig, raw["data"], "data"))
-        if raw.get("prune") is not None:
-            raw["prune"] = PruneConfig(**_checked_section(PruneConfig, raw["prune"], "prune"))
-        if raw.get("noise") is not None:
-            noise_raw = _checked_section(NoiseConfig, raw["noise"], "noise")
-            if noise_raw.get("annotator") is not None:
-                noise_raw["annotator"] = AnnotatorConfig(**_checked_section(
-                    AnnotatorConfig, noise_raw["annotator"], "noise.annotator"))
-            raw["noise"] = NoiseConfig(**noise_raw)
-        if raw.get("augment") is not None:
-            aug = _checked_section(AugmentConfig, raw["augment"], "augment")
-            for key in ("normalize_mean", "normalize_std"):
-                if key in aug:
-                    aug[key] = tuple(aug[key])
-            raw["augment"] = AugmentConfig(**aug)
-        return cls(**raw)
+    def from_dict(cls, raw: dict, overrides: dict | None = None) -> "ExperimentConfig":
+        """The checked config of raw, each {dotted field: value} of overrides set
+        first in a copy: a section absent or null starts as {}, and {"noise":
+        None} drops the section. ConfigError names the field or section at fault."""
+        raw = dict(_object(raw, ""))
+        for dotted, value in (overrides or {}).items():
+            *path, leaf = dotted.split(".")
+            section = raw
+            for depth, key in enumerate(path, 1):
+                section[key] = dict(_object({} if section.get(key) is None else section[key],
+                                            ".".join(path[:depth])))
+                section = section[key]
+            section[leaf] = value
+        config = _checked_section(cls, raw, "")
+        config.check()
+        return config
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -284,12 +317,10 @@ def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[np.ndarray]
                                  seed=data.seed, difficulty=data.difficulty,
                                  confusable_fraction=data.confusable_fraction)
     elif data.kind == "binary":
-        if data.path is None:
-            raise ValueError("binary dataset needs a path")
         layout = RecordLayout(resolution=data.resolution, num_classes=data.classes)
         dataset = load_binary_records(data.path, layout)
     else:
-        raise ValueError(f"unknown dataset kind {data.kind!r}")
+        raise ConfigError(f"data.kind must be one of {', '.join(DATA_KINDS)}, got {data.kind!r}")
     fractions = (data.train_fraction, data.val_fraction, data.test_fraction)
     indices = stratified_split_indices(dataset.labels, fractions, data.seed)
     for name, split in zip(SPLITS, indices):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -35,6 +36,26 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(config.to_json())
     return path, config
+
+
+# (dotted field or section, what a config file gives it): values that used
+# to fail only after config.json and splits.txt were written, or with a traceback
+BAD_VALUES = [
+    ("data.kind", {"data": {"kind": "bogus"}}),
+    ("data.difficulty", {"data": {"difficulty": "bogus"}}),
+    ("data.path", {"data": {"kind": "binary", "path": None}}),
+    ("learning_rate", {"learning_rate": 0}),
+    ("momentum", {"momentum": -1}),
+    ("noise.annotator.learning_rate",
+     {"noise": {"kind": "annotator", "annotator": {"learning_rate": 0}}}),
+    ("layers", {"layers": 1}),
+    ("channels", {"channels": 0}),
+    ("noise.rate", {"noise": {"kind": "uniform", "rate": 1.5}}),
+    ("noise.epsilon", {"noise": {"kind": "annotator", "epsilon": 0.9},
+                       "data": {"classes": 2}}),
+    ("lr_milestones", {"lr_milestones": "x"}),
+    ("augment", {"augment": {"resize": 2, "crop_size": 4}}),
+]
 
 
 class TestCountParams:
@@ -272,6 +293,47 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "input_resolution must be a power of two >= 2, got 24" in captured.err
+
+
+    @pytest.mark.parametrize("field,patch", BAD_VALUES, ids=[f for f, _ in BAD_VALUES])
+    def test_bad_value_fails_before_any_output(self, capsys, tmp_path, field, patch):
+        path, config = write_config(tmp_path)
+        raw = config.to_dict()
+        for key, value in patch.items():
+            if isinstance(raw.get(key), dict):
+                raw[key].update(value)
+            else:
+                raw[key] = value
+        path.write_text(json.dumps(raw))
+        out_dir = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field} must be " in captured.err or f"section {field}:" in captured.err
+        assert not out_dir.exists() and not (tmp_path / "run").exists()
+
+
+class TestOverrides:
+    def test_override_flags_write_the_recorded_config_bytes(self, capsys, tmp_path, monkeypatch):
+        # a file with no prune and no noise section: the flags create both;
+        # the digest is that of the config.json the flags wrote before from_dict applied them
+        path, _ = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv = ["train", "--config", str(path), "--seed", "7", "--epochs", "1",
+                "--sparsity", "0.3", "--strategy", "early", "--criterion", "sensitivity",
+                "--noise", "uniform", "--out", "run"]
+        code, _ = run_cli(capsys, argv)
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "run" / "config.json").read_bytes()).hexdigest()
+        assert digest == "3028b7b69082dfd34894ff8406151505801c2dba24d54a4ece769546d586d3f5"
+
+    def test_noise_none_drops_the_noise_section(self, capsys, tmp_path):
+        path, _ = write_config(tmp_path, epochs=1,
+                               noise=NoiseConfig(kind="uniform", rate=0.4, seed=3))
+        code, _ = run_cli(capsys, ["train", "--config", str(path), "--noise", "none"])
+        assert code == 0
+        assert json.loads((tmp_path / "run" / "config.json").read_text())["noise"] is None
+        assert not (tmp_path / "run" / "noisy_labels.txt").exists()
 
 
 class TestEntryPoint:

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +122,48 @@ class TestConfigSerialization:
             ExperimentConfig.from_dict(raw)
 
 
+    def test_override_naming_no_field_is_named(self):
+        raw = tiny_config("somewhere").to_dict()
+        with pytest.raises(ConfigError, match=r"^unknown config field prune\.bogus$"):
+            ExperimentConfig.from_dict(raw, {"prune.bogus": 1})
+
+    @pytest.mark.parametrize("section", [[1, 2], "x", 3])
+    def test_override_into_a_non_object_section_is_named(self, section):
+        raw = tiny_config("somewhere").to_dict()
+        raw["prune"] = section
+        with pytest.raises(ConfigError, match="section prune must be an object"):
+            ExperimentConfig.from_dict(raw, {"prune.sparsity": 0.2})
+
+    def test_overrides_fill_absent_or_null_sections_and_leave_raw_alone(self):
+        raw = tiny_config("somewhere", noise=NoiseConfig(kind="uniform")).to_dict()
+        before = json.dumps(raw, sort_keys=True)
+        config = ExperimentConfig.from_dict(raw, {"seed": 9, "prune.strategy": "late",
+                                                  "augment.crop_size": 4,
+                                                  "augment.resize": 4,
+                                                  "noise.annotator.seed": 5})
+        assert config.seed == 9
+        assert config.prune == PruneConfig(strategy="late")
+        assert config.augment == AugmentConfig(resize=4, crop_size=4)
+        assert config.noise == NoiseConfig(kind="uniform", annotator=AnnotatorConfig(seed=5))
+        assert json.dumps(raw, sort_keys=True) == before
+        assert ExperimentConfig.from_dict(raw, {"noise": None}).noise is None
+
+    def test_section_check_is_a_config_error_naming_the_section(self):
+        raw = tiny_config("somewhere").to_dict()
+        raw["augment"] = {"resize": 2, "crop_size": 4}
+        with pytest.raises(ConfigError, match=r"^config section augment: crop 4 larger "
+                                              r"than resize 2$"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_readme_config_block_round_trips(self):
+        # a field renamed or added fails here until the README follows
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert len(blocks) == 1
+        block = json.loads(blocks[0])
+        assert ExperimentConfig.from_dict(block).to_dict() == block
+
+
 class TestRunExperiment:
     def test_empty_split_rejected_before_any_output(self, tmp_path):
         # 3 items per class, fractions 0.7/0.1/0.2: no class gives validation an item
@@ -172,13 +215,33 @@ class TestRunExperiment:
         (dict(prune=PruneConfig(sparsity=0.0)), "prune.sparsity"),
         (dict(prune=PruneConfig(sparsity="0.1")), "prune.sparsity"),
         (dict(noise=NoiseConfig(kind="bogus")), "noise.kind"),
+        (dict(weight_decay=-0.1), "weight_decay"),
+        (dict(channels=1.5), "channels"),
+        (dict(data=DataConfig(classes=0, resolution=4)), "data.classes"),
+        (dict(noise=NoiseConfig(kind="class", rate=-0.1)), "noise.rate"),
+        (dict(noise=NoiseConfig(kind="annotator", epsilon=0.0)), "noise.epsilon"),
+        (dict(noise=NoiseConfig(annotator=AnnotatorConfig(layers=1))), "noise.annotator.layers"),
+        (dict(noise=NoiseConfig(annotator=AnnotatorConfig(channels=0))),
+         "noise.annotator.channels"),
+        (dict(noise=NoiseConfig(annotator=AnnotatorConfig(weight_decay=-1))),
+         "noise.annotator.weight_decay"),
     ], ids=["strategy", "criterion", "gradient-source", "sparsity-above-one",
-            "sparsity-zero", "sparsity-string", "noise-kind"])
+            "sparsity-zero", "sparsity-string", "noise-kind", "weight-decay",
+            "channels-float", "classes-zero", "rate-below-zero", "epsilon-zero",
+            "annotator-layers", "annotator-channels", "annotator-weight-decay"])
     def test_bad_choice_rejected_before_any_output(self, tmp_path, overrides, field):
         config = tiny_config(tmp_path / "run", **overrides)
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be "):
             run_experiment(config)
         assert not (tmp_path / "run").exists()
+
+    def test_epsilon_is_checked_for_the_annotator_kind_only(self, tmp_path):
+        config = tiny_config(tmp_path / "run", noise=NoiseConfig(kind="uniform", epsilon=0.9))
+        config.check()
+        config.noise.kind = "annotator"
+        with pytest.raises(ConfigError, match=r"^noise\.epsilon must be in \(0, 1 - "
+                                              r"1/data\.classes\) for noise\.kind annotator"):
+            config.check()
 
     def test_zero_epochs_writes_baseline_artifacts(self, tmp_path):
         config = tiny_config(tmp_path / "run", epochs=0)
