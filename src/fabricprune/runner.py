@@ -167,6 +167,7 @@ def _one_of(allowed):
 
 _POSITIVE = _number(lambda v: v > 0, "a number > 0")
 _NONNEGATIVE = _number(lambda v: v >= 0, "a number >= 0")
+_INT_FROM_0 = _number(lambda v: v >= 0, "an int >= 0", int)
 _INT_FROM_1 = _number(lambda v: v >= 1, "an int >= 1", int)
 _INT_FROM_2 = _number(lambda v: v >= 2, "an int >= 2", int)
 # dotted field -> (test of its value and the config, requirement), in check's order
@@ -176,8 +177,12 @@ _RULES = {
     "learning_rate": _POSITIVE, "momentum": _NONNEGATIVE, "weight_decay": _NONNEGATIVE,
     "lr_milestones": (lambda v, config: v is None or isinstance(v, (list, tuple))
                       and all(isinstance(m, int) for m in v), "null or a list of ints"),
+    "seed": _INT_FROM_0,
     "data.kind": _one_of(DATA_KINDS), "data.classes": _INT_FROM_1,
-    "data.difficulty": _one_of(DIFFICULTY),
+    "data.n_per_class": _INT_FROM_1, "data.difficulty": _one_of(DIFFICULTY),
+    "data.confusable_fraction": _number(lambda v: 0 <= v < 1, "in [0, 1)"),
+    "data.train_fraction": _POSITIVE, "data.val_fraction": _POSITIVE,
+    "data.test_fraction": _POSITIVE, "data.seed": _INT_FROM_0,
     "data.path": (lambda v, config: v is not None or config.data.kind != "binary",
                   "set for data.kind binary"),
     "prune.strategy": _one_of([s.value for s in Strategy]),
@@ -190,9 +195,16 @@ _RULES = {
     "noise.epsilon": (lambda v, config: config.noise.kind != "annotator" or isinstance(
         v, (int, float)) and 0 < v < 1 - 1 / config.data.classes,
         "in (0, 1 - 1/data.classes) for noise.kind annotator"),
+    "noise.seed": _INT_FROM_0,
+    "noise.annotator_train_fraction": _number(lambda v: 0 < v <= 1, "in (0, 1]"),
     "noise.annotator.layers": _INT_FROM_2, "noise.annotator.channels": _INT_FROM_1,
     "noise.annotator.batch_size": _INT_FROM_2,
     "noise.annotator.learning_rate": _POSITIVE, "noise.annotator.weight_decay": _NONNEGATIVE,
+    "noise.annotator.max_epochs": _INT_FROM_0, "noise.annotator.seed": _INT_FROM_0,
+    "augment.normalize_std": (lambda v, config: isinstance(v, (list, tuple)) and len(v) == 3
+                              and all(isinstance(s, (int, float)) and s > 0 for s in v),
+                              "three numbers > 0"),
+    "augment.crop_padding": _INT_FROM_0,
 }
 
 
@@ -477,19 +489,19 @@ def run_experiment(config: ExperimentConfig) -> dict:
     save_fabric(fabric, out / "fabric.npz")
     (out / "fabric.dot").write_text(export_dot(fabric))
 
+    test_predictions = fabric.predict(test_inputs)  # for the error and the fitting report
     summary = {
         "config_hash": config.hash(),
         "epochs": config.epochs,
         "final_val_error": classification_error(fabric, val_inputs, val_set.given_labels),
-        "final_test_error": classification_error(fabric, test_inputs, test_set.labels),
+        "final_test_error": float((test_predictions != test_set.labels).mean()),
         "alive_links": len(fabric.alive_links()),
         "live_params": fabric.live_param_count(),
         "reported_params": reported,
         "param_total_baseline": full_counts.total,
     }
     if noise_info is not None:
-        predictions = fabric.predict(test_inputs)
-        report = fitting_report(predictions, test_set)
+        report = fitting_report(test_predictions, test_set)
         summary["noise"] = noise_info
         summary["fitting"] = report.to_dict()
         (out / "fitting.json").write_text(json.dumps(summary["fitting"], indent=2))

@@ -149,13 +149,22 @@ class Parameter(Tensor):
     Masked positions of the value are kept exactly zero: the mask is
     re-applied whenever it is set and after every optimizer step, and
     backward() zeroes the corresponding gradient entries.
+
+    A grad array exists only from the backward() that reaches the parameter
+    to the next zero_grad(): construction and zero_grad() hold none, so
+    backward takes an op's fresh grad array as it is instead of adding it
+    into zeros. While none is held, .grad reads as a read-only zero view of
+    the value's shape, so a write into it raises instead of being lost.
     """
 
     __slots__ = ()
 
-    def __init__(self, data):
-        super().__init__(data)
-        self.grad = np.zeros_like(self.data)
+    @Tensor.grad.getter
+    def grad(self):
+        g = self._node.grad
+        if g is None:
+            return np.broadcast_to(np.zeros((), self.data.dtype), self.data.shape)
+        return g
 
     @property
     def mask(self):
@@ -176,7 +185,7 @@ class Parameter(Tensor):
             self.data *= self.mask
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        self._node.grad = None
 
 
 def _accumulate(node: GradNode, g: np.ndarray) -> None:
@@ -507,18 +516,22 @@ def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormSta
 
 
 def relu6(x: Tensor) -> Tensor:
-    """Elementwise min(max(x, 0), 6). The recorded node saves a bool mask of
-    the entries inside (0, 6), where the derivative is 1; it is read off the
-    output, since 0 < out < 6 exactly where 0 < x < 6, NaN included."""
+    """Elementwise min(max(x, 0), 6). The recorded node saves a mask of the
+    entries inside (0, 6), where the derivative is 1, packed one bit per
+    entry; it is read off the output, since 0 < out < 6 exactly where
+    0 < x < 6, NaN included."""
     out_data = np.clip(x.data, 0.0, 6.0)
     if not _grad_enabled:
         return Tensor(out_data)
     inside = out_data > 0.0
     inside &= out_data < 6.0
+    bits = np.packbits(inside, axis=None)
     parent = x._node
 
     def backward(node):
-        _hand_off(parent, node.grad * inside)
+        g = node.grad
+        inside = np.unpackbits(bits, count=g.size).view(np.bool_).reshape(g.shape)
+        _hand_off(parent, g * inside)
 
     return Tensor(out_data, (x,), backward)
 

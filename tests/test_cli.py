@@ -39,7 +39,8 @@ def write_config(tmp_path, **overrides):
 
 
 # (dotted field or section, what a config file gives it): values that used
-# to fail only after config.json and splits.txt were written, or with a traceback
+# to fail only after config.json and splits.txt were written, with a
+# traceback, or not at all
 BAD_VALUES = [
     ("data.kind", {"data": {"kind": "bogus"}}),
     ("data.difficulty", {"data": {"difficulty": "bogus"}}),
@@ -55,6 +56,22 @@ BAD_VALUES = [
                        "data": {"classes": 2}}),
     ("lr_milestones", {"lr_milestones": "x"}),
     ("augment", {"augment": {"resize": 2, "crop_size": 4}}),
+    ("seed", {"seed": "x"}),
+    ("data.seed", {"data": {"seed": -1}}),
+    ("noise.seed", {"noise": {"kind": "uniform", "seed": 1.5}}),
+    ("noise.annotator.seed", {"noise": {"kind": "annotator", "annotator": {"seed": "x"}}}),
+    ("noise.annotator.max_epochs",
+     {"noise": {"kind": "annotator", "annotator": {"max_epochs": -1}}}),
+    ("augment.normalize_std",
+     {"augment": {"resize": 4, "crop_size": 4, "normalize_std": [0, 0, 0]}}),
+    ("data.n_per_class", {"data": {"n_per_class": 0}}),
+    ("data.train_fraction", {"data": {"train_fraction": 0}}),
+    ("data.val_fraction", {"data": {"val_fraction": -0.1}}),
+    ("data.test_fraction", {"data": {"test_fraction": 0}}),
+    ("data.confusable_fraction", {"data": {"confusable_fraction": 1.5}}),
+    ("noise.annotator_train_fraction",
+     {"noise": {"kind": "annotator", "annotator_train_fraction": 0}}),
+    ("augment.crop_padding", {"augment": {"resize": 4, "crop_size": 4, "crop_padding": -3}}),
 ]
 
 

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -776,6 +778,46 @@ class TestPredict:
         images[3] = np.nan
         with pytest.raises(FabricError, match="2..3"):
             fabric.predict(images, batch_size=2)
+
+
+class TestTrainMemory:
+    def test_train_forward_holds_only_what_backward_reads(self):
+        """What a train-mode forward leaves held, bounded from shapes: each
+        batch norm's xhat, each node's sum, the stacked weights and biases of
+        each (source, stride) group of two or more links, and one bit per
+        ReLU6 entry, plus 5 % for the graph's small arrays and objects. A
+        one-byte ReLU6 mask does not fit."""
+        fabric = build_fabric(4, 5, 8, 16, 10, seed=0)
+        assert all(p._node.grad is None for p in fabric.parameters())
+        B, C, R = 64, fabric.C, fabric.input_resolution
+        rng = np.random.default_rng(0)
+        images = rng.random((B, 3, R, R)).astype(np.float32)
+        optimizer = SGD(fabric.parameters(), SgdConfig(0.1))
+        # one step first: caches built on first use are not counted, and
+        # zero_grad then has grads to drop
+        fabric.loss_backward(images, rng.integers(0, 10, B))
+        optimizer.step()
+        optimizer.zero_grad()
+        assert all(p._node.grad is None for p in fabric.parameters())
+
+        def entries(scale):  # of one activation at the scale
+            return B * C * (R >> scale) ** 2
+
+        links = [fabric.stem, *fabric.alive_links()]
+        xhat = sum(4 * entries(link.dst[1]) for link in links)
+        mask_bits = sum(-(-entries(link.dst[1]) // 8) for link in links)
+        sums = sum(4 * entries(scale) for _, scale in fabric.nodes())
+        groups = Counter((link.src, link.direction.stride) for link in fabric.alive_links())
+        stacked = sum(4 * n * (C * C * 9 + C) for n in groups.values() if n > 1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            logits = fabric.forward(images, mode="train")
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (B, 10)
+        assert held <= 1.05 * (xhat + sums + stacked + mask_bits)
 
 
 class TestTrainBatches:

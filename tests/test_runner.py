@@ -7,12 +7,13 @@ import pytest
 
 from fabricprune import runner
 from fabricprune.data import AugmentConfig, ImageDataset, normalize
-from fabricprune.fabric import build_fabric, load_fabric
+from fabricprune.fabric import Fabric, build_fabric, load_fabric
 from fabricprune.noise import (
     AnnotatorConfig,
     AnnotatorInfo,
     classification_error,
     fitting_report,
+    load_noisy_labels,
 )
 from fabricprune.runner import (
     ConfigError,
@@ -334,6 +335,29 @@ class TestRunExperiment:
         assert (out / "fitting.json").exists()
         assert summary["noise"]["kind"] == "uniform"
         assert 0.0 <= summary["noise"]["realized_rate"] <= 1.0
+
+    def test_noise_run_predicts_the_test_split_once_at_the_end(self, tmp_path, monkeypatch):
+        # val and test each epoch, then val once and test once for both the
+        # final test error and the fitting report
+        config = tiny_config(tmp_path / "run", epochs=2,
+                             noise=NoiseConfig(kind="uniform", rate=0.3, seed=4))
+        calls = []
+        predict = Fabric.predict
+
+        def spy(self, images, batch_size=256):
+            calls.append(len(images))
+            return predict(self, images, batch_size)
+
+        monkeypatch.setattr(Fabric, "predict", spy)
+        summary = run_experiment(config)
+        monkeypatch.undo()
+        assert len(calls) == 2 * config.epochs + 2
+        out = tmp_path / "run"
+        dataset, (_, _, test_idx) = runner.load_split_dataset(config.data)
+        test_set = load_noisy_labels(dataset, out / "noisy_labels.txt").subset(test_idx)
+        predictions = load_fabric(out / "fabric.npz").predict(test_set.images)
+        assert summary["final_test_error"] == float((predictions != test_set.labels).mean())
+        assert summary["fitting"] == fitting_report(predictions, test_set).to_dict()
 
     def test_augmented_run_smoke(self, tmp_path):
         config = tiny_config(tmp_path / "run", epochs=2,

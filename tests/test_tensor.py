@@ -211,6 +211,25 @@ class TestRelu6:
         out = relu6(Tensor(np.array([value])))
         assert out.data[0] == expected
 
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.integers(1, 3), st.integers(1, 23).filter(lambda n: n % 8),
+           st.sampled_from([np.float32, np.float64]), st.data())
+    def test_backward_is_grad_times_inside_bit_for_bit(self, rows, cols, dtype, data):
+        # the mask is saved one bit per entry, so entry counts that are not a
+        # multiple of 8 leave a partly used last byte
+        values = st.one_of(st.sampled_from([0.0, 6.0, np.nan, -0.0]),
+                           st.floats(-8.0, 8.0, allow_nan=False))
+        x_data = np.array(data.draw(st.lists(values, min_size=rows * cols,
+                                             max_size=rows * cols)), dtype=dtype)
+        x = Tensor(x_data.reshape(rows, 1, cols))
+        out = relu6(x)
+        g = np.random.default_rng(rows * 100 + cols).standard_normal(x.shape).astype(dtype)
+        out.grad = g
+        out._backward()
+        expected = g * ((out.data > 0) & (out.data < 6))
+        assert x.grad.dtype == dtype and x.grad.shape == x.shape
+        assert x.grad.tobytes() == expected.tobytes()
+
 
 class TestLinear:
     def test_identity_weight(self):
@@ -563,15 +582,22 @@ class TestConv2dProperties:
 @st.composite
 def sliced_conv_cases(draw):
     """A conv_cases problem, a column budget that holds 0 (a single sample is
-    over it) to B samples' columns, and whether the input is a Parameter,
-    whose grad exists before backward, or a plain Tensor, whose does not."""
+    over it) to B samples' columns, and whether the input is a Parameter
+    holding a zero grad before backward, which backward adds into, or a
+    plain Tensor, which holds none."""
     case = draw(conv_cases(max_batch=5))
     x_data, stride = case[0], case[3]
     b, cin, h, w = x_data.shape
     sample_bytes = cin * 9 * ((h - 1) // stride + 1) * ((w - 1) // stride + 1) * 8
     per_slice = draw(st.integers(0, b))
     return case + (per_slice * sample_bytes or sample_bytes - 1, sample_bytes,
-                   draw(st.sampled_from([Parameter, Tensor])))
+                   draw(st.sampled_from([_with_zero_grad, Tensor])))
+
+
+def _with_zero_grad(data):
+    p = Parameter(data)
+    p.grad = np.zeros_like(p.data)
+    return p
 
 
 class TestConv2dSlicing:
@@ -767,7 +793,65 @@ class TestOpProperties:
                                 cross_entropy_reference(logits.data, targets))
 
 
+class TestGradLifecycle:
+    def test_no_grad_array_from_construction_or_zero_grad_to_backward(self):
+        rng = np.random.default_rng(41)
+        w, b = _param(rng, 2, 3, 3, 3), _param(rng, 2)
+        params = [w, b]
+        assert all(p._node.grad is None for p in params)
+        backward(tensor_sum(conv2d(Tensor(rng.standard_normal((1, 3, 4, 4))), w, b)))
+        assert all(p._node.grad is not None and p.grad.any() for p in params)
+        SGD(params, SgdConfig(learning_rate=0.1)).zero_grad()
+        for p in params:
+            assert p._node.grad is None
+            assert p.grad.shape == p.shape and p.grad.dtype == p.dtype
+            assert not p.grad.any()
+            with pytest.raises(ValueError, match="read-only"):
+                p.grad[...] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                p.grad += 1.0
+            assert p._node.grad is None and not p.grad.any()
+
+    def test_backward_takes_conv2d_grads_without_a_copy(self):
+        rng = np.random.default_rng(42)
+        w, b = _param(rng, 2, 3, 3, 3), _param(rng, 2)
+        handed = []
+        hand_off = tensor._hand_off
+
+        def spy(node, g):
+            handed.append(g)
+            hand_off(node, g)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor, "_hand_off", spy)
+            backward(tensor_sum(conv2d(Tensor(rng.standard_normal((1, 3, 4, 4))), w, b)))
+        assert any(g is w.grad for g in handed) and any(g is b.grad for g in handed)
+
+
 class TestSgd:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unreached_parameter_steps_like_a_zero_grad(self, dtype):
+        # momentum and weight decay move a parameter that backward never reached
+        rng = np.random.default_rng(43)
+        data = rng.standard_normal((3, 4)).astype(dtype)
+        mask = (rng.random((3, 4)) > 0.3).astype(dtype)
+        unreached, zeroed = Parameter(data.copy()), Parameter(data.copy())
+        for p in (unreached, zeroed):
+            p.set_mask(mask)
+        config = SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.05)
+        opts = SGD([unreached], config), SGD([zeroed], config)
+        for step in range(4):
+            if step == 2:  # a real grad between the unreached steps
+                g = rng.standard_normal((3, 4)).astype(dtype)
+                unreached.grad, zeroed.grad = g.copy(), g.copy()
+            else:
+                opts[0].zero_grad()
+                zeroed.grad = np.zeros_like(data)
+            for opt in opts:
+                opt.step()
+            assert unreached.data.tobytes() == zeroed.data.tobytes()
+        assert not np.array_equal(unreached.data, data * mask)
+
     def test_plain_step(self):
         w = Parameter(np.array([1.0]))
         w.grad = np.array([0.5])
