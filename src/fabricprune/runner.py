@@ -179,10 +179,20 @@ _RULES = {
                       and all(isinstance(m, int) for m in v), "null or a list of ints"),
     "seed": _INT_FROM_0,
     "data.kind": _one_of(DATA_KINDS), "data.classes": _INT_FROM_1,
-    "data.n_per_class": _INT_FROM_1, "data.difficulty": _one_of(DIFFICULTY),
+    # stratified splits need an item of every class in each split
+    "data.n_per_class": (lambda v, config: isinstance(v, int) and v >= (
+        len(SPLITS) if config.data.kind == "synthetic" else 1),
+        f"an int >= {len(SPLITS)} (one item per split) for data.kind synthetic, else >= 1"),
+    "data.difficulty": _one_of(DIFFICULTY),
     "data.confusable_fraction": _number(lambda v: 0 <= v < 1, "in [0, 1)"),
     "data.train_fraction": _POSITIVE, "data.val_fraction": _POSITIVE,
-    "data.test_fraction": _POSITIVE, "data.seed": _INT_FROM_0,
+    # the last of the three, so the other two are known numbers here
+    "data.test_fraction": (lambda v, config: isinstance(v, (int, float)) and v > 0
+                           and config.data.train_fraction + config.data.val_fraction + v
+                           <= 1 + 1e-9,
+                           "a number > 0, with data.train_fraction + data.val_fraction + "
+                           "data.test_fraction <= 1"),
+    "data.seed": _INT_FROM_0,
     "data.path": (lambda v, config: v is not None or config.data.kind != "binary",
                   "set for data.kind binary"),
     "prune.strategy": _one_of([s.value for s in Strategy]),
@@ -201,10 +211,14 @@ _RULES = {
     "noise.annotator.batch_size": _INT_FROM_2,
     "noise.annotator.learning_rate": _POSITIVE, "noise.annotator.weight_decay": _NONNEGATIVE,
     "noise.annotator.max_epochs": _INT_FROM_0, "noise.annotator.seed": _INT_FROM_0,
+    "augment.normalize_mean": (lambda v, config: isinstance(v, (list, tuple)) and len(v) == 3
+                               and all(isinstance(m, (int, float)) for m in v),
+                               "three numbers"),
     "augment.normalize_std": (lambda v, config: isinstance(v, (list, tuple)) and len(v) == 3
                               and all(isinstance(s, (int, float)) and s > 0 for s in v),
                               "three numbers > 0"),
     "augment.crop_padding": _INT_FROM_0,
+    "augment.flip_prob": _number(lambda v: 0 <= v <= 1, "in [0, 1]"),
 }
 
 
@@ -490,10 +504,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
     (out / "fabric.dot").write_text(export_dot(fabric))
 
     test_predictions = fabric.predict(test_inputs)  # for the error and the fitting report
+    if config.epochs >= 1 and config.epochs not in events_by_epoch:
+        final_val_error = record.val_error  # the last epoch's fabric is the final one
+    else:
+        final_val_error = classification_error(fabric, val_inputs, val_set.given_labels)
     summary = {
         "config_hash": config.hash(),
         "epochs": config.epochs,
-        "final_val_error": classification_error(fabric, val_inputs, val_set.given_labels),
+        "final_val_error": final_val_error,
         "final_test_error": float((test_predictions != test_set.labels).mean()),
         "alive_links": len(fabric.alive_links()),
         "live_params": fabric.live_param_count(),

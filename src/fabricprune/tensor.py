@@ -19,9 +19,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.1
-# bytes of im2col columns a conv2d call builds at once; well under glibc's
-# 32 MiB dynamic mmap ceiling, so the buffers are reused from the heap
-CONV_COLUMN_BUDGET = 8 * 2**20
+# bytes of im2col columns a conv2d call builds at once: one core's L2 cache
+# on a desk machine, so columns are read back while still cached, and well
+# under glibc's 32 MiB dynamic mmap ceiling, so buffers are reused from the heap
+CONV_COLUMN_BUDGET = 2 * 2**20
 
 
 class ShapeError(ValueError):
@@ -273,14 +274,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
 
     Columns are channel-major (Cin*9, b*H'*W') and are built for a slice of b
     consecutive samples at a time, each slice's columns within
-    CONV_COLUMN_BUDGET bytes (one sample when a sample alone is over it), so
-    no buffer grows with the batch. The forward pass runs one GEMM per
-    sample straight into the C-contiguous output, so its values do not
-    depend on the slicing. Backward makes one weight-grad GEMM per slice and
-    sums them, and scatters each slice's input-grad columns into that
-    slice's rows of the C-contiguous (B,Cin,H,W) input grad. The recorded
-    node keeps no column buffer: backward rebuilds the columns from the
-    saved input array and reads the saved weight array, so neither may be
+    CONV_COLUMN_BUDGET bytes (2 MiB, one core's L2 cache, so columns are
+    read back while still cached; one sample when a sample alone is over
+    it), so no buffer grows with the batch. The forward pass runs one GEMM
+    per sample straight into the C-contiguous output, so its values do not
+    depend on the slicing. Backward takes whichever column set is smaller,
+    per slice of the same samples. A stride-1 conv with Cout <= Cin builds
+    the output grad's columns once and reads both the weight grad and the
+    input grad off them (the input grad is the output grad convolved with
+    the flipped, transposed kernel). Any other conv (stride 2, or more
+    output than input channels) rebuilds the input's columns for the weight
+    grad and scatters input-grad columns, w.T @ grad, back through the 3x3
+    windows. Either way the weight grad is one GEMM per slice, summed, and
+    the input grad fills that slice's rows of the C-contiguous (B,Cin,H,W)
+    input grad. The recorded node keeps no column buffer: backward reads the
+    saved input and weight arrays, so neither may be
     changed in place between the forward call and backward().
     """
     if stride not in (1, 2):
@@ -313,6 +321,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
     def backward(node):
         if b_node is not None:
             _hand_off(b_node, node.grad.sum(axis=(0, 2, 3)))
+        fresh = x_node.grad is None
+        if fresh:
+            x_node.grad = np.empty(x_data.shape, dtype=x_node.dtype)
+
+        def add_rows(s, dx):  # one slice's input grad
+            if fresh:
+                x_node.grad[s] = dx
+            else:
+                x_node.grad[s] += dx
+
+        if stride == 1 and Cout <= Cin:
+            # one im2col of the output grad, rows (co, i, j) and columns
+            # (b, y, x), serves both GEMMs: dx = w_flip @ gcols with
+            # w_flip[ci, (co, i, j)] = w[co, ci, 2-i, 2-j], and gcols @ x.T
+            # is dW at flipped taps
+            w_flip = w_data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(Cin, Cout * 9)
+            dw = None
+            for s in slices:
+                b = s.stop - s.start
+                gcols = _im2col(node.grad[s], 1, H, W)
+                product = gcols @ x_data[s].transpose(1, 0, 2, 3).reshape(Cin, b * H * W).T
+                if dw is None:
+                    dw = product
+                else:
+                    dw += product
+                add_rows(s, (w_flip @ gcols).reshape(Cin, b, H, W).transpose(1, 0, 2, 3))
+                del gcols  # before the next slice's
+            _hand_off(w_node, np.ascontiguousarray(
+                dw.reshape(Cout, 3, 3, Cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)))
+            return
         # dW: gradient columns in the columns' (b, y, x) order, one GEMM per
         # slice; the first product is the sum the others are added to
         dw = None
@@ -329,9 +367,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
         # dx: rows (i, j, c) and columns (y, x, b), so each tap's scatter into
         # a (Cin, H+2, W+2, b) buffer runs over long contiguous stretches
         wtap = w_data.transpose(0, 2, 3, 1).reshape(Cout, K)
-        fresh = x_node.grad is None
-        if fresh:
-            x_node.grad = np.empty(x_data.shape, dtype=x_node.dtype)
         for s in slices:
             b = s.stop - s.start
             g = node.grad[s].transpose(1, 2, 3, 0).reshape(Cout, Ho * Wo * b)
@@ -343,11 +378,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
                     dxp[:, i : i + (Ho - 1) * stride + 1 : stride,
                         j : j + (Wo - 1) * stride + 1 : stride] += dcols[i, j]
             del dcols
-            dx = dxp[:, 1 : 1 + H, 1 : 1 + W].transpose(3, 0, 1, 2)
-            if fresh:
-                x_node.grad[s] = dx
-            else:
-                x_node.grad[s] += dx
+            add_rows(s, dxp[:, 1 : 1 + H, 1 : 1 + W].transpose(3, 0, 1, 2))
+            del dxp  # before the next slice's
 
     return Tensor(out_data, (x, weight) if bias is None else (x, weight, bias), backward)
 

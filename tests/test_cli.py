@@ -73,6 +73,36 @@ BAD_VALUES = [
      {"noise": {"kind": "annotator", "annotator_train_fraction": 0}}),
     ("augment.crop_padding", {"augment": {"resize": 4, "crop_size": 4, "crop_padding": -3}}),
 ]
+# (case id, dotted field, patch): rules over several fields (the fractions'
+# sum, an item of each class per split) and the augment fields that either
+# failed after config.json was written or ran on with a meaningless value
+CROSS_FIELD_VALUES = [
+    ("fraction-sum", "data.test_fraction", {"data": {"train_fraction": 0.9}}),
+    ("item-per-split", "data.n_per_class", {"data": {"n_per_class": 2}}),
+    ("mean-not-numbers", "augment.normalize_mean",
+     {"augment": {"resize": 4, "crop_size": 4, "normalize_mean": ["x", 0, 0]}}),
+    ("flip-above-one", "augment.flip_prob",
+     {"augment": {"resize": 4, "crop_size": 4, "flip_prob": 2.0}}),
+]
+
+
+def assert_train_fails_before_any_output(capsys, tmp_path, field, patch):
+    """train on the probe config with patch merged in: exit 2, the dotted
+    field named on stderr, and no run directory."""
+    path, config = write_config(tmp_path)
+    raw = config.to_dict()
+    for key, value in patch.items():
+        if isinstance(raw.get(key), dict):
+            raw[key].update(value)
+        else:
+            raw[key] = value
+    path.write_text(json.dumps(raw))
+    out_dir = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field} must be " in captured.err or f"section {field}:" in captured.err
+    assert not out_dir.exists() and not (tmp_path / "run").exists()
 
 
 class TestCountParams:
@@ -314,20 +344,13 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("field,patch", BAD_VALUES, ids=[f for f, _ in BAD_VALUES])
     def test_bad_value_fails_before_any_output(self, capsys, tmp_path, field, patch):
-        path, config = write_config(tmp_path)
-        raw = config.to_dict()
-        for key, value in patch.items():
-            if isinstance(raw.get(key), dict):
-                raw[key].update(value)
-            else:
-                raw[key] = value
-        path.write_text(json.dumps(raw))
-        out_dir = tmp_path / "out"
-        assert main(["train", "--config", str(path), "--out", str(out_dir)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{field} must be " in captured.err or f"section {field}:" in captured.err
-        assert not out_dir.exists() and not (tmp_path / "run").exists()
+        assert_train_fails_before_any_output(capsys, tmp_path, field, patch)
+
+    @pytest.mark.parametrize("field,patch", [case[1:] for case in CROSS_FIELD_VALUES],
+                             ids=[case[0] for case in CROSS_FIELD_VALUES])
+    def test_cross_field_and_augment_rules_fail_before_any_output(self, capsys, tmp_path,
+                                                                  field, patch):
+        assert_train_fails_before_any_output(capsys, tmp_path, field, patch)
 
 
 class TestOverrides:

@@ -33,6 +33,7 @@ from fabricprune.tensor import (
     batch_norm,
     conv2d,
     linear,
+    no_grad,
     relu6,
     softmax_cross_entropy,
     upsample_bilinear_x2,
@@ -778,6 +779,26 @@ class TestPredict:
         images[3] = np.nan
         with pytest.raises(FabricError, match="2..3"):
             fabric.predict(images, batch_size=2)
+
+
+class TestColumnBudget:
+    @pytest.mark.parametrize("dims,batch", [
+        ((8, 6, 64, 32, 10), 2),  # 32-px columns: two slices of 1 sample, or one of 2 at 8 MiB
+        ((4, 5, 8, 16, 10), 32),  # 16-px columns: one slice of 28 and one of 4, or one of 32
+    ], ids=["paper", "desk"])
+    def test_forward_logits_do_not_depend_on_the_budget(self, monkeypatch, dims, batch):
+        # train and folded eval logits equal those of the earlier 8 MiB budget
+        # bit for bit; only backward's rounding follows the slicing
+        fabric = build_fabric(*dims, seed=1)
+        R = fabric.input_resolution
+        images = np.random.default_rng(2).random((batch, 3, R, R)).astype(np.float32)
+        for mode in ("eval", "train"):  # eval first: train mode moves the running stats
+            logits = []
+            for budget in (tensor.CONV_COLUMN_BUDGET, 8 * 2**20):
+                monkeypatch.setattr(tensor, "CONV_COLUMN_BUDGET", budget)
+                with no_grad():
+                    logits.append(fabric.forward(images, mode=mode).data)
+            np.testing.assert_array_equal(*logits)
 
 
 class TestTrainMemory:

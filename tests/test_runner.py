@@ -337,8 +337,8 @@ class TestRunExperiment:
         assert 0.0 <= summary["noise"]["realized_rate"] <= 1.0
 
     def test_noise_run_predicts_the_test_split_once_at_the_end(self, tmp_path, monkeypatch):
-        # val and test each epoch, then val once and test once for both the
-        # final test error and the fitting report
+        # val and test each epoch, then test once for both the final test
+        # error and the fitting report; the last epoch's val error is final
         config = tiny_config(tmp_path / "run", epochs=2,
                              noise=NoiseConfig(kind="uniform", rate=0.3, seed=4))
         calls = []
@@ -351,13 +351,27 @@ class TestRunExperiment:
         monkeypatch.setattr(Fabric, "predict", spy)
         summary = run_experiment(config)
         monkeypatch.undo()
-        assert len(calls) == 2 * config.epochs + 2
+        assert len(calls) == 2 * config.epochs + 1
         out = tmp_path / "run"
         dataset, (_, _, test_idx) = runner.load_split_dataset(config.data)
         test_set = load_noisy_labels(dataset, out / "noisy_labels.txt").subset(test_idx)
         predictions = load_fabric(out / "fabric.npz").predict(test_set.images)
         assert summary["final_test_error"] == float((predictions != test_set.labels).mean())
         assert summary["fitting"] == fitting_report(predictions, test_set).to_dict()
+
+    @pytest.mark.parametrize("prune", [None, PruneConfig(strategy="early", sparsity=0.5)])
+    def test_final_val_error_is_the_checkpoints(self, tmp_path, prune):
+        # reused from the last epoch's record, or recomputed after a prune
+        # event at the last epoch changed the fabric
+        config = tiny_config(tmp_path / "run", epochs=1, prune=prune)
+        summary = run_experiment(config)
+        dataset, (_, val_idx, _) = runner.load_split_dataset(config.data)
+        val_set = dataset.subset(val_idx)
+        fabric = load_fabric(tmp_path / "run" / "fabric.npz")
+        assert summary["final_val_error"] == classification_error(
+            fabric, val_set.images, val_set.given_labels)
+        events = (tmp_path / "run" / "prune_events.jsonl").read_text().splitlines()
+        assert [json.loads(e)["epoch"] for e in events] == ([] if prune is None else [1])
 
     def test_augmented_run_smoke(self, tmp_path):
         config = tiny_config(tmp_path / "run", epochs=2,

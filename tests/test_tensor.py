@@ -655,6 +655,82 @@ class TestConv2dSlicing:
 
 
 @st.composite
+def backward_form_cases(draw):
+    """A float64 conv2d problem whose output has one channel fewer than, as
+    many as or one more than its input, at stride 1 or 2, a column budget
+    that holds 1 to B samples' input columns, and the input's leaf kind as in
+    sliced_conv_cases."""
+    b, cin = draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    cout = cin + draw(st.sampled_from([-1, 0, 1]))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    stride = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    sample_bytes = cin * 9 * ho * wo * 8
+    return (rng.standard_normal((b, cin, h, w)), rng.standard_normal((cout, cin, 3, 3)),
+            rng.standard_normal(cout), stride, rng.standard_normal((1, cout * ho * wo)),
+            draw(st.integers(1, b)) * sample_bytes,
+            draw(st.sampled_from([_with_zero_grad, Tensor])))
+
+
+class TestConv2dBackwardForms:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(backward_form_cases())
+    def test_both_forms_match_oracles(self, case):
+        # a stride-1 conv that does not widen takes its grads from the output
+        # grad's columns, any other from the input's; both match the oracles
+        x_data, w_data, b_data, stride, probe_data, budget, leaf = case
+        x, w, b = leaf(x_data), Parameter(w_data), Parameter(b_data)
+        probe = Tensor(probe_data)
+
+        def build():
+            out = conv2d(x, w, b, stride=stride)
+            return _probed(out, probe), out
+
+        from_grad = []  # per column buffer: built from something other than x
+
+        def recording_im2col(array, *args, **kwargs):
+            from_grad.append(not np.shares_memory(array, x.data))
+            return im2col(array, *args, **kwargs)
+
+        im2col = tensor._im2col
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor, "CONV_COLUMN_BUDGET", budget)
+            mp.setattr(tensor, "_im2col", recording_im2col)
+            _assert_matches_oracles(build, [x, w, b],
+                                    naive_conv2d(x_data, w_data, b_data, stride))
+        cout, cin = w_data.shape[:2]
+        per_slice = budget // (cin * 9 * (probe_data.size // cout) * 8)
+        slices = -(-x_data.shape[0] // per_slice)
+        assert sum(from_grad) == (slices if stride == 1 and cout <= cin else 0)
+
+    def test_grad_column_backward_holds_one_slice_of_grad_columns(self, monkeypatch):
+        # stride 1, 32 -> 4 channels: the input's columns, or the columns
+        # w.T @ grad that col2im scatters, would each be 8x the grad's
+        B, cin, cout, n = 8, 32, 4, 16
+        per_slice = 2
+        monkeypatch.setattr(tensor, "CONV_COLUMN_BUDGET", per_slice * cin * 9 * n * n * 8)
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((B, cin, n, n)))
+        w = _param(rng, cout, cin, 3, 3)
+        out = conv2d(x, w, None)
+        out.grad = rng.standard_normal(out.shape)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out._backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        grad_columns = cout * 9 * per_slice * n * n * 8
+        input_slice = per_slice * cin * n * n * 8
+        padded_grad_slice = per_slice * cout * (n + 2) * (n + 2) * 8
+        # x's channel-major copy and w_flip @ gcols are one input slice each
+        temporaries = 2 * input_slice + padded_grad_slice + w.grad.nbytes
+        assert peak < 1.1 * (grad_columns + x.grad.nbytes + temporaries)
+
+
+@st.composite
 def concat_split_cases(draw):
     """Float64 blocks joined along one axis and cut again at other places."""
     axis = draw(st.integers(0, 2))
