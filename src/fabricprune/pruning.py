@@ -276,23 +276,27 @@ def _apply_weight_stage(fabric: Fabric, quota: int, scores: dict[int, np.ndarray
     # global ascending ranking over all unmasked conv weights; candidates are
     # gathered in (link index, flat position) order so stable sort breaks ties
     # the same way every run
-    score_parts, owner_parts, position_parts = [], [], []
-    for slot, link in enumerate(links):
+    score_parts, position_parts = [], []
+    for link in links:
         w = link.conv_weight
         flat = scores[link.index].reshape(-1)
         pos = np.arange(flat.size) if w.mask is None else np.flatnonzero(w.mask)
         score_parts.append(np.asarray(flat[pos], dtype=np.float64))
-        owner_parts.append(np.full(pos.size, slot))
         position_parts.append(pos)
+    sizes = np.array([pos.size for pos in position_parts])
     order = np.argsort(np.concatenate(score_parts), kind="stable")
-    owners = np.concatenate(owner_parts)[order]
+    owners = np.repeat(np.arange(len(links)), sizes)[order]
     positions = np.concatenate(position_parts)[order]
 
     # a link's last unmasked weight in ranking order is protected, as masking
     # it would zero the conv matrix; the cut masks the first `quota`
-    # unprotected weights and skips the protected ones ranked before its end
+    # unprotected weights and skips the protected ones ranked before its end.
+    # Before the sort each link's candidates are one run, so its last-ranked
+    # one is the largest rank over the run (a link with none has no run).
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
     protected = np.zeros(order.size, dtype=bool)
-    protected[order.size - 1 - np.unique(owners[::-1], return_index=True)[1]] = True
+    protected[np.maximum.reduceat(rank, (np.cumsum(sizes) - sizes)[sizes > 0])] = True
     cut = np.flatnonzero(~protected)[:quota]
     end = cut[-1] if cut.size == quota else order.size
     report.masked_weights = int(cut.size)

@@ -12,16 +12,16 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.1
-# bytes of im2col columns a conv2d call builds at once: one core's L2 cache
-# on a desk machine, so columns are read back while still cached, and well
-# under glibc's 32 MiB dynamic mmap ceiling, so buffers are reused from the heap
+# bytes of columns a conv2d pass builds at once: one core's L2 cache on a
+# desk machine, so they are read back while still cached, and well under
+# glibc's 32 MiB dynamic mmap ceiling, so buffers are reused from the heap
 CONV_COLUMN_BUDGET = 2 * 2**20
 
 
@@ -249,46 +249,74 @@ def backward(loss: Tensor) -> None:
             node.grad *= node.mask
 
 
-def _conv_out_extent(n: int, stride: int) -> int:
-    # 3x3 kernel with padding 1: stride 1 preserves, stride 2 gives ceil(n/2)
-    return (n - 1) // stride + 1
-
-
-def _im2col(x: np.ndarray, stride: int, Ho: int, Wo: int,
-            per_sample: bool = False) -> np.ndarray:
-    """Zero-pad (B,Cin,H,W) by 1 into one channel-major buffer and gather its
-    3x3 windows as (Cin*9, B*Ho*Wo) columns, or with per_sample as
-    (B, Cin*9, Ho*Wo), each sample's block contiguous."""
+def _im2col(x: np.ndarray, stride: int, Ho: int, Wo: int) -> np.ndarray:
+    """Zero-pad (B,Cin,H,W) by 1 and gather its 3x3 windows as
+    (B, Cin*9, Ho*Wo) columns, each sample's block contiguous."""
     B, Cin, H, W = x.shape
-    xp = np.zeros((Cin, B, H + 2, W + 2), dtype=x.dtype)
-    xp[:, :, 1 : H + 1, 1 : W + 1] = x.transpose(1, 0, 2, 3)
-    # (Cin, B, Ho, Wo, 3, 3): the window at every stride-th position
+    xp = np.zeros((B, Cin, H + 2, W + 2), dtype=x.dtype)
+    xp[:, :, 1 : H + 1, 1 : W + 1] = x
+    # (B, Cin, Ho, Wo, 3, 3): the window at every stride-th position
     windows = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
-    if per_sample:
-        return windows.transpose(1, 0, 4, 5, 2, 3).reshape(B, Cin * 9, Ho * Wo)
-    return windows.transpose(0, 4, 5, 1, 2, 3).reshape(Cin * 9, B * Ho * Wo)
+    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(B, Cin * 9, Ho * Wo)
+
+
+@lru_cache(maxsize=2)
+def _parity_taps(stride: int):
+    """Per input parity (p, q) of a 3x3 conv: the run of output-grad shifts
+    its taps read, and the run in `taps` of those taps (3*row + column).
+    Tap i of a kernel row reads input row stride*y + i - 1: row y - d of row
+    parity p = (i - 1) % stride, d = (p - i + 1) // stride. The shifts are
+    ordered so that each parity's are one run."""
+    shifts = (tuple((dy, dx) for dy in (1, 0, -1) for dx in (1, 0, -1)) if stride == 1
+              else ((0, 1), (0, 0), (1, 0), (1, 1)))
+    parity = [(i - 1) % stride for i in range(3)]
+    shift = [(parity[i] - i + 1) // stride for i in range(3)]
+    taps, plan = [], []
+    for p, q in product(range(stride), repeat=2):
+        slabs, run = zip(*sorted((shifts.index((shift[i], shift[j])), 3 * i + j)
+                                 for i, j in product(range(3), repeat=2)
+                                 if (parity[i], parity[j]) == (p, q)))
+        plan.append((p, q, slice(slabs[0], slabs[-1] + 1), slice(len(taps), len(taps) + len(run))))
+        taps += run
+    return shifts, tuple(taps), tuple(plan)  # cached: shared by every call
+
+
+def _shifted_copies(g: np.ndarray, shifts) -> np.ndarray:
+    """A (b,C,H,W) grad shifted by each (dy, dx), zero past the edges, as
+    rows (shift, c) by columns (y, x, b): g[b, c, y + dy, x + dx]. Samples
+    are the fastest axis, so each slab copies runs of W*b values."""
+    b, C, H, W = g.shape
+    gp = np.zeros((C, H + 2, W + 2, b), dtype=g.dtype)
+    gp[:, 1 : H + 1, 1 : W + 1] = g.transpose(1, 2, 3, 0)
+    copies = np.empty((len(shifts), C, H, W, b), dtype=g.dtype)
+    for k, (dy, dx) in enumerate(shifts):
+        copies[k] = gp[:, 1 + dy : 1 + dy + H, 1 + dx : 1 + dx + W]
+    return copies.reshape(len(shifts) * C, H * W * b)
+
+
+def _slices(batch: int, sample_bytes: int) -> list[slice]:
+    """Consecutive slices of the batch, as many samples each as fit
+    CONV_COLUMN_BUDGET at sample_bytes of columns a sample, and at least one."""
+    step = max(1, CONV_COLUMN_BUDGET // sample_bytes)
+    return [slice(start, min(start + step, batch)) for start in range(0, batch, step)]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> Tensor:
     """3x3 convolution with padding 1. Input (B,Cin,H,W) -> (B,Cout,H',W').
 
-    Columns are channel-major (Cin*9, b*H'*W') and are built for a slice of b
-    consecutive samples at a time, each slice's columns within
-    CONV_COLUMN_BUDGET bytes (2 MiB, one core's L2 cache, so columns are
-    read back while still cached; one sample when a sample alone is over
-    it), so no buffer grows with the batch. The forward pass runs one GEMM
-    per sample straight into the C-contiguous output, so its values do not
-    depend on the slicing. Backward takes whichever column set is smaller,
-    per slice of the same samples. A stride-1 conv with Cout <= Cin builds
-    the output grad's columns once and reads both the weight grad and the
-    input grad off them (the input grad is the output grad convolved with
-    the flipped, transposed kernel). Any other conv (stride 2, or more
-    output than input channels) rebuilds the input's columns for the weight
-    grad and scatters input-grad columns, w.T @ grad, back through the 3x3
-    windows. Either way the weight grad is one GEMM per slice, summed, and
-    the input grad fills that slice's rows of the C-contiguous (B,Cin,H,W)
-    input grad. The recorded node keeps no column buffer: backward reads the
-    saved input and weight arrays, so neither may be
+    Each pass builds columns for b consecutive samples at a time, within
+    CONV_COLUMN_BUDGET bytes (2 MiB, one core's L2 cache; one sample when a
+    sample alone is over it), so no buffer grows with the batch. The forward
+    pass runs one GEMM per sample on its (Cin*9, H'*W') window columns into
+    the C-contiguous output, so its values do not depend on the slicing.
+    Backward builds no input columns: each tap reads one input parity (one
+    at stride 1, four at stride 2) at the output grad shifted by at most a
+    row and a column. A slice's shifted grad copies, (9 or 4)*Cout rows by
+    b*H'*W' columns, give both grads: the weight grad is the copies times
+    each parity, summed over the slices, and each parity's input grad is
+    its taps' kernel blocks times the copies, written into its positions of
+    the C-contiguous input grad. The recorded node keeps no column buffer:
+    backward reads the saved input and weight arrays, so neither may be
     changed in place between the forward call and backward().
     """
     if stride not in (1, 2):
@@ -300,18 +328,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
     if Cin != Cin_w:
         raise ShapeError(f"input has {Cin} channels, kernel expects {Cin_w}")
 
-    Ho, Wo = _conv_out_extent(H, stride), _conv_out_extent(W, stride)
-    K = Cin * 9
+    # padding 1: stride 1 keeps the extents, stride 2 gives ceil(n/2)
+    Ho, Wo = (H - 1) // stride + 1, (W - 1) // stride + 1
     x_data, w_data = x.data, weight.data
-    wflat = w_data.reshape(Cout, K)
-    step = max(1, CONV_COLUMN_BUDGET // (K * Ho * Wo * x_data.itemsize))
-    slices = [slice(start, min(start + step, B)) for start in range(0, B, step)]
+    wflat = w_data.reshape(Cout, Cin * 9)
     out_data = np.empty((B, Cout, Ho, Wo), dtype=np.result_type(w_data, x_data))
-    for s in slices:
+    for s in _slices(B, Cin * 9 * Ho * Wo * x_data.itemsize):
         # one GEMM per sample, written straight into the B-major output; each
         # sample's columns have the same layout whatever the slicing, which
         # keeps BLAS's matrix-vector kernels from rounding differently
-        np.matmul(wflat, _im2col(x_data[s], stride, Ho, Wo, per_sample=True),
+        np.matmul(wflat, _im2col(x_data[s], stride, Ho, Wo),
                   out=out_data[s].reshape(s.stop - s.start, Cout, Ho * Wo))
     if bias is not None:
         out_data += bias.data[None, :, None, None]
@@ -321,65 +347,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
     def backward(node):
         if b_node is not None:
             _hand_off(b_node, node.grad.sum(axis=(0, 2, 3)))
+        shifts, taps, plan = _parity_taps(stride)
+        # the taps' (Cin, Cout) kernel blocks side by side, and their weight
+        # grads stacked as rows (tap, co), summed over the slices
+        w_taps = w_data.reshape(Cout, Cin, 9)[:, :, taps].transpose(1, 2, 0).reshape(Cin, -1)
+        dw = np.zeros((9 * Cout, Cin), dtype=node.grad.dtype)
         fresh = x_node.grad is None
         if fresh:
             x_node.grad = np.empty(x_data.shape, dtype=x_node.dtype)
-
-        def add_rows(s, dx):  # one slice's input grad
-            if fresh:
-                x_node.grad[s] = dx
-            else:
-                x_node.grad[s] += dx
-
-        if stride == 1 and Cout <= Cin:
-            # one im2col of the output grad, rows (co, i, j) and columns
-            # (b, y, x), serves both GEMMs: dx = w_flip @ gcols with
-            # w_flip[ci, (co, i, j)] = w[co, ci, 2-i, 2-j], and gcols @ x.T
-            # is dW at flipped taps
-            w_flip = w_data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(Cin, Cout * 9)
-            dw = None
-            for s in slices:
-                b = s.stop - s.start
-                gcols = _im2col(node.grad[s], 1, H, W)
-                product = gcols @ x_data[s].transpose(1, 0, 2, 3).reshape(Cin, b * H * W).T
-                if dw is None:
-                    dw = product
+        for s in _slices(B, len(shifts) * Cout * Ho * Wo * node.grad.itemsize):
+            copies = _shifted_copies(node.grad[s], shifts)
+            for p, q, slabs, run in plan:
+                x_par = x_data[s, :, p::stride, q::stride].transpose(1, 2, 3, 0)
+                Hp, Wp = x_par.shape[1:3]
+                if (Hp, Wp) != (Ho, Wo):  # an odd extent at stride 2
+                    x_par = np.pad(x_par, ((0, 0), (0, Ho - Hp), (0, Wo - Wp), (0, 0)))
+                g_par = copies[slabs.start * Cout : slabs.stop * Cout]
+                rows = slice(run.start * Cout, run.stop * Cout)
+                dw[rows] += g_par @ x_par.reshape(Cin, -1).T
+                dx = (w_taps[:, rows] @ g_par).reshape(Cin, Ho, Wo, -1)[:, :Hp, :Wp]
+                target = x_node.grad[s, :, p::stride, q::stride]
+                if fresh:
+                    target[...] = dx.transpose(3, 0, 1, 2)
                 else:
-                    dw += product
-                add_rows(s, (w_flip @ gcols).reshape(Cin, b, H, W).transpose(1, 0, 2, 3))
-                del gcols  # before the next slice's
-            _hand_off(w_node, np.ascontiguousarray(
-                dw.reshape(Cout, 3, 3, Cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)))
-            return
-        # dW: gradient columns in the columns' (b, y, x) order, one GEMM per
-        # slice; the first product is the sum the others are added to
-        dw = None
-        for s in slices:
-            b = s.stop - s.start
-            g = node.grad[s].reshape(b, Cout, Ho * Wo).transpose(1, 0, 2).reshape(Cout, -1)
-            product = g @ _im2col(x_data[s], stride, Ho, Wo).T
-            if dw is None:
-                dw = product
-            else:
-                dw += product
-        _hand_off(w_node, dw.reshape(w_data.shape))
-        del g, product, dw  # before dcols: one column-sized buffer at a time
-        # dx: rows (i, j, c) and columns (y, x, b), so each tap's scatter into
-        # a (Cin, H+2, W+2, b) buffer runs over long contiguous stretches
-        wtap = w_data.transpose(0, 2, 3, 1).reshape(Cout, K)
-        for s in slices:
-            b = s.stop - s.start
-            g = node.grad[s].transpose(1, 2, 3, 0).reshape(Cout, Ho * Wo * b)
-            dcols = (wtap.T @ g).reshape(3, 3, Cin, Ho, Wo, b)
-            del g
-            dxp = np.zeros((Cin, H + 2, W + 2, b), dtype=x_data.dtype)
-            for i in range(3):
-                for j in range(3):
-                    dxp[:, i : i + (Ho - 1) * stride + 1 : stride,
-                        j : j + (Wo - 1) * stride + 1 : stride] += dcols[i, j]
-            del dcols
-            add_rows(s, dxp[:, 1 : 1 + H, 1 : 1 + W].transpose(3, 0, 1, 2))
-            del dxp  # before the next slice's
+                    target += dx.transpose(3, 0, 1, 2)
+            del copies, g_par, x_par, dx  # before the next slice's
+        dw = dw.reshape(9, Cout, Cin)[np.argsort(taps)]  # rows back in kernel tap order
+        _hand_off(w_node, np.ascontiguousarray(dw.transpose(1, 2, 0)).reshape(w_data.shape))
 
     return Tensor(out_data, (x, weight) if bias is None else (x, weight, bias), backward)
 

@@ -381,15 +381,18 @@ def test_criterion_7_noise_suite(tmp_path_factory):
         np.zeros((10, 3, 2, 2), dtype=np.float32), clean, 3, clean.copy()))
     assert perfect.clean_fitting == 1.0 and perfect.noisy_fitting is None
 
-    # Type 3: annotator relabeling lands within +/-0.03 of both paper epsilons
-    for eps in (0.10, 0.20):
-        out = tmp_path_factory.mktemp(f"inject_{int(eps * 100)}")
-        summary = run_experiment(noise_config(
-            out, NoiseConfig(kind="annotator", epsilon=eps, seed=3,
-                             annotator=ANNOTATOR), epochs=0))
+    # Type 3: annotator relabeling lands within +/-0.03 of both paper
+    # epsilons; 0.10 is read off the Type-3 victim run below, which trains
+    # the same annotator, and 0.20 off an injection-only run
+    def assert_realized_in_band(summary, eps):
         realized = summary["noise"]["realized_rate"]
         assert abs(realized - eps) <= 0.03, \
             f"epsilon {eps}: realized mislabel fraction {realized:.3f}"
+
+    assert_realized_in_band(run_experiment(noise_config(
+        tmp_path_factory.mktemp("inject_20"),
+        NoiseConfig(kind="annotator", epsilon=0.20, seed=3, annotator=ANNOTATOR),
+        epochs=0)), 0.20)
 
     # directional check: at equal epsilon, a trained model absorbs
     # feature-dependent noise but not uniform noise
@@ -397,6 +400,7 @@ def test_criterion_7_noise_suite(tmp_path_factory):
     t3 = run_experiment(noise_config(
         tmp_path_factory.mktemp("victim_t3"),
         NoiseConfig(kind="annotator", epsilon=eps, seed=3, annotator=ANNOTATOR)))
+    assert_realized_in_band(t3, eps)
     t1 = run_experiment(noise_config(
         tmp_path_factory.mktemp("victim_t1"),
         NoiseConfig(kind="uniform", rate=eps, seed=3)))

@@ -655,31 +655,46 @@ class TestConv2dSlicing:
 
 
 @st.composite
-def backward_form_cases(draw):
+def backward_cases(draw):
     """A float64 conv2d problem whose output has one channel fewer than, as
     many as or one more than its input, at stride 1 or 2, a column budget
-    that holds 1 to B samples' input columns, and the input's leaf kind as in
-    sliced_conv_cases."""
+    that holds 0 (a single sample is over it) to B samples' shifted copies of
+    the output grad (9 at stride 1, 4 at stride 2), and the input's leaf kind
+    as in sliced_conv_cases."""
     b, cin = draw(st.integers(1, 4)), draw(st.integers(2, 3))
     cout = cin + draw(st.sampled_from([-1, 0, 1]))
     h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     stride = draw(st.sampled_from([1, 2]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
-    sample_bytes = cin * 9 * ho * wo * 8
+    sample_bytes = (9 if stride == 1 else 4) * cout * ho * wo * 8
+    per_slice = draw(st.integers(0, b))
     return (rng.standard_normal((b, cin, h, w)), rng.standard_normal((cout, cin, 3, 3)),
             rng.standard_normal(cout), stride, rng.standard_normal((1, cout * ho * wo)),
-            draw(st.integers(1, b)) * sample_bytes,
+            per_slice * sample_bytes or sample_bytes - 1, sample_bytes,
             draw(st.sampled_from([_with_zero_grad, Tensor])))
 
 
-class TestConv2dBackwardForms:
+def _backward_peak(x, w, stride, rng) -> int:
+    """Traced peak bytes of one conv2d backward, over what it starts with."""
+    out = conv2d(x, w, None, stride=stride)
+    out.grad = rng.standard_normal(out.shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out._backward()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestConv2dBackward:
     @settings(derandomize=True, deadline=None, max_examples=80)
-    @given(backward_form_cases())
-    def test_both_forms_match_oracles(self, case):
-        # a stride-1 conv that does not widen takes its grads from the output
-        # grad's columns, any other from the input's; both match the oracles
-        x_data, w_data, b_data, stride, probe_data, budget, leaf = case
+    @given(backward_cases())
+    def test_matches_oracles_from_sliced_shifted_grad_copies(self, case):
+        # both grads of every conv come from shifted copies of the output
+        # grad, one set per slice of the batch; backward builds no input columns
+        x_data, w_data, b_data, stride, probe_data, budget, sample_bytes, leaf = case
         x, w, b = leaf(x_data), Parameter(w_data), Parameter(b_data)
         probe = Tensor(probe_data)
 
@@ -687,45 +702,79 @@ class TestConv2dBackwardForms:
             out = conv2d(x, w, b, stride=stride)
             return _probed(out, probe), out
 
-        from_grad = []  # per column buffer: built from something other than x
+        built = []  # samples and bytes of every set of shifted copies
 
-        def recording_im2col(array, *args, **kwargs):
-            from_grad.append(not np.shares_memory(array, x.data))
-            return im2col(array, *args, **kwargs)
+        def recording_copies(g, shifts):
+            copies = shifted_copies(g, shifts)
+            built.append((g.shape[0], copies.nbytes))
+            return copies
 
-        im2col = tensor._im2col
+        def input_columns(*args):
+            raise AssertionError("backward built input columns")
+
+        shifted_copies = tensor._shifted_copies
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tensor, "CONV_COLUMN_BUDGET", budget)
-            mp.setattr(tensor, "_im2col", recording_im2col)
+            mp.setattr(tensor, "_shifted_copies", recording_copies)
             _assert_matches_oracles(build, [x, w, b],
                                     naive_conv2d(x_data, w_data, b_data, stride))
-        cout, cin = w_data.shape[:2]
-        per_slice = budget // (cin * 9 * (probe_data.size // cout) * 8)
-        slices = -(-x_data.shape[0] // per_slice)
-        assert sum(from_grad) == (slices if stride == 1 and cout <= cin else 0)
+            per_slice, batch = max(1, budget // sample_bytes), x_data.shape[0]
+            assert [n for n, _ in built] == [min(per_slice, batch - start)
+                                             for start in range(0, batch, per_slice)]
+            assert all(n == 1 or nbytes <= budget for n, nbytes in built)
+            loss, _ = build()
+            mp.setattr(tensor, "_im2col", input_columns)
+            backward(loss)
 
-    def test_grad_column_backward_holds_one_slice_of_grad_columns(self, monkeypatch):
-        # stride 1, 32 -> 4 channels: the input's columns, or the columns
-        # w.T @ grad that col2im scatters, would each be 8x the grad's
+    def test_stride_1_holds_one_slice_of_shifted_grad_copies(self, monkeypatch):
+        # 32 -> 4 channels: the input's columns would be 8x the grad's copies
         B, cin, cout, n = 8, 32, 4, 16
         per_slice = 2
-        monkeypatch.setattr(tensor, "CONV_COLUMN_BUDGET", per_slice * cin * 9 * n * n * 8)
+        grad_columns = per_slice * 9 * cout * n * n * 8
+        monkeypatch.setattr(tensor, "CONV_COLUMN_BUDGET", grad_columns)
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((B, cin, n, n)))
         w = _param(rng, cout, cin, 3, 3)
-        out = conv2d(x, w, None)
-        out.grad = rng.standard_normal(out.shape)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out._backward()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        grad_columns = cout * 9 * per_slice * n * n * 8
+        peak = _backward_peak(x, w, 1, rng)
         input_slice = per_slice * cin * n * n * 8
         padded_grad_slice = per_slice * cout * (n + 2) * (n + 2) * 8
-        # x's channel-major copy and w_flip @ gcols are one input slice each
+        # x's channel-major copy and its input grad are one input slice each
+        temporaries = 2 * input_slice + padded_grad_slice + w.grad.nbytes
+        assert peak < 1.1 * (grad_columns + x.grad.nbytes + temporaries)
+
+    def test_stride_2_holds_one_slice_of_shifted_grad_copies(self, monkeypatch):
+        # 32 -> 4 channels: the input's columns, or the columns w.T @ grad
+        # that a col2im would scatter, would each be 18x the grad's copies
+        B, cin, cout, n = 8, 32, 4, 16
+        per_slice, m = 2, n // 2
+        grad_columns = per_slice * 4 * cout * m * m * 8
+        monkeypatch.setattr(tensor, "CONV_COLUMN_BUDGET", grad_columns)
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((B, cin, n, n)))
+        w = _param(rng, cout, cin, 3, 3)
+        peak = _backward_peak(x, w, 2, rng)
+        # the four input parities, channel-major, and one parity's input grad
+        # add up to 1.25 input slices
+        parities = 1.25 * per_slice * cin * n * n * 8
+        padded_grad_slice = per_slice * cout * (m + 2) * (m + 2) * 8
+        temporaries = parities + padded_grad_slice + w.grad.nbytes
+        assert peak < 1.1 * (grad_columns + x.grad.nbytes + temporaries)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_frees_each_slice_of_shifted_grad_copies(self, monkeypatch, stride):
+        # 4 -> 32 channels: the copies dominate, so holding a slice's copies
+        # while the next slice builds its own would exceed the bound
+        B, cin, cout, n = 8, 4, 32, 16
+        per_slice, m = 2, (n - 1) // stride + 1
+        shifts = 9 if stride == 1 else 4
+        grad_columns = per_slice * shifts * cout * m * m * 8
+        monkeypatch.setattr(tensor, "CONV_COLUMN_BUDGET", grad_columns)
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((B, cin, n, n)))
+        w = _param(rng, cout, cin, 3, 3)
+        peak = _backward_peak(x, w, stride, rng)
+        input_slice = per_slice * cin * n * n * 8
+        padded_grad_slice = per_slice * cout * (m + 2) * (m + 2) * 8
         temporaries = 2 * input_slice + padded_grad_slice + w.grad.nbytes
         assert peak < 1.1 * (grad_columns + x.grad.nbytes + temporaries)
 
