@@ -9,8 +9,8 @@ scores, smallest first, and cut: each link's last unmasked weight in that
 ranking is protected, so no conv matrix ends up all zero, and the first
 `quota` unprotected weights are masked. Schedules place the work at epoch 5
 (early), epoch 75 (late), or spread it over epochs 5, 15, ..., 75
-(iterative); the number of links kept never drops below the longest
-linear path.
+(iterative) of the 200-epoch recipe, mapped proportionally onto a run's
+epochs; the number of links kept never drops below the longest linear path.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ class Strategy(enum.Enum):
     ITERATIVE = "iterative"
 
 
-EARLY_EPOCH = 5
-LATE_EPOCH = 75
-ITERATIVE_EPOCHS = tuple(range(5, 76, 10))  # 5, 15, ..., 75
+RECIPE_EPOCHS = 200
+# each strategy's pruning epochs on the recipe
+RECIPE_EVENTS = {Strategy.EARLY: (5,), Strategy.LATE: (75,),
+                 Strategy.ITERATIVE: tuple(range(5, 76, 10))}  # 5, 15, ..., 75
 
 
 def sensitivity_grads(fabric: Fabric, batches) -> dict[int, np.ndarray]:
@@ -122,7 +123,6 @@ class PruneEvent:
 class SparsityBudget:
     """How a target sparsity translates into kept links and weights."""
 
-    sparsity: float
     total_links: int
     links_kept: int
     min_links_kept: int
@@ -152,11 +152,21 @@ def _split_quota(total: int, parts: int) -> list[int]:
     return [base + 1 if i < remainder else base for i in range(parts)]
 
 
-def build_plan(strategy: Strategy, sparsity: float, fabric: Fabric) -> PrunePlan:
-    """Derive the pruning schedule for a target sparsity on a built fabric.
+def rescale_epochs(values, old_total: int, new_total: int) -> list[int]:
+    """Proportional epoch mapping, round half up, floored at epoch 1."""
+    factor = new_total / old_total
+    return [max(1, math.floor(v * factor + 0.5)) for v in values]
+
+
+def build_plan(strategy: Strategy, sparsity: float, fabric: Fabric,
+               epochs: int = RECIPE_EPOCHS) -> PrunePlan:
+    """Derive the pruning schedule of an `epochs`-epoch run for a target
+    sparsity on a built fabric.
 
     Kept links never drop below the longest linear path; the weight quota
-    covers the conv weights of links that survive link pruning.
+    covers the conv weights of links that survive link pruning. Both quotas
+    are split over the strategy's recipe events, whose epochs are mapped
+    onto `epochs`; events that land on one epoch are merged with a warning.
     """
     if not 0.0 < sparsity < 1.0:
         raise ValueError(f"sparsity must be in (0, 1), got {sparsity}")
@@ -170,7 +180,6 @@ def build_plan(strategy: Strategy, sparsity: float, fabric: Fabric) -> PrunePlan
     surviving_weights = links_kept * per_link_weights
     weights_kept = math.ceil(frac * surviving_weights)
     budget = SparsityBudget(
-        sparsity=sparsity,
         total_links=total_links,
         links_kept=links_kept,
         min_links_kept=floor_links,
@@ -178,36 +187,17 @@ def build_plan(strategy: Strategy, sparsity: float, fabric: Fabric) -> PrunePlan
         weights_kept=weights_kept,
     )
 
-    if strategy is Strategy.EARLY:
-        events = [PruneEvent(EARLY_EPOCH, budget.links_to_remove, budget.weights_to_remove)]
-    elif strategy is Strategy.LATE:
-        events = [PruneEvent(LATE_EPOCH, budget.links_to_remove, budget.weights_to_remove)]
-    else:
-        link_quotas = _split_quota(budget.links_to_remove, len(ITERATIVE_EPOCHS))
-        weight_quotas = _split_quota(budget.weights_to_remove, len(ITERATIVE_EPOCHS))
-        events = [PruneEvent(epoch, lq, wq) for epoch, lq, wq
-                  in zip(ITERATIVE_EPOCHS, link_quotas, weight_quotas)]
+    recipe = RECIPE_EVENTS[strategy]
+    quotas: dict[int, tuple[int, int]] = {}
+    for epoch, links, weights in zip(rescale_epochs(recipe, RECIPE_EPOCHS, epochs),
+                                     _split_quota(budget.links_to_remove, len(recipe)),
+                                     _split_quota(budget.weights_to_remove, len(recipe))):
+        prev_links, prev_weights = quotas.get(epoch, (0, 0))
+        quotas[epoch] = (prev_links + links, prev_weights + weights)
+    if len(quotas) < len(recipe):
+        warnings.warn(f"rescaling {RECIPE_EPOCHS}->{epochs} merged pruning events")
+    events = [PruneEvent(epoch, *quotas[epoch]) for epoch in sorted(quotas)]
     return PrunePlan(strategy=strategy, sparsity=sparsity, budget=budget, events=events)
-
-
-def rescale_epochs(values, old_total: int, new_total: int) -> list[int]:
-    """Proportional epoch mapping, round half up, floored at epoch 1."""
-    factor = new_total / old_total
-    return [max(1, math.floor(v * factor + 0.5)) for v in values]
-
-
-def rescale_plan(plan: PrunePlan, old_total: int, new_total: int) -> PrunePlan:
-    """Map event epochs onto a new epoch budget, merging quota on collisions."""
-    epochs = rescale_epochs([event.epoch for event in plan.events], old_total, new_total)
-    merged: dict[int, PruneEvent] = {}
-    for event, epoch in zip(plan.events, epochs):
-        prev = merged.get(epoch, PruneEvent(epoch, 0, 0))
-        merged[epoch] = PruneEvent(epoch, prev.links_to_remove + event.links_to_remove,
-                                   prev.weights_to_remove + event.weights_to_remove)
-    if len(merged) < len(plan.events):
-        warnings.warn(f"rescaling {old_total}->{new_total} merged pruning events")
-    events = [merged[e] for e in sorted(merged)]
-    return PrunePlan(plan.strategy, plan.sparsity, plan.budget, events)
 
 
 @dataclass

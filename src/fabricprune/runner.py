@@ -58,6 +58,7 @@ from .noise import (
     uniform_transition_matrix,
 )
 from .pruning import (
+    RECIPE_EPOCHS,
     Criterion,
     PrunePlan,
     Strategy,
@@ -65,12 +66,10 @@ from .pruning import (
     build_plan,
     reported_param_count,
     rescale_epochs,
-    rescale_plan,
     sensitivity_grads,
 )
 from .tensor import SGD, SgdConfig
 
-RECIPE_EPOCHS = 200
 RECIPE_LR_MILESTONES = (80, 120)
 # the dataset's splits, in split-manifest order; prune.gradient_source names one
 SPLITS = ("train", "validation", "test")
@@ -111,7 +110,7 @@ def _checked_section(cls, raw, path: str):
             raw[f.name] = tuple(value)
     try:
         return cls(**raw)
-    except ValueError as exc:  # the section's own __post_init__ check
+    except (TypeError, ValueError) as exc:  # the section's own __post_init__ check
         raise ConfigError(f"config section {path}: {exc}") from exc
 
 
@@ -174,6 +173,8 @@ _INT_FROM_2 = _number(lambda v: v >= 2, "an int >= 2", int)
 _RULES = {
     "input_resolution": _number(lambda v: v >= 2 and not v & (v - 1), "a power of two >= 2", int),
     "layers": _INT_FROM_2, "channels": _INT_FROM_1, "batch_size": _INT_FROM_2,
+    "epochs": (lambda v, config: isinstance(v, int) and v >= (0 if config.prune is None else 1),
+               "an int >= 1 with a prune section, else >= 0"),
     "learning_rate": _POSITIVE, "momentum": _NONNEGATIVE, "weight_decay": _NONNEGATIVE,
     "lr_milestones": (lambda v, config: v is None or isinstance(v, (list, tuple))
                       and all(isinstance(m, int) for m in v), "null or a list of ints"),
@@ -199,8 +200,7 @@ _RULES = {
     "prune.criterion": _one_of([c.value for c in Criterion]),
     "prune.gradient_source": _one_of(SPLITS),
     "prune.sparsity": _number(lambda v: 0 < v < 1, "in (0, 1)"),
-    "epochs": (lambda v, config: config.prune is None or isinstance(v, int) and v >= 1,
-               "an int >= 1 with a prune section"),
+    "prune.count_cascade": (lambda v, config: isinstance(v, bool), "true or false"),
     "noise.kind": _one_of(NOISE_KINDS), "noise.rate": _number(lambda v: 0 <= v <= 1, "in [0, 1]"),
     "noise.epsilon": (lambda v, config: config.noise.kind != "annotator" or isinstance(
         v, (int, float)) and 0 < v < 1 - 1 / config.data.classes,
@@ -211,13 +211,14 @@ _RULES = {
     "noise.annotator.batch_size": _INT_FROM_2,
     "noise.annotator.learning_rate": _POSITIVE, "noise.annotator.weight_decay": _NONNEGATIVE,
     "noise.annotator.max_epochs": _INT_FROM_0, "noise.annotator.seed": _INT_FROM_0,
+    "noise.annotator.tolerance": _NONNEGATIVE,
     "augment.normalize_mean": (lambda v, config: isinstance(v, (list, tuple)) and len(v) == 3
                                and all(isinstance(m, (int, float)) for m in v),
                                "three numbers"),
     "augment.normalize_std": (lambda v, config: isinstance(v, (list, tuple)) and len(v) == 3
                               and all(isinstance(s, (int, float)) and s > 0 for s in v),
                               "three numbers > 0"),
-    "augment.crop_padding": _INT_FROM_0,
+    "augment.resize": _INT_FROM_1, "augment.crop_padding": _INT_FROM_0,
     "augment.flip_prob": _number(lambda v: 0 <= v <= 1, "in [0, 1]"),
 }
 
@@ -269,9 +270,9 @@ class ExperimentConfig:
         return normalize(images, self.augment.normalize_mean, self.augment.normalize_std)
 
     def prune_plan(self, fabric: Fabric) -> PrunePlan:
-        """The prune section's schedule for fabric, rescaled to this run's epochs."""
-        plan = build_plan(Strategy(self.prune.strategy), self.prune.sparsity, fabric)
-        return rescale_plan(plan, RECIPE_EPOCHS, self.epochs)
+        """The prune section's schedule for fabric over this run's epochs."""
+        return build_plan(Strategy(self.prune.strategy), self.prune.sparsity, fabric,
+                          self.epochs)
 
     def resolved_milestones(self) -> list[int]:
         if self.lr_milestones is not None:
@@ -301,10 +302,6 @@ class ExperimentConfig:
         config = _checked_section(cls, raw, "")
         config.check()
         return config
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
 
     def hash(self) -> str:
         return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
@@ -336,7 +333,7 @@ def lr_at(epoch: int, base_lr: float, milestones) -> float:
 def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[np.ndarray]]:
     """The config's dataset and its stratified train/validation/test indices.
 
-    Raises ValueError naming a split that the fractions leave empty.
+    Raises ConfigError naming a split that the fractions leave empty.
     """
     if data.kind == "synthetic":
         dataset = make_synthetic(data.classes, data.n_per_class, data.resolution,
@@ -351,8 +348,12 @@ def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[np.ndarray]
     indices = stratified_split_indices(dataset.labels, fractions, data.seed)
     for name, split in zip(SPLITS, indices):
         if split.size == 0:
-            raise ValueError(f"the {name} split is empty: {len(dataset)} items "
-                             f"split by fractions {fractions}")
+            given = ("data.n_per_class must be large enough" if data.kind == "synthetic"
+                     else "data.path must hold enough records")
+            raise ConfigError(f"{given} to leave an item in every split: the "
+                              f"{name} split is empty, {len(dataset)} items "
+                              f"split by data.train_fraction, data.val_fraction and "
+                              f"data.test_fraction {fractions}")
     return dataset, indices
 
 
@@ -402,8 +403,8 @@ def _train_inputs(images: np.ndarray, config: ExperimentConfig, seed_tuple) -> n
 def run_experiment(config: ExperimentConfig) -> dict:
     """Train (and optionally prune) one fabric end to end; returns a summary.
 
-    Raises ValueError naming the field, before anything is written, when the
-    config fails ExperimentConfig.check (a ConfigError) or a split is empty.
+    Raises ConfigError naming the field, before anything is written, when the
+    config fails ExperimentConfig.check or a split is empty.
     """
     config.check()
     dataset, (train_idx, val_idx, test_idx) = load_split_dataset(config.data)

@@ -612,16 +612,6 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return Tensor(np.asarray(loss_val, dtype=logits.data.dtype), (logits,), backward)
 
 
-def tensor_sum(x: Tensor) -> Tensor:
-    """Sum of all entries, as a scalar node."""
-    parent, shape = x._node, x.data.shape
-
-    def backward(node):
-        _accumulate(parent, np.broadcast_to(node.grad, shape))
-
-    return Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype), (x,), backward)
-
-
 @dataclass
 class SgdConfig:
     learning_rate: float

@@ -2,10 +2,17 @@
 
 Everything here is deliberately naive (nested loops, closed-form arithmetic,
 finite differences, exhaustive graph scans) and shares no code with the
-library implementations it checks.
+library implementations it checks. The one exception is tensor_sum, the
+gradient tests' scalar loss head, a graph op built on the engine's Tensor.
 """
 
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
+
+from fabricprune.tensor import Tensor, _accumulate
 
 
 def naive_conv2d(x, w, b, stride):
@@ -230,3 +237,49 @@ def train_batches_reference(order, batch_size):
         if batch.size >= 2:
             kept.append((batch_index, batch))
     return kept
+
+
+def tensor_sum(x):
+    """Sum of all entries, as a scalar node."""
+    parent, shape = x._node, x.data.shape
+
+    def backward(node):
+        _accumulate(parent, np.broadcast_to(node.grad, shape))
+
+    return Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype), (x,), backward)
+
+
+def plan_reference(strategy, sparsity, total_links, floor_links, channels, epochs):
+    """The pruning schedule as two steps built it: the 200-epoch recipe's
+    events per strategy ("early", "late" or "iterative"), then their epochs
+    mapped onto `epochs` and colliding events merged with a UserWarning.
+
+    Returns the budget's fields as a dict and the events as
+    (epoch, links to remove, weights to remove) tuples.
+    """
+    frac = Fraction(str(sparsity))
+    links_kept = min(max(math.ceil(frac * total_links), floor_links), total_links)
+    surviving = links_kept * channels * channels * 9
+    budget = dict(total_links=total_links, links_kept=links_kept, min_links_kept=floor_links,
+                  surviving_conv_weights=surviving,
+                  weights_kept=math.ceil(frac * surviving))
+    link_total = total_links - links_kept
+    weight_total = surviving - budget["weights_kept"]
+    if strategy == "early":
+        recipe = [(5, link_total, weight_total)]
+    elif strategy == "late":
+        recipe = [(75, link_total, weight_total)]
+    else:
+        epochs_at = list(range(5, 76, 10))
+        n = len(epochs_at)
+        recipe = [(e, link_total // n + (i < link_total % n),
+                   weight_total // n + (i < weight_total % n))
+                  for i, e in enumerate(epochs_at)]
+    merged = {}
+    for epoch, links, weights in recipe:
+        mapped = max(1, math.floor(epoch * (epochs / 200) + 0.5))
+        prev = merged.get(mapped, (0, 0))
+        merged[mapped] = (prev[0] + links, prev[1] + weights)
+    if len(merged) < len(recipe):
+        warnings.warn(f"rescaling 200->{epochs} merged pruning events")
+    return budget, [(e, *merged[e]) for e in sorted(merged)]

@@ -46,7 +46,6 @@ from fabricprune.tensor import (
     linear,
     relu6,
     softmax_cross_entropy,
-    tensor_sum,
     upsample_bilinear_x2,
 )
 
@@ -56,6 +55,7 @@ from oracles import (
     link_norm,
     max_grad_mismatch,
     path_exists,
+    tensor_sum,
 )
 
 

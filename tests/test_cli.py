@@ -72,10 +72,16 @@ BAD_VALUES = [
     ("noise.annotator_train_fraction",
      {"noise": {"kind": "annotator", "annotator_train_fraction": 0}}),
     ("augment.crop_padding", {"augment": {"resize": 4, "crop_size": 4, "crop_padding": -3}}),
+    ("epochs", {"epochs": 2.5}),
+    ("prune.count_cascade", {"prune": {"count_cascade": "no"}}),
+    ("noise.annotator.tolerance",
+     {"noise": {"kind": "annotator", "annotator": {"tolerance": -1}}}),
+    ("augment.resize", {"augment": {"resize": 4.5, "crop_size": 4}}),
 ]
 # (case id, dotted field, patch): rules over several fields (the fractions'
-# sum, an item of each class per split) and the augment fields that either
-# failed after config.json was written or ran on with a meaningless value
+# sum, an item of each class per split, epochs with and without a prune
+# section) and the augment fields that either failed after config.json was
+# written, escaped as a TypeError or ran on with a meaningless value
 CROSS_FIELD_VALUES = [
     ("fraction-sum", "data.test_fraction", {"data": {"train_fraction": 0.9}}),
     ("item-per-split", "data.n_per_class", {"data": {"n_per_class": 2}}),
@@ -83,6 +89,12 @@ CROSS_FIELD_VALUES = [
      {"augment": {"resize": 4, "crop_size": 4, "normalize_mean": ["x", 0, 0]}}),
     ("flip-above-one", "augment.flip_prob",
      {"augment": {"resize": 4, "crop_size": 4, "flip_prob": 2.0}}),
+    ("epochs-not-a-number-without-prune", "epochs", {"epochs": "x"}),
+    ("resize-not-a-number", "augment", {"augment": {"resize": "x", "crop_size": 4}}),
+    # 3 items per class at 0.7/0.1/0.2 give no class a validation item
+    ("empty-validation-split", "data.n_per_class",
+     {"data": {"n_per_class": 3, "train_fraction": 0.7, "val_fraction": 0.1,
+               "test_fraction": 0.2}}),
 ]
 
 
@@ -312,7 +324,7 @@ class TestConfigErrors:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "epochs must be an int >= 1 with a prune section, got 0" in captured.err
+        assert "epochs must be an int >= 1 with a prune section, else >= 0, got 0" in captured.err
         assert not out_dir.exists() and not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["train", "prune-plan", "inject-noise"])

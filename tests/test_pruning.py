@@ -1,5 +1,7 @@
 import itertools
 import json
+import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from fabricprune.pruning import (
     build_plan,
     link_condition,
     reported_param_count,
-    rescale_plan,
     sensitivity_grads,
 )
 from fabricprune.runner import DataConfig, ExperimentConfig, PruneConfig, run_experiment
@@ -38,6 +39,7 @@ from oracles import (
     links_on_some_path,
     longest_path_exhaustive,
     path_exists,
+    plan_reference,
     weight_stage_reference,
 )
 
@@ -447,22 +449,47 @@ class TestBuildPlan:
 
 class TestRescalePlan:
     def test_iterative_200_to_40(self):
-        plan = build_plan(Strategy.ITERATIVE, 0.05, build_fabric(8, 6, 1, 32, 10))
-        scaled = rescale_plan(plan, 200, 40)
+        fabric = build_fabric(8, 6, 1, 32, 10)
+        plan = build_plan(Strategy.ITERATIVE, 0.05, fabric)
+        scaled = build_plan(Strategy.ITERATIVE, 0.05, fabric, epochs=40)
         assert [e.epoch for e in scaled.events] == [1, 3, 5, 7, 9, 11, 13, 15]
         assert sum(e.links_to_remove for e in scaled.events) == plan.budget.links_to_remove
 
     def test_identity_factor(self):
-        plan = build_plan(Strategy.ITERATIVE, 0.05, build_fabric(8, 6, 1, 32, 10))
-        scaled = rescale_plan(plan, 200, 200)
+        fabric = build_fabric(8, 6, 1, 32, 10)
+        plan = build_plan(Strategy.ITERATIVE, 0.05, fabric)
+        scaled = build_plan(Strategy.ITERATIVE, 0.05, fabric, epochs=200)
         assert [e.epoch for e in scaled.events] == [e.epoch for e in plan.events]
 
     def test_collisions_merge_quotas_with_warning(self):
-        plan = build_plan(Strategy.ITERATIVE, 0.05, build_fabric(8, 6, 1, 32, 10))
+        fabric = build_fabric(8, 6, 1, 32, 10)
+        plan = build_plan(Strategy.ITERATIVE, 0.05, fabric)
         with pytest.warns(UserWarning):
-            scaled = rescale_plan(plan, 200, 8)
+            scaled = build_plan(Strategy.ITERATIVE, 0.05, fabric, epochs=8)
         assert sum(e.links_to_remove for e in scaled.events) == plan.budget.links_to_remove
         assert [e.epoch for e in scaled.events] == sorted({e.epoch for e in scaled.events})
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(strategy=st.sampled_from(list(Strategy)),
+           sparsity=st.floats(0.01, 0.99),
+           epochs=st.integers(1, 200),
+           dims=st.sampled_from([(2, 2, 1), (3, 2, 2), (4, 3, 1), (2, 4, 3)]))
+    def test_matches_the_recipe_then_rescale_reference(self, strategy, sparsity, epochs, dims):
+        # the schedule as the recipe plan rescaled and merged in a second
+        # step: same events, same budget, and the merge warning exactly when
+        # the reference warns
+        layers, scales, channels = dims
+        fabric = tiny_fabric(layers, scales, channels)
+        with warnings.catch_warnings(record=True) as expected_warnings:
+            warnings.simplefilter("always")
+            budget, events = plan_reference(strategy.value, sparsity, len(fabric.alive_links()),
+                                            longest_linear_path(fabric), channels, epochs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            plan = build_plan(strategy, sparsity, fabric, epochs)
+        assert [(e.epoch, e.links_to_remove, e.weights_to_remove) for e in plan.events] == events
+        assert asdict(plan.budget) == budget
+        assert [str(w.message) for w in caught] == [str(w.message) for w in expected_warnings]
 
 
 def greedy_oracle(edges, scores, n, start, goal):

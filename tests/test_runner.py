@@ -87,7 +87,7 @@ class TestConfigSerialization:
                                                annotator=AnnotatorConfig(channels=2)),
                              augment=AugmentConfig(resize=4, crop_size=4, crop_padding=1))
         text = config.to_json()
-        back = ExperimentConfig.from_json(text)
+        back = ExperimentConfig.from_dict(json.loads(text))
         assert back == config
 
     def test_hash_stable_and_sensitive(self):
@@ -204,7 +204,7 @@ class TestRunExperiment:
         config = tiny_config(tmp_path / "run", epochs=0,
                              prune=PruneConfig(strategy="early", sparsity=0.1))
         with pytest.raises(ConfigError, match=r"^epochs must be an int >= 1 with a prune "
-                                              r"section, got 0$"):
+                                              r"section, else >= 0, got 0$"):
             run_experiment(config)
         assert not (tmp_path / "run").exists()
 

@@ -25,7 +25,6 @@ from fabricprune.tensor import (
     relu6,
     softmax_cross_entropy,
     split,
-    tensor_sum,
     upsample_bilinear_x2,
 )
 
@@ -36,6 +35,7 @@ from oracles import (
     max_grad_mismatch,
     naive_conv2d,
     naive_linear,
+    tensor_sum,
 )
 
 

@@ -1,0 +1,71 @@
+"""Library code has a caller outside the tests.
+
+Every module-level function, class and constant of src/fabricprune, and
+every method of its classes, is read somewhere in src/ or perfbench/ beyond
+its own definition, or exported from the package's __init__.py as public
+API. Code that only tests call belongs in the tests (tests/oracles.py).
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fabricprune"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _read_names(tree):
+    """Every name the tree reads: bare names and attribute names. Import
+    statements and assignment targets are not reads."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            names[node.attr] += 1
+    return names
+
+
+def _definitions(tree):
+    """(name, node) of each module-level function, class and assigned name,
+    and of each method, dunders left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name, item
+
+
+def _exported(init_tree):
+    return {alias.asname or alias.name for node in init_tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def unreferenced_library_names():
+    trees = {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    readers = list(trees.values()) + [_parse(p) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    reads = sum((_read_names(tree) for tree in readers), Counter())
+    public = _exported(trees[PACKAGE / "__init__.py"])
+    found = []
+    for path, tree in trees.items():
+        for name, node in _definitions(tree):
+            if name.startswith("__") and name.endswith("__") or name in public:
+                continue
+            if reads[name] - _read_names(node)[name] <= 0:
+                found.append(f"{path.stem}.{name}")
+    return found
+
+
+def test_every_library_name_has_a_caller_outside_the_tests():
+    assert unreferenced_library_names() == []
