@@ -176,8 +176,11 @@ class Fabric:
 
         Links of one stride share one conv over their stacked weights; each
         link then upsamples (UP only), batch-normalizes and clips its slice.
-        With fold, each link's eval-mode batch norm is folded into its slice
-        of the stacked weights and biases, and the slice is clipped in place.
+        An up link's batch norm gets the slice as its source, so its node
+        holds the slice at source resolution instead of the x4 larger xhat,
+        and rebuilds xhat in backward. With fold, each link's eval-mode
+        batch norm is folded into its slice of the stacked weights and
+        biases, and the slice is clipped in place.
         """
         for stride in (1, 2):
             group = [link for link in links if link.direction.stride == stride]
@@ -193,12 +196,14 @@ class Fabric:
             convs = split(conv2d(activation, weight, bias, stride=stride),
                           [self.C] * len(group), axis=1)
             for link, h in zip(group, convs):
+                source = None
                 if link.direction is Direction.UP:
-                    h = upsample_bilinear_x2(h)
+                    source, h = h, upsample_bilinear_x2(h)
                 if fold:
                     np.clip(h.data, 0.0, 6.0, out=h.data)
                 else:
-                    h = relu6(batch_norm(h, link.bn_gamma, link.bn_beta, link.bn_state, mode))
+                    h = relu6(batch_norm(h, link.bn_gamma, link.bn_beta, link.bn_state, mode,
+                                         source=source))
                 yield link.dst, h
 
     def forward(self, batch: Tensor | np.ndarray, mode: str = "train") -> Tensor:

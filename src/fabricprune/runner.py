@@ -156,8 +156,13 @@ _SECTIONS = {"data": DataConfig, "prune": PruneConfig, "noise": NoiseConfig,
              "noise.annotator": AnnotatorConfig, "augment": AugmentConfig}
 
 
+def _is_number(v, kind=(int, float)) -> bool:
+    """isinstance(v, kind) for a number kind, without bool, which is an int."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 def _number(test, requirement: str, kind=(int, float)):
-    return (lambda v, config: isinstance(v, kind) and test(v)), requirement
+    return (lambda v, config: _is_number(v, kind) and test(v)), requirement
 
 
 def _one_of(allowed):
@@ -173,22 +178,22 @@ _INT_FROM_2 = _number(lambda v: v >= 2, "an int >= 2", int)
 _RULES = {
     "input_resolution": _number(lambda v: v >= 2 and not v & (v - 1), "a power of two >= 2", int),
     "layers": _INT_FROM_2, "channels": _INT_FROM_1, "batch_size": _INT_FROM_2,
-    "epochs": (lambda v, config: isinstance(v, int) and v >= (0 if config.prune is None else 1),
+    "epochs": (lambda v, config: _is_number(v, int) and v >= (0 if config.prune is None else 1),
                "an int >= 1 with a prune section, else >= 0"),
     "learning_rate": _POSITIVE, "momentum": _NONNEGATIVE, "weight_decay": _NONNEGATIVE,
     "lr_milestones": (lambda v, config: v is None or isinstance(v, (list, tuple))
-                      and all(isinstance(m, int) for m in v), "null or a list of ints"),
+                      and all(_is_number(m, int) for m in v), "null or a list of ints"),
     "seed": _INT_FROM_0,
     "data.kind": _one_of(DATA_KINDS), "data.classes": _INT_FROM_1,
     # stratified splits need an item of every class in each split
-    "data.n_per_class": (lambda v, config: isinstance(v, int) and v >= (
+    "data.n_per_class": (lambda v, config: _is_number(v, int) and v >= (
         len(SPLITS) if config.data.kind == "synthetic" else 1),
         f"an int >= {len(SPLITS)} (one item per split) for data.kind synthetic, else >= 1"),
     "data.difficulty": _one_of(DIFFICULTY),
     "data.confusable_fraction": _number(lambda v: 0 <= v < 1, "in [0, 1)"),
     "data.train_fraction": _POSITIVE, "data.val_fraction": _POSITIVE,
     # the last of the three, so the other two are known numbers here
-    "data.test_fraction": (lambda v, config: isinstance(v, (int, float)) and v > 0
+    "data.test_fraction": (lambda v, config: _is_number(v) and v > 0
                            and config.data.train_fraction + config.data.val_fraction + v
                            <= 1 + 1e-9,
                            "a number > 0, with data.train_fraction + data.val_fraction + "
@@ -202,8 +207,8 @@ _RULES = {
     "prune.sparsity": _number(lambda v: 0 < v < 1, "in (0, 1)"),
     "prune.count_cascade": (lambda v, config: isinstance(v, bool), "true or false"),
     "noise.kind": _one_of(NOISE_KINDS), "noise.rate": _number(lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "noise.epsilon": (lambda v, config: config.noise.kind != "annotator" or isinstance(
-        v, (int, float)) and 0 < v < 1 - 1 / config.data.classes,
+    "noise.epsilon": (lambda v, config: config.noise.kind != "annotator" or _is_number(v)
+        and 0 < v < 1 - 1 / config.data.classes,
         "in (0, 1 - 1/data.classes) for noise.kind annotator"),
     "noise.seed": _INT_FROM_0,
     "noise.annotator_train_fraction": _number(lambda v: 0 < v <= 1, "in (0, 1]"),
@@ -213,10 +218,10 @@ _RULES = {
     "noise.annotator.max_epochs": _INT_FROM_0, "noise.annotator.seed": _INT_FROM_0,
     "noise.annotator.tolerance": _NONNEGATIVE,
     "augment.normalize_mean": (lambda v, config: isinstance(v, (list, tuple)) and len(v) == 3
-                               and all(isinstance(m, (int, float)) for m in v),
+                               and all(_is_number(m) for m in v),
                                "three numbers"),
     "augment.normalize_std": (lambda v, config: isinstance(v, (list, tuple)) and len(v) == 3
-                              and all(isinstance(s, (int, float)) and s > 0 for s in v),
+                              and all(_is_number(s) and s > 0 for s in v),
                               "three numbers > 0"),
     "augment.resize": _INT_FROM_1, "augment.crop_padding": _INT_FROM_0,
     "augment.flip_prob": _number(lambda v: 0 <= v <= 1, "in [0, 1]"),

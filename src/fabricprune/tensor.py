@@ -446,16 +446,20 @@ def _upsample_matrices(H: int, W: int, dtype):
     return uh, uw
 
 
-def upsample_bilinear_x2(x: Tensor) -> Tensor:
-    """Double both spatial extents of (B,C,H,W) by bilinear interpolation.
+def _upsample(data: np.ndarray, uh: np.ndarray, uw: np.ndarray) -> np.ndarray:
+    """uh @ data @ uw.T per (sample, channel) of (B,C,H,W) data, as two
+    matmuls: the rows first, as one (B*C*H, W) GEMM, then the columns over
+    (B*C, H, 2W)."""
+    B, C, H, W = data.shape
+    rows = data.reshape(B * C * H, W) @ uw.T
+    return (uh @ rows.reshape(B * C, H, 2 * W)).reshape(B, C, 2 * H, 2 * W)
 
-    out = uh @ x @ uw.T per (sample, channel), as two matmuls: the rows
-    first, as one (B*C*H, W) GEMM, then the columns over (B*C, H, 2W).
-    """
+
+def upsample_bilinear_x2(x: Tensor) -> Tensor:
+    """Double both spatial extents of (B,C,H,W) by bilinear interpolation."""
     B, C, H, W = x.data.shape
     uh, uw = _upsample_matrices(H, W, x.data.dtype)
-    rows = x.data.reshape(B * C * H, W) @ uw.T
-    out_data = (uh @ rows.reshape(B * C, H, 2 * W)).reshape(B, C, 2 * H, 2 * W)
+    out_data = _upsample(x.data, uh, uw)
     parent = x._node
 
     def backward(node):
@@ -478,7 +482,7 @@ class BatchNormState:
 
 
 def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormState,
-               mode: str = "train") -> Tensor:
+               mode: str = "train", source: Tensor | None = None) -> Tensor:
     """Per-channel normalization over batch and spatial dims, then affine.
 
     Train mode uses (biased) batch statistics and updates the running ones;
@@ -486,10 +490,21 @@ def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormSta
     saves xhat, the inverse std and gamma's array, not x. Backward computes
     the input grad from two per-channel sums, sum(g) and sum(g * xhat),
     which are also beta's and gamma's grads.
+
+    When x is upsample_bilinear_x2(source), passing source lets the node
+    save a copy of source's data, a quarter of xhat's entries, and the mean
+    instead of xhat. Backward rebuilds xhat with the forward's own
+    arithmetic, so every grad keeps its bits.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     B, C, H, W = x.data.shape
+    if source is not None:
+        s = source.data.shape
+        if len(s) != 4 or (s[0], s[1], 2 * s[2], 2 * s[3]) != x.data.shape \
+                or source.data.dtype != x.data.dtype:
+            raise ShapeError(f"batch_norm: x {x.data.shape} {x.data.dtype} is not the x2 "
+                             f"upsample of source {s} {source.data.dtype}")
     n = B * H * W
     if mode == "train" and n < 2:
         raise UsageError(f"train-mode batch norm needs >= 2 values per channel, got {n}")
@@ -506,8 +521,8 @@ def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormSta
         state.running_mean[:] = (1.0 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
         state.running_var[:] = (1.0 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
     else:
-        var = state.running_var
-        xhat = x.data - state.running_mean[None, :, None, None]
+        mean, var = state.running_mean, state.running_var
+        xhat = x.data - mean[None, :, None, None]
         out_data = np.empty_like(xhat)
 
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
@@ -518,9 +533,22 @@ def batch_norm(x: Tensor, gamma: Parameter, beta: Parameter, state: BatchNormSta
     if not _grad_enabled:
         return Tensor(out_data)
     x_node, gamma_node, beta_node = x._node, gamma._node, beta._node
+    if source is None:
+        saved, centre = xhat, None
+    else:
+        # copies: a fabric's source is a view that would pin the whole conv
+        # output it was split from, and eval's mean is the running state,
+        # which a later train step moves
+        saved, centre = source.data.copy(), mean.copy()
 
     def backward(node):
         g = node.grad
+        if centre is None:
+            xhat = saved
+        else:
+            uh, uw = _upsample_matrices(H // 2, W // 2, saved.dtype)
+            xhat = _upsample(saved, uh, uw) - centre[None, :, None, None]
+            xhat *= inv_std[None, :, None, None]
         sum_g = np.add.reduce(g, axis=axes)
         dx = np.multiply(g, xhat)
         sum_gx = np.add.reduce(dx, axis=axes)

@@ -1,8 +1,10 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each criterion prints one `[acceptance] criterion N PASS/FAIL` line (visible
-with `pytest -s` or in failure output). The desk-scale runs live in
-module-scope fixtures so the determinism criterion can reuse them.
+with `pytest -s` or in failure output), followed by any measurements its
+test noted, such as criterion 7's realized rates and their margins. The
+desk-scale runs live in module-scope fixtures so the determinism criterion
+can reuse them.
 """
 
 import functools
@@ -59,16 +61,27 @@ from oracles import (
 )
 
 
+# criterion number -> measurements its test noted, printed after its verdict
+NOTES: dict[int, list[str]] = {}
+
+
 def criterion(number, description):
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
+            notes = NOTES.setdefault(number, [])
+            notes.clear()
+
+            def verdict(word):
+                print(f"\n[acceptance] criterion {number} {word}: {description}"
+                      + "".join(f"; {note}" for note in notes))
+
             try:
                 result = fn(*args, **kwargs)
             except BaseException:
-                print(f"\n[acceptance] criterion {number} FAIL: {description}")
+                verdict("FAIL")
                 raise
-            print(f"\n[acceptance] criterion {number} PASS: {description}")
+            verdict("PASS")
             return result
 
         return wrapper
@@ -386,6 +399,9 @@ def test_criterion_7_noise_suite(tmp_path_factory):
     # the same annotator, and 0.20 off an injection-only run
     def assert_realized_in_band(summary, eps):
         realized = summary["noise"]["realized_rate"]
+        # the margin, in rate, to the nearer edge of the band; negative outside
+        NOTES[7].append(f"epsilon {eps:.2f} realized {realized:.4f}, "
+                        f"{0.03 - abs(realized - eps):+.4f} inside the band")
         assert abs(realized - eps) <= 0.03, \
             f"epsilon {eps}: realized mislabel fraction {realized:.3f}"
 

@@ -804,10 +804,12 @@ class TestColumnBudget:
 class TestTrainMemory:
     def test_train_forward_holds_only_what_backward_reads(self):
         """What a train-mode forward leaves held, bounded from shapes: each
-        batch norm's xhat, each node's sum, the stacked weights and biases of
-        each (source, stride) group of two or more links, and one bit per
-        ReLU6 entry, plus 5 % for the graph's small arrays and objects. A
-        one-byte ReLU6 mask does not fit."""
+        batch norm's xhat (for an up link, its conv slice at source
+        resolution, a quarter of that), each node's sum, the stacked weights
+        and biases of each (source, stride) group of two or more links, and
+        one bit per ReLU6 entry, plus 5 % for the graph's small arrays and
+        objects. A one-byte ReLU6 mask does not fit, nor does an up link's
+        xhat at its destination's resolution."""
         fabric = build_fabric(4, 5, 8, 16, 10, seed=0)
         assert all(p._node.grad is None for p in fabric.parameters())
         B, C, R = 64, fabric.C, fabric.input_resolution
@@ -825,7 +827,8 @@ class TestTrainMemory:
             return B * C * (R >> scale) ** 2
 
         links = [fabric.stem, *fabric.alive_links()]
-        xhat = sum(4 * entries(link.dst[1]) for link in links)
+        xhat = sum(4 * entries(link.src[1] if link.direction is Direction.UP else link.dst[1])
+                   for link in links)
         mask_bits = sum(-(-entries(link.dst[1]) // 8) for link in links)
         sums = sum(4 * entries(scale) for _, scale in fabric.nodes())
         groups = Counter((link.src, link.direction.stride) for link in fabric.alive_links())

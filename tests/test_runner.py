@@ -44,6 +44,20 @@ def tiny_config(out_dir, **overrides):
     return ExperimentConfig(**defaults)
 
 
+# every field whose rule wants a number, or a list of numbers
+NUMERIC_FIELDS = [
+    "input_resolution", "layers", "channels", "batch_size", "epochs", "learning_rate",
+    "momentum", "weight_decay", "lr_milestones", "seed", "data.classes", "data.n_per_class",
+    "data.confusable_fraction", "data.train_fraction", "data.val_fraction",
+    "data.test_fraction", "data.seed", "prune.sparsity", "noise.rate", "noise.epsilon",
+    "noise.seed", "noise.annotator_train_fraction", "noise.annotator.layers",
+    "noise.annotator.channels", "noise.annotator.batch_size", "noise.annotator.learning_rate",
+    "noise.annotator.weight_decay", "noise.annotator.max_epochs", "noise.annotator.seed",
+    "noise.annotator.tolerance", "augment.normalize_mean", "augment.normalize_std",
+    "augment.resize", "augment.crop_padding", "augment.flip_prob",
+]
+
+
 class TestLrSchedule:
     def test_paper_schedule_values(self):
         milestones = (80, 120)
@@ -155,6 +169,34 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError, match=r"^config section augment: crop 4 larger "
                                               r"than resize 2$"):
             ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_boolean_is_not_a_number(self, field, value):
+        # bool is an int in Python; a config's true or false is never a count
+        raw = tiny_config("somewhere", prune=PruneConfig(), noise=NoiseConfig(kind="annotator"),
+                          augment=AugmentConfig(resize=4, crop_size=4)).to_dict()
+        item = {"lr_milestones": [value], "augment.normalize_mean": [value, 0, 0],
+                "augment.normalize_std": [value, 1, 1]}.get(field, value)
+        # crop_size 4 over resize true/false fails the section's own check first
+        message = (rf"^config section augment: crop 4 larger than resize {value}$"
+                   if field == "augment.resize" else rf"^{re.escape(field)} must be ")
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(raw, {field: item})
+
+    def test_numeric_fields_are_every_rule_but_choices_and_flags(self):
+        choices = {"data.kind", "data.difficulty", "data.path", "prune.strategy",
+                   "prune.criterion", "prune.gradient_source", "prune.count_cascade",
+                   "noise.kind"}
+        assert set(NUMERIC_FIELDS) == set(runner._RULES) - choices
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_count_cascade_takes_booleans_only(self, value):
+        raw = tiny_config("somewhere", prune=PruneConfig()).to_dict()
+        assert ExperimentConfig.from_dict(raw, {"prune.count_cascade": value}) \
+            .prune.count_cascade is value
+        with pytest.raises(ConfigError, match="^prune.count_cascade must be true or false"):
+            ExperimentConfig.from_dict(raw, {"prune.count_cascade": int(value)})
 
     def test_readme_config_block_round_trips(self):
         # a field renamed or added fails here until the README follows

@@ -199,6 +199,47 @@ class TestBatchNorm:
         np.testing.assert_array_equal(state.running_mean, expected_mean.astype(dtype))
         np.testing.assert_array_equal(state.running_var, expected_var.astype(dtype))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("shape", [(4, 3, 4, 4), (2, 2, 1, 1), (3, 2, 3, 5)],
+                             ids=["even", "1x1", "odd"])
+    def test_source_keeps_every_byte(self, shape, mode, dtype):
+        # saving the upsample's source and rebuilding xhat in backward gives
+        # the bytes that saving xhat gives, even when the running stats move
+        # between forward and backward
+        rng = np.random.default_rng(21)
+        B, C, H, W = shape
+        whole = (rng.standard_normal((B, 2 * C, H, W)) * 2.0 + 1.0).astype(dtype)
+        gamma0, beta0 = rng.standard_normal(C).astype(dtype), rng.standard_normal(C).astype(dtype)
+        running = (rng.standard_normal(C).astype(dtype), (rng.random(C) + 0.5).astype(dtype))
+        probe = Tensor(rng.standard_normal((1, C * 4 * H * W)).astype(dtype))
+
+        def run(with_source):
+            # h is a view of a wider conv output, as a fabric's up link's is
+            h = split(Tensor(whole.copy()), [C, C], axis=1)[1]
+            gamma, beta = Parameter(gamma0.copy()), Parameter(beta0.copy())
+            state = BatchNormState(running[0].copy(), running[1].copy())
+            out = batch_norm(upsample_bilinear_x2(h), gamma, beta, state, mode,
+                             source=h if with_source else None)
+            stats = [state.running_mean.copy(), state.running_var.copy()]
+            batch_norm(Tensor(whole[:, :C]), gamma, beta, state, "train")
+            backward(_probed(out, probe))
+            return [out.data, *stats, h.grad, gamma.grad, beta.grad]
+
+        for got, want in zip(run(with_source=True), run(with_source=False)):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("source", [
+        np.zeros((2, 3, 4, 3)), np.zeros((2, 2, 4, 4)), np.zeros((2, 3, 4)),
+        np.zeros((1, 3, 4, 4)), np.zeros((2, 3, 4, 4), dtype=np.float32),
+    ], ids=["width", "channels", "3d", "batch", "dtype"])
+    def test_source_must_upsample_to_x(self, source):
+        with pytest.raises(ShapeError, match="upsample of source"):
+            batch_norm(Tensor(np.zeros((2, 3, 8, 8))), Parameter(np.ones(3)),
+                       Parameter(np.zeros(3)), BatchNormState.create(3, np.float64),
+                       source=Tensor(source))
+
     def test_train_mode_needs_two_values(self):
         with pytest.raises(UsageError):
             batch_norm(Tensor(np.ones((1, 1, 1, 1))), Parameter(np.ones(1)),
@@ -363,6 +404,23 @@ class TestBackward:
         for got, want in zip(grads, kept_grads):
             np.testing.assert_array_equal(got, want)
 
+    def test_source_does_not_pin_the_conv_output_it_is_split_from(self):
+        rng = np.random.default_rng(4)
+        conv = Tensor(rng.standard_normal((2, 4, 3, 3)))
+        gamma, beta = _param(rng, 2), _param(rng, 2)
+        h = split(conv, [2, 2], axis=1)[0]
+        normed = batch_norm(upsample_bilinear_x2(h), gamma, beta,
+                            BatchNormState.create(2, np.float64), source=h)
+        whole = weakref.ref(conv.data)
+        gc.disable()
+        try:
+            del conv, h
+            assert whole() is None
+        finally:
+            gc.enable()
+        backward(tensor_sum(normed))
+        assert np.isfinite(gamma.grad).all()
+
     def test_second_backward_raises(self):
         w = Parameter(np.array([1.0, 2.0]))
         loss = tensor_sum(relu6(w))
@@ -498,6 +556,22 @@ class TestGradients:
             return tensor_sum(relu6(batch_norm(x, gamma, beta, local, mode)))
 
         _gradcheck(build, [x, gamma, beta])
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_batch_norm_with_source_grads(self, seed, mode):
+        rng = np.random.default_rng(seed + 500)
+        h = Parameter(rng.standard_normal((3, 2, 2, 3)))
+        gamma = Parameter(rng.standard_normal(2) + 1.5)
+        beta = _param(rng, 2)
+        state = BatchNormState(rng.standard_normal(2) * 0.1, rng.random(2) + 0.5)
+
+        def build():
+            local = BatchNormState(state.running_mean.copy(), state.running_var.copy())
+            up = upsample_bilinear_x2(h)
+            return tensor_sum(relu6(batch_norm(up, gamma, beta, local, mode, source=h)))
+
+        _gradcheck(build, [h, gamma, beta])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_linear_softmax_grads(self, seed):
