@@ -104,7 +104,10 @@ class AugmentConfig:
     flip_prob: float = 0.5
 
     def __post_init__(self):
-        if self.crop_size > self.resize:
+        # int sizes only: a bool or non-int size is left to the config
+        # check, whose error names the field
+        sizes = (self.crop_size, self.resize)
+        if all(type(size) is int for size in sizes) and self.crop_size > self.resize:
             raise ValueError(f"crop {self.crop_size} larger than resize {self.resize}")
 
 

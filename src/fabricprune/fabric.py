@@ -20,6 +20,7 @@ import io
 import json
 import os
 import zipfile
+from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
@@ -70,7 +71,13 @@ class Direction(enum.Enum):
 @dataclass
 class Link:
     """One directed edge of the grid and all of its parameters; the stem is
-    the link with index -1 and no source, from the image."""
+    the link with index -1 and no source, from the image.
+
+    A grid link's conv weight and bias are views of its (source, stride)
+    group's two arrays, its block in link order, so the forward's concat of
+    a whole group is those arrays. They are written only in place (SGD, the
+    masks, load_state) and never rebound.
+    """
 
     index: int
     src: NodeId | None
@@ -171,11 +178,13 @@ class Fabric:
         params.extend(self.head_parameters())
         return params
 
-    def _apply_links(self, activation: Tensor, links: list[Link], mode: str, fold: bool):
+    def _apply_links(self, activation: Tensor | np.ndarray, links: list[Link], mode: str,
+                     fold: bool):
         """Yield (destination, contribution) for one source's alive out-links.
 
-        Links of one stride share one conv over their stacked weights; each
-        link then upsamples (UP only), batch-normalizes and clips its slice.
+        Links of one stride share one conv over their stacked weights (the
+        group's own arrays while none of its links is pruned); each link then
+        upsamples (UP only), batch-normalizes and clips its slice.
         An up link's batch norm gets the slice as its source, so its node
         holds the slice at source resolution instead of the x4 larger xhat,
         and rebuilds xhat in backward. With fold, each link's eval-mode
@@ -214,15 +223,16 @@ class Fabric:
         folded into the conv before it, on every call (nothing is cached, so
         a parameter update is always seen), and each node's sum is built in
         place. With grad recording on, or in train mode, each op runs on its
-        own and records its graph.
+        own and records its graph. An array batch is a constant, for which the
+        stem's conv builds no input grad; a Tensor batch gets its grad.
         """
         if not isinstance(batch, Tensor):
-            batch = Tensor(np.asarray(batch, dtype=self.dtype))
-        B, C_in, H, W = batch.data.shape
+            batch = np.asarray(batch, dtype=self.dtype)
+        B, C_in, H, W = batch.shape
         if C_in != 3 or H != self.input_resolution or W != self.input_resolution:
             raise FabricError(
                 f"expected (B, 3, {self.input_resolution}, {self.input_resolution}) "
-                f"input, got {batch.data.shape}")
+                f"input, got {batch.shape}")
 
         fold = mode == "eval" and not grad_enabled()
         sums: dict[NodeId, Tensor] = dict(self._apply_links(batch, [self.stem], mode, fold))
@@ -418,25 +428,36 @@ def build_fabric(layers: int, scales: int, channels: int, input_resolution: int,
     rng = np.random.default_rng(seed)
     dt = fabric.dtype
 
-    def new_link(index, src, dst, direction, c_in):
-        # He-normal conv weights, drawn from rng in construction order
-        std = np.sqrt(2.0 / (c_in * 9))
-        weight = (rng.standard_normal((channels, c_in, 3, 3)) * std).astype(dt)
+    def new_link(index, src, dst, direction, weight, bias):
+        # He-normal conv weights, drawn from rng in construction order into
+        # the link's block of its group's arrays
+        std = np.sqrt(2.0 / (weight.shape[1] * 9))
+        weight[...] = (rng.standard_normal(weight.shape) * std).astype(dt)
         return Link(
             index=index,
             src=src,
             dst=dst,
             direction=direction,
             conv_weight=Parameter(weight),
-            conv_bias=Parameter(np.zeros(channels, dtype=dt)),
+            conv_bias=Parameter(bias),
             bn_gamma=Parameter(np.ones(channels, dtype=dt)),
             bn_beta=Parameter(np.zeros(channels, dtype=dt)),
             bn_state=BatchNormState.create(channels, dt),
         )
 
-    fabric.stem = new_link(-1, None, fabric.input_node, Direction.SAME, 3)
-    for index, (src, dst) in enumerate(_grid_edges(layers, scales)):
-        fabric.links.append(new_link(index, src, dst, _link_direction(src, dst), channels))
+    fabric.stem = new_link(-1, None, fabric.input_node, Direction.SAME,
+                           np.empty((channels, 3, 3, 3), dt), np.zeros(channels, dt))
+    edges = [(src, dst, _link_direction(src, dst)) for src, dst in _grid_edges(layers, scales)]
+    sizes = Counter((src, direction.stride) for src, _, direction in edges)
+    weights = {key: np.empty((n * channels, channels, 3, 3), dt) for key, n in sizes.items()}
+    biases = {key: np.zeros(n * channels, dt) for key, n in sizes.items()}
+    filled: Counter = Counter()
+    for index, (src, dst, direction) in enumerate(edges):
+        key = (src, direction.stride)
+        rows = slice(filled[key] * channels, (filled[key] + 1) * channels)
+        filled[key] += 1
+        fabric.links.append(new_link(index, src, dst, direction,
+                                     weights[key][rows], biases[key][rows]))
 
     head_std = np.sqrt(1.0 / channels)
     fabric.head_weight = Parameter(

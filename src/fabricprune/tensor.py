@@ -12,7 +12,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import accumulate, product
+from itertools import accumulate, count, product
+from operator import attrgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,6 +35,7 @@ class UsageError(RuntimeError):
 
 
 _grad_enabled = True
+_creation = count()  # GradNode.seq: nodes in the order they were made
 
 
 @contextmanager
@@ -61,12 +63,14 @@ class GradNode:
     each op's closure saves only the arrays its backward reads and is bound
     to its output's node, never the output tensor, so an intermediate value
     dies with the last Python reference to its tensor. A Parameter's node
-    also carries its mask.
+    also carries its mask. seq numbers the nodes in creation order, which
+    backward() runs them against.
     """
 
-    __slots__ = ("grad", "dtype", "parents", "backward", "mask")
+    __slots__ = ("grad", "dtype", "parents", "backward", "mask", "seq")
 
     def __init__(self, dtype):
+        self.seq = next(_creation)
         self.grad = None
         self.dtype = dtype
         self.parents = ()
@@ -208,11 +212,38 @@ def _hand_off(node: GradNode, g: np.ndarray) -> None:
         _accumulate(node, g)
 
 
+def _reachable(root: GradNode) -> list[GradNode]:
+    """Every node the root reaches through parents, root included, oldest
+    first. A function of its own, so its walk's id set is freed before
+    backward() allocates any grad."""
+    nodes, seen, stack = [], {id(root)}, [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        for parent in node.parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    nodes.sort(key=attrgetter("seq"))
+    return nodes
+
+
 def backward(loss: Tensor) -> None:
     """Populate grads of every parameter reachable from a scalar loss node.
 
+    The reachable nodes run newest first. An op makes its output's node
+    after its parents', so each node runs once all of its consumers have,
+    and the pass retraces the forward backwards: an input grad is consumed
+    soon after it is complete, instead of waiting on a depth-first walk
+    down another branch. A node that receives at most two grads (every
+    node of a fabric) gets the same bits in any order, since a + b is b + a.
     Each node drops its closure and parents once it has run, so the graph is
     freed during the pass and a loss can be backpropagated only once.
+
+    Ops read their saved arrays here. A fabric group conv's saved weights
+    and biases are its links' own parameter arrays (see concat), so link
+    conv weights and biases are written only in place, and only between
+    backward() and the next forward.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -220,25 +251,10 @@ def backward(loss: Tensor) -> None:
     if not root.parents:
         raise UsageError("no graph to backpropagate: built under no_grad, a leaf, or already used")
 
-    topo: list[GradNode] = []
-    visited: set[int] = set()
-    stack: list[tuple[GradNode, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
-
+    nodes = _reachable(root)
     root.grad = np.ones_like(loss.data)
-    while topo:
-        node = topo.pop()
+    while nodes:
+        node = nodes.pop()
         if node.backward is not None:
             node.backward()
         node.backward = None
@@ -301,7 +317,8 @@ def _slices(batch: int, sample_bytes: int) -> list[slice]:
     return [slice(start, min(start + step, batch)) for start in range(0, batch, step)]
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> Tensor:
+def conv2d(x: Tensor | np.ndarray, weight: Tensor, bias: Tensor | None,
+           stride: int = 1) -> Tensor:
     """3x3 convolution with padding 1. Input (B,Cin,H,W) -> (B,Cout,H',W').
 
     Each pass builds columns for b consecutive samples at a time, within
@@ -318,10 +335,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
     the C-contiguous input grad. The recorded node keeps no column buffer:
     backward reads the saved input and weight arrays, so neither may be
     changed in place between the forward call and backward().
+
+    An x that is not a Tensor, such as a batch of images, is a constant: the
+    node has no parent for it, and backward builds no input grad, only the
+    weight and bias grads.
     """
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
-    B, Cin, H, W = x.data.shape
+    constant = not isinstance(x, Tensor)
+    x_data = np.asarray(x) if constant else x.data
+    B, Cin, H, W = x_data.shape
     Cout, Cin_w, kh, kw = weight.data.shape
     if (kh, kw) != (3, 3):
         raise ShapeError(f"kernel must be 3x3, got {kh}x{kw}")
@@ -330,7 +353,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
 
     # padding 1: stride 1 keeps the extents, stride 2 gives ceil(n/2)
     Ho, Wo = (H - 1) // stride + 1, (W - 1) // stride + 1
-    x_data, w_data = x.data, weight.data
+    w_data = weight.data
     wflat = w_data.reshape(Cout, Cin * 9)
     out_data = np.empty((B, Cout, Ho, Wo), dtype=np.result_type(w_data, x_data))
     for s in _slices(B, Cin * 9 * Ho * Wo * x_data.itemsize):
@@ -341,7 +364,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
                   out=out_data[s].reshape(s.stop - s.start, Cout, Ho * Wo))
     if bias is not None:
         out_data += bias.data[None, :, None, None]
-    x_node, w_node = x._node, weight._node
+    x_node, w_node = None if constant else x._node, weight._node
     b_node = None if bias is None else bias._node
 
     def backward(node):
@@ -352,11 +375,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
         # grads stacked as rows (tap, co), summed over the slices
         w_taps = w_data.reshape(Cout, Cin, 9)[:, :, taps].transpose(1, 2, 0).reshape(Cin, -1)
         dw = np.zeros((9 * Cout, Cin), dtype=node.grad.dtype)
-        fresh = x_node.grad is None
+        fresh = x_node is not None and x_node.grad is None
         if fresh:
             x_node.grad = np.empty(x_data.shape, dtype=x_node.dtype)
         for s in _slices(B, len(shifts) * Cout * Ho * Wo * node.grad.itemsize):
             copies = _shifted_copies(node.grad[s], shifts)
+            dx = None
             for p, q, slabs, run in plan:
                 x_par = x_data[s, :, p::stride, q::stride].transpose(1, 2, 3, 0)
                 Hp, Wp = x_par.shape[1:3]
@@ -365,6 +389,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
                 g_par = copies[slabs.start * Cout : slabs.stop * Cout]
                 rows = slice(run.start * Cout, run.stop * Cout)
                 dw[rows] += g_par @ x_par.reshape(Cin, -1).T
+                if x_node is None:
+                    continue
                 dx = (w_taps[:, rows] @ g_par).reshape(Cin, Ho, Wo, -1)[:, :Hp, :Wp]
                 target = x_node.grad[s, :, p::stride, q::stride]
                 if fresh:
@@ -375,7 +401,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1) -> T
         dw = dw.reshape(9, Cout, Cin)[np.argsort(taps)]  # rows back in kernel tap order
         _hand_off(w_node, np.ascontiguousarray(dw.transpose(1, 2, 0)).reshape(w_data.shape))
 
-    return Tensor(out_data, (x, weight) if bias is None else (x, weight, bias), backward)
+    parents = (weight,) if bias is None else (weight, bias)
+    return Tensor(out_data, parents if constant else (x, *parents), backward)
 
 
 def _blocks(extents, axis: int) -> list[tuple[slice, ...]]:
@@ -385,17 +412,33 @@ def _blocks(extents, axis: int) -> list[tuple[slice, ...]]:
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Join tensors along an existing axis; a single tensor is returned as is."""
+    """Join tensors along an existing axis; a single tensor is returned as is.
+
+    When the inputs' values are views that tile the array owning their
+    memory, block after block along axis in order, the output's value is
+    that array and nothing is copied; otherwise it is a new array. A fabric
+    stores each (source, stride) group's link conv weights and biases so,
+    and its group conv saves the parameters' own memory instead of a
+    stacked copy. The output then shares memory with its inputs, so the
+    inputs are written only in place (an optimizer step, a mask, a state
+    load) and never between this call and backward().
+    """
     if len(tensors) == 1:
         return tensors[0]
     blocks = _blocks([t.data.shape[axis] for t in tensors], axis)
     parents = [t._node for t in tensors]
+    whole = tensors[0].data.base
+    if not (isinstance(whole, np.ndarray) and whole.ndim > axis
+            and whole.shape[axis] == blocks[-1][axis].stop
+            and all(t.data.__array_interface__ == whole[block].__array_interface__
+                    for t, block in zip(tensors, blocks))):
+        whole = np.concatenate([t.data for t in tensors], axis=axis)
 
     def backward(node):
         for parent, block in zip(parents, blocks):
             _accumulate(parent, node.grad[block])
 
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
+    return Tensor(whole, tensors, backward)
 
 
 def split(x: Tensor, extents: list[int], axis: int = 0) -> list[Tensor]:

@@ -249,6 +249,36 @@ def tensor_sum(x):
     return Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype), (x,), backward)
 
 
+def postorder_backward(loss):
+    """backward() by a depth-first post-order walk of the graph: each node
+    runs after all of its consumers, in the order a depth-first search from
+    the loss finishes them. Each node drops its closure and parents once it
+    has run, and a masked node's grad is zeroed at the mask."""
+    root = loss._node
+    topo, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node.parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    root.grad = np.ones_like(loss.data)
+    while topo:
+        node = topo.pop()
+        if node.backward is not None:
+            node.backward()
+        node.backward = None
+        node.parents = ()
+        if node.mask is not None:
+            node.grad *= node.mask
+
+
 def plan_reference(strategy, sparsity, total_links, floor_links, channels, epochs):
     """The pruning schedule as two steps built it: the 200-epoch recipe's
     events per strategy ("early", "late" or "iterative"), then their epochs

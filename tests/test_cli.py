@@ -90,7 +90,7 @@ CROSS_FIELD_VALUES = [
     ("flip-above-one", "augment.flip_prob",
      {"augment": {"resize": 4, "crop_size": 4, "flip_prob": 2.0}}),
     ("epochs-not-a-number-without-prune", "epochs", {"epochs": "x"}),
-    ("resize-not-a-number", "augment", {"augment": {"resize": "x", "crop_size": 4}}),
+    ("resize-not-a-number", "augment.resize", {"augment": {"resize": "x", "crop_size": 4}}),
     # 3 items per class at 0.7/0.1/0.2 give no class a validation item
     ("empty-validation-split", "data.n_per_class",
      {"data": {"n_per_class": 3, "train_fraction": 0.7, "val_fraction": 0.1,

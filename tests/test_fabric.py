@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -44,6 +43,7 @@ from oracles import (
     longest_path_exhaustive,
     naive_conv2d,
     path_exists,
+    postorder_backward,
     train_batches_reference,
 )
 
@@ -252,6 +252,19 @@ class TestForward:
         with pytest.raises(FabricError):
             fabric.forward(np.zeros((1, 3, 8, 8)))
 
+    def test_array_batch_is_a_constant(self):
+        # the same logits and parameter grads as a Tensor batch, which gets a grad
+        x = np.random.default_rng(3).random((2, 3, 4, 4)).astype(np.float32)
+        runs = []
+        for batch in (x, Tensor(x)):
+            fabric = build_fabric(3, 3, 2, 4, 3, seed=4)
+            logits = fabric.forward(batch, "train")
+            backward(softmax_cross_entropy(logits, np.array([0, 2])))
+            runs.append([logits.data] + [p.grad for p in fabric.parameters()])
+        for ours, theirs in zip(*runs):
+            assert ours.tobytes() == theirs.tobytes()
+        assert batch.grad.shape == x.shape and np.abs(batch.grad).sum() > 0
+
     def test_forward_deterministic(self):
         def run():
             fabric = build_fabric(3, 3, 2, 4, 3, seed=21)
@@ -287,7 +300,7 @@ def per_link_forward(fabric, x, mode):
 
 
 @st.composite
-def pruned_fabric_cases(draw):
+def pruned_fabric_cases(draw, channels=st.integers(1, 3)):
     """A float64 fabric with random dead links, masks and affine parameters.
 
     A path down layer 0's column and along the last scale stays alive, and
@@ -295,7 +308,7 @@ def pruned_fabric_cases(draw):
     out-links have a source that no activation reaches.
     """
     layers, scales = draw(st.integers(2, 4)), draw(st.integers(2, 4))
-    channels = draw(st.integers(1, 3))
+    channels = draw(channels)
     seed = draw(st.integers(0, 2**32 - 1))
     kept = {((0, s), (0, s + 1)) for s in range(scales - 1)}
     kept |= {((l, scales - 1), (l + 1, scales - 1)) for l in range(layers - 1)}
@@ -805,14 +818,15 @@ class TestTrainMemory:
     def test_train_forward_holds_only_what_backward_reads(self):
         """What a train-mode forward leaves held, bounded from shapes: each
         batch norm's xhat (for an up link, its conv slice at source
-        resolution, a quarter of that), each node's sum, the stacked weights
-        and biases of each (source, stride) group of two or more links, and
-        one bit per ReLU6 entry, plus 5 % for the graph's small arrays and
-        objects. A one-byte ReLU6 mask does not fit, nor does an up link's
-        xhat at its destination's resolution."""
-        fabric = build_fabric(4, 5, 8, 16, 10, seed=0)
+        resolution, a quarter of that), each node's sum and one bit per
+        ReLU6 entry, plus 5 % for the graph's small arrays and objects. A
+        group's conv saves the links' own weight and bias arrays, so a
+        stacked copy (1.2 MB here, 17 % of the bound) does not fit, nor does
+        a one-byte ReLU6 mask or an up link's xhat at its destination's
+        resolution."""
+        fabric = build_fabric(4, 5, 32, 16, 10, seed=0)
         assert all(p._node.grad is None for p in fabric.parameters())
-        B, C, R = 64, fabric.C, fabric.input_resolution
+        B, C, R = 16, fabric.C, fabric.input_resolution
         rng = np.random.default_rng(0)
         images = rng.random((B, 3, R, R)).astype(np.float32)
         optimizer = SGD(fabric.parameters(), SgdConfig(0.1))
@@ -831,8 +845,6 @@ class TestTrainMemory:
                    for link in links)
         mask_bits = sum(-(-entries(link.dst[1]) // 8) for link in links)
         sums = sum(4 * entries(scale) for _, scale in fabric.nodes())
-        groups = Counter((link.src, link.direction.stride) for link in fabric.alive_links())
-        stacked = sum(4 * n * (C * C * 9 + C) for n in groups.values() if n > 1)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -841,7 +853,114 @@ class TestTrainMemory:
         finally:
             tracemalloc.stop()
         assert logits.shape == (B, 10)
-        assert held <= 1.05 * (xhat + sums + stacked + mask_bits)
+        assert held <= 1.05 * (xhat + sums + mask_bits)
+
+
+def conv_groups(fabric):
+    """The alive links of each conv a forward runs, as _apply_links groups
+    them: the stem, then per source that an activation reaches, in (layer,
+    scale) order, its stride-1 and stride-2 links in link order."""
+    groups, reached = [[fabric.stem]], {fabric.input_node}
+    for node in fabric.nodes():
+        for stride in (1, 2):
+            group = [l for l in fabric.alive_links()
+                     if l.src == node and l.direction.stride == stride]
+            if group and node in reached:
+                groups.append(group)
+                reached |= {l.dst for l in group}
+    return groups
+
+
+class TestGroupStorage:
+    def test_weights_are_drawn_link_by_link(self):
+        # stem, then links in index order, then the head, as one array each
+        fabric = build_fabric(3, 3, 4, 4, 3, seed=9)
+        rng = np.random.default_rng(9)
+        for link in [fabric.stem, *fabric.links]:
+            c_in = link.conv_weight.shape[1]
+            expected = rng.standard_normal((4, c_in, 3, 3)) * np.sqrt(2.0 / (c_in * 9))
+            assert link.conv_weight.data.tobytes() == expected.astype(np.float32).tobytes()
+        head = rng.standard_normal((3, 4)) * np.sqrt(1.0 / 4)
+        assert fabric.head_weight.data.tobytes() == head.astype(np.float32).tobytes()
+
+    def test_group_convs_read_the_links_own_arrays_until_a_link_is_pruned(self, monkeypatch):
+        fabric = build_fabric(3, 3, 2, 4, 3, seed=0)
+        fabric.load_state(clone_parameters(build_fabric(3, 3, 2, 4, 3, seed=1)))
+        seen = []
+
+        def recording(x, weight, bias, stride=1):
+            seen.append((weight.data, bias.data))
+            return conv2d(x, weight, bias, stride)
+
+        monkeypatch.setattr(fabric_module, "conv2d", recording)
+        x = np.random.default_rng(2).random((2, 3, 4, 4)).astype(np.float32)
+        fabric.forward(x, "train")
+        groups = conv_groups(fabric)
+        assert len(seen) == len(groups) and max(len(g) for g in groups) > 1
+        for (weight, bias), group in zip(seen, groups):
+            first = group[0]
+            if len(group) == 1:
+                assert weight is first.conv_weight.data and bias is first.conv_bias.data
+            else:
+                assert weight is first.conv_weight.data.base
+                assert bias is first.conv_bias.data.base
+
+        # a link's own array once its group has lost the other link
+        victim = next(g for g in groups if len(g) == 2)[1]
+        victim.alive = False
+        seen.clear()
+        fabric.forward(x, "train")
+        for (weight, bias), group in zip(seen, conv_groups(fabric)):
+            if len(group) == 1:
+                assert weight is group[0].conv_weight.data and bias is group[0].conv_bias.data
+
+
+def run_engine(engine, fabric, rng, batch, mode):
+    """One batch's forward in mode, then backward by engine; returns the batch
+    Tensor and the engine's tracemalloc peak over what the forward left held."""
+    R = fabric.input_resolution
+    x = Tensor(rng.random((batch, 3, R, R)))
+    labels = rng.integers(0, 3, batch)
+    tracemalloc.start()
+    try:
+        loss = softmax_cross_entropy(fabric.forward(x, mode), labels)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        engine(loss)
+        return x, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class TestBackwardOrder:
+    """backward() runs nodes newest first; the reference engine runs them in
+    a depth-first walk's post-order."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(pruned_fabric_cases(channels=st.integers(1, 6)), st.integers(2, 6))
+    def test_grads_match_post_order_reference_bit_for_bit(self, case, batch):
+        grads = []
+        for engine in (backward, postorder_backward):
+            fabric, rng = build_pruned_case(case)
+            x, _ = run_engine(engine, fabric, rng, batch, case[-1])
+            params = [p for link in [fabric.stem, *fabric.links] for p in link.parameters()]
+            grads.append([x.grad] + [p._node.grad for p in params + fabric.head_parameters()])
+        for ours, theirs in zip(*grads):
+            assert (ours is None) == (theirs is None)
+            assert ours is None or ours.tobytes() == theirs.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(st.integers(2, 5), st.integers(3, 5), st.integers(2, 8), st.integers(8, 16),
+           st.sampled_from(["train", "eval"]), st.integers(0, 2**32 - 1))
+    def test_full_grid_peak_is_below_post_order(self, layers, scales, channels, batch,
+                                                mode, seed):
+        def peak(engine):
+            fabric = build_fabric(layers, scales, channels, 2 ** (scales - 1), 3, seed=seed,
+                                  dtype=np.float64)
+            return run_engine(engine, fabric, np.random.default_rng(seed), batch, mode)[1]
+
+        peak(backward)  # fills the ops' caches
+        assert peak(backward) < peak(postorder_backward)
 
 
 class TestTrainBatches:

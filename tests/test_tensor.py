@@ -104,6 +104,26 @@ class TestConv2d:
         assert retained - out.data.nbytes < 2 * x.data.nbytes
 
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_array_input_is_a_constant(self, stride):
+        # the same output and weight and bias grads as a Tensor input gives,
+        # with no parent and no grad for the array
+        rng = np.random.default_rng(3)
+        side = (5 - 1) // stride + 1
+        x, w, b, probe = (rng.standard_normal(shape) for shape in
+                          ((3, 2, 5, 5), (4, 2, 3, 3), (4,), (1, 3 * 4 * side * side)))
+        runs = []
+        for given in (x, Tensor(x)):
+            weight, bias = Parameter(w.copy()), Parameter(b.copy())
+            out = conv2d(given, weight, bias, stride=stride)
+            parents = len(out._node.parents)
+            backward(tensor_sum(linear(out.reshape((1, -1)), Tensor(probe))))
+            runs.append((parents, out.data, weight.grad, bias.grad))
+        (array_parents, *array_run), (tensor_parents, *tensor_run) = runs
+        assert (array_parents, tensor_parents) == (2, 3)
+        for ours, theirs in zip(array_run, tensor_run):
+            assert ours.tobytes() == theirs.tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_output_and_input_grad_are_c_contiguous(self, stride, dtype):
@@ -904,6 +924,43 @@ class TestConcatSplitProperties:
     def test_split_extents_must_cover_axis(self):
         with pytest.raises(ShapeError):
             split(Tensor(np.zeros((2, 5))), [2, 2], axis=1)
+
+
+def _tiles(whole, extents, axis):
+    """Consecutive views of whole along axis with the given extents."""
+    return [whole[(slice(None),) * axis + (slice(stop - n, stop),)]
+            for n, stop in zip(extents, np.cumsum(extents))]
+
+
+class TestConcatOfTiles:
+    """concat returns the array its inputs' values tile in order, and copies
+    anything else."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_returns_the_array_its_inputs_tile(self, axis):
+        whole = np.arange(36.0).reshape(6, 6).copy()  # owns its memory
+        parts = [Parameter(view) for view in _tiles(whole, [1, 2, 3], axis)]
+        out = concat(parts, axis=axis)
+        assert out.data is whole
+        probe = np.random.default_rng(0).standard_normal((1, 36))
+        backward(tensor_sum(linear(out.reshape((1, 36)), Tensor(probe))))
+        for part, expected in zip(parts, _tiles(probe.reshape(6, 6), [1, 2, 3], axis)):
+            np.testing.assert_array_equal(part.grad, expected)
+            assert not np.shares_memory(part.grad, whole)
+
+    @pytest.mark.parametrize("case", ["reversed", "lost a block", "prefix", "two arrays",
+                                      "interleaved", "owners"])
+    def test_copies_what_does_not_tile_one_array(self, case):
+        whole = np.arange(36.0).reshape(6, 6).copy()  # owns its memory
+        other = whole + 100.0
+        a, b, c = _tiles(whole, [2, 2, 2], 0)
+        values = {"reversed": [c, b, a], "lost a block": [a, c], "prefix": [a, b],
+                  "two arrays": [a, _tiles(other, [2, 2, 2], 0)[1], c],
+                  "interleaved": [whole[::2], whole[1::2]],
+                  "owners": [a.copy(), b.copy(), c.copy()]}[case]
+        out = concat([Parameter(v) for v in values])
+        assert not np.shares_memory(out.data, whole)
+        np.testing.assert_array_equal(out.data, np.concatenate(values))
 
 
 @st.composite

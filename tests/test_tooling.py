@@ -4,6 +4,9 @@ Every module-level function, class and constant of src/fabricprune, and
 every method of its classes, is read somewhere in src/ or perfbench/ beyond
 its own definition, or exported from the package's __init__.py as public
 API. Code that only tests call belongs in the tests (tests/oracles.py).
+
+No module takes an underscore name from a sibling module: what another
+module needs is public.
 """
 
 import ast
@@ -69,3 +72,31 @@ def unreferenced_library_names():
 
 def test_every_library_name_has_a_caller_outside_the_tests():
     assert unreferenced_library_names() == []
+
+
+def private_cross_module_imports():
+    """(module, name) of each underscore name a package module takes from a
+    sibling: imported by a relative or a fabricprune import, or read as an
+    attribute of a sibling module it imported."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree, siblings = _parse(path), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("fabricprune")):
+                found += [(path.stem, alias.name) for alias in node.names
+                          if alias.name.startswith("_")]
+                siblings |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                siblings |= {alias.asname or alias.name for alias in node.names
+                             if alias.name.startswith("fabricprune")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                    and not node.attr.startswith("__") \
+                    and isinstance(node.value, ast.Name) and node.value.id in siblings:
+                found.append((path.stem, f"{node.value.id}.{node.attr}"))
+    return found
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    assert private_cross_module_imports() == []
