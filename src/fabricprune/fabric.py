@@ -543,9 +543,9 @@ def load_fabric(path) -> Fabric:
 
     Raises FabricError on a truncated or corrupt file, meta that is not an
     object, an unsupported version, a missing meta key, a dimension that is
-    not a positive int, an unknown dtype, mask flags that are not a list or
-    disagree with the mask members, or an array that is missing or does not
-    fit the fabric.
+    not a positive int, an unknown dtype, alive flags that are not a list of
+    booleans, mask flags that are not a list or disagree with the mask
+    members, or an array that is missing or does not fit the fabric.
     """
     try:
         with np.load(path) as archive:
@@ -569,6 +569,9 @@ def load_fabric(path) -> Fabric:
         dtype = np.dtype(meta["dtype"])
     except TypeError as exc:
         raise FabricError(f"checkpoint meta 'dtype' {meta['dtype']!r} is not a dtype") from exc
+    if type(meta["alive"]) is not list or any(type(a) is not bool for a in meta["alive"]):
+        raise FabricError(f"checkpoint meta 'alive' must be a list of booleans, "
+                          f"got {meta['alive']!r}")
     if type(meta["has_mask"]) is not list:
         raise FabricError(f"checkpoint meta 'has_mask' must be a list, got {meta['has_mask']!r}")
     fabric = build_fabric(*(meta[key] for key in dims), dtype=dtype)

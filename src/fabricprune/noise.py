@@ -200,12 +200,19 @@ def save_noisy_labels(labeled: ImageDataset, path) -> None:
 
 
 def load_noisy_labels(labeled: ImageDataset, path) -> ImageDataset:
-    """Re-apply a sidecar of one line per index to the same set (clean labels checked)."""
+    """Re-apply a sidecar of one line per index to the same set. ValueError
+    names the first line that is not three ints, has an index outside the set
+    or repeated, a clean label the set disagrees with or a given label outside
+    [0, num_classes); failing that, the first index with no line."""
     given = labeled.given_labels.copy()
     seen = np.zeros(len(labeled), dtype=bool)
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
-            index, clean, noisy = (int(v) for v in line.split())
+            try:
+                index, clean, noisy = (int(v) for v in line.split())
+            except ValueError:
+                raise ValueError(f"sidecar line {number}: {line.rstrip()!r} is not "
+                                 f"three ints") from None
             if not 0 <= index < len(labeled):
                 raise ValueError(f"sidecar line {number}: index {index} is outside "
                                  f"[0, {len(labeled)})")
@@ -214,8 +221,11 @@ def load_noisy_labels(labeled: ImageDataset, path) -> ImageDataset:
             seen[index] = True
             if labeled.labels[index] != clean:
                 raise ValueError(
-                    f"sidecar clean label {clean} at index {index} does not match "
-                    f"the set ({labeled.labels[index]})")
+                    f"sidecar line {number}: clean label {clean} at index {index} does "
+                    f"not match the set ({labeled.labels[index]})")
+            if not 0 <= noisy < labeled.num_classes:
+                raise ValueError(f"sidecar line {number}: given label {noisy} is outside "
+                                 f"[0, {labeled.num_classes})")
             given[index] = noisy
     if not seen.all():
         raise ValueError(f"sidecar has no line for index {int(np.argmin(seen))}")

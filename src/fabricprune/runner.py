@@ -184,7 +184,11 @@ _RULES = {
     "lr_milestones": (lambda v, config: v is None or isinstance(v, (list, tuple))
                       and all(_is_number(m, int) for m in v), "null or a list of ints"),
     "seed": _INT_FROM_0,
-    "data.kind": _one_of(DATA_KINDS), "data.classes": _INT_FROM_1,
+    "data.kind": _one_of(DATA_KINDS),
+    # a label can flip only to another class
+    "data.classes": (lambda v, config: _is_number(v, int)
+                     and v >= (1 if config.noise is None else 2),
+                     "an int >= 2 with a noise section, else >= 1"),
     # stratified splits need an item of every class in each split
     "data.n_per_class": (lambda v, config: _is_number(v, int) and v >= (
         len(SPLITS) if config.data.kind == "synthetic" else 1),
@@ -312,23 +316,6 @@ class ExperimentConfig:
         return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
 
 
-@dataclass
-class EpochRecord:
-    epoch: int
-    train_loss: float
-    val_error: float
-    test_error: float
-    learning_rate: float
-    alive_links: int
-    live_params: int
-    wall_time: float  # kept out of metrics.jsonl so reruns stay byte-identical
-
-    def to_json(self) -> str:
-        record = asdict(self)
-        del record["wall_time"]
-        return json.dumps(record)
-
-
 def lr_at(epoch: int, base_lr: float, milestones) -> float:
     """Learning rate for an epoch: divided by 10 after each passed milestone."""
     passed = sum(1 for m in milestones if epoch > m)
@@ -405,6 +392,12 @@ def _train_inputs(images: np.ndarray, config: ExperimentConfig, seed_tuple) -> n
     return config.model_inputs(images)
 
 
+def _append(path: Path, line: str) -> None:
+    """Add one line to path, closing it so the line reaches the OS at once."""
+    with open(path, "a") as fh:
+        fh.write(line + "\n")
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Train (and optionally prune) one fabric end to end; returns a summary.
 
@@ -446,72 +439,63 @@ def run_experiment(config: ExperimentConfig) -> dict:
     milestones = config.resolved_milestones()
     criterion = Criterion(config.prune.criterion) if config.prune else None
 
-    metrics_file = open(out / "metrics.jsonl", "w")
-    timings_file = open(out / "timings.jsonl", "w")
-    prune_file = open(out / "prune_events.jsonl", "w")
-    try:
-        for epoch in range(1, config.epochs + 1):
-            started = time.perf_counter()
-            lr = lr_at(epoch, config.learning_rate, milestones)
-            optimizer.config = replace(optimizer.config, learning_rate=lr)
+    for name in ("metrics.jsonl", "timings.jsonl", "prune_events.jsonl"):
+        (out / name).write_text("")
+    for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
+        lr = lr_at(epoch, config.learning_rate, milestones)
+        optimizer.config = replace(optimizer.config, learning_rate=lr)
 
-            order = np.random.default_rng([config.seed, 101, epoch]).permutation(
-                len(train_set))
-            losses = []
-            for batch_index, batch in enumerate(train_batches(order, config.batch_size)):
-                images = _train_inputs(train_set.images[batch], config,
-                                       (config.seed, 202, epoch, batch_index))
-                optimizer.zero_grad()
-                try:
-                    losses.append(fabric.loss_backward(images, train_set.given_labels[batch]))
-                    optimizer.step()
-                except FloatingPointError as exc:
-                    raise TrainingDiverged(f"{exc} at epoch {epoch}, batch {batch_index} "
-                                           f"(lr={lr})") from exc
+        order = np.random.default_rng([config.seed, 101, epoch]).permutation(len(train_set))
+        losses = []
+        for batch_index, batch in enumerate(train_batches(order, config.batch_size)):
+            images = _train_inputs(train_set.images[batch], config,
+                                   (config.seed, 202, epoch, batch_index))
+            optimizer.zero_grad()
+            try:
+                losses.append(fabric.loss_backward(images, train_set.given_labels[batch]))
+                optimizer.step()
+            except FloatingPointError as exc:
+                raise TrainingDiverged(f"{exc} at epoch {epoch}, batch {batch_index} "
+                                       f"(lr={lr})") from exc
 
-            record = EpochRecord(
-                epoch=epoch,
-                train_loss=float(np.mean(losses)) if losses else 0.0,
-                val_error=classification_error(fabric, val_inputs, val_set.given_labels),
-                test_error=classification_error(fabric, test_inputs, test_set.labels),
-                learning_rate=lr,
-                alive_links=len(fabric.alive_links()),
-                live_params=fabric.live_param_count(),
-                wall_time=time.perf_counter() - started,
-            )
-            metrics_file.write(record.to_json() + "\n")
-            timings_file.write(json.dumps({"epoch": epoch,
-                                           "wall_time": record.wall_time}) + "\n")
+        record = {
+            "epoch": epoch,
+            "train_loss": float(np.mean(losses)) if losses else 0.0,
+            "val_error": classification_error(fabric, val_inputs, val_set.given_labels),
+            "test_error": classification_error(fabric, test_inputs, test_set.labels),
+            "learning_rate": lr,
+            "alive_links": len(fabric.alive_links()),
+            "live_params": fabric.live_param_count(),
+        }
+        # wall time stays out of metrics.jsonl so reruns are byte-identical
+        wall_time = time.perf_counter() - started
+        _append(out / "metrics.jsonl", json.dumps(record))
+        _append(out / "timings.jsonl", json.dumps({"epoch": epoch, "wall_time": wall_time}))
 
-            event = events_by_epoch.get(epoch)
-            if event is not None:
-                weight_scores = None
-                if criterion is Criterion.SENSITIVITY:
-                    source = (train_set, val_set, test_set)[
-                        SPLITS.index(config.prune.gradient_source)]
-                    inputs = config.model_inputs(source.images)
-                    batches = [(inputs[b], source.given_labels[b])
-                               for b in train_batches(np.arange(len(source)), config.batch_size)]
-                    weight_scores = sensitivity_grads(fabric, batches)
-                report = apply_event(fabric, event, criterion, weight_scores,
-                                     count_cascade=config.prune.count_cascade)
-                prune_file.write(report.to_json() + "\n")
-                if report.link_shortfall or report.weight_shortfall:
-                    warnings.warn(
-                        f"pruning quota shortfall at epoch {epoch}: "
-                        f"links {report.link_shortfall}, weights {report.weight_shortfall}")
-                optimizer.params = fabric.parameters()
-    finally:
-        metrics_file.close()
-        timings_file.close()
-        prune_file.close()
+        event = events_by_epoch.get(epoch)
+        if event is not None:
+            weight_scores = None
+            if criterion is Criterion.SENSITIVITY:
+                source = (train_set, val_set, test_set)[SPLITS.index(config.prune.gradient_source)]
+                inputs = config.model_inputs(source.images)
+                batches = [(inputs[b], source.given_labels[b])
+                           for b in train_batches(np.arange(len(source)), config.batch_size)]
+                weight_scores = sensitivity_grads(fabric, batches)
+            report = apply_event(fabric, event, criterion, weight_scores,
+                                 count_cascade=config.prune.count_cascade)
+            _append(out / "prune_events.jsonl", report.to_json())
+            if report.link_shortfall or report.weight_shortfall:
+                warnings.warn(f"pruning quota shortfall at epoch {epoch}: "
+                              f"links {report.link_shortfall}, weights {report.weight_shortfall}")
+            optimizer.params = fabric.parameters()
 
     save_fabric(fabric, out / "fabric.npz")
     (out / "fabric.dot").write_text(export_dot(fabric))
 
     test_predictions = fabric.predict(test_inputs)  # for the error and the fitting report
     if config.epochs >= 1 and config.epochs not in events_by_epoch:
-        final_val_error = record.val_error  # the last epoch's fabric is the final one
+        final_val_error = record["val_error"]  # the last epoch's fabric is the final one
     else:
         final_val_error = classification_error(fabric, val_inputs, val_set.given_labels)
     summary = {

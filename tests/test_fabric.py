@@ -670,6 +670,10 @@ class TestCheckpoint:
         ("channels", True, "must be a positive int"), ("num_classes", 0, "must be a positive int"),
         ("input_resolution", None, "must be a positive int"), ("dtype", "bogus", "is not a dtype"),
         ("has_mask", 5, "must be a list"),
+        ("alive", ["a"] * 6, "must be a list of booleans"),
+        ("alive", [1] * 6, "must be a list of booleans"),
+        ("alive", [True] * 5 + [None], "must be a list of booleans"),
+        ("alive", 1, "must be a list of booleans"),
     ])
     def test_bad_dimension_or_dtype_named(self, tmp_path, key, value, problem):
         path = tmp_path / "fabric.npz"

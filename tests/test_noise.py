@@ -242,6 +242,24 @@ class TestSidecar:
         with pytest.raises(ValueError, match="line 3: index 1 is repeated"):
             load_noisy_labels(ls, path)
 
+    @pytest.mark.parametrize("line,problem", [
+        ("1 1", "'1 1' is not three ints"),
+        ("1 1 0 2", "'1 1 0 2' is not three ints"),
+        ("1 one 0", "'1 one 0' is not three ints"),
+        ("1 1 0.5", "'1 1 0.5' is not three ints"),
+        ("", "'' is not three ints"),
+        ("1 1 3", r"given label 3 is outside \[0, 3\)"),
+        ("1 1 -1", r"given label -1 is outside \[0, 3\)"),
+        ("1 2 0", r"clean label 2 at index 1 does not match the set \(1\)"),
+    ], ids=["two-values", "four-values", "word", "float", "empty", "label-above",
+            "label-below", "clean-mismatch"])
+    def test_bad_line_is_named(self, tmp_path, line, problem):
+        ls = label_only_set([0, 1, 2], 3)
+        path = tmp_path / "labels.txt"
+        path.write_text(f"0 0 1\n{line}\n2 2 2\n")
+        with pytest.raises(ValueError, match=f"^sidecar line 2: {problem}"):
+            load_noisy_labels(ls, path)
+
     def test_missing_index_rejected(self, tmp_path):
         ls = label_only_set([0, 1, 2, 0], 3)
         path = tmp_path / "labels.txt"

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -265,10 +268,14 @@ class TestRunExperiment:
          "noise.annotator.channels"),
         (dict(noise=NoiseConfig(annotator=AnnotatorConfig(weight_decay=-1))),
          "noise.annotator.weight_decay"),
+        # with one class a label has no other class to flip to
+        *[(dict(data=DataConfig(classes=1, resolution=4), noise=NoiseConfig(kind=kind)),
+           "data.classes") for kind in ("uniform", "class", "annotator")],
     ], ids=["strategy", "criterion", "gradient-source", "sparsity-above-one",
             "sparsity-zero", "sparsity-string", "noise-kind", "weight-decay",
             "channels-float", "classes-zero", "rate-below-zero", "epsilon-zero",
-            "annotator-layers", "annotator-channels", "annotator-weight-decay"])
+            "annotator-layers", "annotator-channels", "annotator-weight-decay",
+            "one-class-uniform-noise", "one-class-class-noise", "one-class-annotator-noise"])
     def test_bad_choice_rejected_before_any_output(self, tmp_path, overrides, field):
         config = tiny_config(tmp_path / "run", **overrides)
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be "):
@@ -312,6 +319,55 @@ class TestRunExperiment:
         timings = (tmp_path / "run" / "timings.jsonl").read_text().splitlines()
         assert len(timings) == 3
         assert "wall_time" in timings[0]
+
+    def test_killed_run_keeps_the_lines_of_its_finished_epochs(self, tmp_path):
+        # each line is closed when it is made, so a process ended in epoch k + 1
+        # leaves the first k lines of an uninterrupted run and its events so far
+        k = 2
+        config = tiny_config(tmp_path / "killed", epochs=8,
+                             prune=PruneConfig(strategy="iterative", sparsity=0.3))
+        child = f"""
+import json, os, sys
+from fabricprune import runner
+lr_at = runner.lr_at
+def exiting_lr_at(epoch, *args):
+    if epoch == {k + 1}:
+        os._exit(0)
+    return lr_at(epoch, *args)
+runner.lr_at = exiting_lr_at
+runner.run_experiment(runner.ExperimentConfig.from_dict(json.loads(sys.argv[1])))
+sys.exit(1)
+"""
+        src = str(Path(runner.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-W", "ignore", "-c", child, config.to_json()],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        config.out_dir = str(tmp_path / "whole")
+        run_experiment(config)
+
+        def lines(run, name):
+            return (tmp_path / run / name).read_text().splitlines()
+
+        whole_events = lines("whole", "prune_events.jsonl")
+        assert [json.loads(e)["epoch"] for e in whole_events] == [1, 2, 3]
+        assert lines("killed", "metrics.jsonl") == lines("whole", "metrics.jsonl")[:k]
+        timings = lines("killed", "timings.jsonl")
+        assert [json.loads(t)["epoch"] for t in timings] == list(range(1, k + 1))
+        assert lines("killed", "prune_events.jsonl") == whole_events[:k]
+        assert not (tmp_path / "killed" / "fabric.npz").exists()
+
+    def test_rerun_into_a_run_directory_replaces_its_records(self, tmp_path):
+        config = tiny_config(tmp_path / "run", epochs=3,
+                             prune=PruneConfig(strategy="early", sparsity=0.3))
+        run_experiment(config)
+        first = {name: (tmp_path / "run" / name).read_text()
+                 for name in ("metrics.jsonl", "prune_events.jsonl")}
+        run_experiment(config)
+        for name, text in first.items():
+            assert (tmp_path / "run" / name).read_text() == text
+        assert len((tmp_path / "run" / "timings.jsonl").read_text().splitlines()) == 3
 
     def test_iterative_plan_writes_eight_reports(self, tmp_path):
         config = tiny_config(tmp_path / "run", epochs=40,

@@ -13,6 +13,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+from fabricprune import runner
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fabricprune"
 
@@ -100,3 +102,9 @@ def private_cross_module_imports():
 
 def test_no_module_imports_a_private_name_from_a_sibling():
     assert private_cross_module_imports() == []
+
+
+def test_readme_names_every_config_rule():
+    # each field ExperimentConfig.check holds to a rule, as `dotted.field`
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in runner._RULES if f"`{name}`" not in readme] == []
