@@ -226,7 +226,7 @@ class PruneReport:
 
 
 def _apply_link_stage(fabric: Fabric, quota: int, scores: dict[int, np.ndarray],
-                      report: PruneReport, count_cascade: bool) -> None:
+                      report: PruneReport) -> None:
     links = fabric.alive_links()
     # a link's score is the Euclidean norm of its weights' scores
     norms = {link.index: np.sqrt(np.sum(np.square(scores[link.index], dtype=np.float64)))
@@ -244,8 +244,8 @@ def _apply_link_stage(fabric: Fabric, quota: int, scores: dict[int, np.ndarray],
             report.skipped_links.append((link.index, "connectivity"))
             continue
         cascade = sorted(alive - kept - {link.index})
-        cost = 1 + len(cascade) if count_cascade else 1
-        if count_cascade and cost > remaining:
+        cost = 1 + len(cascade)
+        if cost > remaining:
             report.skipped_links.append((link.index, "cascade_overshoot"))
             continue
         for index in [link.index, *cascade]:
@@ -301,16 +301,15 @@ def _apply_weight_stage(fabric: Fabric, quota: int, scores: dict[int, np.ndarray
 
 
 def apply_event(fabric: Fabric, event: PruneEvent, criterion: Criterion,
-                weight_scores: dict[int, np.ndarray] | None = None,
-                count_cascade: bool = True) -> PruneReport:
+                weight_scores: dict[int, np.ndarray] | None = None) -> PruneReport:
     """Run one pruning event: the link stage, then the weight stage.
 
     Both stages read one score map, link index -> per-weight scores: |w| of
     each alive link's conv weights under magnitude, or weight_scores (as
     sensitivity_grads gives them) under sensitivity. Cascade kills count
-    toward the link quota by default; a candidate whose cascade would
-    overshoot the quota is skipped like a condition failure. Quota that
-    cannot be met is reported as a shortfall, never forced.
+    toward the link quota, so a candidate whose cascade would overshoot the
+    quota is skipped like a condition failure. Quota that cannot be met is
+    reported as a shortfall, never forced.
     """
     if criterion is Criterion.SENSITIVITY:
         if weight_scores is None and (event.links_to_remove > 0
@@ -322,7 +321,7 @@ def apply_event(fabric: Fabric, event: PruneEvent, criterion: Criterion,
     report = PruneReport(epoch=event.epoch, link_quota=event.links_to_remove,
                          weight_quota=event.weights_to_remove)
     if event.links_to_remove > 0:
-        _apply_link_stage(fabric, event.links_to_remove, scores, report, count_cascade)
+        _apply_link_stage(fabric, event.links_to_remove, scores, report)
     if event.weights_to_remove > 0:
         _apply_weight_stage(fabric, event.weights_to_remove, scores, report)
     report.alive_links = len(fabric.alive_links())

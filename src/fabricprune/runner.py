@@ -135,20 +135,18 @@ class PruneConfig:
     sparsity: float = 0.05  # in (0, 1)
     criterion: str = "magnitude"  # a Criterion value: magnitude | sensitivity
     gradient_source: str = "validation"  # one of SPLITS
-    count_cascade: bool = True
 
 
 @dataclass
 class NoiseConfig:
+    # "class" samples labels from uniform_transition_matrix(K, rate): each keeps
+    # its class with probability 1 - rate and moves to each other class with
+    # rate / (K - 1), as under "uniform"; only the random draws differ
     kind: str = "uniform"  # one of NOISE_KINDS
     rate: float = 0.1  # flip probability for uniform / symmetric class noise
     epsilon: float = 0.1  # target annotator error for kind="annotator"
-    seed: int = 0
+    seed: int = 0  # the uniform and class draws; the annotator draws from annotator.seed
     annotator: AnnotatorConfig = field(default_factory=AnnotatorConfig)
-    # fraction of the training split the annotator itself trains on; below 1
-    # most of the relabeled data is unseen by it, pulling the realized
-    # mislabel fraction toward its held-out error
-    annotator_train_fraction: float = 1.0
 
 
 # dotted field -> the dataclass of the config section there
@@ -174,6 +172,9 @@ _NONNEGATIVE = _number(lambda v: v >= 0, "a number >= 0")
 _INT_FROM_0 = _number(lambda v: v >= 0, "an int >= 0", int)
 _INT_FROM_1 = _number(lambda v: v >= 1, "an int >= 1", int)
 _INT_FROM_2 = _number(lambda v: v >= 2, "an int >= 2", int)
+# input_resolution's rule runs first, so it is a known int by then
+_INPUT_RESOLUTION = (lambda v, config: _is_number(v, int) and v == config.input_resolution,
+                     "equal to input_resolution")
 # dotted field -> (test of its value and the config, requirement), in check's order
 _RULES = {
     "input_resolution": _number(lambda v: v >= 2 and not v & (v - 1), "a power of two >= 2", int),
@@ -181,10 +182,8 @@ _RULES = {
     "epochs": (lambda v, config: _is_number(v, int) and v >= (0 if config.prune is None else 1),
                "an int >= 1 with a prune section, else >= 0"),
     "learning_rate": _POSITIVE, "momentum": _NONNEGATIVE, "weight_decay": _NONNEGATIVE,
-    "lr_milestones": (lambda v, config: v is None or isinstance(v, (list, tuple))
-                      and all(_is_number(m, int) for m in v), "null or a list of ints"),
     "seed": _INT_FROM_0,
-    "data.kind": _one_of(DATA_KINDS),
+    "data.kind": _one_of(DATA_KINDS), "data.resolution": _INPUT_RESOLUTION,
     # a label can flip only to another class
     "data.classes": (lambda v, config: _is_number(v, int)
                      and v >= (1 if config.noise is None else 2),
@@ -209,13 +208,11 @@ _RULES = {
     "prune.criterion": _one_of([c.value for c in Criterion]),
     "prune.gradient_source": _one_of(SPLITS),
     "prune.sparsity": _number(lambda v: 0 < v < 1, "in (0, 1)"),
-    "prune.count_cascade": (lambda v, config: isinstance(v, bool), "true or false"),
     "noise.kind": _one_of(NOISE_KINDS), "noise.rate": _number(lambda v: 0 <= v <= 1, "in [0, 1]"),
     "noise.epsilon": (lambda v, config: config.noise.kind != "annotator" or _is_number(v)
         and 0 < v < 1 - 1 / config.data.classes,
         "in (0, 1 - 1/data.classes) for noise.kind annotator"),
     "noise.seed": _INT_FROM_0,
-    "noise.annotator_train_fraction": _number(lambda v: 0 < v <= 1, "in (0, 1]"),
     "noise.annotator.layers": _INT_FROM_2, "noise.annotator.channels": _INT_FROM_1,
     "noise.annotator.batch_size": _INT_FROM_2,
     "noise.annotator.learning_rate": _POSITIVE, "noise.annotator.weight_decay": _NONNEGATIVE,
@@ -227,7 +224,8 @@ _RULES = {
     "augment.normalize_std": (lambda v, config: isinstance(v, (list, tuple)) and len(v) == 3
                               and all(_is_number(s) and s > 0 for s in v),
                               "three numbers > 0"),
-    "augment.resize": _INT_FROM_1, "augment.crop_padding": _INT_FROM_0,
+    "augment.resize": _INT_FROM_1, "augment.crop_size": _INPUT_RESOLUTION,
+    "augment.crop_padding": _INT_FROM_0,
     "augment.flip_prob": _number(lambda v: 0 <= v <= 1, "in [0, 1]"),
 }
 
@@ -242,7 +240,6 @@ class ExperimentConfig:
     learning_rate: float = 0.1
     momentum: float = 0.0
     weight_decay: float = 0.0
-    lr_milestones: list[int] | None = None  # None: recipe milestones, rescaled
     seed: int = 0
     data: DataConfig = field(default_factory=DataConfig)
     prune: PruneConfig | None = None
@@ -255,21 +252,13 @@ class ExperimentConfig:
         return int(math.log2(self.input_resolution)) + 1
 
     def check(self) -> None:
-        """Raise ConfigError naming the first field that fails its rule in
-        _RULES, or a data or augment image size other than input_resolution."""
+        """Raise ConfigError naming the first field that fails its rule in _RULES."""
         for name, (test, requirement) in _RULES.items():
             if "." in name and getattr(self, name.split(".")[0]) is None:
                 continue  # a prune, noise or augment section that is not set
             value = reduce(getattr, name.split("."), self)
             if not test(value, self):
                 raise ConfigError(f"{name} must be {requirement}, got {value!r}")
-        r = self.input_resolution
-        if self.data.resolution != r:
-            raise ConfigError(f"data.resolution {self.data.resolution} differs from "
-                              f"input_resolution {r}")
-        if self.augment is not None and self.augment.crop_size != r:
-            raise ConfigError(f"augment.crop_size {self.augment.crop_size} differs from "
-                              f"input_resolution {r}")
 
     def model_inputs(self, images: np.ndarray) -> np.ndarray:
         """Images as the fabric takes them, for training and evaluation alike:
@@ -282,11 +271,6 @@ class ExperimentConfig:
         """The prune section's schedule for fabric over this run's epochs."""
         return build_plan(Strategy(self.prune.strategy), self.prune.sparsity, fabric,
                           self.epochs)
-
-    def resolved_milestones(self) -> list[int]:
-        if self.lr_milestones is not None:
-            return list(self.lr_milestones)
-        return rescale_epochs(RECIPE_LR_MILESTONES, RECIPE_EPOCHS, self.epochs)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -361,14 +345,7 @@ def inject_noise(full: ImageDataset, train_idx, val_idx, config: NoiseConfig,
         noisy = apply_class_noise(full, matrix, config.seed)
         info["target_rate"] = config.rate
     elif config.kind == "annotator":
-        ann_train_idx = train_idx
-        if config.annotator_train_fraction < 1.0:
-            keep = max(2, int(round(config.annotator_train_fraction * len(train_idx))))
-            picked = np.random.default_rng([config.seed, 7]).choice(
-                len(train_idx), size=keep, replace=False)
-            ann_train_idx = train_idx[np.sort(picked)]
-        annotator, ann_info = train_annotator(full.subset(ann_train_idx),
-                                              full.subset(val_idx),
+        annotator, ann_info = train_annotator(full.subset(train_idx), full.subset(val_idx),
                                               config.epsilon, config.annotator)
         noisy = relabel_with_annotator(full, annotator)
         info["target_rate"] = config.epsilon
@@ -436,7 +413,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     optimizer = SGD(fabric.parameters(),
                     SgdConfig(config.learning_rate, config.momentum, config.weight_decay))
-    milestones = config.resolved_milestones()
+    milestones = rescale_epochs(RECIPE_LR_MILESTONES, RECIPE_EPOCHS, config.epochs)
     criterion = Criterion(config.prune.criterion) if config.prune else None
 
     for name in ("metrics.jsonl", "timings.jsonl", "prune_events.jsonl"):
@@ -482,8 +459,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 batches = [(inputs[b], source.given_labels[b])
                            for b in train_batches(np.arange(len(source)), config.batch_size)]
                 weight_scores = sensitivity_grads(fabric, batches)
-            report = apply_event(fabric, event, criterion, weight_scores,
-                                 count_cascade=config.prune.count_cascade)
+            report = apply_event(fabric, event, criterion, weight_scores)
             _append(out / "prune_events.jsonl", report.to_json())
             if report.link_shortfall or report.weight_shortfall:
                 warnings.warn(f"pruning quota shortfall at epoch {epoch}: "

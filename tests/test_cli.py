@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,7 +55,6 @@ BAD_VALUES = [
     ("noise.rate", {"noise": {"kind": "uniform", "rate": 1.5}}),
     ("noise.epsilon", {"noise": {"kind": "annotator", "epsilon": 0.9},
                        "data": {"classes": 2}}),
-    ("lr_milestones", {"lr_milestones": "x"}),
     ("augment", {"augment": {"resize": 2, "crop_size": 4}}),
     ("seed", {"seed": "x"}),
     ("data.seed", {"data": {"seed": -1}}),
@@ -69,11 +69,8 @@ BAD_VALUES = [
     ("data.val_fraction", {"data": {"val_fraction": -0.1}}),
     ("data.test_fraction", {"data": {"test_fraction": 0}}),
     ("data.confusable_fraction", {"data": {"confusable_fraction": 1.5}}),
-    ("noise.annotator_train_fraction",
-     {"noise": {"kind": "annotator", "annotator_train_fraction": 0}}),
     ("augment.crop_padding", {"augment": {"resize": 4, "crop_size": 4, "crop_padding": -3}}),
     ("epochs", {"epochs": 2.5}),
-    ("prune.count_cascade", {"prune": {"count_cascade": "no"}}),
     ("noise.annotator.tolerance",
      {"noise": {"kind": "annotator", "annotator": {"tolerance": -1}}}),
     ("augment.resize", {"augment": {"resize": 4.5, "crop_size": 4}}),
@@ -96,6 +93,10 @@ CROSS_FIELD_VALUES = [
      {"data": {"n_per_class": 3, "train_fraction": 0.7, "val_fraction": 0.1,
                "test_fraction": 0.2}}),
 ]
+
+# fields a config.json of an older run still names, with the values it recorded
+REMOVED_FIELDS = {"lr_milestones": None, "prune.count_cascade": True,
+                  "noise.annotator_train_fraction": 1.0}
 
 
 def assert_train_fails_before_any_output(capsys, tmp_path, field, patch):
@@ -283,7 +284,7 @@ class TestConfigErrors:
     ])
     @pytest.mark.parametrize("overrides,message", [
         (dict(input_resolution=24), "input_resolution must be a power of two >= 2, got 24"),
-        (dict(input_resolution=8), "data.resolution 4 differs from input_resolution 8"),
+        (dict(input_resolution=8), "data.resolution must be equal to input_resolution, got 4"),
     ], ids=["not-a-power-of-two", "data-mismatch"])
     def test_bad_resolution_fails_before_any_output(self, capsys, tmp_path, command, extra,
                                                      overrides, message):
@@ -358,6 +359,21 @@ class TestConfigErrors:
     def test_bad_value_fails_before_any_output(self, capsys, tmp_path, field, patch):
         assert_train_fails_before_any_output(capsys, tmp_path, field, patch)
 
+    @pytest.mark.parametrize("field", REMOVED_FIELDS)
+    def test_removed_field_rejected(self, capsys, tmp_path, field):
+        path, config = write_config(tmp_path, prune=PruneConfig(),
+                                    noise=NoiseConfig(kind="annotator"))
+        raw = config.to_dict()
+        *section, key = field.split(".")
+        (raw[section[0]] if section else raw)[key] = REMOVED_FIELDS[field]
+        path.write_text(json.dumps(raw))
+        out_dir = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown config field {field}" in captured.err
+        assert not out_dir.exists() and not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("field,patch", [case[1:] for case in CROSS_FIELD_VALUES],
                              ids=[case[0] for case in CROSS_FIELD_VALUES])
     def test_cross_field_and_augment_rules_fail_before_any_output(self, capsys, tmp_path,
@@ -377,7 +393,7 @@ class TestOverrides:
         code, _ = run_cli(capsys, argv)
         assert code == 0
         digest = hashlib.sha256((tmp_path / "run" / "config.json").read_bytes()).hexdigest()
-        assert digest == "3028b7b69082dfd34894ff8406151505801c2dba24d54a4ece769546d586d3f5"
+        assert digest == "e3ee1f69d025d0f96a61b074500643116829fd1d67519822a61de5085d9343c4"
 
     def test_noise_none_drops_the_noise_section(self, capsys, tmp_path):
         path, _ = write_config(tmp_path, epochs=1,
@@ -390,13 +406,20 @@ class TestOverrides:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        import fabricprune
+
+        # the child sees the package under test, whether or not the caller exports PYTHONPATH
+        src = str(Path(fabricprune.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         result = subprocess.run(
             [sys.executable, "-m", "fabricprune", "count-params",
              "--layers", "8", "--channels", "64", "--resolution", "32",
              "--classes", "10"],
-            capture_output=True, text=True)
-        assert result.returncode == 0
+            env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["total"] == 4_523_402

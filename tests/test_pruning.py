@@ -254,16 +254,17 @@ class TestCascade:
     def test_orphan_chain_removal(self):
         # (0,0) -> (1,1) is the only consumer chain for node (1,1)'s inputs:
         # kill every out-link of (1,1) and its in-links must die, recursively
-        # freeing anything that only fed (1,1)
+        # freeing anything that only fed (1,1); the cascade counts toward the
+        # quota, so the quota covers the two out-links and the two in-links
         fabric = build_fabric(3, 2, 1, 2, 2)
         out_of_11 = [l.index for l in fabric.links if l.src == (1, 1)]
+        assert out_of_11 == [5, 7]
         set_link_weights(fabric, [1.0 if l.index in out_of_11 else 2.0 for l in fabric.links])
-        report = apply_event(fabric, PruneEvent(1, len(out_of_11), 0), Criterion.MAGNITUDE,
-                             count_cascade=False)
+        report = apply_event(fabric, PruneEvent(1, len(out_of_11) + 2, 0), Criterion.MAGNITUDE)
         assert report.killed_links == out_of_11
-        killed = report.cascade_links
-        assert killed  # in-links of (1,1) are gone
-        assert all(not fabric.links[i].alive for i in killed)
+        assert report.cascade_links == [2, 3]  # the in-links of (1,1)
+        assert report.link_shortfall == 0
+        assert all(not fabric.links[i].alive for i in report.cascade_links)
         assert all(l.dst != (1, 1) for l in fabric.alive_links())
         # connectivity survives through scale 0
         edges = [(l.src, l.dst) for l in fabric.alive_links()]
@@ -382,9 +383,10 @@ class TestSelectPrunable:
     def test_ties_break_by_index(self):
         fabric = tiny_fabric()
         set_link_weights(fabric, [1.0] * 6)
-        report = apply_event(fabric, PruneEvent(1, 2, 0), Criterion.MAGNITUDE,
-                             count_cascade=False)
+        # killing 0 and 1 orphans link 5, whose cascade takes the third unit
+        report = apply_event(fabric, PruneEvent(1, 3, 0), Criterion.MAGNITUDE)
         assert report.killed_links == [0, 1]
+        assert report.cascade_links == [5]
 
     @pytest.mark.parametrize("n", range(7))
     def test_connectivity_never_broken_exhaustive(self, n):
@@ -763,6 +765,34 @@ class TestPathRuleProperties:
                 longest_linear_path(fabric)
         else:
             assert longest_linear_path(fabric) == expected
+
+
+class TestPlanProperties:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    @pytest.mark.filterwarnings("ignore:rescaling")
+    def test_whole_schedule_keeps_the_link_floor_and_a_path(self, data):
+        # README: kept links never drop below the longest linear path, so no
+        # event of a full build_plan schedule may take more than its quota
+        layers, scales = data.draw(st.integers(2, 6)), data.draw(st.integers(2, 5))
+        fabric = build_fabric(layers, scales, 1, 2 ** (scales - 1), 2,
+                              seed=data.draw(st.integers(0, 2**16)))
+        floor = longest_linear_path(fabric)
+        plan = build_plan(data.draw(st.sampled_from(list(Strategy))),
+                          data.draw(st.floats(0.01, 0.99)), fabric,
+                          data.draw(st.integers(1, 200)))
+        criterion = data.draw(st.sampled_from(list(Criterion)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        for event in plan.events:
+            weight_scores = None
+            if criterion is Criterion.SENSITIVITY:
+                weight_scores = {l.index: rng.random(l.conv_weight.data.shape)
+                                 for l in fabric.alive_links()}
+            apply_event(fabric, event, criterion, weight_scores)
+            alive = fabric.alive_links()
+            assert len(alive) >= plan.budget.links_kept >= floor
+            edges = [(l.src, l.dst) for l in alive]
+            assert path_exists(edges, fabric.input_node, fabric.output_node)
 
 
 @st.composite

@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 
 from fabricprune import runner
-from fabricprune.data import AugmentConfig, ImageDataset, normalize
-from fabricprune.fabric import Fabric, build_fabric, load_fabric
+from fabricprune.data import AugmentConfig, normalize
+from fabricprune.fabric import Fabric, load_fabric
 from fabricprune.noise import (
     AnnotatorConfig,
-    AnnotatorInfo,
     classification_error,
     fitting_report,
     load_noisy_labels,
 )
 from fabricprune.runner import (
+    RECIPE_EPOCHS,
+    RECIPE_LR_MILESTONES,
     ConfigError,
     DataConfig,
     ExperimentConfig,
@@ -50,14 +51,14 @@ def tiny_config(out_dir, **overrides):
 # every field whose rule wants a number, or a list of numbers
 NUMERIC_FIELDS = [
     "input_resolution", "layers", "channels", "batch_size", "epochs", "learning_rate",
-    "momentum", "weight_decay", "lr_milestones", "seed", "data.classes", "data.n_per_class",
+    "momentum", "weight_decay", "seed", "data.resolution", "data.classes", "data.n_per_class",
     "data.confusable_fraction", "data.train_fraction", "data.val_fraction",
     "data.test_fraction", "data.seed", "prune.sparsity", "noise.rate", "noise.epsilon",
-    "noise.seed", "noise.annotator_train_fraction", "noise.annotator.layers",
-    "noise.annotator.channels", "noise.annotator.batch_size", "noise.annotator.learning_rate",
+    "noise.seed", "noise.annotator.layers", "noise.annotator.channels",
+    "noise.annotator.batch_size", "noise.annotator.learning_rate",
     "noise.annotator.weight_decay", "noise.annotator.max_epochs", "noise.annotator.seed",
     "noise.annotator.tolerance", "augment.normalize_mean", "augment.normalize_std",
-    "augment.resize", "augment.crop_padding", "augment.flip_prob",
+    "augment.resize", "augment.crop_size", "augment.crop_padding", "augment.flip_prob",
 ]
 
 
@@ -73,21 +74,26 @@ class TestLrSchedule:
         assert lr_at(81, 0.1, (80, 120)) == pytest.approx(0.01)
 
 
+def run_milestones(epochs: int) -> list[int]:
+    """The learning-rate milestones run_experiment applies over epochs."""
+    return rescale_epochs(RECIPE_LR_MILESTONES, RECIPE_EPOCHS, epochs)
+
+
 class TestScaleSchedule:
     def test_200_to_40_milestones(self):
         # the recipe's milestones 80 and 120 as run_experiment applies them
-        milestones = tiny_config("unused", epochs=40).resolved_milestones()
+        milestones = run_milestones(40)
         assert milestones == rescale_epochs([80, 120], 200, 40) == [16, 24]
         rates = [lr_at(epoch, 0.1, milestones) for epoch in (16, 17, 24, 25)]
         assert rates == pytest.approx([0.1, 0.01, 0.01, 0.001])
 
     def test_factor_one_is_identity(self):
-        assert tiny_config("unused", epochs=200).resolved_milestones() == [80, 120]
+        assert run_milestones(200) == [80, 120]
         assert rescale_epochs([80, 120], 200, 200) == [80, 120]
 
     def test_default_milestones_resolve_rescaled(self):
-        config = tiny_config("unused", epochs=40)
-        assert config.resolved_milestones() == [16, 24]
+        assert (RECIPE_LR_MILESTONES, RECIPE_EPOCHS) == ((80, 120), 200)
+        assert run_milestones(40) == [16, 24]
 
     def test_iterative_epochs_rescale(self):
         assert rescale_epochs(range(5, 76, 10), 200, 40) == [1, 3, 5, 7, 9, 11, 13, 15]
@@ -179,24 +185,15 @@ class TestConfigSerialization:
         # bool is an int in Python; a config's true or false is never a count
         raw = tiny_config("somewhere", prune=PruneConfig(), noise=NoiseConfig(kind="annotator"),
                           augment=AugmentConfig(resize=4, crop_size=4)).to_dict()
-        item = {"lr_milestones": [value], "augment.normalize_mean": [value, 0, 0],
+        item = {"augment.normalize_mean": [value, 0, 0],
                 "augment.normalize_std": [value, 1, 1]}.get(field, value)
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be "):
             ExperimentConfig.from_dict(raw, {field: item})
 
     def test_numeric_fields_are_every_rule_but_choices_and_flags(self):
         choices = {"data.kind", "data.difficulty", "data.path", "prune.strategy",
-                   "prune.criterion", "prune.gradient_source", "prune.count_cascade",
-                   "noise.kind"}
+                   "prune.criterion", "prune.gradient_source", "noise.kind"}
         assert set(NUMERIC_FIELDS) == set(runner._RULES) - choices
-
-    @pytest.mark.parametrize("value", [True, False])
-    def test_count_cascade_takes_booleans_only(self, value):
-        raw = tiny_config("somewhere", prune=PruneConfig()).to_dict()
-        assert ExperimentConfig.from_dict(raw, {"prune.count_cascade": value}) \
-            .prune.count_cascade is value
-        with pytest.raises(ConfigError, match="^prune.count_cascade must be true or false"):
-            ExperimentConfig.from_dict(raw, {"prune.count_cascade": int(value)})
 
     def test_readme_config_block_round_trips(self):
         # a field renamed or added fails here until the README follows
@@ -525,35 +522,3 @@ sys.exit(1)
                              noise=NoiseConfig(kind="class", rate=0.2, seed=5))
         summary = run_experiment(config)
         assert summary["noise"]["kind"] == "class"
-
-
-class TestInjectNoise:
-    @pytest.mark.parametrize("fraction", [0.3, 0.01])
-    def test_annotator_trains_on_a_seeded_subset_of_the_train_split(self, monkeypatch,
-                                                                      fraction):
-        # item i's images are all i, so a subset's images name its indices
-        n = 60
-        images = np.broadcast_to(np.arange(n, dtype=np.float32)[:, None, None, None],
-                                 (n, 3, 4, 4)).copy()
-        labels = np.arange(n) % 3
-        full = ImageDataset(images, labels.copy(), 3, labels.copy())
-        train_idx, val_idx = np.arange(20, 60), np.arange(10)
-        annotator = build_fabric(2, 3, 2, 4, 3, seed=0)
-        picked = []
-
-        def fake_train_annotator(train, holdout, epsilon, config):
-            picked.append(train.images[:, 0, 0, 0].astype(int))
-            return annotator, AnnotatorInfo(chosen_epoch=0, holdout_error=0.5,
-                                            hit_band=True)
-
-        monkeypatch.setattr(runner, "train_annotator", fake_train_annotator)
-        for seed in (4, 4, 5):
-            config = NoiseConfig(kind="annotator", annotator_train_fraction=fraction,
-                                 seed=seed)
-            inject_noise(full, train_idx, val_idx, config, None)
-        first, again, other = picked
-        assert first.size == max(2, round(fraction * train_idx.size))
-        assert np.unique(first).size == first.size
-        assert np.isin(first, train_idx).all()
-        np.testing.assert_array_equal(first, again)
-        assert not np.array_equal(first, other)
