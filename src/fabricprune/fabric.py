@@ -286,11 +286,14 @@ class Fabric:
         slice's input-resolution activations (C x R x R values a sample)
         would exceed PREDICT_ACTIVATION_BUDGET bytes; a sample's logits do
         not depend on the slicing. Raises FabricError when a slice yields a
-        non-finite logit, which has no argmax to report.
+        non-finite logit, which has no argmax to report, and ValueError when
+        batch_size is below 1. No images give an empty intp array.
         """
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
         per_sample = self.C * self.input_resolution ** 2 * self.dtype.itemsize
         step = max(1, min(batch_size, PREDICT_ACTIVATION_BUDGET // per_sample))
-        preds = []
+        preds = [np.empty(0, dtype=np.intp)]  # what no images give
         with no_grad():
             for start in range(0, images.shape[0], step):
                 logits = self.forward(images[start : start + step], mode="eval")
@@ -347,7 +350,9 @@ class Fabric:
 
         Every entry but the masks is required; an absent link mask means the
         link is unmasked. Each array must have the shape and dtype of the
-        entry it replaces. Everything is checked before anything is copied,
+        entry it replaces and be finite, a mask must hold only 0 and 1, and a
+        masked link's conv weight must be zero wherever its mask is, as a
+        Parameter keeps it. Everything is checked before anything is copied,
         and a FabricError names the first offending key.
         """
         masks = {f"link{link.index}_mask": link.conv_weight for link in self.links}
@@ -364,6 +369,18 @@ class Fabric:
             if value.shape != live.shape or value.dtype != live.dtype:
                 raise FabricError(f"state entry {key!r} is {value.dtype}{list(value.shape)}, "
                                   f"expected {live.dtype}{list(live.shape)}")
+            if not np.isfinite(value).all():
+                raise FabricError(f"state entry {key!r} has a non-finite entry")
+        for link in self.links:
+            mask = state.get(f"link{link.index}_mask")
+            if mask is None:
+                continue
+            if not ((mask == 0) | (mask == 1)).all():
+                raise FabricError(f"state entry 'link{link.index}_mask' has an entry "
+                                  f"other than 0 or 1")
+            if (state[f"link{link.index}_conv"][mask == 0] != 0).any():
+                raise FabricError(f"state entry 'link{link.index}_conv' is non-zero where "
+                                  f"its mask is 0")
         for key, live in required.items():
             live[...] = state[key]
         for key, weight in masks.items():

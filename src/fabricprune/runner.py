@@ -94,14 +94,25 @@ def _object(raw, path: str) -> dict:
     return raw
 
 
+def _unknown_fields(cls, raw, path: str) -> list[str]:
+    """Dotted names of the keys of raw that no field of cls matches, then
+    those of its nested _SECTIONS in field order. path is raw's dotted place
+    ("" at the top level), so a name reads e.g. noise.annotator.bogus."""
+    raw, names = _object(raw, path), [f.name for f in fields(cls)]
+    unknown = [f"{path}.{key}".lstrip(".") for key in raw if key not in names]
+    for f in fields(cls):
+        dotted = f"{path}.{f.name}".lstrip(".")
+        if dotted in _SECTIONS and raw.get(f.name) is not None:
+            unknown += _unknown_fields(_SECTIONS[dotted], raw[f.name], dotted)
+    return unknown
+
+
 def _checked_section(cls, raw, path: str):
     """The dataclass cls built from raw, its nested _SECTIONS built alike and
     its tuple fields' lists made tuples. path is its dotted place ("" at the
-    top level), so a ConfigError names e.g. noise.annotator.bogus."""
-    raw, names = dict(_object(raw, path)), [f.name for f in fields(cls)]
-    unknown = [f"{path}.{key}".lstrip(".") for key in raw if key not in names]
-    if unknown:
-        raise ConfigError(f"unknown config field {', '.join(unknown)}")
+    top level), so a ConfigError names e.g. config section noise.annotator.
+    Every key of raw must already match a field (see _unknown_fields)."""
+    raw = dict(_object(raw, path))
     for f in fields(cls):
         dotted, value = f"{path}.{f.name}".lstrip("."), raw.get(f.name)
         if dotted in _SECTIONS and f.name in raw and (value is not None or f.default is not None):
@@ -292,6 +303,9 @@ class ExperimentConfig:
                                             ".".join(path[:depth])))
                 section = section[key]
             section[leaf] = value
+        unknown = _unknown_fields(cls, raw, "")
+        if unknown:  # every section's, so an older run's config is refused once
+            raise ConfigError(f"unknown config field {', '.join(unknown)}")
         config = _checked_section(cls, raw, "")
         config.check()
         return config

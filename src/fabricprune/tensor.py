@@ -16,7 +16,6 @@ from itertools import accumulate, count, product
 from operator import attrgetter
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.1
@@ -267,13 +266,29 @@ def backward(loss: Tensor) -> None:
 
 def _im2col(x: np.ndarray, stride: int, Ho: int, Wo: int) -> np.ndarray:
     """Zero-pad (B,Cin,H,W) by 1 and gather its 3x3 windows as
-    (B, Cin*9, Ho*Wo) columns, each sample's block contiguous."""
+    (B, Cin*9, Ho*Wo) columns, each sample's block contiguous.
+
+    Each channel is laid out flat with W+1 zeros at both ends, so tap
+    (i, j) at output (y, x) reads flat position i*W + j + stride*(y*W + x):
+    one strided view holds every tap, and one copy fills the columns. Past
+    the top and bottom rows it reads the end zeros; a left tap (j = 0) at
+    x = 0 and a right tap at input column W wrap to the neighbouring row
+    instead, and those columns are zeroed afterwards.
+    """
     B, Cin, H, W = x.shape
-    xp = np.zeros((B, Cin, H + 2, W + 2), dtype=x.dtype)
-    xp[:, :, 1 : H + 1, 1 : W + 1] = x
-    # (B, Cin, Ho, Wo, 3, 3): the window at every stride-th position
-    windows = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
-    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(B, Cin * 9, Ho * Wo)
+    flat = np.zeros((B, Cin, H * W + 2 * (W + 1)), dtype=x.dtype)
+    flat[:, :, W + 1 : W + 1 + H * W].reshape(B, Cin, H, W)[...] = x
+    step = x.itemsize
+    # unlike as_strided, the constructor checks that the view stays inside flat
+    taps = np.ndarray((B, Cin, 3, 3, Ho, Wo), x.dtype, flat,
+                      strides=(*flat.strides[:2], W * step, step, stride * W * step, stride * step))
+    cols = np.empty((B, Cin * 9, Ho * Wo), dtype=x.dtype)
+    windows = cols.reshape(B, Cin, 3, 3, Ho, Wo)
+    np.copyto(windows, taps)
+    windows[:, :, :, 0, :, 0] = 0
+    if (W - 1) % stride == 0:  # the last output column's right tap is past the edge
+        windows[:, :, :, 2, :, Wo - 1] = 0
+    return cols
 
 
 @lru_cache(maxsize=2)
@@ -300,14 +315,26 @@ def _parity_taps(stride: int):
 def _shifted_copies(g: np.ndarray, shifts) -> np.ndarray:
     """A (b,C,H,W) grad shifted by each (dy, dx), zero past the edges, as
     rows (shift, c) by columns (y, x, b): g[b, c, y + dy, x + dx]. Samples
-    are the fastest axis, so each slab copies runs of W*b values."""
+    are the fastest axis.
+
+    g is copied once into flat (C, (y, x, b)) rows with (W+1)*b zeros at
+    both ends, where a shift is an offset of (dy*W + dx)*b: each shift's
+    copy is one run of H*W*b values a channel. A dx = 1 shift at x = W-1
+    and a dx = -1 shift at x = 0 wrap to the neighbouring row, and those
+    columns are zeroed afterwards.
+    """
     b, C, H, W = g.shape
-    gp = np.zeros((C, H + 2, W + 2, b), dtype=g.dtype)
-    gp[:, 1 : H + 1, 1 : W + 1] = g.transpose(1, 2, 3, 0)
-    copies = np.empty((len(shifts), C, H, W, b), dtype=g.dtype)
+    n, pad = H * W * b, (W + 1) * b
+    flat = np.zeros((C, n + 2 * pad), dtype=g.dtype)
+    flat[:, pad : pad + n].reshape(C, H, W, b)[...] = g.transpose(1, 2, 3, 0)
+    copies = np.empty((len(shifts), C, n), dtype=g.dtype)
+    grid = copies.reshape(len(shifts), C, H, W, b)
     for k, (dy, dx) in enumerate(shifts):
-        copies[k] = gp[:, 1 + dy : 1 + dy + H, 1 + dx : 1 + dx + W]
-    return copies.reshape(len(shifts) * C, H * W * b)
+        start = pad + (dy * W + dx) * b
+        copies[k] = flat[:, start : start + n]
+        if dx:
+            grid[k, :, :, W - 1 if dx > 0 else 0] = 0
+    return copies.reshape(len(shifts) * C, n)
 
 
 def _slices(batch: int, sample_bytes: int) -> list[slice]:

@@ -11,6 +11,7 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fabricprune.tensor import Tensor, _accumulate
 
@@ -36,6 +37,30 @@ def naive_conv2d(x, w, b, stride):
                                     acc += float(x[n, ci, ih, iw]) * float(w[co, ci, kh, kw])
                     out[n, co, oh, ow] = acc + (float(b[co]) if b is not None else 0.0)
     return out
+
+
+def im2col_reference(x, stride, Ho, Wo):
+    """(B, Cin*9, Ho*Wo) window columns of (B,Cin,H,W) zero-padded by 1:
+    sliding_window_view's 3x3 windows of the padded 2-D copy, every
+    stride-th one, transposed to rows (cin, tap)."""
+    B, Cin, H, W = x.shape
+    xp = np.zeros((B, Cin, H + 2, W + 2), dtype=x.dtype)
+    xp[:, :, 1 : H + 1, 1 : W + 1] = x
+    windows = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(B, Cin * 9, Ho * Wo)
+
+
+def shifted_copies_reference(g, shifts):
+    """(len(shifts)*C, H*W*b) copies of a (b,C,H,W) grad, rows (shift, c)
+    and columns (y, x, b): g[b, c, y + dy, x + dx], zero past the edges,
+    each a slab of a zero-padded (C, H+2, W+2, b) copy."""
+    b, C, H, W = g.shape
+    gp = np.zeros((C, H + 2, W + 2, b), dtype=g.dtype)
+    gp[:, 1 : H + 1, 1 : W + 1] = g.transpose(1, 2, 3, 0)
+    copies = np.empty((len(shifts), C, H, W, b), dtype=g.dtype)
+    for k, (dy, dx) in enumerate(shifts):
+        copies[k] = gp[:, 1 + dy : 1 + dy + H, 1 + dx : 1 + dx + W]
+    return copies.reshape(len(shifts) * C, H * W * b)
 
 
 def bilinear_x2_reference(x):

@@ -541,6 +541,13 @@ def rewrite_checkpoint(path, edit):
     np.savez(path, **members)
 
 
+def set_entry(key, value, index=0):
+    """A rewrite_checkpoint edit that sets one entry of member key."""
+    def edit(members):
+        members[key].reshape(-1)[index] = value
+    return edit
+
+
 class TestCheckpoint:
     def test_round_trip_lossless(self, tmp_path):
         fabric = dirty_fabric()
@@ -625,6 +632,39 @@ class TestCheckpoint:
         rewrite_checkpoint(path, edit)
         with pytest.raises(FabricError, match=key):
             load_fabric(path)
+
+    @pytest.mark.parametrize("key,problem,edit", [
+        ("link0_mask", "other than 0 or 1", set_entry("link0_mask", 2.0, index=4)),
+        ("link0_conv", "non-zero where its mask is 0",
+         lambda m: m.update(link0_mask=np.zeros((4, 4, 3, 3), np.float32),
+                            link0_conv=np.ones((4, 4, 3, 3), np.float32))),
+        ("link0_conv", "non-finite", lambda m: m["link0_conv"].fill(np.nan)),
+        ("link2_running_var", "non-finite", set_entry("link2_running_var", np.inf, index=1)),
+        ("head_bias", "non-finite", set_entry("head_bias", -np.inf)),
+        ("link0_mask", "non-finite", set_entry("link0_mask", np.nan)),
+    ], ids=["mask-of-2", "weights-under-a-zero-mask", "nan-conv", "inf-running-var",
+            "inf-head-bias", "nan-mask"])
+    def test_invalid_values_name_key_before_anything_is_copied(self, tmp_path, key, problem,
+                                                               edit):
+        fabric = build_fabric(2, 2, 4, 2, 2)
+        fabric.links[0].conv_weight.set_mask(np.ones((4, 4, 3, 3)))
+        path = tmp_path / "fabric.npz"
+        save_fabric(fabric, path)
+        rewrite_checkpoint(path, edit)
+        with pytest.raises(FabricError, match=f"{key}.*{problem}"):
+            load_fabric(path)
+        # load_state checks the whole map first: a failing load leaves the
+        # fabric as it was, even after every other entry has passed
+        with np.load(path) as archive:
+            state = {name: archive[name] for name in archive.files if name != "__meta__"}
+        state["alive"] = fabric.state()["alive"]
+        target = build_fabric(2, 2, 4, 2, 2, seed=1)
+        before = clone_parameters(target)
+        with pytest.raises(FabricError, match=f"{key}.*{problem}"):
+            target.load_state(state)
+        for name, value in target.state().items():
+            np.testing.assert_array_equal(value, before[name], err_msg=name)
+        assert target.links[0].conv_weight.mask is None
 
     @pytest.mark.parametrize("index,flag", [(0, False), (1, True)])
     def test_has_mask_disagreeing_with_members_names_link(self, tmp_path, index, flag):
@@ -788,6 +828,18 @@ class TestPredict:
         R = fabric.input_resolution
         fabric.predict(np.zeros((images, 3, R, R), dtype=np.float32), batch_size=batch_size)
         assert sizes == slices
+
+    def test_no_images_give_an_empty_intp_array(self):
+        fabric = build_fabric(2, 2, 2, 2, 3)
+        preds = fabric.predict(np.zeros((0, 3, 2, 2), dtype=np.float32))
+        assert preds.shape == (0,) and preds.dtype == np.intp
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        fabric = build_fabric(2, 2, 2, 2, 3)
+        images = np.random.default_rng(0).random((3, 3, 2, 2)).astype(np.float32)
+        with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+            fabric.predict(images, batch_size=batch_size)
 
     def test_non_finite_logits_rejected(self):
         fabric = build_fabric(2, 2, 2, 2, 3)

@@ -139,6 +139,21 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError, match=rf"unknown config field {re.escape(dotted)}$"):
             ExperimentConfig.from_dict(raw)
 
+    def test_unknown_fields_of_every_section_are_named_at_once(self):
+        # an older run's config.json, with fields since removed at the top
+        # level, in prune and in noise, is refused once, naming all of them
+        raw = tiny_config("somewhere", prune=PruneConfig(),
+                          noise=NoiseConfig(kind="annotator")).to_dict()
+        raw["lr_milestones"] = [80, 120]
+        raw["noise"]["annotator_train_fraction"] = 0.5
+        raw["noise"]["annotator"]["bogus"] = 1
+        raw["prune"]["count_cascade"] = True
+        raw["prune"]["sparsity"] = 2.0  # a section error comes after the unknown fields
+        expected = ("lr_milestones, prune.count_cascade, noise.annotator_train_fraction, "
+                    "noise.annotator.bogus")
+        with pytest.raises(ConfigError, match=rf"^unknown config field {re.escape(expected)}$"):
+            ExperimentConfig.from_dict(raw)
+
     def test_section_must_be_an_object(self):
         raw = tiny_config("somewhere").to_dict()
         raw["data"] = [1, 2]

@@ -32,9 +32,11 @@ from oracles import (
     bilinear_x2_reference,
     cross_entropy_reference,
     finite_difference_grads,
+    im2col_reference,
     max_grad_mismatch,
     naive_conv2d,
     naive_linear,
+    shifted_copies_reference,
     tensor_sum,
 )
 
@@ -671,6 +673,53 @@ class TestConv2dProperties:
             return _probed(out, probe), out
 
         _assert_matches_oracles(build, [x, w, b], naive_conv2d(x_data, w_data, b_data, stride))
+
+
+@st.composite
+def column_build_cases(draw):
+    """A (b, C, H, W) array with H != W, extents 1-9, float32 or float64,
+    some entries -0.0 and some +0.0, given C-contiguous or as a transposed
+    view; and a stride."""
+    b, c = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    h = draw(st.integers(1, 9))
+    w = draw(st.integers(1, 9).filter(lambda n: n != h))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((b, c, w, h)).astype(dtype)
+    zeros = rng.random(x.shape)
+    x[zeros < 0.2] = -0.0
+    x[zeros > 0.9] = 0.0
+    x = x.transpose(0, 1, 3, 2)
+    if draw(st.booleans()):
+        x = np.ascontiguousarray(x)
+    return x, draw(st.sampled_from([1, 2]))
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestColumnBuilds:
+    """The flat-buffer column and shifted-copy builds give the padded 2-D
+    formulas' values bit for bit, signed zeros included."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(column_build_cases())
+    def test_im2col_matches_padded_windows(self, case):
+        x, stride = case
+        h, w = x.shape[2:]
+        ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+        _assert_same_bits(tensor._im2col(x, stride, ho, wo),
+                          im2col_reference(x, stride, ho, wo))
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(column_build_cases())
+    def test_shifted_copies_match_padded_slabs(self, case):
+        g, stride = case
+        shifts = tensor._parity_taps(stride)[0]
+        _assert_same_bits(tensor._shifted_copies(g, shifts), shifted_copies_reference(g, shifts))
 
 
 @st.composite
