@@ -7,7 +7,8 @@ import json
 import sys
 from pathlib import Path
 
-from .fabric import build_fabric, export_dot, load_fabric, param_breakdown
+from .data import FormatError
+from .fabric import FabricError, build_fabric, export_dot, load_fabric, param_breakdown
 from .noise import fitting_report, load_noisy_labels
 from .pruning import Criterion, Strategy, reported_param_count
 from .runner import (
@@ -202,6 +203,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         source = f"config {args.config}" if args.config else "arguments"
         print(f"invalid {source}: {exc}", file=sys.stderr)
+        return 2
+    except (FabricError, FormatError, FileNotFoundError) as exc:  # an unusable input file
+        print(f"fabricprune: {exc}", file=sys.stderr)
         return 2
 
 

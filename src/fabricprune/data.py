@@ -16,7 +16,7 @@ from .tensor import bilinear_matrix
 
 
 class FormatError(ValueError):
-    """Malformed binary record file."""
+    """Malformed binary record file or noisy-label sidecar."""
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import ImageDataset
+from .data import FormatError, ImageDataset
 from .fabric import Fabric, build_fabric, clone_parameters, train_batches
 from .tensor import SGD, SgdConfig
 
@@ -200,33 +200,34 @@ def save_noisy_labels(labeled: ImageDataset, path) -> None:
 
 
 def load_noisy_labels(labeled: ImageDataset, path) -> ImageDataset:
-    """Re-apply a sidecar of one line per index to the same set. ValueError
-    names the first line that is not three ints, has an index outside the set
-    or repeated, a clean label the set disagrees with or a given label outside
-    [0, num_classes); failing that, the first index with no line."""
+    """Re-apply a sidecar of one line per index to the same set. FormatError
+    names the path and the first line that is not three ints, has an index
+    outside the set or repeated, a clean label the set disagrees with or a
+    given label outside [0, num_classes); failing that, the first index with
+    no line."""
     given = labeled.given_labels.copy()
     seen = np.zeros(len(labeled), dtype=bool)
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # bytes that are not text fail as a line
         for number, line in enumerate(fh, 1):
             try:
                 index, clean, noisy = (int(v) for v in line.split())
             except ValueError:
-                raise ValueError(f"sidecar line {number}: {line.rstrip()!r} is not "
-                                 f"three ints") from None
+                raise FormatError(f"{path}: line {number}: {line.rstrip()!r} is not "
+                                  f"three ints") from None
             if not 0 <= index < len(labeled):
-                raise ValueError(f"sidecar line {number}: index {index} is outside "
-                                 f"[0, {len(labeled)})")
+                raise FormatError(f"{path}: line {number}: index {index} is outside "
+                                  f"[0, {len(labeled)})")
             if seen[index]:
-                raise ValueError(f"sidecar line {number}: index {index} is repeated")
+                raise FormatError(f"{path}: line {number}: index {index} is repeated")
             seen[index] = True
             if labeled.labels[index] != clean:
-                raise ValueError(
-                    f"sidecar line {number}: clean label {clean} at index {index} does "
+                raise FormatError(
+                    f"{path}: line {number}: clean label {clean} at index {index} does "
                     f"not match the set ({labeled.labels[index]})")
             if not 0 <= noisy < labeled.num_classes:
-                raise ValueError(f"sidecar line {number}: given label {noisy} is outside "
-                                 f"[0, {labeled.num_classes})")
+                raise FormatError(f"{path}: line {number}: given label {noisy} is outside "
+                                  f"[0, {labeled.num_classes})")
             given[index] = noisy
     if not seen.all():
-        raise ValueError(f"sidecar has no line for index {int(np.argmin(seen))}")
+        raise FormatError(f"{path}: no line for index {int(np.argmin(seen))}")
     return replace(labeled, given_labels=given)

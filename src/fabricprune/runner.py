@@ -94,31 +94,23 @@ def _object(raw, path: str) -> dict:
     return raw
 
 
-def _unknown_fields(cls, raw, path: str) -> list[str]:
-    """Dotted names of the keys of raw that no field of cls matches, then
-    those of its nested _SECTIONS in field order. path is raw's dotted place
-    ("" at the top level), so a name reads e.g. noise.annotator.bogus."""
-    raw, names = _object(raw, path), [f.name for f in fields(cls)]
-    unknown = [f"{path}.{key}".lstrip(".") for key in raw if key not in names]
-    for f in fields(cls):
-        dotted = f"{path}.{f.name}".lstrip(".")
-        if dotted in _SECTIONS and raw.get(f.name) is not None:
-            unknown += _unknown_fields(_SECTIONS[dotted], raw[f.name], dotted)
-    return unknown
-
-
-def _checked_section(cls, raw, path: str):
+def _checked_section(cls, raw, path: str, unknown: list[str]):
     """The dataclass cls built from raw, its nested _SECTIONS built alike and
     its tuple fields' lists made tuples. path is its dotted place ("" at the
     top level), so a ConfigError names e.g. config section noise.annotator.
-    Every key of raw must already match a field (see _unknown_fields)."""
-    raw = dict(_object(raw, path))
+    Appends to unknown the dotted names of the keys that no field matches,
+    e.g. noise.annotator.bogus: the section's own, then those of its nested
+    sections in field order. Once any key is unknown, builds nothing: None."""
+    raw, names = dict(_object(raw, path)), [f.name for f in fields(cls)]
+    unknown += [f"{path}.{key}".lstrip(".") for key in raw if key not in names]
     for f in fields(cls):
         dotted, value = f"{path}.{f.name}".lstrip("."), raw.get(f.name)
         if dotted in _SECTIONS and f.name in raw and (value is not None or f.default is not None):
-            raw[f.name] = _checked_section(_SECTIONS[dotted], value, dotted)
+            raw[f.name] = _checked_section(_SECTIONS[dotted], value, dotted, unknown)
         elif isinstance(value, list) and str(f.type).startswith("tuple"):
             raw[f.name] = tuple(value)
+    if unknown:
+        return None
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:  # the section's own __post_init__ check
@@ -150,12 +142,11 @@ class PruneConfig:
 
 @dataclass
 class NoiseConfig:
-    # "class" samples labels from uniform_transition_matrix(K, rate): each keeps
-    # its class with probability 1 - rate and moves to each other class with
-    # rate / (K - 1), as under "uniform"; only the random draws differ
+    # epsilon, the target mislabel rate of every kind, is the flip probability of
+    # "uniform", the rate of "class"'s uniform_transition_matrix(K, epsilon) (the
+    # same flips, other draws) and the annotator's target held-out error
     kind: str = "uniform"  # one of NOISE_KINDS
-    rate: float = 0.1  # flip probability for uniform / symmetric class noise
-    epsilon: float = 0.1  # target annotator error for kind="annotator"
+    epsilon: float = 0.1
     seed: int = 0  # the uniform and class draws; the annotator draws from annotator.seed
     annotator: AnnotatorConfig = field(default_factory=AnnotatorConfig)
 
@@ -219,10 +210,11 @@ _RULES = {
     "prune.criterion": _one_of([c.value for c in Criterion]),
     "prune.gradient_source": _one_of(SPLITS),
     "prune.sparsity": _number(lambda v: 0 < v < 1, "in (0, 1)"),
-    "noise.kind": _one_of(NOISE_KINDS), "noise.rate": _number(lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "noise.epsilon": (lambda v, config: config.noise.kind != "annotator" or _is_number(v)
-        and 0 < v < 1 - 1 / config.data.classes,
-        "in (0, 1 - 1/data.classes) for noise.kind annotator"),
+    "noise.kind": _one_of(NOISE_KINDS),
+    # an annotator at or above the error of guessing would learn nothing
+    "noise.epsilon": (lambda v, config: _is_number(v) and (
+        0 < v < 1 - 1 / config.data.classes if config.noise.kind == "annotator" else 0 <= v <= 1),
+        "a number in [0, 1], and in (0, 1 - 1/data.classes) for noise.kind annotator"),
     "noise.seed": _INT_FROM_0,
     "noise.annotator.layers": _INT_FROM_2, "noise.annotator.channels": _INT_FROM_1,
     "noise.annotator.batch_size": _INT_FROM_2,
@@ -303,10 +295,10 @@ class ExperimentConfig:
                                             ".".join(path[:depth])))
                 section = section[key]
             section[leaf] = value
-        unknown = _unknown_fields(cls, raw, "")
+        unknown: list[str] = []
+        config = _checked_section(cls, raw, "", unknown)
         if unknown:  # every section's, so an older run's config is refused once
             raise ConfigError(f"unknown config field {', '.join(unknown)}")
-        config = _checked_section(cls, raw, "")
         config.check()
         return config
 
@@ -350,19 +342,16 @@ def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[np.ndarray]
 def inject_noise(full: ImageDataset, train_idx, val_idx, config: NoiseConfig,
                  out_dir: Path | None):
     """Corrupt the given labels of the whole dataset, pre-split."""
-    info: dict = {"kind": config.kind}
+    info: dict = {"kind": config.kind, "target_rate": config.epsilon}
     if config.kind == "uniform":
-        noisy = apply_uniform_noise(full, config.rate, config.seed)
-        info["target_rate"] = config.rate
+        noisy = apply_uniform_noise(full, config.epsilon, config.seed)
     elif config.kind == "class":
-        matrix = uniform_transition_matrix(full.num_classes, config.rate)
+        matrix = uniform_transition_matrix(full.num_classes, config.epsilon)
         noisy = apply_class_noise(full, matrix, config.seed)
-        info["target_rate"] = config.rate
     elif config.kind == "annotator":
         annotator, ann_info = train_annotator(full.subset(train_idx), full.subset(val_idx),
                                               config.epsilon, config.annotator)
         noisy = relabel_with_annotator(full, annotator)
-        info["target_rate"] = config.epsilon
         info["annotator_epoch"] = ann_info.chosen_epoch
         info["annotator_holdout_error"] = ann_info.holdout_error
         info["annotator_hit_band"] = ann_info.hit_band

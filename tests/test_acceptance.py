@@ -419,7 +419,7 @@ def test_criterion_7_noise_suite(tmp_path_factory):
     assert_realized_in_band(t3, eps)
     t1 = run_experiment(noise_config(
         tmp_path_factory.mktemp("victim_t1"),
-        NoiseConfig(kind="uniform", rate=eps, seed=3)))
+        NoiseConfig(kind="uniform", epsilon=eps, seed=3)))
     t3_fit = t3["fitting"]["noisy_fitting"]
     t1_fit = t1["fitting"]["noisy_fitting"]
     assert t3_fit is not None and t1_fit is not None

@@ -7,7 +7,7 @@ import pytest
 
 from fabricprune.cli import main
 from fabricprune.data import AugmentConfig
-from fabricprune.fabric import load_fabric
+from fabricprune.fabric import build_fabric, load_fabric, save_fabric
 from fabricprune.runner import (
     DataConfig,
     ExperimentConfig,
@@ -52,7 +52,6 @@ BAD_VALUES = [
      {"noise": {"kind": "annotator", "annotator": {"learning_rate": 0}}}),
     ("layers", {"layers": 1}),
     ("channels", {"channels": 0}),
-    ("noise.rate", {"noise": {"kind": "uniform", "rate": 1.5}}),
     ("noise.epsilon", {"noise": {"kind": "annotator", "epsilon": 0.9},
                        "data": {"classes": 2}}),
     ("augment", {"augment": {"resize": 2, "crop_size": 4}}),
@@ -87,6 +86,9 @@ CROSS_FIELD_VALUES = [
     ("flip-above-one", "augment.flip_prob",
      {"augment": {"resize": 4, "crop_size": 4, "flip_prob": 2.0}}),
     ("epochs-not-a-number-without-prune", "epochs", {"epochs": "x"}),
+    # epsilon's range depends on noise.kind: a rate for uniform and class
+    ("epsilon-above-one-uniform", "noise.epsilon", {"noise": {"kind": "uniform", "epsilon": 1.5}}),
+    ("epsilon-not-a-number-class", "noise.epsilon", {"noise": {"kind": "class", "epsilon": "x"}}),
     ("resize-not-a-number", "augment.resize", {"augment": {"resize": "x", "crop_size": 4}}),
     # 3 items per class at 0.7/0.1/0.2 give no class a validation item
     ("empty-validation-split", "data.n_per_class",
@@ -96,7 +98,23 @@ CROSS_FIELD_VALUES = [
 
 # fields a config.json of an older run still names, with the values it recorded
 REMOVED_FIELDS = {"lr_milestones": None, "prune.count_cascade": True,
-                  "noise.annotator_train_fraction": 1.0}
+                  "noise.annotator_train_fraction": 1.0, "noise.rate": 0.1}
+
+# (case id, argv with {config}, {checkpoint}, {out} and {bad} filled in, the
+# bytes of the unusable file at {bad} or None to leave it missing)
+INPUT_FILE_ERRORS = [
+    ("junk-checkpoint-export-dot", ["export-dot", "--checkpoint", "{bad}"], b"not an npz"),
+    ("junk-checkpoint-evaluate", ["evaluate", "--config", "{config}", "--checkpoint", "{bad}"],
+     b"not an npz"),
+    ("missing-checkpoint", ["evaluate", "--config", "{config}", "--checkpoint", "{bad}"], None),
+    ("bad-sidecar-line", ["fitting-report", "--config", "{config}", "--checkpoint",
+                          "{checkpoint}", "--labels", "{bad}"], b"0 0 1\n1 one 0\n"),
+    ("sidecar-not-text", ["fitting-report", "--config", "{config}", "--checkpoint",
+                          "{checkpoint}", "--labels", "{bad}"], b"0 0 1\n\xff\xfe 2 2\n"),
+    # the config reads {bad} as its binary records: 100 bytes, 4 px records are 49
+    ("binary-records-wrong-size", ["train", "--config", "{config}", "--out", "{out}"],
+     bytes(100)),
+]
 
 
 def assert_train_fails_before_any_output(capsys, tmp_path, field, patch):
@@ -222,7 +240,7 @@ class TestTrainAndArtifacts:
 
     def test_inject_noise_and_fitting_report(self, capsys, tmp_path):
         path, config = write_config(
-            tmp_path, noise=NoiseConfig(kind="uniform", rate=0.4, seed=3))
+            tmp_path, noise=NoiseConfig(kind="uniform", epsilon=0.4, seed=3))
         noise_dir = tmp_path / "noise"
         code, out = run_cli(capsys, ["inject-noise", "--config", str(path),
                                      "--out", str(noise_dir)])
@@ -247,7 +265,7 @@ class TestTrainAndArtifacts:
 
     def test_augmented_evaluate_and_fitting_report_match_the_run(self, capsys, tmp_path):
         # both score the checkpoint on the normalized images the run trained on
-        path, _ = write_config(tmp_path, noise=NoiseConfig(kind="uniform", rate=0.4, seed=3),
+        path, _ = write_config(tmp_path, noise=NoiseConfig(kind="uniform", epsilon=0.4, seed=3),
                                augment=AugmentConfig(resize=4, crop_size=4, crop_padding=1,
                                                      normalize_std=(0.1, 0.1, 0.1)))
         code, out = run_cli(capsys, ["train", "--config", str(path)])
@@ -380,6 +398,28 @@ class TestConfigErrors:
                                                                   field, patch):
         assert_train_fails_before_any_output(capsys, tmp_path, field, patch)
 
+    @pytest.mark.parametrize("argv,content", [case[1:] for case in INPUT_FILE_ERRORS],
+                             ids=[case[0] for case in INPUT_FILE_ERRORS])
+    def test_unusable_input_file_is_named_in_one_line(self, capsys, tmp_path, argv, content):
+        bad = tmp_path / "bad"
+        if content is not None:
+            bad.write_bytes(content)
+        data = {}
+        if "train" in argv:
+            data = dict(data=DataConfig(kind="binary", path=str(bad), classes=3, resolution=4))
+        path, config = write_config(tmp_path, **data)
+        checkpoint = tmp_path / "fabric.npz"
+        save_fabric(build_fabric(config.layers, config.scales, config.channels,
+                                 config.input_resolution, config.data.classes), checkpoint)
+        out_dir = tmp_path / "out"
+        names = dict(config=path, checkpoint=checkpoint, out=out_dir, bad=bad)
+        assert main([arg.format(**names) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("fabricprune: ") and str(bad) in line
+        assert not out_dir.exists() and not (tmp_path / "run").exists()
+
 
 class TestOverrides:
     def test_override_flags_write_the_recorded_config_bytes(self, capsys, tmp_path, monkeypatch):
@@ -393,11 +433,11 @@ class TestOverrides:
         code, _ = run_cli(capsys, argv)
         assert code == 0
         digest = hashlib.sha256((tmp_path / "run" / "config.json").read_bytes()).hexdigest()
-        assert digest == "e3ee1f69d025d0f96a61b074500643116829fd1d67519822a61de5085d9343c4"
+        assert digest == "28ea7dd4b3d40b452c4ae632f6414ac460bbb7166142af373b1b1f2f8b1c30ec"
 
     def test_noise_none_drops_the_noise_section(self, capsys, tmp_path):
         path, _ = write_config(tmp_path, epochs=1,
-                               noise=NoiseConfig(kind="uniform", rate=0.4, seed=3))
+                               noise=NoiseConfig(kind="uniform", epsilon=0.4, seed=3))
         code, _ = run_cli(capsys, ["train", "--config", str(path), "--noise", "none"])
         assert code == 0
         assert json.loads((tmp_path / "run" / "config.json").read_text())["noise"] is None

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -257,7 +259,7 @@ class TestSidecar:
         ls = label_only_set([0, 1, 2], 3)
         path = tmp_path / "labels.txt"
         path.write_text(f"0 0 1\n{line}\n2 2 2\n")
-        with pytest.raises(ValueError, match=f"^sidecar line 2: {problem}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: {problem}"):
             load_noisy_labels(ls, path)
 
     def test_missing_index_rejected(self, tmp_path):

@@ -53,8 +53,8 @@ NUMERIC_FIELDS = [
     "input_resolution", "layers", "channels", "batch_size", "epochs", "learning_rate",
     "momentum", "weight_decay", "seed", "data.resolution", "data.classes", "data.n_per_class",
     "data.confusable_fraction", "data.train_fraction", "data.val_fraction",
-    "data.test_fraction", "data.seed", "prune.sparsity", "noise.rate", "noise.epsilon",
-    "noise.seed", "noise.annotator.layers", "noise.annotator.channels",
+    "data.test_fraction", "data.seed", "prune.sparsity", "noise.epsilon", "noise.seed",
+    "noise.annotator.layers", "noise.annotator.channels",
     "noise.annotator.batch_size", "noise.annotator.learning_rate",
     "noise.annotator.weight_decay", "noise.annotator.max_epochs", "noise.annotator.seed",
     "noise.annotator.tolerance", "augment.normalize_mean", "augment.normalize_std",
@@ -198,12 +198,14 @@ class TestConfigSerialization:
     @pytest.mark.parametrize("field", NUMERIC_FIELDS)
     def test_boolean_is_not_a_number(self, field, value):
         # bool is an int in Python; a config's true or false is never a count
-        raw = tiny_config("somewhere", prune=PruneConfig(), noise=NoiseConfig(kind="annotator"),
-                          augment=AugmentConfig(resize=4, crop_size=4)).to_dict()
+        # nor a rate, under any noise kind
         item = {"augment.normalize_mean": [value, 0, 0],
                 "augment.normalize_std": [value, 1, 1]}.get(field, value)
-        with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be "):
-            ExperimentConfig.from_dict(raw, {field: item})
+        for kind in runner.NOISE_KINDS:
+            raw = tiny_config("somewhere", prune=PruneConfig(), noise=NoiseConfig(kind=kind),
+                              augment=AugmentConfig(resize=4, crop_size=4)).to_dict()
+            with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be "):
+                ExperimentConfig.from_dict(raw, {field: item})
 
     def test_numeric_fields_are_every_rule_but_choices_and_flags(self):
         choices = {"data.kind", "data.difficulty", "data.path", "prune.strategy",
@@ -273,7 +275,7 @@ class TestRunExperiment:
         (dict(weight_decay=-0.1), "weight_decay"),
         (dict(channels=1.5), "channels"),
         (dict(data=DataConfig(classes=0, resolution=4)), "data.classes"),
-        (dict(noise=NoiseConfig(kind="class", rate=-0.1)), "noise.rate"),
+        (dict(noise=NoiseConfig(kind="class", epsilon=-0.1)), "noise.epsilon"),
         (dict(noise=NoiseConfig(kind="annotator", epsilon=0.0)), "noise.epsilon"),
         (dict(noise=NoiseConfig(annotator=AnnotatorConfig(layers=1))), "noise.annotator.layers"),
         (dict(noise=NoiseConfig(annotator=AnnotatorConfig(channels=0))),
@@ -294,12 +296,15 @@ class TestRunExperiment:
             run_experiment(config)
         assert not (tmp_path / "run").exists()
 
-    def test_epsilon_is_checked_for_the_annotator_kind_only(self, tmp_path):
-        config = tiny_config(tmp_path / "run", noise=NoiseConfig(kind="uniform", epsilon=0.9))
-        config.check()
-        config.noise.kind = "annotator"
-        with pytest.raises(ConfigError, match=r"^noise\.epsilon must be in \(0, 1 - "
-                                              r"1/data\.classes\) for noise\.kind annotator"):
+    def test_epsilon_range_depends_on_the_noise_kind(self):
+        # a flip probability of 0.9 is a rate; an annotator at 3 classes can
+        # only be trained to an error below the 2/3 of guessing
+        for kind in ("uniform", "class"):
+            tiny_config("somewhere", noise=NoiseConfig(kind=kind, epsilon=0.9)).check()
+        config = tiny_config("somewhere", noise=NoiseConfig(kind="annotator", epsilon=0.9))
+        with pytest.raises(ConfigError, match=r"^noise\.epsilon must be a number in \[0, 1\], "
+                                              r"and in \(0, 1 - 1/data\.classes\) for "
+                                              r"noise\.kind annotator, got 0\.9$"):
             config.check()
 
     def test_zero_epochs_writes_baseline_artifacts(self, tmp_path):
@@ -435,7 +440,7 @@ sys.exit(1)
 
     def test_noise_run_writes_sidecar_and_fitting(self, tmp_path):
         config = tiny_config(tmp_path / "run", epochs=2,
-                             noise=NoiseConfig(kind="uniform", rate=0.3, seed=4))
+                             noise=NoiseConfig(kind="uniform", epsilon=0.3, seed=4))
         summary = run_experiment(config)
         out = tmp_path / "run"
         assert (out / "noisy_labels.txt").exists()
@@ -447,7 +452,7 @@ sys.exit(1)
         # val and test each epoch, then test once for both the final test
         # error and the fitting report; the last epoch's val error is final
         config = tiny_config(tmp_path / "run", epochs=2,
-                             noise=NoiseConfig(kind="uniform", rate=0.3, seed=4))
+                             noise=NoiseConfig(kind="uniform", epsilon=0.3, seed=4))
         calls = []
         predict = Fabric.predict
 
@@ -491,7 +496,7 @@ sys.exit(1)
         augment = AugmentConfig(resize=4, crop_size=4, crop_padding=1,
                                 normalize_mean=(0.3, 0.4, 0.5), normalize_std=(0.1, 0.2, 0.15))
         config = tiny_config(tmp_path / "run", epochs=2, augment=augment,
-                             noise=NoiseConfig(kind="uniform", rate=0.3, seed=4))
+                             noise=NoiseConfig(kind="uniform", epsilon=0.3, seed=4))
         summary = run_experiment(config)
         dataset, (train_idx, val_idx, test_idx) = runner.load_split_dataset(config.data)
         noisy, _ = inject_noise(dataset, train_idx, val_idx, config.noise, None)
@@ -534,6 +539,6 @@ sys.exit(1)
 
     def test_class_noise_kind(self, tmp_path):
         config = tiny_config(tmp_path / "run", epochs=1,
-                             noise=NoiseConfig(kind="class", rate=0.2, seed=5))
+                             noise=NoiseConfig(kind="class", epsilon=0.2, seed=5))
         summary = run_experiment(config)
         assert summary["noise"]["kind"] == "class"

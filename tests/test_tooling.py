@@ -11,6 +11,7 @@ module needs is public.
 
 import ast
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 from fabricprune import runner
@@ -108,3 +109,13 @@ def test_readme_names_every_config_rule():
     # each field ExperimentConfig.check holds to a rule, as `dotted.field`
     readme = (ROOT / "README.md").read_text()
     assert [name for name in runner._RULES if f"`{name}`" not in readme] == []
+
+
+def test_every_config_field_has_a_rule():
+    # out_dir, a deployment path, is the one leaf field with no rule
+    def leaves(cls, path):
+        for f in fields(cls):
+            dotted = f"{path}.{f.name}".lstrip(".")
+            yield from (leaves(runner._SECTIONS[dotted], dotted) if dotted in runner._SECTIONS
+                        else [dotted])
+    assert set(runner._RULES) == set(leaves(runner.ExperimentConfig, "")) - {"out_dir"}
