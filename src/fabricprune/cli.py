@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .data import FormatError
-from .fabric import FabricError, build_fabric, export_dot, load_fabric, param_breakdown
+from .fabric import Fabric, FabricError, build_fabric, export_dot, load_fabric, param_breakdown
 from .noise import fitting_report, load_noisy_labels
 from .pruning import Criterion, Strategy, reported_param_count
 from .runner import (
@@ -22,22 +22,48 @@ from .runner import (
     run_experiment,
 )
 
-# override flag -> the dotted config field it sets; --noise none drops the section
-OVERRIDES = {"seed": "seed", "epochs": "epochs", "out": "out_dir",
-             "sparsity": "prune.sparsity", "strategy": "prune.strategy",
-             "criterion": "prune.criterion", "noise": "noise.kind"}
+# override flag -> (its argparse options, the dotted config fields it sets); each
+# command takes the flags whose fields it reads, and --noise none drops the section
+OVERRIDES = {
+    "seed": ({"type": int}, ("seed",)),
+    "epochs": ({"type": int}, ("epochs",)),
+    "out": ({}, ("out_dir",)),
+    "sparsity": ({"type": float}, ("prune.sparsity",)),
+    "strategy": ({"choices": [s.value for s in Strategy]}, ("prune.strategy",)),
+    "criterion": ({"choices": [c.value for c in Criterion]}, ("prune.criterion",)),
+    "noise": ({"choices": ["none", *NOISE_KINDS]}, ("noise.kind",)),
+    "layers": ({"type": int}, ("layers",)),
+    "channels": ({"type": int}, ("channels",)),
+    "resolution": ({"type": int}, ("input_resolution", "data.resolution")),
+    "classes": ({"type": int}, ("data.classes",)),
+}
+# the config count-params reads without --config: the paper's fabric
+PAPER_FABRIC = {"layers": 8, "channels": 64, "input_resolution": 32,
+                "data": {"resolution": 32, "classes": 10}}
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The config at args.config with the override flags that are set, built and checked."""
+    """The config at args.config, or PAPER_FABRIC, with the flags that are set applied."""
     overrides = {}
-    for flag, dotted in OVERRIDES.items():
+    for flag, (_, fields) in OVERRIDES.items():
         value = getattr(args, flag, None)
         if value == "none":
             overrides["noise"] = None
         elif value is not None:
-            overrides[dotted] = value
-    return ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()), overrides)
+            overrides.update(dict.fromkeys(fields, value))
+    raw = json.loads(Path(args.config).read_text()) if args.config else PAPER_FABRIC
+    return ExperimentConfig.from_dict(raw, overrides)
+
+
+def _load_checkpoint(args, config: ExperimentConfig) -> Fabric:
+    """The fabric at args.checkpoint; FabricError unless it fits the config's data."""
+    fabric = load_fabric(args.checkpoint)
+    for name, expected in [("num_classes", config.data.classes),
+                           ("input_resolution", config.input_resolution)]:
+        if getattr(fabric, name) != expected:
+            raise FabricError(f"checkpoint {args.checkpoint} has {name} {getattr(fabric, name)}"
+                              f", config {args.config} has {expected}")
+    return fabric
 
 
 def _emit(payload) -> None:
@@ -46,9 +72,7 @@ def _emit(payload) -> None:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
-    summary = run_experiment(config)
-    _emit(summary)
+    _emit(run_experiment(_load_config(args)))
     return 0
 
 
@@ -57,9 +81,9 @@ def cmd_prune_plan(args) -> int:
     if config.prune is None:
         print("config has no prune section", file=sys.stderr)
         return 2
+    # the schedule reads the fabric's graph only, not its weights
     fabric = build_fabric(config.layers, config.scales, config.channels,
-                          config.input_resolution, config.data.classes,
-                          seed=config.seed)
+                          config.input_resolution, config.data.classes)
     plan = config.prune_plan(fabric)
     full = param_breakdown(config.layers, config.scales, config.channels,
                            config.data.classes)
@@ -80,9 +104,7 @@ def cmd_prune_plan(args) -> int:
 
 
 def cmd_count_params(args) -> int:
-    config = _load_config(args) if args.config else ExperimentConfig.from_dict({}, {
-        "layers": args.layers, "channels": args.channels, "data.classes": args.classes,
-        "input_resolution": args.resolution, "data.resolution": args.resolution})
+    config = _load_config(args)
     classes = config.data.classes
     breakdown = param_breakdown(config.layers, config.scales, config.channels, classes)
     _emit({
@@ -124,14 +146,13 @@ def cmd_inject_noise(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
-    fabric = load_fabric(args.checkpoint)
-    _emit(evaluate_checkpoint(fabric, config, split=args.split))
+    _emit(evaluate_checkpoint(_load_checkpoint(args, config), config, split=args.split))
     return 0
 
 
 def cmd_fitting_report(args) -> int:
     config = _load_config(args)
-    fabric = load_fabric(args.checkpoint)
+    fabric = _load_checkpoint(args, config)
     dataset, (_, _, test_idx) = load_split_dataset(config.data)
     full = load_noisy_labels(dataset, args.labels)
     test_set = full.subset(test_idx)
@@ -146,31 +167,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train, prune, and probe convolutional network fabrics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", required=True, help="experiment config (JSON)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--sparsity", type=float, default=None)
-        p.add_argument("--strategy", choices=[s.value for s in Strategy], default=None)
-        p.add_argument("--criterion", choices=[c.value for c in Criterion], default=None)
-        p.add_argument("--noise", choices=["none", *NOISE_KINDS], default=None)
-        p.add_argument("--out", default=None)
+    def configured(name, handler, about, flags, required=True):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--config", required=required, help="experiment config (JSON)")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **OVERRIDES[flag][0])
+        p.set_defaults(handler=handler)
+        return p
 
-    train = sub.add_parser("train", help="run an experiment end to end")
-    add_common(train)
-    train.set_defaults(handler=cmd_train)
-
-    plan = sub.add_parser("prune-plan", help="print the run's pruning schedule (dry run)")
-    add_common(plan)
-    plan.set_defaults(handler=cmd_prune_plan)
-
-    count = sub.add_parser("count-params", help="parameter accounting for a fabric")
-    count.add_argument("--config", default=None)
-    count.add_argument("--layers", type=int, default=8)
-    count.add_argument("--channels", type=int, default=64)
-    count.add_argument("--resolution", type=int, default=32)
-    count.add_argument("--classes", type=int, default=10)
-    count.set_defaults(handler=cmd_count_params)
+    configured("train", cmd_train, "run an experiment end to end",
+               ["seed", "epochs", "out", "sparsity", "strategy", "criterion", "noise"])
+    configured("prune-plan", cmd_prune_plan, "print the run's pruning schedule (dry run)",
+               ["epochs", "sparsity", "strategy"])
+    configured("count-params", cmd_count_params, "parameter accounting for a fabric",
+               ["layers", "channels", "resolution", "classes"], required=False)
 
     dot = sub.add_parser("export-dot", help="render a checkpoint as a DOT digraph")
     dot.add_argument("--checkpoint", required=True)
@@ -178,21 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
     dot.add_argument("--include-pruned", action="store_true")
     dot.set_defaults(handler=cmd_export_dot)
 
-    inject = sub.add_parser("inject-noise", help="write a noisy-label sidecar")
-    add_common(inject)
-    inject.set_defaults(handler=cmd_inject_noise)
-
-    evaluate = sub.add_parser("evaluate", help="error of a checkpoint on a split")
-    evaluate.add_argument("--config", required=True)
+    configured("inject-noise", cmd_inject_noise, "write a noisy-label sidecar",
+               ["noise", "out"])
+    evaluate = configured("evaluate", cmd_evaluate, "error of a checkpoint on a split", [])
     evaluate.add_argument("--checkpoint", required=True)
     evaluate.add_argument("--split", choices=SPLITS, default="test")
-    evaluate.set_defaults(handler=cmd_evaluate)
-
-    fitting = sub.add_parser("fitting-report", help="clean/noisy fitting of a checkpoint")
-    fitting.add_argument("--config", required=True)
+    fitting = configured("fitting-report", cmd_fitting_report,
+                         "clean/noisy fitting of a checkpoint", [])
     fitting.add_argument("--checkpoint", required=True)
     fitting.add_argument("--labels", required=True, help="noisy-label sidecar")
-    fitting.set_defaults(handler=cmd_fitting_report)
     return parser
 
 
@@ -204,7 +208,7 @@ def main(argv=None) -> int:
         source = f"config {args.config}" if args.config else "arguments"
         print(f"invalid {source}: {exc}", file=sys.stderr)
         return 2
-    except (FabricError, FormatError, FileNotFoundError) as exc:  # an unusable input file
+    except (FabricError, FormatError, OSError) as exc:  # an unusable input file
         print(f"fabricprune: {exc}", file=sys.stderr)
         return 2
 

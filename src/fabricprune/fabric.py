@@ -558,12 +558,15 @@ def save_fabric(fabric: Fabric, path) -> None:
 def load_fabric(path) -> Fabric:
     """Reconstruct a fabric from a checkpoint written by save_fabric.
 
-    Raises FabricError on a truncated or corrupt file, meta that is not an
-    object, an unsupported version, a missing meta key, a dimension that is
-    not a positive int, an unknown dtype, alive flags that are not a list of
-    booleans, mask flags that are not a list or disagree with the mask
-    members, or an array that is missing or does not fit the fabric.
+    Raises FabricError on a file that is not an npz archive or is corrupt,
+    meta that is not an object, an unsupported version, a missing meta key,
+    a dimension that is not a positive int, an unknown dtype, alive flags
+    that are not a list of booleans, mask flags that are not a list or
+    disagree with the mask members, or an array that is missing or does not
+    fit the fabric. A missing path or a directory raises its OSError.
     """
+    if Path(path).is_file() and not zipfile.is_zipfile(path):
+        raise FabricError(f"{path} is not a readable checkpoint: not an npz archive")
     try:
         with np.load(path) as archive:
             state = {name: archive[name] for name in archive.files}

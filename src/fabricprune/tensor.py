@@ -344,8 +344,7 @@ def _slices(batch: int, sample_bytes: int) -> list[slice]:
     return [slice(start, min(start + step, batch)) for start in range(0, batch, step)]
 
 
-def conv2d(x: Tensor | np.ndarray, weight: Tensor, bias: Tensor | None,
-           stride: int = 1) -> Tensor:
+def conv2d(x: Tensor | np.ndarray, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """3x3 convolution with padding 1. Input (B,Cin,H,W) -> (B,Cout,H',W').
 
     Each pass builds columns for b consecutive samples at a time, within
@@ -389,14 +388,11 @@ def conv2d(x: Tensor | np.ndarray, weight: Tensor, bias: Tensor | None,
         # keeps BLAS's matrix-vector kernels from rounding differently
         np.matmul(wflat, _im2col(x_data[s], stride, Ho, Wo),
                   out=out_data[s].reshape(s.stop - s.start, Cout, Ho * Wo))
-    if bias is not None:
-        out_data += bias.data[None, :, None, None]
-    x_node, w_node = None if constant else x._node, weight._node
-    b_node = None if bias is None else bias._node
+    out_data += bias.data[None, :, None, None]
+    x_node, w_node, b_node = None if constant else x._node, weight._node, bias._node
 
     def backward(node):
-        if b_node is not None:
-            _hand_off(b_node, node.grad.sum(axis=(0, 2, 3)))
+        _hand_off(b_node, node.grad.sum(axis=(0, 2, 3)))
         shifts, taps, plan = _parity_taps(stride)
         # the taps' (Cin, Cout) kernel blocks side by side, and their weight
         # grads stacked as rows (tap, co), summed over the slices
@@ -428,8 +424,7 @@ def conv2d(x: Tensor | np.ndarray, weight: Tensor, bias: Tensor | None,
         dw = dw.reshape(9, Cout, Cin)[np.argsort(taps)]  # rows back in kernel tap order
         _hand_off(w_node, np.ascontiguousarray(dw.transpose(1, 2, 0)).reshape(w_data.shape))
 
-    parents = (weight,) if bias is None else (weight, bias)
-    return Tensor(out_data, parents if constant else (x, *parents), backward)
+    return Tensor(out_data, (weight, bias) if constant else (x, weight, bias), backward)
 
 
 def _blocks(extents, axis: int) -> list[tuple[slice, ...]]:
@@ -660,7 +655,7 @@ def relu6(x: Tensor) -> Tensor:
     return Tensor(out_data, (x,), backward)
 
 
-def linear(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tensor:
+def linear(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
     """Affine map per batch row: (B,F) x (K,F) -> (B,K).
 
     Like conv2d, the recorded node saves the input and weight arrays, so
@@ -672,18 +667,15 @@ def linear(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tenso
         raise ShapeError(f"input has {F} features, weight expects {F_w}")
     x_data, w_data = x.data, weight.data
     out_data = x_data @ w_data.T
-    if bias is not None:
-        out_data += bias.data[None, :]
-    x_node, w_node = x._node, weight._node
-    b_node = None if bias is None else bias._node
+    out_data += bias.data[None, :]
+    x_node, w_node, b_node = x._node, weight._node, bias._node
 
     def backward(node):
         _hand_off(x_node, node.grad @ w_data)
         _accumulate(w_node, node.grad.T @ x_data)
-        if b_node is not None:
-            _accumulate(b_node, node.grad.sum(axis=0))
+        _accumulate(b_node, node.grad.sum(axis=0))
 
-    return Tensor(out_data, (x, weight) if bias is None else (x, weight, bias), backward)
+    return Tensor(out_data, (x, weight, bias), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -100,10 +101,22 @@ CROSS_FIELD_VALUES = [
 REMOVED_FIELDS = {"lr_milestones": None, "prune.count_cascade": True,
                   "noise.annotator_train_fraction": 1.0, "noise.rate": 0.1}
 
+
+def npy_bytes(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
 # (case id, argv with {config}, {checkpoint}, {out} and {bad} filled in, the
-# bytes of the unusable file at {bad} or None to leave it missing)
+# bytes of the unusable file at {bad}, None to leave it missing or DIRECTORY)
+DIRECTORY = "directory"
 INPUT_FILE_ERRORS = [
     ("junk-checkpoint-export-dot", ["export-dot", "--checkpoint", "{bad}"], b"not an npz"),
+    ("npy-checkpoint-export-dot", ["export-dot", "--checkpoint", "{bad}"], npy_bytes(np.zeros(3))),
+    ("directory-checkpoint-export-dot", ["export-dot", "--checkpoint", "{bad}"], DIRECTORY),
+    ("directory-config-evaluate", ["evaluate", "--config", "{bad}", "--checkpoint",
+                                   "{checkpoint}"], DIRECTORY),
     ("junk-checkpoint-evaluate", ["evaluate", "--config", "{config}", "--checkpoint", "{bad}"],
      b"not an npz"),
     ("missing-checkpoint", ["evaluate", "--config", "{config}", "--checkpoint", "{bad}"], None),
@@ -115,6 +128,11 @@ INPUT_FILE_ERRORS = [
     ("binary-records-wrong-size", ["train", "--config", "{config}", "--out", "{out}"],
      bytes(100)),
 ]
+
+
+def out_flag(command, out_dir) -> list[str]:
+    """--out for the commands that take it: prune-plan writes nothing."""
+    return [] if command == "prune-plan" else ["--out", str(out_dir)]
 
 
 def assert_train_fails_before_any_output(capsys, tmp_path, field, patch):
@@ -156,6 +174,15 @@ class TestCountParams:
         payload = json.loads(out)
         assert payload["layers"] == 2 and payload["channels"] == 2
         assert payload["total"] == payload["stem"] + payload["links"] + payload["head"]
+
+    def test_flags_apply_on_top_of_the_config(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("{}")  # 4 layers x 8 channels at 16 px
+        code, out = run_cli(capsys, ["count-params", "--config", str(path), "--layers", "8",
+                                     "--resolution", "32"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["layers"], payload["channels"], payload["input_resolution"]) == (8, 8, 32)
 
     def test_binary_run_head_has_the_configured_classes(self, capsys, tmp_path):
         # the records hold labels 0 and 1 only, under data.classes 3
@@ -291,12 +318,12 @@ class TestConfigErrors:
         raw["noise"]["annotator"]["bogus"] = 1
         path.write_text(json.dumps(raw))
         out_dir = tmp_path / "out"
-        assert main([command, "--config", str(path), "--out", str(out_dir)]) == 2
+        assert main([command, "--config", str(path), *out_flag(command, out_dir)]) == 2
         assert "noise.annotator.bogus" in capsys.readouterr().err
         assert not out_dir.exists() and not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command,extra", [
-        ("train", ["--out"]), ("prune-plan", ["--out"]), ("inject-noise", ["--out"]),
+        ("train", ["--out"]), ("prune-plan", []), ("inject-noise", ["--out"]),
         ("count-params", []), ("evaluate", ["--checkpoint"]),
         ("fitting-report", ["--checkpoint", "--labels"]),
     ])
@@ -339,7 +366,7 @@ class TestConfigErrors:
         # the --epochs override is checked, not only the config file
         path, _ = write_config(tmp_path, prune=PruneConfig(strategy="early", sparsity=0.1))
         out_dir = tmp_path / "out"
-        argv = [command, "--config", str(path), "--epochs", "0", "--out", str(out_dir)]
+        argv = [command, "--config", str(path), "--epochs", "0", *out_flag(command, out_dir)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -360,7 +387,7 @@ class TestConfigErrors:
         raw[section][key] = "bogus"
         path.write_text(json.dumps(raw))
         out_dir = tmp_path / "out"
-        assert main([command, "--config", str(path), "--out", str(out_dir)]) == 2
+        assert main([command, "--config", str(path), *out_flag(command, out_dir)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{field} must be one of " in captured.err
@@ -402,7 +429,9 @@ class TestConfigErrors:
                              ids=[case[0] for case in INPUT_FILE_ERRORS])
     def test_unusable_input_file_is_named_in_one_line(self, capsys, tmp_path, argv, content):
         bad = tmp_path / "bad"
-        if content is not None:
+        if content == DIRECTORY:
+            bad.mkdir()
+        elif content is not None:
             bad.write_bytes(content)
         data = {}
         if "train" in argv:
@@ -418,7 +447,30 @@ class TestConfigErrors:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("fabricprune: ") and str(bad) in line
+        assert "pickle" not in line
         assert not out_dir.exists() and not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "fitting-report"])
+    @pytest.mark.parametrize("name,checkpoint_value,config_value", [
+        ("num_classes", 5, 3), ("input_resolution", 8, 4)])
+    def test_checkpoint_that_does_not_fit_the_config_is_refused(
+            self, capsys, tmp_path, command, name, checkpoint_value, config_value):
+        path, config = write_config(tmp_path)
+        dims = dict(layers=config.layers, scales=config.scales, channels=config.channels,
+                    input_resolution=config.input_resolution, num_classes=config.data.classes)
+        dims[name] = checkpoint_value
+        dims["scales"] = dims["input_resolution"].bit_length()  # log2(resolution) + 1
+        checkpoint = tmp_path / "fabric.npz"
+        save_fabric(build_fabric(*dims.values()), checkpoint)
+        argv = [command, "--config", str(path), "--checkpoint", str(checkpoint)]
+        if command == "fitting-report":
+            argv += ["--labels", str(tmp_path / "noisy_labels.txt")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line == (f"fabricprune: checkpoint {checkpoint} has {name} {checkpoint_value}, "
+                        f"config {path} has {config_value}")
 
 
 class TestOverrides:
@@ -434,6 +486,17 @@ class TestOverrides:
         assert code == 0
         digest = hashlib.sha256((tmp_path / "run" / "config.json").read_bytes()).hexdigest()
         assert digest == "28ea7dd4b3d40b452c4ae632f6414ac460bbb7166142af373b1b1f2f8b1c30ec"
+
+    @pytest.mark.parametrize("argv", [
+        ["inject-noise", "--seed", "1"], ["prune-plan", "--criterion", "sensitivity"],
+        ["prune-plan", "--out", "x"], ["prune-plan", "--seed", "1"]], ids=" ".join)
+    def test_flag_the_command_does_not_read_is_refused(self, capsys, tmp_path, argv):
+        # the noise draws follow noise.seed and a plan writes nothing, so these did nothing
+        path, _ = write_config(tmp_path, prune=PruneConfig(), noise=NoiseConfig(kind="uniform"))
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", str(path), *argv[1:]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_noise_none_drops_the_noise_section(self, capsys, tmp_path):
         path, _ = write_config(tmp_path, epochs=1,

@@ -737,6 +737,19 @@ class TestCheckpoint:
         with pytest.raises(FabricError, match="not a readable checkpoint"):
             load_fabric(path)
 
+    @pytest.mark.parametrize("kind", ["text", "npy"])
+    def test_file_that_is_not_an_npz_archive_is_named(self, tmp_path, kind):
+        # numpy would read the text as a pickle and hand back the .npy's array
+        path = tmp_path / "fabric.npz"
+        if kind == "text":
+            path.write_text("junk")
+        else:
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        with pytest.raises(FabricError, match="not an npz archive") as exc:
+            load_fabric(path)
+        assert "pickle" not in str(exc.value)
+
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "fabric.npz"
         save_fabric(build_fabric(2, 2, 1, 2, 2), path)

@@ -74,7 +74,7 @@ class TestConv2d:
     def test_channel_mismatch_raises(self):
         x = Tensor(np.zeros((1, 2, 4, 4)))
         with pytest.raises(ShapeError):
-            conv2d(x, Parameter(np.zeros((1, 3, 3, 3))), None)
+            conv2d(x, Parameter(np.zeros((1, 3, 3, 3))), Parameter(np.zeros(1)))
 
     def test_masked_positions_contribute_nothing(self):
         rng = np.random.default_rng(1)
@@ -83,7 +83,7 @@ class TestConv2d:
         mask = np.ones((1, 1, 3, 3))
         mask[0, 0, 0, :] = 0.0
         kern.set_mask(mask)
-        out = conv2d(x, kern, None)
+        out = conv2d(x, kern, Parameter(np.zeros(1)))
         # an unmasked kernel with those weights hand-zeroed gives the same map
         zeroed = kern.data.copy()
         expected = naive_conv2d(x.data, zeroed, None, 1)
@@ -119,7 +119,8 @@ class TestConv2d:
             weight, bias = Parameter(w.copy()), Parameter(b.copy())
             out = conv2d(given, weight, bias, stride=stride)
             parents = len(out._node.parents)
-            backward(tensor_sum(linear(out.reshape((1, -1)), Tensor(probe))))
+            backward(tensor_sum(linear(out.reshape((1, -1)), Tensor(probe),
+                                       Parameter(np.zeros(1)))))
             runs.append((parents, out.data, weight.grad, bias.grad))
         (array_parents, *array_run), (tensor_parents, *tensor_run) = runs
         assert (array_parents, tensor_parents) == (2, 3)
@@ -314,7 +315,7 @@ class TestLinear:
 
     def test_feature_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            linear(Tensor(np.zeros((2, 3))), Parameter(np.zeros((4, 5))))
+            linear(Tensor(np.zeros((2, 3))), Parameter(np.zeros((4, 5))), Parameter(np.zeros(4)))
 
 
 class TestCrossEntropy:
@@ -369,15 +370,16 @@ class TestBackward:
         mask = (rng.random((2, 2, 3, 3)) > 0.5).astype(float)
         w.set_mask(mask)
         x = Tensor(rng.standard_normal((1, 2, 4, 4)))
-        loss = tensor_sum(conv2d(x, w, None))
+        loss = tensor_sum(conv2d(x, w, Parameter(np.zeros(2))))
         backward(loss)
         np.testing.assert_array_equal(w.grad[mask == 0.0], 0.0)
 
     def test_no_grad_skips_recording(self):
         w = Parameter(np.ones((2, 2)))
         with no_grad():
-            out = linear(Tensor(np.ones((1, 2))), w)
-            conv = conv2d(Tensor(np.ones((1, 2, 4, 4))), Parameter(np.ones((2, 2, 3, 3))), None)
+            out = linear(Tensor(np.ones((1, 2))), w, Parameter(np.zeros(2)))
+            conv = conv2d(Tensor(np.ones((1, 2, 4, 4))), Parameter(np.ones((2, 2, 3, 3))),
+                          Parameter(np.zeros(2)))
         assert out._node.parents == ()
         assert out._backward is None
         assert conv._node.parents == () and conv._backward is None
@@ -388,7 +390,7 @@ class TestBackward:
         w = Parameter(rng.standard_normal((2, 2, 3, 3)))
         gc.disable()
         try:
-            hidden = conv2d(x, w, None)
+            hidden = conv2d(x, w, Parameter(np.zeros(2)))
             hidden_data = weakref.ref(hidden.data)
             loss = tensor_sum(relu6(hidden))
             del hidden
@@ -613,7 +615,8 @@ class TestGradients:
         x_data[np.abs(x_data - 6.0) < 0.01] += 0.05
         x = Parameter(x_data)
         w = _param(rng, 4, 4)
-        _gradcheck(lambda: tensor_sum(relu6(linear(x, w))), [x, w])
+        b = Parameter(np.zeros(4))
+        _gradcheck(lambda: tensor_sum(relu6(linear(x, w, b))), [x, w, b])
 
     def test_float32_gradcheck_with_coarse_step(self):
         rng = np.random.default_rng(9)
@@ -621,7 +624,7 @@ class TestGradients:
         w = Parameter(rng.standard_normal((2, 2, 3, 3)).astype(np.float32))
 
         def build():
-            return tensor_sum(conv2d(x, w, None))
+            return tensor_sum(conv2d(x, w, Parameter(np.zeros(2, np.float32))))
 
         loss = build()
         backward(loss)
@@ -632,7 +635,7 @@ class TestGradients:
 
 def _probed(out: Tensor, probe: Tensor) -> Tensor:
     """A random linear functional of out, so every entry gets its own grad."""
-    return tensor_sum(linear(out.reshape((out.shape[0], -1)), probe))
+    return tensor_sum(linear(out.reshape((out.shape[0], -1)), probe, Parameter(np.zeros(1))))
 
 
 def _assert_matches_oracles(build, params, expected):
@@ -820,7 +823,7 @@ def backward_cases(draw):
 
 def _backward_peak(x, w, stride, rng) -> int:
     """Traced peak bytes of one conv2d backward, over what it starts with."""
-    out = conv2d(x, w, None, stride=stride)
+    out = conv2d(x, w, Parameter(np.zeros(w.shape[0])), stride=stride)
     out.grad = rng.standard_normal(out.shape)
     tracemalloc.start()
     try:
@@ -953,7 +956,7 @@ class TestConcatSplitProperties:
         def build():
             parts = split(concat(blocks, axis=axis), pieces, axis=axis)
             assert [p.shape for p in parts] == [block_shape(n) for n in pieces]
-            losses = [tensor_sum(linear(p.reshape((1, -1)), probe))
+            losses = [tensor_sum(linear(p.reshape((1, -1)), probe, Parameter(np.zeros(1))))
                       for p, probe in zip(parts, probes)]
             total = losses[0]
             for extra in losses[1:]:
@@ -992,7 +995,7 @@ class TestConcatOfTiles:
         out = concat(parts, axis=axis)
         assert out.data is whole
         probe = np.random.default_rng(0).standard_normal((1, 36))
-        backward(tensor_sum(linear(out.reshape((1, 36)), Tensor(probe))))
+        backward(tensor_sum(linear(out.reshape((1, 36)), Tensor(probe), Parameter(np.zeros(1)))))
         for part, expected in zip(parts, _tiles(probe.reshape(6, 6), [1, 2, 3], axis)):
             np.testing.assert_array_equal(part.grad, expected)
             assert not np.shares_memory(part.grad, whole)
@@ -1065,21 +1068,18 @@ class TestOpProperties:
         _assert_matches_oracles(build, [x], bilinear_x2_reference(x_data))
 
     @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.booleans(),
-           st.integers(0, 2**32 - 1))
-    def test_linear_matches_oracles(self, b, f, k, with_bias, seed):
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_linear_matches_oracles(self, b, f, k, seed):
         rng = np.random.default_rng(seed)
         x, w = Parameter(rng.standard_normal((b, f))), Parameter(rng.standard_normal((k, f)))
-        bias = Parameter(rng.standard_normal(k)) if with_bias else None
+        bias = Parameter(rng.standard_normal(k))
         probe = Tensor(rng.standard_normal((1, k)))
 
         def build():
             out = linear(x, w, bias)
             return _probed(out, probe), out
 
-        params = [x, w] if bias is None else [x, w, bias]
-        expected = naive_linear(x.data, w.data, None if bias is None else bias.data)
-        _assert_matches_oracles(build, params, expected)
+        _assert_matches_oracles(build, [x, w, bias], naive_linear(x.data, w.data, bias.data))
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.integers(1, 4), st.integers(1, 6), st.sampled_from([0.1, 1.0, 5.0]),
@@ -1217,16 +1217,17 @@ class TestShapeComposition:
         rng = np.random.default_rng(31)
         x = Tensor(rng.standard_normal((1, 2, 8, 8)))
         w = _param(rng, 2, 2, 3, 3)
-        same = conv2d(x, w, None, stride=1)
-        down = conv2d(same, w, None, stride=2)
-        up = upsample_bilinear_x2(conv2d(down, w, None, stride=1))
+        b = Parameter(np.zeros(2))
+        same = conv2d(x, w, b, stride=1)
+        down = conv2d(same, w, b, stride=2)
+        up = upsample_bilinear_x2(conv2d(down, w, b, stride=1))
         assert same.shape == x.shape
         assert down.shape == (1, 2, 4, 4)
         assert up.shape == x.shape
 
     def test_odd_extent_stride2(self):
         x = Tensor(np.zeros((1, 1, 5, 7)))
-        out = conv2d(x, Parameter(np.zeros((1, 1, 3, 3))), None, stride=2)
+        out = conv2d(x, Parameter(np.zeros((1, 1, 3, 3))), Parameter(np.zeros(1)), stride=2)
         assert out.shape == (1, 1, 3, 4)
 
 

@@ -9,12 +9,14 @@ No module takes an underscore name from a sibling module: what another
 module needs is public.
 """
 
+import argparse
 import ast
+import re
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
-from fabricprune import runner
+from fabricprune import cli, runner
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fabricprune"
@@ -109,6 +111,20 @@ def test_readme_names_every_config_rule():
     # each field ExperimentConfig.check holds to a rule, as `dotted.field`
     readme = (ROOT / "README.md").read_text()
     assert [name for name in runner._RULES if f"`{name}`" not in readme] == []
+
+
+def test_readme_flag_table_names_the_commands_that_take_each_flag():
+    # a command with --config takes an override flag exactly where README says;
+    # export-dot's --out, its DOT file, is no override
+    [commands] = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    taking = {flag: sorted(name for name, parser in commands.choices.items()
+                           if {"--config", f"--{flag}"} <= set(parser._option_string_actions))
+              for flag in cli.OVERRIDES}
+    rows = re.findall(r"^\| `--([a-z]+)[^|]*\|[^|]*\|(.*)\|$",
+                      (ROOT / "README.md").read_text(), re.MULTILINE)
+    listed = {flag: sorted(re.findall(r"`([a-z-]+)`", cell)) for flag, cell in rows}
+    assert listed == taking
 
 
 def test_every_config_field_has_a_rule():
