@@ -47,7 +47,7 @@ def _load_config(args) -> ExperimentConfig:
     overrides = {}
     for flag, (_, fields) in OVERRIDES.items():
         value = getattr(args, flag, None)
-        if value == "none":
+        if flag == "noise" and value == "none":
             overrides["noise"] = None
         elif value is not None:
             overrides.update(dict.fromkeys(fields, value))
@@ -79,8 +79,7 @@ def cmd_train(args) -> int:
 def cmd_prune_plan(args) -> int:
     config = _load_config(args)
     if config.prune is None:
-        print("config has no prune section", file=sys.stderr)
-        return 2
+        raise ConfigError("config has no prune section")
     # the schedule reads the fabric's graph only, not its weights
     fabric = build_fabric(config.layers, config.scales, config.channels,
                           config.input_resolution, config.data.classes)
@@ -134,10 +133,9 @@ def cmd_export_dot(args) -> int:
 def cmd_inject_noise(args) -> int:
     config = _load_config(args)
     if config.noise is None:
-        print("config has no noise section", file=sys.stderr)
-        return 2
+        raise ConfigError("config has no noise section")
     dataset, (train_idx, val_idx, _) = load_split_dataset(config.data)
-    out_dir = Path(args.out or ".")
+    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, info = inject_noise(dataset, train_idx, val_idx, config.noise, out_dir)
     _emit(info)

@@ -22,7 +22,6 @@ import os
 import zipfile
 from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,7 @@ from .tensor import (
 
 NodeId = tuple[int, int]  # (layer, scale)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # bytes of one predict slice's input-resolution activations, the largest a
 # forward holds (the stem's output, or a scale-0 source's stride-1 conv)
 PREDICT_ACTIVATION_BUDGET = 16 * 2**20
@@ -321,19 +320,8 @@ class Fabric:
         appears only for a link that has one. "alive" is a new bool array of
         the links' alive flags.
         """
-        stem = self.stem
-        state = {
-            "stem_weight": stem.conv_weight.data,
-            "stem_bias": stem.conv_bias.data,
-            "stem_gamma": stem.bn_gamma.data,
-            "stem_beta": stem.bn_beta.data,
-            "stem_running_mean": stem.bn_state.running_mean,
-            "stem_running_var": stem.bn_state.running_var,
-            "head_weight": self.head_weight.data,
-            "head_bias": self.head_bias.data,
-        }
-        for link in self.links:
-            key = f"link{link.index}"
+        state = {}
+        for key, link in [("stem", self.stem), *((f"link{l.index}", l) for l in self.links)]:
             state[f"{key}_conv"] = link.conv_weight.data
             state[f"{key}_bias"] = link.conv_bias.data
             state[f"{key}_gamma"] = link.bn_gamma.data
@@ -342,6 +330,8 @@ class Fabric:
             state[f"{key}_running_var"] = link.bn_state.running_var
             if link.conv_weight.mask is not None:
                 state[f"{key}_mask"] = link.conv_weight.mask
+        state["head_weight"] = self.head_weight.data
+        state["head_bias"] = self.head_bias.data
         state["alive"] = np.array([link.alive for link in self.links])
         return state
 
@@ -530,8 +520,6 @@ def save_fabric(fabric: Fabric, path) -> None:
     The archive goes to a temporary file next to `path` that replaces it only
     once complete, so an interrupted save never leaves a truncated checkpoint.
     """
-    arrays = fabric.state()
-    alive = arrays.pop("alive")
     meta = {
         "version": CHECKPOINT_VERSION,
         "layers": fabric.L,
@@ -540,14 +528,12 @@ def save_fabric(fabric: Fabric, path) -> None:
         "input_resolution": fabric.input_resolution,
         "num_classes": fabric.num_classes,
         "dtype": fabric.dtype.name,
-        "alive": alive.tolist(),
-        "has_mask": [f"link{link.index}_mask" in arrays for link in fabric.links],
     }
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
+            np.savez(fh, __meta__=np.array(json.dumps(meta)), **fabric.state())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -556,14 +542,14 @@ def save_fabric(fabric: Fabric, path) -> None:
 
 
 def load_fabric(path) -> Fabric:
-    """Reconstruct a fabric from a checkpoint written by save_fabric.
+    """Reconstruct a fabric from a checkpoint written by save_fabric: its
+    members are the fabric's state() and its meta builds the fabric.
 
     Raises FabricError on a file that is not an npz archive or is corrupt,
     meta that is not an object, an unsupported version, a missing meta key,
-    a dimension that is not a positive int, an unknown dtype, alive flags
-    that are not a list of booleans, mask flags that are not a list or
-    disagree with the mask members, or an array that is missing or does not
-    fit the fabric. A missing path or a directory raises its OSError.
+    a dimension that is not a positive int or an unknown dtype, and on every
+    state that load_state refuses. A missing path or a directory raises its
+    OSError.
     """
     if Path(path).is_file() and not zipfile.is_zipfile(path):
         raise FabricError(f"{path} is not a readable checkpoint: not an npz archive")
@@ -578,7 +564,7 @@ def load_fabric(path) -> Fabric:
     if meta.get("version") != CHECKPOINT_VERSION:
         raise FabricError(f"unsupported checkpoint version {meta.get('version')}")
     dims = ("layers", "scales", "channels", "input_resolution", "num_classes")
-    for key in (*dims, "dtype", "alive", "has_mask"):
+    for key in (*dims, "dtype"):
         if key not in meta:
             raise FabricError(f"checkpoint meta is missing {key!r}")
     for key in dims:
@@ -589,17 +575,7 @@ def load_fabric(path) -> Fabric:
         dtype = np.dtype(meta["dtype"])
     except TypeError as exc:
         raise FabricError(f"checkpoint meta 'dtype' {meta['dtype']!r} is not a dtype") from exc
-    if type(meta["alive"]) is not list or any(type(a) is not bool for a in meta["alive"]):
-        raise FabricError(f"checkpoint meta 'alive' must be a list of booleans, "
-                          f"got {meta['alive']!r}")
-    if type(meta["has_mask"]) is not list:
-        raise FabricError(f"checkpoint meta 'has_mask' must be a list, got {meta['has_mask']!r}")
     fabric = build_fabric(*(meta[key] for key in dims), dtype=dtype)
-    present = [f"link{link.index}_mask" in state for link in fabric.links]
-    for index, (flagged, found) in enumerate(zip_longest(meta["has_mask"], present)):
-        if flagged != found:
-            raise FabricError(f"meta 'has_mask' disagrees with member 'link{index}_mask'")
-    state["alive"] = np.array(meta["alive"], dtype=bool)
     fabric.load_state(state)
     return fabric
 

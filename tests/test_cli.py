@@ -393,6 +393,17 @@ class TestConfigErrors:
         assert f"{field} must be one of " in captured.err
         assert not out_dir.exists() and not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command,section", [("prune-plan", "prune"),
+                                                 ("inject-noise", "noise")])
+    def test_missing_section_fails_as_a_config_error(self, capsys, tmp_path, command, section):
+        path, _ = write_config(tmp_path)  # no prune and no noise section
+        out_dir = tmp_path / "out"
+        assert main([command, "--config", str(path), *out_flag(command, out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid config {path}: config has no {section} section\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_count_params_resolution_flag_checked(self, capsys):
         assert main(["count-params", "--resolution", "24"]) == 2
         captured = capsys.readouterr()
@@ -505,6 +516,31 @@ class TestOverrides:
         assert code == 0
         assert json.loads((tmp_path / "run" / "config.json").read_text())["noise"] is None
         assert not (tmp_path / "run" / "noisy_labels.txt").exists()
+
+
+    @pytest.mark.parametrize("command", ["train", "inject-noise"])
+    def test_out_none_names_a_directory(self, capsys, tmp_path, monkeypatch, command):
+        # only --noise none drops a section
+        path, config = write_config(tmp_path, epochs=1,
+                                    noise=NoiseConfig(kind="uniform", epsilon=0.4, seed=3))
+        monkeypatch.chdir(tmp_path)
+        code, _ = run_cli(capsys, [command, "--config", str(path), "--out", "none"])
+        assert code == 0
+        assert (tmp_path / "none" / "noisy_labels.txt").exists()
+        assert not (tmp_path / "run").exists()
+        if command == "train":
+            written = json.loads((tmp_path / "none" / "config.json").read_text())
+            assert written["noise"] == config.to_dict()["noise"]
+
+    def test_inject_noise_writes_to_the_config_out_dir(self, capsys, tmp_path, monkeypatch):
+        path, _ = write_config(tmp_path, noise=NoiseConfig(kind="uniform", epsilon=0.4, seed=3))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code, _ = run_cli(capsys, ["inject-noise", "--config", str(path)])
+        assert code == 0
+        assert (tmp_path / "run" / "noisy_labels.txt").exists()
+        assert list(cwd.iterdir()) == []
 
 
 class TestEntryPoint:

@@ -579,24 +579,22 @@ class TestCheckpoint:
         path = tmp_path / "fabric.npz"
         save_fabric(fabric, path)
 
-        links = []
-        for i in range(6):
-            links += [f"link{i}_{part}" for part in
-                      ("conv", "bias", "gamma", "beta", "running_mean", "running_var")]
-            if i in (0, 3):
-                links.append(f"link{i}_mask")
+        members = []
+        for key in ["stem", *(f"link{i}" for i in range(6))]:
+            members += [f"{key}_{part}" for part in
+                        ("conv", "bias", "gamma", "beta", "running_mean", "running_var")]
+            if key in ("link0", "link3"):
+                members.append(f"{key}_mask")
         with np.load(path) as archive:
-            assert archive.files == [
-                "__meta__", "stem_weight", "stem_bias", "stem_gamma", "stem_beta",
-                "stem_running_mean", "stem_running_var", "head_weight", "head_bias",
-            ] + links
+            # the members are the state map itself, in its order
+            assert archive.files == ["__meta__", *fabric.state()]
+            assert archive.files == ["__meta__", *members, "head_weight", "head_bias", "alive"]
+            assert archive["alive"].tolist() == [True, False, True, True, True, True]
             meta = json.loads(str(archive["__meta__"]))
+        assert meta == {"version": 2, "layers": 2, "scales": 2, "channels": 1,
+                        "input_resolution": 2, "num_classes": 2, "dtype": "float32"}
         assert list(meta) == ["version", "layers", "scales", "channels",
-                              "input_resolution", "num_classes", "dtype", "alive",
-                              "has_mask"]
-        assert meta["version"] == 1
-        assert meta["alive"] == [True, False, True, True, True, True]
-        assert meta["has_mask"] == [True, False, False, True, False, False]
+                              "input_resolution", "num_classes", "dtype"]
 
     def test_save_is_atomic(self, tmp_path, monkeypatch):
         path = tmp_path / "fabric"
@@ -621,8 +619,13 @@ class TestCheckpoint:
         ("link3_running_var", lambda m: m.pop("link3_running_var")),
         ("head_weight", lambda m: m.pop("head_weight")),
         ("link99_mask", lambda m: m.update(link99_mask=np.ones(1, np.float32))),
-        pytest.param("link0_mask", lambda m: m.pop("link0_mask"),  # meta still flags it
-                     id="link0_mask-flagged-but-absent"),
+        # the stem is never pruned, so it has no mask to load
+        ("stem_mask", lambda m: m.update(stem_mask=np.ones((4, 3, 3, 3), np.float32))),
+        pytest.param("alive", lambda m: m.pop("alive"), id="alive-missing"),
+        pytest.param("alive", lambda m: m.update(alive=np.ones(6, np.int64)), id="alive-int"),
+        pytest.param("alive", lambda m: m.update(alive=np.ones(5, bool)), id="alive-short"),
+        pytest.param("alive", lambda m: m.update(alive=np.array(True)), id="alive-scalar"),
+        pytest.param("alive", lambda m: m.update(alive=np.array(["a"] * 6)), id="alive-str"),
     ])
     def test_mismatched_or_missing_array_names_key(self, tmp_path, key, edit):
         fabric = build_fabric(2, 2, 4, 2, 2)
@@ -657,7 +660,6 @@ class TestCheckpoint:
         # fabric as it was, even after every other entry has passed
         with np.load(path) as archive:
             state = {name: archive[name] for name in archive.files if name != "__meta__"}
-        state["alive"] = fabric.state()["alive"]
         target = build_fabric(2, 2, 4, 2, 2, seed=1)
         before = clone_parameters(target)
         with pytest.raises(FabricError, match=f"{key}.*{problem}"):
@@ -666,24 +668,8 @@ class TestCheckpoint:
             np.testing.assert_array_equal(value, before[name], err_msg=name)
         assert target.links[0].conv_weight.mask is None
 
-    @pytest.mark.parametrize("index,flag", [(0, False), (1, True)])
-    def test_has_mask_disagreeing_with_members_names_link(self, tmp_path, index, flag):
-        fabric = build_fabric(2, 2, 1, 2, 2)
-        fabric.links[0].conv_weight.set_mask(np.ones((1, 1, 3, 3)))
-        path = tmp_path / "fabric.npz"
-        save_fabric(fabric, path)
-
-        def flip(members):
-            meta = json.loads(str(members["__meta__"]))
-            meta["has_mask"][index] = flag
-            members["__meta__"] = np.array(json.dumps(meta))
-
-        rewrite_checkpoint(path, flip)
-        with pytest.raises(FabricError, match=f"link{index}_mask"):
-            load_fabric(path)
-
     @pytest.mark.parametrize("key", ["layers", "scales", "channels", "input_resolution",
-                                     "num_classes", "dtype", "alive", "has_mask"])
+                                     "num_classes", "dtype"])
     def test_missing_meta_key_named(self, tmp_path, key):
         path = tmp_path / "fabric.npz"
         save_fabric(build_fabric(2, 2, 1, 2, 2), path)
@@ -709,11 +695,6 @@ class TestCheckpoint:
         ("layers", "2", "must be a positive int"), ("scales", 2.0, "must be a positive int"),
         ("channels", True, "must be a positive int"), ("num_classes", 0, "must be a positive int"),
         ("input_resolution", None, "must be a positive int"), ("dtype", "bogus", "is not a dtype"),
-        ("has_mask", 5, "must be a list"),
-        ("alive", ["a"] * 6, "must be a list of booleans"),
-        ("alive", [1] * 6, "must be a list of booleans"),
-        ("alive", [True] * 5 + [None], "must be a list of booleans"),
-        ("alive", 1, "must be a list of booleans"),
     ])
     def test_bad_dimension_or_dtype_named(self, tmp_path, key, value, problem):
         path = tmp_path / "fabric.npz"
@@ -751,16 +732,17 @@ class TestCheckpoint:
         assert "pickle" not in str(exc.value)
 
     def test_unsupported_version_rejected(self, tmp_path):
+        # a version 1 checkpoint has no reader
         path = tmp_path / "fabric.npz"
         save_fabric(build_fabric(2, 2, 1, 2, 2), path)
 
-        def bump(members):
+        def downgrade(members):
             meta = json.loads(str(members["__meta__"]))
-            meta["version"] = 2
+            meta["version"] = 1
             members["__meta__"] = np.array(json.dumps(meta))
 
-        rewrite_checkpoint(path, bump)
-        with pytest.raises(FabricError, match="version 2"):
+        rewrite_checkpoint(path, downgrade)
+        with pytest.raises(FabricError, match="unsupported checkpoint version 1"):
             load_fabric(path)
 
 
@@ -783,7 +765,7 @@ class TestSnapshot:
         assert_same_state(reference, fabric)
         # the snapshot is copied in, not aliased
         fabric.stem.conv_weight.data += 1.0
-        np.testing.assert_array_equal(snapshot["stem_weight"], reference.stem.conv_weight.data)
+        np.testing.assert_array_equal(snapshot["stem_conv"], reference.stem.conv_weight.data)
 
     def test_state_entries_are_live(self):
         fabric = build_fabric(2, 2, 1, 2, 2)

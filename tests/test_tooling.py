@@ -12,6 +12,7 @@ module needs is public.
 import argparse
 import ast
 import re
+import shlex
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -113,12 +114,16 @@ def test_readme_names_every_config_rule():
     assert [name for name in runner._RULES if f"`{name}`" not in readme] == []
 
 
+def subcommands(parser):
+    """The parser's command name -> subparser map."""
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
 def test_readme_flag_table_names_the_commands_that_take_each_flag():
     # a command with --config takes an override flag exactly where README says;
     # export-dot's --out, its DOT file, is no override
-    [commands] = [a for a in cli.build_parser()._actions
-                  if isinstance(a, argparse._SubParsersAction)]
-    taking = {flag: sorted(name for name, parser in commands.choices.items()
+    taking = {flag: sorted(name for name, parser in subcommands(cli.build_parser()).items()
                            if {"--config", f"--{flag}"} <= set(parser._option_string_actions))
               for flag in cli.OVERRIDES}
     rows = re.findall(r"^\| `--([a-z]+)[^|]*\|[^|]*\|(.*)\|$",
@@ -135,3 +140,20 @@ def test_every_config_field_has_a_rule():
             yield from (leaves(runner._SECTIONS[dotted], dotted) if dotted in runner._SECTIONS
                         else [dotted])
     assert set(runner._RULES) == set(leaves(runner.ExperimentConfig, "")) - {"out_dir"}
+
+
+def readme_commands():
+    """Each `fabricprune ...` line of README's sh blocks, continuations joined."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("fabricprune ")]
+
+
+def test_readme_command_examples_parse():
+    # each command has an example, and every example is one the CLI accepts
+    parser = cli.build_parser()
+    examples = readme_commands()
+    assert sorted({argv[0] for argv in examples}) == sorted(subcommands(parser))
+    for argv in examples:
+        parser.parse_args(argv)
