@@ -134,10 +134,10 @@ def cmd_inject_noise(args) -> int:
     config = _load_config(args)
     if config.noise is None:
         raise ConfigError("config has no noise section")
-    dataset, (train_idx, val_idx, _) = load_split_dataset(config.data)
+    dataset, splits = load_split_dataset(config.data)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, info = inject_noise(dataset, train_idx, val_idx, config.noise, out_dir)
+    _, info = inject_noise(dataset, splits, config.noise, out_dir)
     _emit(info)
     return 0
 
@@ -151,10 +151,9 @@ def cmd_evaluate(args) -> int:
 def cmd_fitting_report(args) -> int:
     config = _load_config(args)
     fabric = _load_checkpoint(args, config)
-    dataset, (_, _, test_idx) = load_split_dataset(config.data)
-    full = load_noisy_labels(dataset, args.labels)
-    test_set = full.subset(test_idx)
-    predictions = fabric.predict(config.model_inputs(test_set.images))
+    dataset, (_, _, test_rows) = load_split_dataset(config.data)
+    test_set = load_noisy_labels(dataset, args.labels).subset(test_rows)
+    predictions = fabric.predict(config.model_inputs(test_set.images, out=test_set.images))
     _emit(fitting_report(predictions, test_set).to_dict())
     return 0
 

@@ -21,12 +21,19 @@ class FormatError(ValueError):
 
 @dataclass
 class ImageDataset:
-    """Images with their true labels and the labels a model gets to see."""
+    """Images with their true labels and the labels a model gets to see.
+
+    Each row carries its item number in index, so a set whose rows were
+    reordered (load_split_dataset puts them in split order) still names its
+    items as loaded; "item order" is ascending index. subset() with a slice
+    shares the images (a view); with an index array it copies them.
+    """
 
     images: np.ndarray  # (N, 3, R, R) float32 in [0, 1]
     labels: np.ndarray  # (N,) int64, the true labels
     num_classes: int
     given_labels: np.ndarray | None = None  # (N,) int64; None: a copy of labels
+    index: np.ndarray | None = None  # (N,) int64 item numbers; None: arange(N)
 
     def __post_init__(self):
         n = self.images.shape[0]
@@ -34,8 +41,12 @@ class ImageDataset:
             raise ValueError("dataset must contain at least one item")
         if self.given_labels is None:
             self.given_labels = self.labels.copy()
+        if self.index is None:
+            self.index = np.arange(n)
         if self.labels.shape != (n,) or self.given_labels.shape != (n,):
             raise ValueError("labels misaligned with items")
+        if self.index.shape != (n,):
+            raise ValueError("index misaligned with items")
         for labels in (self.labels, self.given_labels):
             if labels.min() < 0 or labels.max() >= self.num_classes:
                 raise ValueError(f"label outside [0, {self.num_classes})")
@@ -47,9 +58,37 @@ class ImageDataset:
     def noise_rate(self) -> float:
         return float((self.labels != self.given_labels).mean())
 
+    @property
+    def item_order(self) -> np.ndarray:
+        """The rows in item order: row item_order[k] holds the k-th item."""
+        return np.argsort(self.index, kind="stable")
+
     def subset(self, indices) -> "ImageDataset":
         return replace(self, images=self.images[indices], labels=self.labels[indices],
-                       given_labels=self.given_labels[indices])
+                       given_labels=self.given_labels[indices], index=self.index[indices])
+
+    def reorder(self, order) -> None:
+        """Rearrange the rows in place so that row r holds what row order[r]
+        held, for a permutation order of the rows. The images move along the
+        permutation's cycles through a one-row buffer: no second image array."""
+        order = np.asarray(order)
+        if not np.array_equal(np.sort(order), np.arange(len(self))):
+            raise ValueError(f"order is not a permutation of the {len(self)} rows")
+        sources = order.tolist()
+        moved = [False] * len(sources)
+        for start in range(len(sources)):
+            if moved[start] or sources[start] == start:
+                continue
+            held = self.images[start].copy()
+            row = start
+            while sources[row] != start:
+                self.images[row] = self.images[sources[row]]
+                moved[row] = True
+                row = sources[row]
+            self.images[row] = held
+            moved[row] = True
+        for name in ("labels", "given_labels", "index"):
+            setattr(self, name, getattr(self, name)[order])
 
 
 def stratified_split_indices(labels: np.ndarray, fractions, seed: int) -> list[np.ndarray]:
@@ -126,11 +165,13 @@ def horizontal_flip(image: np.ndarray) -> np.ndarray:
     return image[:, :, ::-1].copy()
 
 
-def normalize(image: np.ndarray, mean, std) -> np.ndarray:
-    """Per-channel (x - mean) / std of a (C, H, W) image or an (N, C, H, W) batch."""
+def normalize(image: np.ndarray, mean, std, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel (x - mean) / std of a (C, H, W) image or an (N, C, H, W) batch,
+    written into out when it is given (out=image normalizes in place)."""
     mean = np.asarray(mean, dtype=image.dtype)[:, None, None]
     std = np.asarray(std, dtype=image.dtype)[:, None, None]
-    return (image - mean) / std
+    out = np.subtract(image, mean, out=out)
+    return np.divide(out, std, out=out)
 
 
 def augment(image: np.ndarray, config: AugmentConfig, seed) -> np.ndarray:
@@ -185,7 +226,8 @@ def load_binary_records(path, layout: RecordLayout) -> ImageDataset:
             f"{path}: label {labels[bad[0]]} at byte offset {offset} is outside "
             f"[0, {layout.num_classes})")
     r = layout.resolution
-    images = records[:, 1:].reshape(-1, 3, r, r).astype(np.float32) / 255.0
+    images = records[:, 1:].reshape(-1, 3, r, r).astype(np.float32)
+    images /= 255.0  # in place: one float array at a time
     return ImageDataset(images, labels, layout.num_classes)
 
 

@@ -19,6 +19,14 @@ from .fabric import Fabric, build_fabric, clone_parameters, train_batches
 from .tensor import SGD, SgdConfig
 
 
+def _on_rows(draws: np.ndarray, labeled: ImageDataset) -> np.ndarray:
+    """Draws made one per item in item order, placed on the items' rows, so
+    that the same items flip however the set's rows are ordered."""
+    placed = np.empty_like(draws)
+    placed[labeled.item_order] = draws
+    return placed
+
+
 def apply_uniform_noise(labeled: ImageDataset, p: float, seed: int) -> ImageDataset:
     """Flip each label with probability p, uniformly into another class."""
     if not 0.0 <= p <= 1.0:
@@ -29,8 +37,8 @@ def apply_uniform_noise(labeled: ImageDataset, p: float, seed: int) -> ImageData
     if p > 0.0:
         rng = np.random.default_rng(seed)
         n = len(labeled)
-        flips = rng.random(n) < p
-        offsets = rng.integers(1, labeled.num_classes, size=n)
+        flips = _on_rows(rng.random(n) < p, labeled)
+        offsets = _on_rows(rng.integers(1, labeled.num_classes, size=n), labeled)
         given[flips] = (given[flips] + offsets[flips]) % labeled.num_classes
     return replace(labeled, given_labels=given)
 
@@ -61,7 +69,7 @@ def apply_class_noise(labeled: ImageDataset, transition: np.ndarray,
     validate_transition_matrix(transition, labeled.num_classes)
     rng = np.random.default_rng(seed)
     cumulative = np.cumsum(transition[labeled.labels], axis=1)
-    draws = rng.random(len(labeled))
+    draws = _on_rows(rng.random(len(labeled)), labeled)
     given = (draws[:, None] >= cumulative).sum(axis=1)
     given = np.minimum(given, labeled.num_classes - 1).astype(labeled.labels.dtype)
     return replace(labeled, given_labels=given)
@@ -193,19 +201,23 @@ def fitting_report(predictions: np.ndarray, labeled: ImageDataset) -> FittingRep
 
 
 def save_noisy_labels(labeled: ImageDataset, path) -> None:
-    """Order-stable sidecar: one `index clean given` line per item."""
+    """Order-stable sidecar: one `index clean given` line per item, in item
+    order whatever the order of the set's rows. index counts the items in that
+    order, so on a loaded set it is the item's number."""
     with open(path, "w") as fh:
-        for index in range(len(labeled)):
-            fh.write(f"{index} {labeled.labels[index]} {labeled.given_labels[index]}\n")
+        for index, row in enumerate(labeled.item_order):
+            fh.write(f"{index} {labeled.labels[row]} {labeled.given_labels[row]}\n")
 
 
 def load_noisy_labels(labeled: ImageDataset, path) -> ImageDataset:
-    """Re-apply a sidecar of one line per index to the same set. FormatError
+    """Re-apply a sidecar of one line per index, as save_noisy_labels counts
+    items, to the same set in any row order. FormatError
     names the path and the first line that is not three ints, has an index
     outside the set or repeated, a clean label the set disagrees with or a
     given label outside [0, num_classes); failing that, the first index with
     no line."""
     given = labeled.given_labels.copy()
+    rows = labeled.item_order
     seen = np.zeros(len(labeled), dtype=bool)
     with open(path, errors="replace") as fh:  # bytes that are not text fail as a line
         for number, line in enumerate(fh, 1):
@@ -220,14 +232,15 @@ def load_noisy_labels(labeled: ImageDataset, path) -> ImageDataset:
             if seen[index]:
                 raise FormatError(f"{path}: line {number}: index {index} is repeated")
             seen[index] = True
-            if labeled.labels[index] != clean:
+            row = rows[index]
+            if labeled.labels[row] != clean:
                 raise FormatError(
                     f"{path}: line {number}: clean label {clean} at index {index} does "
-                    f"not match the set ({labeled.labels[index]})")
+                    f"not match the set ({labeled.labels[row]})")
             if not 0 <= noisy < labeled.num_classes:
                 raise FormatError(f"{path}: line {number}: given label {noisy} is outside "
                                   f"[0, {labeled.num_classes})")
-            given[index] = noisy
+            given[row] = noisy
     if not seen.all():
         raise FormatError(f"{path}: no line for index {int(np.argmin(seen))}")
     return replace(labeled, given_labels=given)

@@ -263,12 +263,14 @@ class ExperimentConfig:
             if not test(value, self):
                 raise ConfigError(f"{name} must be {requirement}, got {value!r}")
 
-    def model_inputs(self, images: np.ndarray) -> np.ndarray:
+    def model_inputs(self, images: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Images as the fabric takes them, for training and evaluation alike:
-        normalized by the augment section's mean and std when it is set."""
+        normalized by the augment section's mean and std when it is set, into
+        out when it is given (out=images normalizes them in place)."""
         if self.augment is None:
             return images
-        return normalize(images, self.augment.normalize_mean, self.augment.normalize_std)
+        return normalize(images, self.augment.normalize_mean, self.augment.normalize_std,
+                         out=out)
 
     def prune_plan(self, fabric: Fabric) -> PrunePlan:
         """The prune section's schedule for fabric over this run's epochs."""
@@ -312,10 +314,15 @@ def lr_at(epoch: int, base_lr: float, milestones) -> float:
     return base_lr / (10.0 ** passed)
 
 
-def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[np.ndarray]]:
-    """The config's dataset and its stratified train/validation/test indices.
+def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[slice]]:
+    """The config's dataset, its rows in split order, and the row slices of its
+    stratified train, validation and test splits.
 
-    Raises ConfigError naming a split that the fractions leave empty.
+    The rows are rearranged in place into train | validation | test | unused
+    (the items fractions summing below 1 leave out), each block in item
+    order, so dataset.subset(split) is a view and the images are held once;
+    index still names each row's item as loaded. Raises ConfigError naming a
+    split that the fractions leave empty.
     """
     if data.kind == "synthetic":
         dataset = make_synthetic(data.classes, data.n_per_class, data.resolution,
@@ -336,12 +343,16 @@ def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[np.ndarray]
                               f"{name} split is empty, {len(dataset)} items "
                               f"split by data.train_fraction, data.val_fraction and "
                               f"data.test_fraction {fractions}")
-    return dataset, indices
+    unused = np.setdiff1d(np.arange(len(dataset)), np.concatenate(indices))
+    dataset.reorder(np.concatenate([*indices, unused]))
+    ends = np.cumsum([len(split) for split in indices]).tolist()
+    return dataset, [slice(start, end) for start, end in zip([0, *ends], ends)]
 
 
-def inject_noise(full: ImageDataset, train_idx, val_idx, config: NoiseConfig,
-                 out_dir: Path | None):
-    """Corrupt the given labels of the whole dataset, pre-split."""
+def inject_noise(full: ImageDataset, splits, config: NoiseConfig, out_dir: Path | None):
+    """Corrupt the given labels of the whole dataset, pre-split; splits are its
+    train, validation and test rows as load_split_dataset gives them. The
+    annotator trains on the train rows and holds out the validation rows."""
     info: dict = {"kind": config.kind, "target_rate": config.epsilon}
     if config.kind == "uniform":
         noisy = apply_uniform_noise(full, config.epsilon, config.seed)
@@ -349,7 +360,7 @@ def inject_noise(full: ImageDataset, train_idx, val_idx, config: NoiseConfig,
         matrix = uniform_transition_matrix(full.num_classes, config.epsilon)
         noisy = apply_class_noise(full, matrix, config.seed)
     elif config.kind == "annotator":
-        annotator, ann_info = train_annotator(full.subset(train_idx), full.subset(val_idx),
+        annotator, ann_info = train_annotator(full.subset(splits[0]), full.subset(splits[1]),
                                               config.epsilon, config.annotator)
         noisy = relabel_with_annotator(full, annotator)
         info["annotator_epoch"] = ann_info.chosen_epoch
@@ -372,6 +383,15 @@ def _train_inputs(images: np.ndarray, config: ExperimentConfig, seed_tuple) -> n
     return config.model_inputs(images)
 
 
+def _sensitivity_batches(source: ImageDataset, config: ExperimentConfig, raw: bool):
+    """source's (inputs, given labels) batches, row slices as train_batches cuts
+    them, each made a model input as it is yielded when its rows are raw."""
+    for rows in train_batches(range(len(source)), config.batch_size):
+        rows = slice(rows.start, rows.stop)
+        images = source.images[rows]
+        yield (config.model_inputs(images) if raw else images), source.given_labels[rows]
+
+
 def _append(path: Path, line: str) -> None:
     """Add one line to path, closing it so the line reaches the OS at once."""
     with open(path, "a") as fh:
@@ -385,21 +405,20 @@ def run_experiment(config: ExperimentConfig) -> dict:
     config fails ExperimentConfig.check or a split is empty.
     """
     config.check()
-    dataset, (train_idx, val_idx, test_idx) = load_split_dataset(config.data)
+    dataset, splits = load_split_dataset(config.data)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(config.to_json())
     (out / "config.hash").write_text(config.hash() + "\n")
-    save_split_manifest([train_idx, val_idx, test_idx], out / "splits.txt")
+    save_split_manifest([dataset.index[rows] for rows in splits], out / "splits.txt")
 
     noise_info = None
     if config.noise is not None:
-        dataset, noise_info = inject_noise(dataset, train_idx, val_idx, config.noise, out)
-    train_set = dataset.subset(train_idx)
-    val_set = dataset.subset(val_idx)
-    test_set = dataset.subset(test_idx)
-    val_inputs = config.model_inputs(val_set.images)
-    test_inputs = config.model_inputs(test_set.images)
+        dataset, noise_info = inject_noise(dataset, splits, config.noise, out)
+    train_set, val_set, test_set = (dataset.subset(rows) for rows in splits)
+    # nothing reads the validation and test pixels raw from here on
+    val_inputs = config.model_inputs(val_set.images, out=val_set.images)
+    test_inputs = config.model_inputs(test_set.images, out=test_set.images)
 
     fabric = build_fabric(config.layers, config.scales, config.channels,
                           config.input_resolution, dataset.num_classes,
@@ -439,11 +458,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 raise TrainingDiverged(f"{exc} at epoch {epoch}, batch {batch_index} "
                                        f"(lr={lr})") from exc
 
+        test_predictions = fabric.predict(test_inputs)
         record = {
             "epoch": epoch,
             "train_loss": float(np.mean(losses)) if losses else 0.0,
             "val_error": classification_error(fabric, val_inputs, val_set.given_labels),
-            "test_error": classification_error(fabric, test_inputs, test_set.labels),
+            "test_error": float((test_predictions != test_set.labels).mean()),
             "learning_rate": lr,
             "alive_links": len(fabric.alive_links()),
             "live_params": fabric.live_param_count(),
@@ -458,9 +478,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             weight_scores = None
             if criterion is Criterion.SENSITIVITY:
                 source = (train_set, val_set, test_set)[SPLITS.index(config.prune.gradient_source)]
-                inputs = config.model_inputs(source.images)
-                batches = [(inputs[b], source.given_labels[b])
-                           for b in train_batches(np.arange(len(source)), config.batch_size)]
+                batches = _sensitivity_batches(source, config, raw=source is train_set)
                 weight_scores = sensitivity_grads(fabric, batches)
             report = apply_event(fabric, event, criterion, weight_scores)
             _append(out / "prune_events.jsonl", report.to_json())
@@ -472,10 +490,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
     save_fabric(fabric, out / "fabric.npz")
     (out / "fabric.dot").write_text(export_dot(fabric))
 
-    test_predictions = fabric.predict(test_inputs)  # for the error and the fitting report
+    # the last epoch's record scored the final fabric unless a prune event followed it
     if config.epochs >= 1 and config.epochs not in events_by_epoch:
-        final_val_error = record["val_error"]  # the last epoch's fabric is the final one
+        final_val_error = record["val_error"]
     else:
+        test_predictions = fabric.predict(test_inputs)
         final_val_error = classification_error(fabric, val_inputs, val_set.given_labels)
     summary = {
         "config_hash": config.hash(),
@@ -499,7 +518,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
 def evaluate_checkpoint(fabric: Fabric, config: ExperimentConfig,
                         split: str = "test") -> dict:
     """Error of a checkpointed fabric on one split of the config's dataset."""
-    dataset, indices = load_split_dataset(config.data)
-    subset = dataset.subset(indices[SPLITS.index(split)])
-    error = classification_error(fabric, config.model_inputs(subset.images), subset.labels)
+    dataset, splits = load_split_dataset(config.data)
+    subset = dataset.subset(splits[SPLITS.index(split)])
+    inputs = config.model_inputs(subset.images, out=subset.images)
+    error = classification_error(fabric, inputs, subset.labels)
     return {"split": split, "items": len(subset), "error": error}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,40 @@ class TestImageDataset:
         np.testing.assert_array_equal(part.labels, [0, 2])
         np.testing.assert_array_equal(part.given_labels, [1, 0])
         assert part.num_classes == 3 and len(part) == 2
+
+    def test_index_defaults_to_the_row_numbers_and_subsets_keep_it(self):
+        ds = balanced_dataset(3, 2)
+        np.testing.assert_array_equal(ds.index, np.arange(6))
+        part = ds.subset(np.array([4, 1]))
+        np.testing.assert_array_equal(part.index, [4, 1])
+        np.testing.assert_array_equal(part.item_order, [1, 0])
+        view = ds.subset(slice(2, 5))
+        assert np.shares_memory(view.images, ds.images)
+        np.testing.assert_array_equal(view.index, [2, 3, 4])
+
+    def test_reorder_moves_every_row_in_place(self):
+        ds = balanced_dataset(3, 4)
+        ds.given_labels[:] = (ds.labels + 1) % 3
+        before = ds.subset(np.arange(len(ds)))  # a copy
+        images = ds.images
+        # a 3-cycle, two fixed points, a 2-cycle and a 5-cycle
+        order = np.array([3, 1, 0, 2, 5, 4, 6, 11, 7, 8, 9, 10])
+        ds.reorder(order)
+        assert ds.images is images
+        for field in ("images", "labels", "given_labels", "index"):
+            np.testing.assert_array_equal(getattr(ds, field), getattr(before, field)[order])
+
+    @pytest.mark.parametrize("order", [[0, 1, 1], [0, 1], [0, 1, 3]])
+    def test_reorder_by_a_non_permutation_rejected(self, order):
+        ds = balanced_dataset(3, 1)
+        with pytest.raises(ValueError, match="not a permutation of the 3 rows"):
+            ds.reorder(order)
+        np.testing.assert_array_equal(ds.index, np.arange(3))
+
+    def test_index_misaligned_with_items_rejected(self):
+        images = np.zeros((3, 3, 2, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match="index misaligned"):
+            ImageDataset(images, np.array([0, 1, 2]), 3, index=np.arange(2))
 
     def test_empty_set_rejected(self):
         empty = np.zeros(0, dtype=np.int64)
@@ -187,6 +223,30 @@ class TestBinaryRecords:
         layout = RecordLayout(resolution=4, num_classes=2)
         with pytest.raises(FormatError, match="100 bytes"):
             load_binary_records(path, layout)
+
+    def test_pixels_are_the_bytes_over_255_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(7)
+        records = rng.integers(0, 256, (50, 1 + 3 * 8 * 8), dtype=np.uint8)
+        records[:, 0] %= 10
+        path = tmp_path / "records.bin"
+        path.write_bytes(records.tobytes())
+        loaded = load_binary_records(path, RecordLayout(resolution=8, num_classes=10))
+        expected = records[:, 1:].reshape(-1, 3, 8, 8).astype(np.float32) / 255.0
+        assert loaded.images.dtype == np.float32
+        np.testing.assert_array_equal(loaded.images.view(np.uint32), expected.view(np.uint32))
+
+    def test_decoding_holds_one_float_array(self, tmp_path):
+        layout = RecordLayout(resolution=32, num_classes=10)
+        path = tmp_path / "records.bin"
+        path.write_bytes(bytes(layout.record_size * 3300))  # about 10 MB
+        float_bytes = 3300 * 3 * 32 * 32 * 4
+        tracemalloc.start()
+        try:
+            load_binary_records(path, layout)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size + 1.3 * float_bytes
 
     def test_label_out_of_range_names_offset(self, tmp_path):
         layout = RecordLayout(resolution=2, num_classes=3)

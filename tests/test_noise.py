@@ -152,6 +152,20 @@ class TestTypeEquivalence:
             assert counts.min() > 0.5 * counts.max()
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda ls: apply_uniform_noise(ls, 0.4, seed=8),
+    lambda ls: apply_class_noise(ls, uniform_transition_matrix(5, 0.4), seed=8),
+], ids=["uniform", "class"])
+def test_the_same_items_flip_in_any_row_order(corrupt):
+    # draws are made in item order, so reordering the rows moves no flip
+    ls = big_uniform_set(400, num_classes=5, seed=9)
+    order = np.random.default_rng(10).permutation(len(ls))
+    shuffled = ls.subset(np.arange(len(ls)))
+    shuffled.reorder(order)
+    np.testing.assert_array_equal(corrupt(shuffled).given_labels,
+                                  corrupt(ls).given_labels[order])
+
+
 class TestFittingReport:
     def test_all_correct_zero_noise(self):
         ls = label_only_set([0, 1, 2], 3)
@@ -219,6 +233,29 @@ class TestSidecar:
         restored = load_noisy_labels(ls, path)
         np.testing.assert_array_equal(restored.given_labels, noisy.given_labels)
         np.testing.assert_array_equal(restored.labels, noisy.labels)
+
+    def test_round_trip_through_reordered_rows(self, tmp_path):
+        # the sidecar stays in item order and names items, not rows
+        ls = big_uniform_set(50, num_classes=5, seed=16)
+        noisy = apply_uniform_noise(ls, 0.4, seed=17)
+        save_noisy_labels(noisy, tmp_path / "items.txt")
+        order = np.random.default_rng(18).permutation(len(ls))
+        noisy.reorder(order)
+        save_noisy_labels(noisy, tmp_path / "rows.txt")
+        assert (tmp_path / "rows.txt").read_text() == (tmp_path / "items.txt").read_text()
+        shuffled = ls.subset(np.arange(len(ls)))
+        shuffled.reorder(order)
+        restored = load_noisy_labels(shuffled, tmp_path / "items.txt")
+        np.testing.assert_array_equal(restored.given_labels, noisy.given_labels)
+
+    def test_clean_label_mismatch_names_the_item_not_the_row(self, tmp_path):
+        ls = label_only_set([0, 1, 2], 3)
+        ls.reorder([2, 0, 1])  # row 0 holds item 2
+        path = tmp_path / "labels.txt"
+        path.write_text("0 0 1\n1 2 1\n2 2 2\n")
+        with pytest.raises(ValueError,
+                           match=r"line 2: clean label 2 at index 1 does not match the set \(1\)"):
+            load_noisy_labels(ls, path)
 
     def test_clean_label_mismatch_detected(self, tmp_path):
         ls = label_only_set([0, 1, 2], 3)

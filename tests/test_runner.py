@@ -3,19 +3,31 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fabricprune import runner
-from fabricprune.data import AugmentConfig, normalize
+from fabricprune.data import (
+    AugmentConfig,
+    ImageDataset,
+    make_synthetic,
+    normalize,
+    stratified_split_indices,
+)
 from fabricprune.fabric import Fabric, load_fabric
 from fabricprune.noise import (
     AnnotatorConfig,
+    apply_class_noise,
+    apply_uniform_noise,
     classification_error,
     fitting_report,
     load_noisy_labels,
+    relabel_with_annotator,
+    train_annotator,
+    uniform_transition_matrix,
 )
 from fabricprune.runner import (
     RECIPE_EPOCHS,
@@ -448,9 +460,10 @@ sys.exit(1)
         assert summary["noise"]["kind"] == "uniform"
         assert 0.0 <= summary["noise"]["realized_rate"] <= 1.0
 
-    def test_noise_run_predicts_the_test_split_once_at_the_end(self, tmp_path, monkeypatch):
-        # val and test each epoch, then test once for both the final test
-        # error and the fitting report; the last epoch's val error is final
+    def test_noise_run_reuses_the_last_epochs_predictions(self, tmp_path, monkeypatch):
+        # val and test each epoch, and nothing after: the last epoch's test
+        # predictions give the final test error and the fitting report, its
+        # val error the final one
         config = tiny_config(tmp_path / "run", epochs=2,
                              noise=NoiseConfig(kind="uniform", epsilon=0.3, seed=4))
         calls = []
@@ -463,10 +476,10 @@ sys.exit(1)
         monkeypatch.setattr(Fabric, "predict", spy)
         summary = run_experiment(config)
         monkeypatch.undo()
-        assert len(calls) == 2 * config.epochs + 1
+        assert len(calls) == 2 * config.epochs
         out = tmp_path / "run"
-        dataset, (_, _, test_idx) = runner.load_split_dataset(config.data)
-        test_set = load_noisy_labels(dataset, out / "noisy_labels.txt").subset(test_idx)
+        dataset, (_, _, test_rows) = runner.load_split_dataset(config.data)
+        test_set = load_noisy_labels(dataset, out / "noisy_labels.txt").subset(test_rows)
         predictions = load_fabric(out / "fabric.npz").predict(test_set.images)
         assert summary["final_test_error"] == float((predictions != test_set.labels).mean())
         assert summary["fitting"] == fitting_report(predictions, test_set).to_dict()
@@ -477,8 +490,8 @@ sys.exit(1)
         # event at the last epoch changed the fabric
         config = tiny_config(tmp_path / "run", epochs=1, prune=prune)
         summary = run_experiment(config)
-        dataset, (_, val_idx, _) = runner.load_split_dataset(config.data)
-        val_set = dataset.subset(val_idx)
+        dataset, (_, val_rows, _) = runner.load_split_dataset(config.data)
+        val_set = dataset.subset(val_rows)
         fabric = load_fabric(tmp_path / "run" / "fabric.npz")
         assert summary["final_val_error"] == classification_error(
             fabric, val_set.images, val_set.given_labels)
@@ -498,9 +511,9 @@ sys.exit(1)
         config = tiny_config(tmp_path / "run", epochs=2, augment=augment,
                              noise=NoiseConfig(kind="uniform", epsilon=0.3, seed=4))
         summary = run_experiment(config)
-        dataset, (train_idx, val_idx, test_idx) = runner.load_split_dataset(config.data)
-        noisy, _ = inject_noise(dataset, train_idx, val_idx, config.noise, None)
-        test_set = noisy.subset(test_idx)
+        dataset, splits = runner.load_split_dataset(config.data)
+        noisy, _ = inject_noise(dataset, splits, config.noise, None)
+        test_set = noisy.subset(splits[2])
         images = normalize(test_set.images, augment.normalize_mean, augment.normalize_std)
         fabric = load_fabric(tmp_path / "run" / "fabric.npz")
         error = classification_error(fabric, images, test_set.labels)
@@ -512,21 +525,34 @@ sys.exit(1)
         assert json.loads((tmp_path / "run" / "fitting.json").read_text()) == expected
 
     def test_sensitivity_batches_are_normalized(self, tmp_path, monkeypatch):
+        self.check_sensitivity_batches(tmp_path, monkeypatch, "validation")
+
+    @pytest.mark.parametrize("source", ["train", "test"])
+    def test_sensitivity_batches_from_any_split_are_normalized_once(self, tmp_path,
+                                                                     monkeypatch, source):
+        # train rows are raw and normalized per batch; test rows already are inputs
+        self.check_sensitivity_batches(tmp_path, monkeypatch, source)
+
+    @staticmethod
+    def check_sensitivity_batches(tmp_path, monkeypatch, source):
         augment = AugmentConfig(resize=4, crop_size=4, crop_padding=1, normalize_std=(0.1,) * 3)
         seen = []
         sensitivity_grads = runner.sensitivity_grads
 
         def spy(fabric, batches):
+            batches = list(batches)
             seen.extend(images for images, _ in batches)
             return sensitivity_grads(fabric, batches)
 
         monkeypatch.setattr(runner, "sensitivity_grads", spy)
         config = tiny_config(tmp_path / "run", epochs=1, augment=augment,
                              prune=PruneConfig(strategy="early", sparsity=0.3,
-                                               criterion="sensitivity"))
+                                               criterion="sensitivity",
+                                               gradient_source=source))
         run_experiment(config)
-        dataset, (_, val_idx, _) = runner.load_split_dataset(config.data)
-        expected = normalize(dataset.images[val_idx], augment.normalize_mean,
+        dataset, splits = runner.load_split_dataset(config.data)
+        rows = splits[runner.SPLITS.index(source)]
+        expected = normalize(dataset.images[rows], augment.normalize_mean,
                              augment.normalize_std)
         np.testing.assert_array_equal(np.concatenate(seen), expected)
 
@@ -542,3 +568,107 @@ sys.exit(1)
                              noise=NoiseConfig(kind="class", epsilon=0.2, seed=5))
         summary = run_experiment(config)
         assert summary["noise"]["kind"] == "class"
+
+
+BELOW_ONE = dict(train_fraction=0.5, val_fraction=0.15, test_fraction=0.2)
+
+
+def random_images(classes, n_per_class, resolution, **_):
+    """make_synthetic's shapes in one vectorized draw, which a traced run loads quickly."""
+    images = np.random.default_rng(0).random(
+        (classes * n_per_class, 3, resolution, resolution), dtype=np.float32)
+    return ImageDataset(images, np.repeat(np.arange(classes), n_per_class), classes)
+
+
+class TestImagesHeldOnce:
+    def test_rows_are_in_split_order_and_splits_are_views(self):
+        data = DataConfig(classes=3, n_per_class=20, resolution=4, seed=2, **BELOW_ONE)
+        dataset, splits = runner.load_split_dataset(data)
+        loaded = make_synthetic(3, 20, 4, seed=2)
+        items = stratified_split_indices(loaded.labels, BELOW_ONE.values(), 2)
+        unused = np.setdiff1d(np.arange(60), np.concatenate(items))
+        assert unused.size > 0
+        np.testing.assert_array_equal(dataset.index, np.concatenate([*items, unused]))
+        np.testing.assert_array_equal(dataset.images, loaded.images[dataset.index])
+        np.testing.assert_array_equal(dataset.labels, loaded.labels[dataset.index])
+        for rows, split_items in zip(splits, items):
+            part = dataset.subset(rows)
+            assert np.shares_memory(part.images, dataset.images)
+            np.testing.assert_array_equal(part.index, split_items)
+        assert splits[2].stop == len(dataset) - unused.size
+
+    @pytest.mark.parametrize("kind", ["uniform", "class", "annotator"])
+    def test_artifacts_name_the_items_as_loaded(self, tmp_path, kind):
+        # the reference is the pipeline over the set in loaded order: splits
+        # copied out by index, noise drawn over the whole set
+        annotator = AnnotatorConfig(layers=2, channels=2, max_epochs=3, seed=1)
+        config = tiny_config(
+            tmp_path / "run", epochs=1,
+            data=DataConfig(classes=3, n_per_class=40, resolution=4, difficulty="medium",
+                            seed=2, **BELOW_ONE),
+            noise=NoiseConfig(kind=kind, epsilon=0.3, seed=4, annotator=annotator))
+        summary = run_experiment(config)
+        loaded = make_synthetic(3, 40, 4, seed=2, difficulty="medium")
+        items = stratified_split_indices(loaded.labels, BELOW_ONE.values(), 2)
+        if kind == "uniform":
+            noisy = apply_uniform_noise(loaded, 0.3, 4)
+        elif kind == "class":
+            noisy = apply_class_noise(loaded, uniform_transition_matrix(3, 0.3), 4)
+        else:
+            fabric, info = train_annotator(loaded.subset(items[0]), loaded.subset(items[1]),
+                                           0.3, annotator)
+            noisy = relabel_with_annotator(loaded, fabric)
+            assert summary["noise"]["annotator_holdout_error"] == info.holdout_error
+        out = tmp_path / "run"
+        assert (out / "splits.txt").read_text() == "".join(
+            f"{split} {item}\n" for split, split_items in enumerate(items)
+            for item in split_items)
+        assert (out / "noisy_labels.txt").read_text() == "".join(
+            f"{item} {clean} {given}\n"
+            for item, (clean, given) in enumerate(zip(noisy.labels, noisy.given_labels)))
+        assert summary["noise"]["realized_rate"] == noisy.noise_rate
+
+    def test_noisy_labels_reload_onto_the_split_order(self, tmp_path):
+        config = tiny_config(tmp_path / "run", epochs=1,
+                             data=DataConfig(classes=3, n_per_class=20, resolution=4, seed=2,
+                                             **BELOW_ONE),
+                             noise=NoiseConfig(kind="uniform", epsilon=0.4, seed=4))
+        run_experiment(config)
+        path = tmp_path / "run" / "noisy_labels.txt"
+        dataset, _ = runner.load_split_dataset(config.data)
+        noisy = apply_uniform_noise(make_synthetic(3, 20, 4, seed=2), 0.4, 4)
+        restored = load_noisy_labels(dataset, path)
+        np.testing.assert_array_equal(restored.given_labels, noisy.given_labels[dataset.index])
+        # an error names the item as loaded, not the row of that number
+        item = int(np.nonzero(dataset.labels != noisy.labels)[0][0])
+        lines = path.read_text().splitlines()
+        clean = (noisy.labels[item] + 1) % 3
+        lines[item] = f"{item} {clean} 0"
+        path.write_text("\n".join(lines) + "\n")
+        problem = (rf"line {item + 1}: clean label {clean} at index {item} does not match "
+                   rf"the set \({noisy.labels[item]}\)")
+        with pytest.raises(ValueError, match=problem):
+            load_noisy_labels(dataset, path)
+
+    @pytest.mark.parametrize("kind", [None, "uniform", "annotator"])
+    def test_a_run_holds_its_images_once(self, tmp_path, monkeypatch, kind):
+        # 12,000 16-px images, 37 MB, dwarf what a run holds beside them: a
+        # predict slice's buffers and the split bookkeeping; splits and
+        # normalized inputs are no copies
+        monkeypatch.setattr(runner, "make_synthetic", random_images)
+        annotator = AnnotatorConfig(layers=2, channels=1, max_epochs=1)
+        config = tiny_config(
+            tmp_path / "run", channels=1, input_resolution=16, epochs=1, batch_size=128,
+            data=DataConfig(classes=3, n_per_class=4000, resolution=16, seed=1,
+                            train_fraction=0.1, val_fraction=0.1, test_fraction=0.2),
+            noise=None if kind is None else NoiseConfig(kind=kind, epsilon=0.3, seed=1,
+                                                         annotator=annotator),
+            augment=AugmentConfig(resize=16, crop_size=16, crop_padding=1))
+        image_bytes = 12000 * 3 * 16 * 16 * 4
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * image_bytes
