@@ -9,15 +9,16 @@ from pathlib import Path
 
 from .data import FormatError
 from .fabric import Fabric, FabricError, build_fabric, export_dot, load_fabric, param_breakdown
-from .noise import fitting_report, load_noisy_labels
+from .noise import classification_error, fitting_report
 from .pruning import Criterion, Strategy, reported_param_count
 from .runner import (
     NOISE_KINDS,
     SPLITS,
     ConfigError,
     ExperimentConfig,
-    evaluate_checkpoint,
+    TrainingDiverged,
     inject_noise,
+    load_run_split,
     load_split_dataset,
     run_experiment,
 )
@@ -144,17 +145,18 @@ def cmd_inject_noise(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
-    _emit(evaluate_checkpoint(_load_checkpoint(args, config), config, split=args.split))
+    fabric = _load_checkpoint(args, config)
+    split = load_run_split(config, args.split)
+    _emit({"split": args.split, "items": len(split),
+           "error": classification_error(fabric, split.images, split.labels)})
     return 0
 
 
 def cmd_fitting_report(args) -> int:
     config = _load_config(args)
     fabric = _load_checkpoint(args, config)
-    dataset, (_, _, test_rows) = load_split_dataset(config.data)
-    test_set = load_noisy_labels(dataset, args.labels).subset(test_rows)
-    predictions = fabric.predict(config.model_inputs(test_set.images, out=test_set.images))
-    _emit(fitting_report(predictions, test_set).to_dict())
+    test_set = load_run_split(config, "test", noisy_labels=args.labels)
+    _emit(fitting_report(fabric.predict(test_set.images), test_set).to_dict())
     return 0
 
 
@@ -205,9 +207,9 @@ def main(argv=None) -> int:
         source = f"config {args.config}" if args.config else "arguments"
         print(f"invalid {source}: {exc}", file=sys.stderr)
         return 2
-    except (FabricError, FormatError, OSError) as exc:  # an unusable input file
+    except (FabricError, FormatError, OSError, TrainingDiverged) as exc:
         print(f"fabricprune: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, TrainingDiverged) else 2  # 2: an unusable input file
 
 
 if __name__ == "__main__":

@@ -92,9 +92,10 @@ class ImageDataset:
 
 
 def stratified_split_indices(labels: np.ndarray, fractions, seed: int) -> list[np.ndarray]:
-    """Per-class index lists for each fraction, remainder by largest fractional
-    part (ties to the earlier split). Splits are disjoint; with fractions
-    summing below 1 the leftover items simply go unused."""
+    """Sorted int64 item indices of each fraction's split: each class's items,
+    permuted, cut into blocks of its share of each fraction rounded by largest
+    remainder (ties to the earlier split), so a class may miss a split. Splits
+    are disjoint; with fractions summing below 1 the leftover items go unused."""
     fractions = list(fractions)
     if any(f <= 0 for f in fractions):
         raise ValueError("all fractions must be positive")
@@ -102,27 +103,18 @@ def stratified_split_indices(labels: np.ndarray, fractions, seed: int) -> list[n
         raise ValueError(f"fractions sum to {sum(fractions)}, above 1")
 
     rng = np.random.default_rng(seed)
-    splits: list[list[int]] = [[] for _ in fractions]
+    splits = [[np.empty(0, dtype=np.int64)] for _ in fractions]
     for cls in np.unique(labels):
-        members = np.nonzero(labels == cls)[0]
-        if members.size < len(fractions):
-            raise ValueError(
-                f"class {cls} has {members.size} items, fewer than {len(fractions)} splits")
-        members = rng.permutation(members)
-
+        members = rng.permutation(np.flatnonzero(labels == cls))
         targets = [f * members.size for f in fractions]
         counts = [math.floor(t) for t in targets]
-        leftover = round(sum(targets)) - sum(counts)
-        by_fractional_part = sorted(range(len(fractions)),
-                                    key=lambda i: (-(targets[i] - counts[i]), i))
-        for i in by_fractional_part[:leftover]:
+        by_part = sorted(range(len(fractions)), key=lambda i: (counts[i] - targets[i], i))
+        for i in by_part[: round(sum(targets)) - sum(counts)]:
             counts[i] += 1
-
-        start = 0
-        for split, count in zip(splits, counts):
-            split.extend(members[start : start + count].tolist())
-            start += count
-    return [np.array(sorted(s), dtype=np.int64) for s in splits]
+        # the block past the last count holds the unused items
+        for split, block in zip(splits, np.split(members, np.cumsum(counts))):
+            split.append(block)
+    return [np.sort(np.concatenate(blocks)) for blocks in splits]
 
 
 def save_split_manifest(index_lists, path) -> None:

@@ -40,6 +40,7 @@ from .data import (
 )
 from .fabric import (
     Fabric,
+    FabricError,
     build_fabric,
     export_dot,
     param_breakdown,
@@ -52,6 +53,7 @@ from .noise import (
     apply_uniform_noise,
     classification_error,
     fitting_report,
+    load_noisy_labels,
     relabel_with_annotator,
     save_noisy_labels,
     train_annotator,
@@ -78,7 +80,7 @@ DATA_KINDS = ("synthetic", "binary")  # load_split_dataset's dispatch
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss or a parameter became non-finite; the run is aborted with a diagnostic."""
+    """Loss, a parameter or a logit became non-finite; the run is aborted naming the epoch."""
 
 
 class ConfigError(ValueError):
@@ -190,10 +192,7 @@ _RULES = {
     "data.classes": (lambda v, config: _is_number(v, int)
                      and v >= (1 if config.noise is None else 2),
                      "an int >= 2 with a noise section, else >= 1"),
-    # stratified splits need an item of every class in each split
-    "data.n_per_class": (lambda v, config: _is_number(v, int) and v >= (
-        len(SPLITS) if config.data.kind == "synthetic" else 1),
-        f"an int >= {len(SPLITS)} (one item per split) for data.kind synthetic, else >= 1"),
+    "data.n_per_class": _INT_FROM_1,  # load_split_dataset checks the splits' sizes
     "data.difficulty": _one_of(DIFFICULTY),
     "data.confusable_fraction": _number(lambda v: 0 <= v < 1, "in [0, 1)"),
     "data.train_fraction": _POSITIVE, "data.val_fraction": _POSITIVE,
@@ -321,8 +320,8 @@ def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[slice]]:
     The rows are rearranged in place into train | validation | test | unused
     (the items fractions summing below 1 leave out), each block in item
     order, so dataset.subset(split) is a view and the images are held once;
-    index still names each row's item as loaded. Raises ConfigError naming a
-    split that the fractions leave empty.
+    index still names each row's item as loaded. Any split may feed train-mode
+    batch norm, which needs 2 samples: ConfigError names a split left smaller.
     """
     if data.kind == "synthetic":
         dataset = make_synthetic(data.classes, data.n_per_class, data.resolution,
@@ -336,13 +335,12 @@ def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[slice]]:
     fractions = (data.train_fraction, data.val_fraction, data.test_fraction)
     indices = stratified_split_indices(dataset.labels, fractions, data.seed)
     for name, split in zip(SPLITS, indices):
-        if split.size == 0:
+        if split.size < 2:
             given = ("data.n_per_class must be large enough" if data.kind == "synthetic"
                      else "data.path must hold enough records")
-            raise ConfigError(f"{given} to leave an item in every split: the "
-                              f"{name} split is empty, {len(dataset)} items "
-                              f"split by data.train_fraction, data.val_fraction and "
-                              f"data.test_fraction {fractions}")
+            raise ConfigError(f"{given} to leave 2 items in every split: the {name} split "
+                              f"holds {split.size} of {len(dataset)} items at data.train_fraction, "
+                              f"data.val_fraction and data.test_fraction {fractions}")
     unused = np.setdiff1d(np.arange(len(dataset)), np.concatenate(indices))
     dataset.reorder(np.concatenate([*indices, unused]))
     ends = np.cumsum([len(split) for split in indices]).tolist()
@@ -363,9 +361,10 @@ def inject_noise(full: ImageDataset, splits, config: NoiseConfig, out_dir: Path 
         annotator, ann_info = train_annotator(full.subset(splits[0]), full.subset(splits[1]),
                                               config.epsilon, config.annotator)
         noisy = relabel_with_annotator(full, annotator)
-        info["annotator_epoch"] = ann_info.chosen_epoch
-        info["annotator_holdout_error"] = ann_info.holdout_error
-        info["annotator_hit_band"] = ann_info.hit_band
+        info.update(annotator_epoch=ann_info.chosen_epoch,
+                    annotator_holdout_error=ann_info.holdout_error,
+                    annotator_hit_band=ann_info.hit_band,
+                    annotator_error_curve=ann_info.error_curve)
     else:
         raise ValueError(f"unknown noise kind {config.kind!r}")
     info["realized_rate"] = noisy.noise_rate
@@ -402,7 +401,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Train (and optionally prune) one fabric end to end; returns a summary.
 
     Raises ConfigError naming the field, before anything is written, when the
-    config fails ExperimentConfig.check or a split is empty.
+    config fails ExperimentConfig.check or load_split_dataset's split sizes, and
+    TrainingDiverged naming the epoch when a loss, parameter or logit is non-finite.
     """
     config.check()
     dataset, splits = load_split_dataset(config.data)
@@ -435,6 +435,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     optimizer = SGD(fabric.parameters(),
                     SgdConfig(config.learning_rate, config.momentum, config.weight_decay))
+
+    def scored(epoch: int) -> tuple[np.ndarray, float]:  # test predictions, validation error
+        try:
+            predictions = fabric.predict(test_inputs)
+            return predictions, classification_error(fabric, val_inputs, val_set.given_labels)
+        except FabricError as exc:  # predict met a non-finite logit
+            raise TrainingDiverged(f"{exc} at epoch {epoch}") from exc
+
     milestones = rescale_epochs(RECIPE_LR_MILESTONES, RECIPE_EPOCHS, config.epochs)
     criterion = Criterion(config.prune.criterion) if config.prune else None
 
@@ -458,11 +466,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 raise TrainingDiverged(f"{exc} at epoch {epoch}, batch {batch_index} "
                                        f"(lr={lr})") from exc
 
-        test_predictions = fabric.predict(test_inputs)
+        test_predictions, val_error = scored(epoch)
         record = {
             "epoch": epoch,
-            "train_loss": float(np.mean(losses)) if losses else 0.0,
-            "val_error": classification_error(fabric, val_inputs, val_set.given_labels),
+            "train_loss": float(np.mean(losses)),
+            "val_error": val_error,
             "test_error": float((test_predictions != test_set.labels).mean()),
             "learning_rate": lr,
             "alive_links": len(fabric.alive_links()),
@@ -491,15 +499,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     (out / "fabric.dot").write_text(export_dot(fabric))
 
     # the last epoch's record scored the final fabric unless a prune event followed it
-    if config.epochs >= 1 and config.epochs not in events_by_epoch:
-        final_val_error = record["val_error"]
-    else:
-        test_predictions = fabric.predict(test_inputs)
-        final_val_error = classification_error(fabric, val_inputs, val_set.given_labels)
+    if config.epochs == 0 or config.epochs in events_by_epoch:
+        test_predictions, val_error = scored(config.epochs)
     summary = {
         "config_hash": config.hash(),
         "epochs": config.epochs,
-        "final_val_error": final_val_error,
+        "final_val_error": val_error,
         "final_test_error": float((test_predictions != test_set.labels).mean()),
         "alive_links": len(fabric.alive_links()),
         "live_params": fabric.live_param_count(),
@@ -507,19 +512,19 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "param_total_baseline": full_counts.total,
     }
     if noise_info is not None:
-        report = fitting_report(test_predictions, test_set)
         summary["noise"] = noise_info
-        summary["fitting"] = report.to_dict()
+        summary["fitting"] = fitting_report(test_predictions, test_set).to_dict()
         (out / "fitting.json").write_text(json.dumps(summary["fitting"], indent=2))
     (out / "report.json").write_text(json.dumps(summary, indent=2))
     return summary
 
 
-def evaluate_checkpoint(fabric: Fabric, config: ExperimentConfig,
-                        split: str = "test") -> dict:
-    """Error of a checkpointed fabric on one split of the config's dataset."""
+def load_run_split(config: ExperimentConfig, split: str, noisy_labels=None) -> ImageDataset:
+    """One split of the config's dataset as the run scores it: its images made model
+    inputs in place and, given a noisy-label sidecar's path, its given labels from there."""
     dataset, splits = load_split_dataset(config.data)
+    if noisy_labels is not None:
+        dataset = load_noisy_labels(dataset, noisy_labels)
     subset = dataset.subset(splits[SPLITS.index(split)])
-    inputs = config.model_inputs(subset.images, out=subset.images)
-    error = classification_error(fabric, inputs, subset.labels)
-    return {"split": split, "items": len(subset), "error": error}
+    config.model_inputs(subset.images, out=subset.images)
+    return subset

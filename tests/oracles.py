@@ -338,3 +338,32 @@ def plan_reference(strategy, sparsity, total_links, floor_links, channels, epoch
     if len(merged) < len(recipe):
         warnings.warn(f"rescaling 200->{epochs} merged pruning events")
     return budget, [(e, *merged[e]) for e in sorted(merged)]
+
+
+def stratified_split_reference(labels, fractions, seed):
+    """Stratified splits built item by item in Python lists: each class's
+    permuted items dealt out by largest-remainder counts. Rejects a class with
+    fewer items than splits, which the library places by the same counts."""
+    fractions = list(fractions)
+    rng = np.random.default_rng(seed)
+    splits = [[] for _ in fractions]
+    for cls in np.unique(labels):
+        members = np.nonzero(labels == cls)[0]
+        if members.size < len(fractions):
+            raise ValueError(
+                f"class {cls} has {members.size} items, fewer than {len(fractions)} splits")
+        members = rng.permutation(members)
+
+        targets = [f * members.size for f in fractions]
+        counts = [math.floor(t) for t in targets]
+        leftover = round(sum(targets)) - sum(counts)
+        by_fractional_part = sorted(range(len(fractions)),
+                                    key=lambda i: (-(targets[i] - counts[i]), i))
+        for i in by_fractional_part[:leftover]:
+            counts[i] += 1
+
+        start = 0
+        for split, count in zip(splits, counts):
+            split.extend(members[start : start + count].tolist())
+            start += count
+    return [np.array(sorted(s), dtype=np.int64) for s in splits]

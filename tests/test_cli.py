@@ -9,6 +9,7 @@ import pytest
 from fabricprune.cli import main
 from fabricprune.data import AugmentConfig
 from fabricprune.fabric import build_fabric, load_fabric, save_fabric
+from fabricprune.noise import AnnotatorConfig
 from fabricprune.runner import (
     DataConfig,
     ExperimentConfig,
@@ -308,6 +309,81 @@ class TestTrainAndArtifacts:
                                      "--labels", str(tmp_path / "run" / "noisy_labels.txt")])
         assert code == 0
         assert json.loads(out) == summary["fitting"]
+
+    def test_inject_noise_prints_the_annotators_error_curve(self, capsys, tmp_path):
+        annotator = AnnotatorConfig(layers=2, channels=2, max_epochs=3, seed=1)
+        path, _ = write_config(tmp_path, noise=NoiseConfig(kind="annotator", epsilon=0.3,
+                                                           annotator=annotator))
+        code, out = run_cli(capsys, ["inject-noise", "--config", str(path)])
+        assert code == 0
+        info = json.loads(out)
+        assert 1 <= len(info["annotator_error_curve"]) <= 4
+        assert info["annotator_error_curve"][info["annotator_epoch"]] == \
+            info["annotator_holdout_error"]
+
+
+def write_records(path, class_sizes):
+    """A file of 4-px binary records: class_sizes[c] records of class c, in class order."""
+    labels = np.repeat(np.arange(len(class_sizes), dtype=np.uint8), class_sizes)
+    pixels = np.random.default_rng(0).integers(0, 256, (labels.size, 48), dtype=np.uint8)
+    path.write_bytes(np.hstack([labels[:, None], pixels]).tobytes())
+
+
+class TestSplitRule:
+    def test_binary_records_with_a_two_record_class_train(self, capsys, tmp_path):
+        # class 2's two records (items 20 and 21) go to train and validation;
+        # a class with fewer records than splits used to fail with a traceback
+        records = tmp_path / "records.bin"
+        write_records(records, [10, 10, 2])
+        data = DataConfig(kind="binary", path=str(records), classes=3, resolution=4,
+                          train_fraction=0.6, val_fraction=0.2, test_fraction=0.2)
+        path, _ = write_config(tmp_path, data=data)
+        code, _ = run_cli(capsys, ["train", "--config", str(path)])
+        assert code == 0
+        manifest = np.loadtxt(tmp_path / "run" / "splits.txt", dtype=np.int64)
+        assert sorted(manifest[manifest[:, 1] >= 20, 0]) == [0, 1]
+
+    def test_one_item_sensitivity_source_fails_before_any_output(self, capsys, tmp_path):
+        # one class of 10 items at 0.6/0.1/0.3 leaves validation one item, too
+        # few for train-mode batch norm; sensitivity pruning from it used to
+        # fail at its first event, after splits.txt and metrics.jsonl
+        data = DataConfig(classes=1, n_per_class=10, resolution=4, train_fraction=0.6,
+                          val_fraction=0.1, test_fraction=0.3)
+        path, _ = write_config(tmp_path, data=data,
+                               prune=PruneConfig(strategy="early", criterion="sensitivity",
+                                                 gradient_source="validation"))
+        assert main(["train", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"invalid config {path}: data.n_per_class must be ")
+        assert "the validation split holds 1 of 10 items" in line
+        assert not (tmp_path / "run").exists()
+
+
+class TestDivergence:
+    def test_non_finite_logits_exit_1_naming_the_epoch(self, capsys, tmp_path):
+        # the weights stay finite through the epoch's steps, its test predictions do not;
+        # this used to exit 2, the status of an unusable input file
+        path, _ = write_config(tmp_path, learning_rate=1e30,
+                               data=DataConfig(classes=3, n_per_class=10, resolution=4))
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("fabricprune: non-finite logits in the batch of images 0..5 "
+                                "at epoch 1\n")
+
+    def test_non_finite_parameters_exit_1_in_one_line(self, capsys, tmp_path):
+        # batch norm keeps plain large rates finite, so drive the weights to
+        # inf through the decay term; this used to end in a traceback
+        path, _ = write_config(tmp_path, learning_rate=1e20, weight_decay=1.0, epochs=5)
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("fabricprune: parameter ") and "at epoch 1, batch" in line
 
 
 class TestConfigErrors:

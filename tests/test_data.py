@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import stratified_split_reference
 
 from fabricprune.data import (
     AugmentConfig,
@@ -95,6 +98,19 @@ class TestImageDataset:
             ImageDataset(images, num_classes=3, **labels)
 
 
+@st.composite
+def split_inputs(draw, smallest):
+    """(labels, fractions, seed): classes of at least smallest items each in a
+    shuffled order, and 2-4 fractions summing to at most 1."""
+    sizes = draw(st.lists(st.integers(smallest, 40), min_size=1, max_size=6))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    np.random.default_rng(draw(st.integers(0, 2**16))).shuffle(labels)
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4))
+    total = draw(st.sampled_from([1.0, 0.9, 0.55]))
+    fractions = tuple(total * w / sum(weights) for w in weights)
+    return labels, fractions, draw(st.integers(0, 2**16))
+
+
 class TestStratifiedSplit:
     def test_exact_division(self):
         ds = balanced_dataset(10, 100)
@@ -131,10 +147,52 @@ class TestStratifiedSplit:
         for x, y in zip(a, c):
             assert x.size == y.size
 
-    def test_class_smaller_than_split_count_rejected(self):
+    def test_class_smaller_than_split_count_is_placed_by_largest_remainder(self):
+        # class 1's one item goes to the largest share, 0.5 of an item: train;
+        # class 0's three items get 1.5, 0.9 and 0.6, rounded to one each
         labels = np.array([0, 0, 0, 1])
-        with pytest.raises(ValueError):
-            stratified_split_indices(labels, (0.5, 0.3, 0.2), seed=0)
+        parts = stratified_split_indices(labels, (0.5, 0.3, 0.2), seed=0)
+        assert [np.bincount(labels[part], minlength=2).tolist() for part in parts] == [
+            [1, 1], [1, 0], [1, 0]]
+        assert 3 in parts[0]
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_splits_are_disjoint_sorted_and_round_each_class_share(self, data):
+        labels, fractions, seed = data.draw(split_inputs(smallest=0))
+        parts = stratified_split_indices(labels, fractions, seed)
+        assert len(parts) == len(fractions)
+        combined = np.concatenate(parts)
+        assert np.unique(combined).size == combined.size
+        assert combined.size == 0 or 0 <= combined.min() and combined.max() < labels.size
+        for part, fraction in zip(parts, fractions):
+            assert part.dtype == np.int64 and np.all(np.diff(part) > 0)
+            for cls in np.unique(labels):
+                size = int((labels == cls).sum())
+                assert abs(int((labels[part] == cls).sum()) - fraction * size) < 1
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_matches_the_list_reference_where_it_accepts(self, data):
+        # the reference rejects a class with fewer items than splits
+        labels, fractions, seed = data.draw(split_inputs(smallest=4))
+        for part, expected in zip(stratified_split_indices(labels, fractions, seed),
+                                  stratified_split_reference(labels, fractions, seed)):
+            assert part.dtype == expected.dtype
+            np.testing.assert_array_equal(part, expected)
+
+    def test_holds_no_python_int_per_item(self):
+        labels = np.repeat(np.arange(10), 1200)
+        np.random.default_rng(0).shuffle(labels)
+        stratified_split_indices(labels, (0.6, 0.2, 0.2), seed=0)  # numpy's one-off set-up
+        tracemalloc.start()
+        try:
+            stratified_split_indices(labels, (0.6, 0.2, 0.2), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 0.22 MB; splits built from lists of Python ints traced 0.61 MB
+        assert peak < 0.5e6
 
     def test_fraction_validation(self):
         labels = np.repeat(np.arange(2), 10)

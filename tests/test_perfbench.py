@@ -1,6 +1,7 @@
 """The names perfbench's span tracer rebinds must stay where it looks them up,
-the hooks it runs on their results must still find what they read, and its
-workloads' set-up must still run against the package."""
+the hooks it runs on their results must still find what they read, its
+workloads' set-up must still run against the package, and so must
+paper-step's timed part, on a small fabric."""
 
 import json
 import subprocess
@@ -80,6 +81,32 @@ print(json.dumps({"train": paper["train"].images.shape[0],
 """
 
 
+# paper-step's timed part on a 2-layer, 3-scale, 2-channel fabric at 4 px, its
+# state built as prepare_paper builds it: a renamed name that the steps, the
+# predict or the pruning checks read fails here, not only in a benchmark run
+PAPER_STEP = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import unit
+
+fp = unit.import_package()
+data = fp.data.make_synthetic(10, 5, 4, seed=0, difficulty="easy")
+order = np.random.default_rng([0, 1]).permutation(len(data))
+fabric = fp.fabric.build_fabric(2, 3, 2, 4, 10, seed=0)
+state = {
+    "fabric": fabric,
+    "optimizer": fp.tensor.SGD(fabric.parameters(), fp.tensor.SgdConfig(0.1)),
+    "train": data.subset(order[:unit.PAPER_TRAIN_IMAGES]),
+    "held_out": data.images[order[unit.PAPER_TRAIN_IMAGES:][:unit.PAPER_PREDICT_IMAGES]],
+}
+result = unit.Unit()
+unit.run_paper(fp, state, result)
+print(json.dumps({"checks": result.checks, "passed_ops": result.passed_ops,
+                  "timed_ops": unit.WORKLOADS["paper-step"][2] - 1}))
+"""
+
+
 def traced(script, *args):
     result = subprocess.run(
         [sys.executable, "-c", script, str(ROOT / "perfbench"), str(ROOT / "src"), *args],
@@ -117,3 +144,10 @@ def test_benchmark_setup_runs_against_this_checkout(tmp_path):
     assert shapes["train"] == shapes["train_labels"] == 32
     assert shapes["held_out"] == 16 and shapes["probe_labels"] == 192
     assert shapes["out_dir"] == str(tmp_path / "noise" / "run")
+
+
+def test_paper_step_passes_every_check_on_a_small_fabric():
+    result = traced(PAPER_STEP)
+    failed = [check for check in result["checks"] if not check["ok"]]
+    assert failed == [] and len(result["checks"]) >= 4
+    assert result["passed_ops"] == result["timed_ops"]

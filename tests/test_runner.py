@@ -38,8 +38,8 @@ from fabricprune.runner import (
     NoiseConfig,
     PruneConfig,
     TrainingDiverged,
-    evaluate_checkpoint,
     inject_noise,
+    load_run_split,
     lr_at,
     rescale_epochs,
     run_experiment,
@@ -520,7 +520,8 @@ sys.exit(1)
         assert summary["final_test_error"] == error
         last = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()[-1]
         assert json.loads(last)["test_error"] == error
-        assert evaluate_checkpoint(fabric, config)["error"] == error
+        scored = load_run_split(config, "test")
+        assert classification_error(fabric, scored.images, scored.labels) == error
         expected = fitting_report(fabric.predict(images), test_set).to_dict()
         assert json.loads((tmp_path / "run" / "fitting.json").read_text()) == expected
 
@@ -560,8 +561,9 @@ sys.exit(1)
         config = tiny_config(tmp_path / "run", epochs=3)
         summary = run_experiment(config)
         fabric = load_fabric(tmp_path / "run" / "fabric.npz")
-        result = evaluate_checkpoint(fabric, config, split="test")
-        assert result["error"] == pytest.approx(summary["final_test_error"])
+        test_set = load_run_split(config, "test")
+        error = classification_error(fabric, test_set.images, test_set.labels)
+        assert error == pytest.approx(summary["final_test_error"])
 
     def test_class_noise_kind(self, tmp_path):
         config = tiny_config(tmp_path / "run", epochs=1,
@@ -619,6 +621,9 @@ class TestImagesHeldOnce:
                                            0.3, annotator)
             noisy = relabel_with_annotator(loaded, fabric)
             assert summary["noise"]["annotator_holdout_error"] == info.holdout_error
+            assert summary["noise"]["annotator_error_curve"] == info.error_curve
+            report = json.loads((tmp_path / "run" / "report.json").read_text())
+            assert report["noise"]["annotator_error_curve"] == info.error_curve
         out = tmp_path / "run"
         assert (out / "splits.txt").read_text() == "".join(
             f"{split} {item}\n" for split, split_items in enumerate(items)
