@@ -10,7 +10,7 @@ from pathlib import Path
 from .data import FormatError
 from .fabric import Fabric, FabricError, build_fabric, export_dot, load_fabric, param_breakdown
 from .noise import classification_error, fitting_report
-from .pruning import Criterion, Strategy, reported_param_count
+from .pruning import Criterion, Strategy
 from .runner import (
     NOISE_KINDS,
     SPLITS,
@@ -85,8 +85,6 @@ def cmd_prune_plan(args) -> int:
     fabric = build_fabric(config.layers, config.scales, config.channels,
                           config.input_resolution, config.data.classes)
     plan = config.prune_plan(fabric)
-    full = param_breakdown(config.layers, config.scales, config.channels,
-                           config.data.classes)
     _emit({
         "strategy": plan.strategy.value,
         "sparsity": plan.sparsity,
@@ -94,11 +92,10 @@ def cmd_prune_plan(args) -> int:
         "links_kept": plan.budget.links_kept,
         "min_links_kept": plan.budget.min_links_kept,
         "links_to_remove": plan.budget.links_to_remove,
-        "weights_to_remove": plan.budget.weights_to_remove,
         "events": [{"epoch": e.epoch, "links": e.links_to_remove,
-                    "weights": e.weights_to_remove} for e in plan.events],
-        "baseline_params": full.total,
-        "reported_params": reported_param_count(full, plan.sparsity),
+                    "live_params_ceiling": e.live_params_ceiling} for e in plan.events],
+        "baseline_params": fabric.param_count().total,
+        "reported_params": plan.budget.reported_params,
     })
     return 0
 

@@ -7,6 +7,7 @@ class proportions of the whole; all randomness is seeded.
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass, replace
 
@@ -74,8 +75,9 @@ class ImageDataset:
         order = np.asarray(order)
         if not np.array_equal(np.sort(order), np.arange(len(self))):
             raise ValueError(f"order is not a permutation of the {len(self)} rows")
-        sources = order.tolist()
-        moved = [False] * len(sources)
+        # 8 bytes and 1 byte a row, not a Python int and a list slot
+        sources = array.array("q", order.astype(np.int64).tobytes())
+        moved = bytearray(len(sources))
         for start in range(len(sources)):
             if moved[start] or sources[start] == start:
                 continue
@@ -83,10 +85,10 @@ class ImageDataset:
             row = start
             while sources[row] != start:
                 self.images[row] = self.images[sources[row]]
-                moved[row] = True
+                moved[row] = 1
                 row = sources[row]
             self.images[row] = held
-            moved[row] = True
+            moved[row] = 1
         for name in ("labels", "given_labels", "index"):
             setattr(self, name, getattr(self, name)[order])
 

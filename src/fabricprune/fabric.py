@@ -56,6 +56,10 @@ class FabricError(ValueError):
     """Inconsistent fabric construction or state."""
 
 
+class TrainingDiverged(RuntimeError):
+    """Loss, a parameter or a logit became non-finite; training is aborted naming the epoch."""
+
+
 class Direction(enum.Enum):
     SAME = "same"
     DOWN = "down"

@@ -15,7 +15,14 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import FormatError, ImageDataset
-from .fabric import Fabric, build_fabric, clone_parameters, train_batches
+from .fabric import (
+    Fabric,
+    FabricError,
+    TrainingDiverged,
+    build_fabric,
+    clone_parameters,
+    train_batches,
+)
 from .tensor import SGD, SgdConfig
 
 
@@ -114,7 +121,8 @@ def train_annotator(train_set: ImageDataset, holdout: ImageDataset, epsilon: flo
     Evaluates before training (epoch 0) and after every epoch; stops at the
     first error inside [epsilon - tol, epsilon + tol]. If the band is never
     hit, the checkpoint whose error came closest to epsilon is returned,
-    flagged via hit_band=False.
+    flagged via hit_band=False. A non-finite loss, parameter or held-out
+    logit raises TrainingDiverged naming the annotator's epoch.
     """
     num_classes = train_set.num_classes
     if not 0.0 < epsilon < 1.0 - 1.0 / num_classes:
@@ -138,12 +146,15 @@ def train_annotator(train_set: ImageDataset, holdout: ImageDataset, epsilon: flo
     best_error = np.inf
     hit = False
     for epoch in range(config.max_epochs + 1):
-        if epoch > 0:
-            for batch in train_batches(rng.permutation(len(train_set)), config.batch_size):
-                optimizer.zero_grad()
-                fabric.loss_backward(train_set.images[batch], train_set.given_labels[batch])
-                optimizer.step()
-        error = classification_error(fabric, holdout.images, holdout.given_labels)
+        try:
+            if epoch > 0:
+                for batch in train_batches(rng.permutation(len(train_set)), config.batch_size):
+                    optimizer.zero_grad()
+                    fabric.loss_backward(train_set.images[batch], train_set.given_labels[batch])
+                    optimizer.step()
+            error = classification_error(fabric, holdout.images, holdout.given_labels)
+        except (FloatingPointError, FabricError) as exc:  # FabricError: predict's logits
+            raise TrainingDiverged(f"annotator: {exc} at annotator epoch {epoch}") from exc
         curve.append(error)
         if abs(error - epsilon) < abs(best_error - epsilon):
             best_error = error

@@ -7,10 +7,12 @@ output stay connected, and followed by cascade removal of links made
 obsolete. Weights on surviving links are then ranked once by their
 scores, smallest first, and cut: each link's last unmasked weight in that
 ranking is protected, so no conv matrix ends up all zero, and the first
-`quota` unprotected weights are masked. Schedules place the work at epoch 5
-(early), epoch 75 (late), or spread it over epochs 5, 15, ..., 75
-(iterative) of the 200-epoch recipe, mapped proportionally onto a run's
-epochs; the number of links kept never drops below the longest linear path.
+unprotected weights are masked until the live parameters reach the event's
+ceiling; a plan's last ceiling is the reported count. Schedules place the
+work at epoch 5 (early), epoch 75 (late), or spread it over epochs 5, 15,
+..., 75 (iterative) of the 200-epoch recipe, mapped proportionally onto a
+run's epochs; the number of links kept never drops below the longest
+linear path.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fabric import Fabric, clone_parameters, longest_linear_path
+from .fabric import Fabric, clone_parameters, longest_linear_path, param_breakdown
 from .tensor import UsageError
 
 
@@ -112,30 +114,25 @@ def link_condition(fabric: Fabric, proposed: set[int]) -> bool:
 class PruneEvent:
     epoch: int
     links_to_remove: int
-    weights_to_remove: int
+    live_params_ceiling: int  # live params the event leaves at most, after its link stage
 
     def __post_init__(self):
-        if self.links_to_remove < 0 or self.weights_to_remove < 0:
-            raise ValueError("prune quotas must be nonnegative")
+        if self.links_to_remove < 0 or self.live_params_ceiling < 0:
+            raise ValueError("a prune event's link quota and ceiling must be nonnegative")
 
 
 @dataclass
 class SparsityBudget:
-    """How a target sparsity translates into kept links and weights."""
+    """How a target sparsity translates into kept links and live params."""
 
     total_links: int
     links_kept: int
     min_links_kept: int
-    surviving_conv_weights: int
-    weights_kept: int
+    reported_params: int  # the target: the last event's ceiling
 
     @property
     def links_to_remove(self) -> int:
         return self.total_links - self.links_kept
-
-    @property
-    def weights_to_remove(self) -> int:
-        return self.surviving_conv_weights - self.weights_kept
 
 
 @dataclass
@@ -163,41 +160,46 @@ def build_plan(strategy: Strategy, sparsity: float, fabric: Fabric,
     """Derive the pruning schedule of an `epochs`-epoch run for a target
     sparsity on a built fabric.
 
-    Kept links never drop below the longest linear path; the weight quota
-    covers the conv weights of links that survive link pruning. Both quotas
-    are split over the strategy's recipe events, whose epochs are mapped
-    onto `epochs`; events that land on one epoch are merged with a warning.
+    Kept links never drop below the longest linear path; the link quota is
+    split over the strategy's recipe events. The target is reported_param_count
+    of the fabric's dims, and the last event's ceiling. Event k of n before it
+    keeps stem, head and the A_k links left after it, with a share f_k of their
+    conv weights that falls linearly from 1 to what the target leaves the kept
+    links (at least 0). Epochs are mapped onto `epochs`; events that land on
+    one epoch are merged with a warning, adding their link quotas and keeping
+    the later ceiling.
     """
     if not 0.0 < sparsity < 1.0:
         raise ValueError(f"sparsity must be in (0, 1), got {sparsity}")
-    frac = Fraction(str(sparsity))
     total_links = len(fabric.alive_links())
     floor_links = longest_linear_path(fabric)
-    links_kept = max(math.ceil(frac * total_links), floor_links)
-    links_kept = min(links_kept, total_links)
+    links_kept = min(max(math.ceil(Fraction(str(sparsity)) * total_links), floor_links),
+                     total_links)
+    full = param_breakdown(fabric.L, fabric.S, fabric.C, fabric.num_classes)
+    budget = SparsityBudget(total_links=total_links, links_kept=links_kept,
+                            min_links_kept=floor_links,
+                            reported_params=reported_param_count(full, sparsity))
 
-    per_link_weights = fabric.C * fabric.C * 9
-    surviving_weights = links_kept * per_link_weights
-    weights_kept = math.ceil(frac * surviving_weights)
-    budget = SparsityBudget(
-        total_links=total_links,
-        links_kept=links_kept,
-        min_links_kept=floor_links,
-        surviving_conv_weights=surviving_weights,
-        weights_kept=weights_kept,
-    )
-
+    # a link is 9C^2 conv weights and 3C bias and batch-norm parameters
+    fixed, conv, rest = full.stem + full.head, 9 * fabric.C ** 2, 3 * fabric.C
+    final_share = max(Fraction(0), Fraction(
+        budget.reported_params - fixed - links_kept * rest, links_kept * conv))
     recipe = RECIPE_EVENTS[strategy]
-    quotas: dict[int, tuple[int, int]] = {}
-    for epoch, links, weights in zip(rescale_epochs(recipe, RECIPE_EPOCHS, epochs),
-                                     _split_quota(budget.links_to_remove, len(recipe)),
-                                     _split_quota(budget.weights_to_remove, len(recipe))):
-        prev_links, prev_weights = quotas.get(epoch, (0, 0))
-        quotas[epoch] = (prev_links + links, prev_weights + weights)
-    if len(quotas) < len(recipe):
+    n, alive = len(recipe), total_links
+    events: dict[int, PruneEvent] = {}
+    for k, (epoch, links) in enumerate(zip(rescale_epochs(recipe, RECIPE_EPOCHS, epochs),
+                                           _split_quota(budget.links_to_remove, n)), 1):
+        alive -= links
+        share = 1 - (1 - final_share) * Fraction(k, n)
+        ceiling = budget.reported_params if k == n else \
+            fixed + alive * rest + math.ceil(share * alive * conv)
+        if epoch in events:
+            links += events[epoch].links_to_remove
+        events[epoch] = PruneEvent(epoch, links, ceiling)
+    if len(events) < n:
         warnings.warn(f"rescaling {RECIPE_EPOCHS}->{epochs} merged pruning events")
-    events = [PruneEvent(epoch, *quotas[epoch]) for epoch in sorted(quotas)]
-    return PrunePlan(strategy=strategy, sparsity=sparsity, budget=budget, events=events)
+    return PrunePlan(strategy=strategy, sparsity=sparsity, budget=budget,
+                     events=[events[epoch] for epoch in sorted(events)])
 
 
 @dataclass
@@ -308,22 +310,23 @@ def apply_event(fabric: Fabric, event: PruneEvent, criterion: Criterion,
     each alive link's conv weights under magnitude, or weight_scores (as
     sensitivity_grads gives them) under sensitivity. Cascade kills count
     toward the link quota, so a candidate whose cascade would overshoot the
-    quota is skipped like a condition failure. Quota that cannot be met is
-    reported as a shortfall, never forced.
+    quota is skipped like a condition failure. The weight quota is the live
+    params the link stage leaves above the event's ceiling. Quota that
+    cannot be met is reported as a shortfall, never forced.
     """
     if criterion is Criterion.SENSITIVITY:
         if weight_scores is None and (event.links_to_remove > 0
-                                      or event.weights_to_remove > 0):
+                                      or fabric.live_param_count() > event.live_params_ceiling):
             raise UsageError("sensitivity pruning needs per-weight scores")
         scores = weight_scores
     else:
         scores = {link.index: np.abs(link.conv_weight.data) for link in fabric.alive_links()}
-    report = PruneReport(epoch=event.epoch, link_quota=event.links_to_remove,
-                         weight_quota=event.weights_to_remove)
+    report = PruneReport(epoch=event.epoch, link_quota=event.links_to_remove, weight_quota=0)
     if event.links_to_remove > 0:
         _apply_link_stage(fabric, event.links_to_remove, scores, report)
-    if event.weights_to_remove > 0:
-        _apply_weight_stage(fabric, event.weights_to_remove, scores, report)
+    report.weight_quota = max(0, fabric.live_param_count() - event.live_params_ceiling)
+    if report.weight_quota > 0:
+        _apply_weight_stage(fabric, report.weight_quota, scores, report)
     report.alive_links = len(fabric.alive_links())
     report.live_params = fabric.live_param_count()
     return report

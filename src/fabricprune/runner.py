@@ -41,9 +41,9 @@ from .data import (
 from .fabric import (
     Fabric,
     FabricError,
+    TrainingDiverged,
     build_fabric,
     export_dot,
-    param_breakdown,
     save_fabric,
     train_batches,
 )
@@ -66,7 +66,6 @@ from .pruning import (
     Strategy,
     apply_event,
     build_plan,
-    reported_param_count,
     rescale_epochs,
     sensitivity_grads,
 )
@@ -77,10 +76,6 @@ RECIPE_LR_MILESTONES = (80, 120)
 SPLITS = ("train", "validation", "test")
 NOISE_KINDS = ("uniform", "class", "annotator")
 DATA_KINDS = ("synthetic", "binary")  # load_split_dataset's dispatch
-
-
-class TrainingDiverged(RuntimeError):
-    """Loss, a parameter or a logit became non-finite; the run is aborted naming the epoch."""
 
 
 class ConfigError(ValueError):
@@ -350,7 +345,8 @@ def load_split_dataset(data: DataConfig) -> tuple[ImageDataset, list[slice]]:
 def inject_noise(full: ImageDataset, splits, config: NoiseConfig, out_dir: Path | None):
     """Corrupt the given labels of the whole dataset, pre-split; splits are its
     train, validation and test rows as load_split_dataset gives them. The
-    annotator trains on the train rows and holds out the validation rows."""
+    annotator trains on the train rows and holds out the validation rows;
+    TrainingDiverged names its epoch when it diverges."""
     info: dict = {"kind": config.kind, "target_rate": config.epsilon}
     if config.kind == "uniform":
         noisy = apply_uniform_noise(full, config.epsilon, config.seed)
@@ -423,15 +419,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     fabric = build_fabric(config.layers, config.scales, config.channels,
                           config.input_resolution, dataset.num_classes,
                           seed=config.seed)
-    full_counts = param_breakdown(config.layers, config.scales, config.channels,
-                                  dataset.num_classes)
-    reported = full_counts.total
-
-    events_by_epoch = {}
+    baseline = fabric.param_count().total
+    reported, events_by_epoch = baseline, {}
     if config.prune is not None:
         plan = config.prune_plan(fabric)
         events_by_epoch = {event.epoch: event for event in plan.events}
-        reported = reported_param_count(full_counts, plan.sparsity)
+        reported = plan.budget.reported_params
 
     optimizer = SGD(fabric.parameters(),
                     SgdConfig(config.learning_rate, config.momentum, config.weight_decay))
@@ -509,7 +502,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "alive_links": len(fabric.alive_links()),
         "live_params": fabric.live_param_count(),
         "reported_params": reported,
-        "param_total_baseline": full_counts.total,
+        "param_total_baseline": baseline,
     }
     if noise_info is not None:
         summary["noise"] = noise_info

@@ -304,37 +304,47 @@ def postorder_backward(loss):
             node.grad *= node.mask
 
 
-def plan_reference(strategy, sparsity, total_links, floor_links, channels, epochs):
+def plan_reference(strategy, sparsity, total_links, floor_links, channels, classes, epochs):
     """The pruning schedule as two steps built it: the 200-epoch recipe's
     events per strategy ("early", "late" or "iterative"), then their epochs
     mapped onto `epochs` and colliding events merged with a UserWarning.
 
-    Returns the budget's fields as a dict and the events as
-    (epoch, links to remove, weights to remove) tuples.
+    The target is floor(s * prunable) + stem + head. Event k of n leaves
+    a_k links alive, and its ceiling keeps their biases and batch norms
+    plus a share of their conv weights that steps linearly from 1 (before
+    the first event) to the target's share (clamped at 0); the last ceiling
+    is the target. Returns the budget's fields as a dict and the events as
+    (epoch, links to remove, live-params ceiling) tuples.
     """
     frac = Fraction(str(sparsity))
     links_kept = min(max(math.ceil(frac * total_links), floor_links), total_links)
-    surviving = links_kept * channels * channels * 9
+    conv, rest = channels * channels * 9, 3 * channels
+    fixed = (3 * channels * 9 + rest) + (channels * classes + classes)
+    target = math.floor(frac * total_links * (conv + rest)) + fixed
     budget = dict(total_links=total_links, links_kept=links_kept, min_links_kept=floor_links,
-                  surviving_conv_weights=surviving,
-                  weights_kept=math.ceil(frac * surviving))
+                  reported_params=target)
     link_total = total_links - links_kept
-    weight_total = surviving - budget["weights_kept"]
     if strategy == "early":
-        recipe = [(5, link_total, weight_total)]
+        recipe = [(5, link_total)]
     elif strategy == "late":
-        recipe = [(75, link_total, weight_total)]
+        recipe = [(75, link_total)]
     else:
         epochs_at = list(range(5, 76, 10))
         n = len(epochs_at)
-        recipe = [(e, link_total // n + (i < link_total % n),
-                   weight_total // n + (i < weight_total % n))
-                  for i, e in enumerate(epochs_at)]
+        recipe = [(e, link_total // n + (i < link_total % n)) for i, e in enumerate(epochs_at)]
+    final_share = max(Fraction(0), Fraction(target - fixed - links_kept * rest,
+                                            links_kept * conv))
+    events, alive = [], total_links
+    for k, (epoch, links) in enumerate(recipe, 1):
+        alive -= links
+        share = 1 + (final_share - 1) * Fraction(k, len(recipe))
+        ceiling = fixed + alive * rest + math.ceil(share * alive * conv)
+        events.append((epoch, links, target if k == len(recipe) else ceiling))
     merged = {}
-    for epoch, links, weights in recipe:
+    for epoch, links, ceiling in events:
         mapped = max(1, math.floor(epoch * (epochs / 200) + 0.5))
-        prev = merged.get(mapped, (0, 0))
-        merged[mapped] = (prev[0] + links, prev[1] + weights)
+        prev_links = merged.get(mapped, (0, None))[0]
+        merged[mapped] = (prev_links + links, ceiling)
     if len(merged) < len(recipe):
         warnings.warn(f"rescaling 200->{epochs} merged pruning events")
     return budget, [(e, *merged[e]) for e in sorted(merged)]

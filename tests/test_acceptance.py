@@ -254,9 +254,11 @@ def test_criterion_4_graph_invariants():
 
         for event_idx in range(int(rng.integers(1, 4))):
             quota_links = int(rng.integers(0, len(fabric.alive_links()) + 1))
-            quota_weights = int(rng.integers(0, 40))
+            # at most quota_links links of 12 params and 40 weights over the ceiling
+            ceiling = max(0, fabric.live_param_count()
+                          - int(rng.integers(0, 12 * quota_links + 40)))
             report = apply_event(
-                fabric, PruneEvent(event_idx, quota_links, quota_weights),
+                fabric, PruneEvent(event_idx, quota_links, ceiling),
                 Criterion.MAGNITUDE)
 
             edges = [(l.src, l.dst) for l in fabric.alive_links()]
@@ -269,6 +271,10 @@ def test_criterion_4_graph_invariants():
                 assert report.links_removed == report.link_quota
             if report.weight_shortfall == 0:
                 assert report.masked_weights == report.weight_quota
+                # the weight stage cuts to the ceiling unless the link stage went below it
+                assert report.live_params == min(ceiling,
+                                                 report.live_params + report.masked_weights), \
+                    f"seq {seq}: live params off the ceiling"
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"graph invariant suite took {elapsed:.1f}s"
 
@@ -339,7 +345,8 @@ def test_criterion_5_small_instance_oracles():
             n = int(rng.integers(1, 6))
 
             expected = _greedy_oracle(edges, scores, n, (0, 0), (1, 1), table)
-            report = apply_event(fabric, PruneEvent(1, n, 0), crit, weight_scores)
+            report = apply_event(fabric, PruneEvent(1, n, fabric.live_param_count()), crit,
+                                 weight_scores)
             assert report.killed_links == expected[0], (seed, crit)
             assert sorted(report.cascade_links) == sorted(expected[1]), (seed, crit)
             assert {l.index for l in fabric.alive_links()} == expected[2], (seed, crit)

@@ -212,6 +212,8 @@ class TestPrunePlan:
         assert [e["epoch"] for e in payload["events"]] == list(range(5, 76, 10))
         assert payload["links_kept"] >= payload["min_links_kept"]
         assert payload["reported_params"] < payload["baseline_params"]
+        assert sum(e["links"] for e in payload["events"]) == payload["links_to_remove"]
+        assert payload["events"][-1]["live_params_ceiling"] == payload["reported_params"]
 
     def test_events_are_the_runs_event_epochs(self, capsys, tmp_path):
         path, config = write_config(tmp_path, epochs=40,
@@ -384,6 +386,26 @@ class TestDivergence:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("fabricprune: parameter ") and "at epoch 1, batch" in line
+
+    @pytest.mark.parametrize("command", ["train", "inject-noise"])
+    @pytest.mark.parametrize("annotator,message", [
+        (AnnotatorConfig(layers=2, channels=2, batch_size=8, learning_rate=1e30),
+         "fabricprune: annotator: parameter 0 "),
+        (AnnotatorConfig(learning_rate=1e30),
+         "fabricprune: annotator: non-finite logits in the batch of images 0.."),
+    ], ids=["parameters", "logits"])
+    def test_diverging_annotator_exits_1_naming_its_epoch(self, capsys, tmp_path, command,
+                                                          annotator, message):
+        # the first used to end in a traceback, the second in exit 2, the
+        # status of an unusable input file
+        path, _ = write_config(tmp_path, noise=NoiseConfig(kind="annotator", epsilon=0.2,
+                                                           annotator=annotator))
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(message) and line.endswith(" at annotator epoch 1")
 
 
 class TestConfigErrors:

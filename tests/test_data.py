@@ -67,6 +67,19 @@ class TestImageDataset:
         for field in ("images", "labels", "given_labels", "index"):
             np.testing.assert_array_equal(getattr(ds, field), getattr(before, field)[order])
 
+    def test_reorder_holds_no_python_int_per_row(self):
+        ds = balanced_dataset(10, 6_000, resolution=2)
+        order = np.random.default_rng(0).permutation(len(ds))
+        ds.reorder(order)  # numpy's one-off set-up
+        tracemalloc.start()
+        try:
+            ds.reorder(order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 1.9 MiB for 60,000 rows; a list of Python ints and a list of flags traced 4.1 MiB
+        assert peak < 3 * 2**20
+
     @pytest.mark.parametrize("order", [[0, 1, 1], [0, 1], [0, 1, 3]])
     def test_reorder_by_a_non_permutation_rejected(self, order):
         ds = balanced_dataset(3, 1)

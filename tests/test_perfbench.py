@@ -26,7 +26,9 @@ logits = fabric.forward(images, mode="train")
 loss = fabricprune.tensor.softmax_cross_entropy(logits, np.array([0, 1, 2, 0]))
 fabricprune.tensor.backward(loss)
 pruning = fabricprune.pruning
-pruning.apply_event(fabric, pruning.PruneEvent(1, 1, 2), pruning.Criterion.MAGNITUDE)
+# one link of 42 params goes, then 2 weights are masked
+ceiling = fabric.live_param_count() - 42 - 2
+pruning.apply_event(fabric, pruning.PruneEvent(1, 1, ceiling), pruning.Criterion.MAGNITUDE)
 print(json.dumps(tracer.per_layer()))
 """
 

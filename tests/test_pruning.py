@@ -49,6 +49,16 @@ def tiny_fabric(layers=2, scales=2, channels=1, seed=0, dtype=np.float64):
                         num_classes=2, seed=seed, dtype=dtype)
 
 
+def killing(fabric, n):
+    """An event whose link quota is n and whose ceiling masks no weight."""
+    return PruneEvent(1, n, fabric.live_param_count())
+
+
+def masking(fabric, n, epoch=1):
+    """An event with no link quota whose ceiling masks n weights."""
+    return PruneEvent(epoch, 0, fabric.live_param_count() - n)
+
+
 def set_link_weights(fabric, values):
     """Give link i all-equal conv weights values[i] (distinct magnitudes)."""
     for link, v in zip(fabric.links, values):
@@ -63,15 +73,16 @@ class TestScoreMap:
 
     def test_magnitude_scores_are_absolute_values(self):
         fabric = weight_stage_fabric((-2.5, 1.0, 3.0), unmasked=(0, 1, 2))
-        apply_event(fabric, PruneEvent(1, 0, 1), Criterion.MAGNITUDE)
+        apply_event(fabric, masking(fabric, 1), Criterion.MAGNITUDE)
         np.testing.assert_array_equal(
             fabric.links[0].conv_weight.mask.reshape(-1), [1, 0, 1, 0, 0, 0, 0, 0, 0])
 
     def test_magnitude_ignores_weight_scores(self):
         def event(weight_scores):
             fabric = build_fabric(3, 3, 1, 4, 2, seed=12)
-            report = apply_event(fabric, PruneEvent(1, 3, 10), Criterion.MAGNITUDE,
-                                 weight_scores)
+            # three links of 12 params go, then 10 weights are masked
+            report = apply_event(fabric, PruneEvent(1, 3, fabric.live_param_count() - 46),
+                                 Criterion.MAGNITUDE, weight_scores)
             return report.to_json(), fabric.state()
 
         inverted = {l.index: -np.abs(l.conv_weight.data)
@@ -83,11 +94,15 @@ class TestScoreMap:
 
     @pytest.mark.parametrize("quotas", [(1, 0), (0, 1)])
     def test_sensitivity_without_scores_raises(self, quotas):
+        # (links to kill, weights to mask)
+        fabric = tiny_fabric()
+        event = PruneEvent(1, quotas[0], fabric.live_param_count() - quotas[1])
         with pytest.raises(UsageError, match="per-weight scores"):
-            apply_event(tiny_fabric(), PruneEvent(1, *quotas), Criterion.SENSITIVITY)
+            apply_event(fabric, event, Criterion.SENSITIVITY)
 
     def test_sensitivity_without_scores_and_quota_is_a_no_op(self):
-        report = apply_event(tiny_fabric(), PruneEvent(1, 0, 0), Criterion.SENSITIVITY)
+        fabric = tiny_fabric()
+        report = apply_event(fabric, killing(fabric, 0), Criterion.SENSITIVITY)
         assert report.killed_links == [] and report.masked_weights == 0
 
     def test_link_score_is_the_euclidean_norm(self):
@@ -99,21 +114,23 @@ class TestScoreMap:
         scores[1][0, 0, 0, 0], scores[1][0, 0, 2, 2] = 3.0, 4.0
         scores[2] = np.zeros((1, 1, 3, 3))
         scores[2][0, 0, 1, 1] = 5.5
-        report = apply_event(fabric, PruneEvent(1, 1, 0), Criterion.SENSITIVITY, scores)
+        report = apply_event(fabric, killing(fabric, 1), Criterion.SENSITIVITY, scores)
         assert report.killed_links == [1]
         assert link_norm(scores[1]) == 5.0
 
     def test_all_zero_link_ranks_first(self):
         fabric = tiny_fabric()
         set_link_weights(fabric, [1.0, 2.0, 3.0, 0.0, 5.0, 6.0])
-        report = apply_event(fabric, PruneEvent(1, 1, 0), Criterion.MAGNITUDE)
+        report = apply_event(fabric, killing(fabric, 1), Criterion.MAGNITUDE)
         assert report.killed_links == [3]
 
     def test_sensitivity_ranks_by_weight_scores_not_weights(self):
         fabric = tiny_fabric()
         set_link_weights(fabric, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         scores = {l.index: np.full((1, 1, 3, 3), 6.0 - l.index) for l in fabric.links}
-        report = apply_event(fabric, PruneEvent(1, 1, 1), Criterion.SENSITIVITY, scores)
+        # link 3's 12 params go, then one weight is masked
+        report = apply_event(fabric, PruneEvent(1, 1, fabric.live_param_count() - 13),
+                             Criterion.SENSITIVITY, scores)
         # killing 5 or 4 would sweep two more links away: over the quota of 1
         assert report.skipped_links == [(5, "cascade_overshoot"), (4, "cascade_overshoot")]
         assert report.killed_links == [3]
@@ -130,13 +147,14 @@ class TestScoreMap:
                     .astype(np.float32))
             weight_scores = {l.index: np.abs(l.conv_weight.data)
                              for l in fabric.alive_links()}
-            report = apply_event(fabric, PruneEvent(1, 6, 40), criterion,
-                                 weight_scores=weight_scores)
+            report = apply_event(fabric, PruneEvent(1, 6, fabric.live_param_count() // 2),
+                                 criterion, weight_scores=weight_scores)
             return report, fabric
 
         (magnitude, ours), (sensitivity, theirs) = \
             event(Criterion.MAGNITUDE), event(Criterion.SENSITIVITY)
-        assert magnitude.killed_links and magnitude.masked_weights == 40
+        assert magnitude.killed_links and magnitude.masked_weights > 0
+        assert magnitude.weight_shortfall == 0
         assert magnitude.to_json() == sensitivity.to_json()
         assert [l.alive for l in ours.links] == [l.alive for l in theirs.links]
         for a, b in zip(ours.links, theirs.links):
@@ -260,7 +278,7 @@ class TestCascade:
         out_of_11 = [l.index for l in fabric.links if l.src == (1, 1)]
         assert out_of_11 == [5, 7]
         set_link_weights(fabric, [1.0 if l.index in out_of_11 else 2.0 for l in fabric.links])
-        report = apply_event(fabric, PruneEvent(1, len(out_of_11) + 2, 0), Criterion.MAGNITUDE)
+        report = apply_event(fabric, killing(fabric, len(out_of_11) + 2), Criterion.MAGNITUDE)
         assert report.killed_links == out_of_11
         assert report.cascade_links == [2, 3]  # the in-links of (1,1)
         assert report.link_shortfall == 0
@@ -276,7 +294,7 @@ class TestCascade:
         # receives from (0,1)
         victim = next(l for l in fabric.links if l.src == (0, 0) and l.dst == (1, 0))
         set_link_weights(fabric, [1.0 if l is victim else 2.0 for l in fabric.links])
-        report = apply_event(fabric, PruneEvent(1, 1, 0), Criterion.MAGNITUDE)
+        report = apply_event(fabric, killing(fabric, 1), Criterion.MAGNITUDE)
         assert report.killed_links == [victim.index]
         assert report.cascade_links == []
 
@@ -323,7 +341,7 @@ class TestWeightCondition:
     def test_two_unmasked_either_allowed(self):
         for values in ((1.0, 2.0), (2.0, 1.0)):
             fabric = weight_stage_fabric(values, unmasked=(0, 1))
-            report = apply_event(fabric, PruneEvent(1, 0, 1), Criterion.MAGNITUDE)
+            report = apply_event(fabric, masking(fabric, 1), Criterion.MAGNITUDE)
             assert report.masked_weights == 1 and report.skipped_weights == 0
             mask = fabric.links[0].conv_weight.mask.reshape(-1)
             assert mask[int(np.argmax(values))] == 1.0
@@ -331,7 +349,7 @@ class TestWeightCondition:
 
     def test_last_weight_refused(self):
         fabric = weight_stage_fabric((0.5,), unmasked=(4,))
-        report = apply_event(fabric, PruneEvent(1, 0, 1), Criterion.MAGNITUDE)
+        report = apply_event(fabric, masking(fabric, 1), Criterion.MAGNITUDE)
         assert report.skipped_weights == 1
         assert report.masked_weights == 1 and report.weight_shortfall == 0
         assert fabric.links[0].unmasked_weight_count() == 1
@@ -341,7 +359,7 @@ class TestWeightCondition:
         # masked weights are exactly 0, the lowest magnitude, yet never re-picked
         fabric = weight_stage_fabric((3.0, 1.0, 5.0, 2.0, 4.0, 6.0),
                                      unmasked=(0, 1, 2, 3, 4, 5))
-        report = apply_event(fabric, PruneEvent(1, 0, 2), Criterion.MAGNITUDE)
+        report = apply_event(fabric, masking(fabric, 2), Criterion.MAGNITUDE)
         assert report.masked_weights == 2
         mask = fabric.links[0].conv_weight.mask.reshape(-1)
         np.testing.assert_array_equal(mask, [1, 0, 1, 0, 1, 1, 0, 0, 0])
@@ -356,7 +374,7 @@ class TestSelectPrunable:
     def test_zero_quota(self):
         fabric = tiny_fabric()
         set_link_weights(fabric, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        report = apply_event(fabric, PruneEvent(1, 0, 3), Criterion.MAGNITUDE)
+        report = apply_event(fabric, masking(fabric, 3), Criterion.MAGNITUDE)
         assert report.killed_links == [] and report.skipped_links == []
         assert report.link_shortfall == 0 and report.masked_weights == 3
         assert all(l.alive for l in fabric.links)
@@ -364,7 +382,7 @@ class TestSelectPrunable:
     def test_unconditional_takes_lowest_scored(self):
         fabric = tiny_fabric()
         set_link_weights(fabric, [4.0, 1.0, 2.0, 5.0, 6.0, 3.0])
-        report = apply_event(fabric, PruneEvent(1, 2, 0), Criterion.MAGNITUDE)
+        report = apply_event(fabric, killing(fabric, 2), Criterion.MAGNITUDE)
         assert report.killed_links == [1, 2]
         assert report.cascade_links == [] and report.skipped_links == []
         assert [l.index for l in fabric.alive_links()] == [0, 3, 4, 5]
@@ -375,7 +393,7 @@ class TestSelectPrunable:
         for index in (1, 3, 4):
             fabric.links[index].alive = False
         # after link 2 goes, 0 -> 5 is the only path left
-        report = apply_event(fabric, PruneEvent(1, 2, 0), Criterion.MAGNITUDE)
+        report = apply_event(fabric, killing(fabric, 2), Criterion.MAGNITUDE)
         assert report.killed_links == [2]
         assert report.skipped_links == [(0, "connectivity"), (5, "connectivity")]
         assert report.link_shortfall == 1
@@ -384,7 +402,7 @@ class TestSelectPrunable:
         fabric = tiny_fabric()
         set_link_weights(fabric, [1.0] * 6)
         # killing 0 and 1 orphans link 5, whose cascade takes the third unit
-        report = apply_event(fabric, PruneEvent(1, 3, 0), Criterion.MAGNITUDE)
+        report = apply_event(fabric, killing(fabric, 3), Criterion.MAGNITUDE)
         assert report.killed_links == [0, 1]
         assert report.cascade_links == [5]
 
@@ -395,7 +413,7 @@ class TestSelectPrunable:
         for ranking in itertools.permutations(range(1, 7)):
             fabric = tiny_fabric(seed=9)
             set_link_weights(fabric, ranking)
-            report = apply_event(fabric, PruneEvent(1, n, 0), Criterion.MAGNITUDE)
+            report = apply_event(fabric, killing(fabric, n), Criterion.MAGNITUDE)
             assert report.links_removed + report.link_shortfall == n
             kept = [(l.src, l.dst) for l in fabric.alive_links()]
             assert path_exists(kept, (0, 0), (1, 1))
@@ -420,7 +438,7 @@ class TestBuildPlan:
         assert len(plan.events) == 1
         assert plan.events[0].epoch == 5
         assert plan.events[0].links_to_remove == plan.budget.links_to_remove
-        assert plan.events[0].weights_to_remove == plan.budget.weights_to_remove
+        assert plan.events[0].live_params_ceiling == plan.budget.reported_params
 
     def test_late_single_event_at_75(self):
         plan = build_plan(Strategy.LATE, 0.10, tiny_fabric(3, 3))
@@ -433,15 +451,15 @@ class TestBuildPlan:
         assert sum(link_quotas) == plan.budget.links_to_remove
         assert max(link_quotas) - min(link_quotas) <= 1
         assert sorted(link_quotas, reverse=True) == link_quotas
-        weight_quotas = [e.weights_to_remove for e in plan.events]
-        assert sum(weight_quotas) == plan.budget.weights_to_remove
+        ceilings = [e.live_params_ceiling for e in plan.events]
+        assert sorted(ceilings, reverse=True) == ceilings
+        assert ceilings[-1] == plan.budget.reported_params
 
-    def test_weight_budget_covers_survivors(self):
-        fabric = build_fabric(8, 6, 2, 32, 10)
-        plan = build_plan(Strategy.EARLY, 0.05, fabric)
-        assert plan.budget.surviving_conv_weights == plan.budget.links_kept * 2 * 2 * 9
-        import math
-        assert plan.budget.weights_kept == math.ceil(0.05 * plan.budget.surviving_conv_weights)
+    def test_paper_dims_early_plan_is_one_event_at_the_reported_count(self):
+        # 12 kept links keep 223,737 of their 442,368 conv weights (51 %)
+        plan = build_plan(Strategy.EARLY, 0.05, build_fabric(8, 6, 64, 32, 10))
+        assert plan.events == [PruneEvent(5, 110, 228_611)]
+        assert plan.budget.reported_params == 228_611
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
     def test_sparsity_range_enforced(self, bad):
@@ -470,6 +488,7 @@ class TestRescalePlan:
             scaled = build_plan(Strategy.ITERATIVE, 0.05, fabric, epochs=8)
         assert sum(e.links_to_remove for e in scaled.events) == plan.budget.links_to_remove
         assert [e.epoch for e in scaled.events] == sorted({e.epoch for e in scaled.events})
+        assert scaled.events[-1].live_params_ceiling == plan.budget.reported_params
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(strategy=st.sampled_from(list(Strategy)),
@@ -485,11 +504,13 @@ class TestRescalePlan:
         with warnings.catch_warnings(record=True) as expected_warnings:
             warnings.simplefilter("always")
             budget, events = plan_reference(strategy.value, sparsity, len(fabric.alive_links()),
-                                            longest_linear_path(fabric), channels, epochs)
+                                            longest_linear_path(fabric), channels,
+                                            fabric.num_classes, epochs)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             plan = build_plan(strategy, sparsity, fabric, epochs)
-        assert [(e.epoch, e.links_to_remove, e.weights_to_remove) for e in plan.events] == events
+        assert [(e.epoch, e.links_to_remove, e.live_params_ceiling)
+                for e in plan.events] == events
         assert asdict(plan.budget) == budget
         assert [str(w.message) for w in caught] == [str(w.message) for w in expected_warnings]
 
@@ -526,7 +547,7 @@ class TestApplyEvent:
     def test_zero_quota_changes_nothing(self):
         fabric = tiny_fabric(seed=10)
         before = [(l.alive, l.conv_weight.data.copy()) for l in fabric.links]
-        report = apply_event(fabric, PruneEvent(1, 0, 0), Criterion.MAGNITUDE)
+        report = apply_event(fabric, killing(fabric, 0), Criterion.MAGNITUDE)
         assert report.killed_links == [] and report.masked_weights == 0
         for link, (alive, w) in zip(fabric.links, before):
             assert link.alive == alive
@@ -535,7 +556,9 @@ class TestApplyEvent:
     @pytest.mark.parametrize("seed", range(10))
     def test_reachability_after_event(self, seed):
         fabric = build_fabric(4, 3, 1, 4, 2, seed=seed)
-        apply_event(fabric, PruneEvent(1, 7, 20), Criterion.MAGNITUDE)
+        # seven links of 12 params go, then 20 weights are masked
+        apply_event(fabric, PruneEvent(1, 7, fabric.live_param_count() - 7 * 12 - 20),
+                    Criterion.MAGNITUDE)
         edges = [(l.src, l.dst) for l in fabric.alive_links()]
         assert path_exists(edges, (0, 0), (3, 2))
 
@@ -551,7 +574,7 @@ class TestApplyEvent:
         expected_killed, expected_cascaded, expected_alive = greedy_oracle(
             edges, scores, n, (0, 0), (1, 1))
 
-        report = apply_event(fabric, PruneEvent(1, n, 0), Criterion.MAGNITUDE)
+        report = apply_event(fabric, killing(fabric, n), Criterion.MAGNITUDE)
         assert report.killed_links == expected_killed
         assert sorted(report.cascade_links) == sorted(expected_cascaded)
         assert {l.index for l in fabric.alive_links()} == expected_alive
@@ -565,7 +588,7 @@ class TestApplyEvent:
         edges = [(l.src, l.dst) for l in fabric.links]
         expected_killed, expected_cascaded, _ = greedy_oracle(
             edges, link_scores, 3, (0, 0), (1, 1))
-        report = apply_event(fabric, PruneEvent(1, 3, 0), Criterion.SENSITIVITY,
+        report = apply_event(fabric, killing(fabric, 3), Criterion.SENSITIVITY,
                              weight_scores=weight_scores)
         assert report.killed_links == expected_killed
         assert sorted(report.cascade_links) == sorted(expected_cascaded)
@@ -573,12 +596,14 @@ class TestApplyEvent:
     def test_quota_exact_when_unblocked(self):
         fabric = build_fabric(5, 4, 1, 8, 3, seed=1)
         before = len(fabric.alive_links())
-        report = apply_event(fabric, PruneEvent(1, 12, 30), Criterion.MAGNITUDE)
+        ceiling = fabric.live_param_count() - 12 * 12 - 30  # twelve links of 12 params
+        report = apply_event(fabric, PruneEvent(1, 12, ceiling), Criterion.MAGNITUDE)
         assert report.link_shortfall == 0
         assert report.links_removed == 12
         assert before - len(fabric.alive_links()) == 12
         assert report.weight_shortfall == 0
-        assert report.masked_weights == 30
+        assert report.masked_weights == report.weight_quota == 30
+        assert report.live_params == fabric.live_param_count() == ceiling
         masked = sum(l.conv_weight.data.size - l.unmasked_weight_count()
                      for l in fabric.alive_links())
         assert masked == 30
@@ -586,7 +611,7 @@ class TestApplyEvent:
     def test_shortfall_reported_when_blocked(self):
         fabric = tiny_fabric(seed=2)
         # more links than can go while staying connected (min path needs 2)
-        report = apply_event(fabric, PruneEvent(1, 6, 0), Criterion.MAGNITUDE)
+        report = apply_event(fabric, killing(fabric, 6), Criterion.MAGNITUDE)
         assert report.link_shortfall > 0
         edges = [(l.src, l.dst) for l in fabric.alive_links()]
         assert path_exists(edges, (0, 0), (1, 1))
@@ -595,7 +620,8 @@ class TestApplyEvent:
         fabric = build_fabric(4, 3, 2, 4, 3, seed=3)
         stem_before = [p.data.tobytes() for p in fabric.stem.parameters()]
         head_before = [p.data.tobytes() for p in fabric.head_parameters()]
-        apply_event(fabric, PruneEvent(1, 10, 40), Criterion.MAGNITUDE)
+        apply_event(fabric, PruneEvent(1, 10, fabric.live_param_count() // 2),
+                    Criterion.MAGNITUDE)
         assert fabric.stem.alive and fabric.stem.conv_weight.mask is None
         assert [p.data.tobytes() for p in fabric.stem.parameters()] == stem_before
         assert [p.data.tobytes() for p in fabric.head_parameters()] == head_before
@@ -603,16 +629,16 @@ class TestApplyEvent:
     def test_no_all_zero_filter_after_weight_stage(self):
         for seed in range(100):
             fabric = tiny_fabric(seed=seed)
-            apply_event(fabric, PruneEvent(1, 2, 40), Criterion.MAGNITUDE)
+            apply_event(fabric, PruneEvent(1, 2, 0), Criterion.MAGNITUDE)
             for link in fabric.alive_links():
                 assert link.unmasked_weight_count() >= 1
 
     def test_weight_masking_is_monotone_across_events(self):
         fabric = build_fabric(3, 3, 2, 4, 2, seed=4)
-        apply_event(fabric, PruneEvent(1, 0, 50), Criterion.MAGNITUDE)
+        apply_event(fabric, masking(fabric, 50), Criterion.MAGNITUDE)
         masked_after_first = {l.index: l.conv_weight.mask.copy()
                               for l in fabric.alive_links() if l.conv_weight.mask is not None}
-        apply_event(fabric, PruneEvent(2, 0, 50), Criterion.MAGNITUDE)
+        apply_event(fabric, masking(fabric, 50, epoch=2), Criterion.MAGNITUDE)
         for link in fabric.alive_links():
             if link.index in masked_after_first:
                 previously = masked_after_first[link.index] == 0.0
@@ -621,7 +647,7 @@ class TestApplyEvent:
     def test_ranking_order_auditable(self):
         fabric = build_fabric(3, 3, 1, 4, 2, seed=5)
         scores = {l.index: link_norm(np.abs(l.conv_weight.data)) for l in fabric.links}
-        report = apply_event(fabric, PruneEvent(1, 5, 0), Criterion.MAGNITUDE)
+        report = apply_event(fabric, killing(fabric, 5), Criterion.MAGNITUDE)
         accounted = set(report.killed_links) | set(report.cascade_links) \
             | {i for i, _ in report.skipped_links}
         worst_kill = max(scores[i] for i in report.killed_links)
@@ -681,6 +707,17 @@ class TestReportedParamCount:
         assert reported_param_count(full, 0.05) == 226_041 + 2_570
 
 
+def assert_weight_stage_meets_the_ceiling(report, ceiling):
+    """The weight quota is what the link stage left above the ceiling, and
+    unless it fell short the event ends at the ceiling or below it, where
+    the link stage alone left the fabric."""
+    after_links = report.live_params + report.masked_weights
+    assert report.weight_quota == max(0, after_links - ceiling)
+    assert report.masked_weights + report.weight_shortfall == report.weight_quota
+    if report.weight_shortfall == 0:
+        assert report.live_params == min(ceiling, after_links)
+
+
 class TestRandomizedSequences:
     @pytest.mark.parametrize("seed", range(30))
     def test_invariants_hold_through_random_plans(self, seed):
@@ -692,8 +729,10 @@ class TestRandomizedSequences:
 
         for event_index in range(int(rng.integers(1, 4))):
             quota_links = int(rng.integers(0, len(fabric.alive_links()) + 1))
-            quota_weights = int(rng.integers(0, 30))
-            report = apply_event(fabric, PruneEvent(event_index, quota_links, quota_weights),
+            # at most quota_links links of 12 params and 30 weights over the ceiling
+            ceiling = max(0, fabric.live_param_count()
+                          - int(rng.integers(0, 12 * quota_links + 30)))
+            report = apply_event(fabric, PruneEvent(event_index, quota_links, ceiling),
                                  Criterion.MAGNITUDE)
 
             edges = [(l.src, l.dst) for l in fabric.alive_links()]
@@ -704,6 +743,7 @@ class TestRandomizedSequences:
                 assert link.unmasked_weight_count() >= 1
             if report.link_shortfall == 0:
                 assert report.links_removed == report.link_quota
+            assert_weight_stage_meets_the_ceiling(report, ceiling)
 
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -749,7 +789,7 @@ class TestPathRuleProperties:
     @given(grids(), st.data())
     def test_event_keeps_a_path_and_accounts_for_its_quota(self, fabric, data):
         quota = data.draw(st.integers(0, len(fabric.links)))
-        report = apply_event(fabric, PruneEvent(1, quota, 0), Criterion.MAGNITUDE)
+        report = apply_event(fabric, killing(fabric, quota), Criterion.MAGNITUDE)
         edges = [(l.src, l.dst) for l in fabric.alive_links()]
         assert path_exists(edges, fabric.input_node, fabric.output_node)
         assert report.links_removed + report.link_shortfall == report.link_quota
@@ -765,6 +805,20 @@ class TestPathRuleProperties:
                 longest_linear_path(fabric)
         else:
             assert longest_linear_path(fabric) == expected
+
+
+def run_plan(plan, fabric, criterion, rng):
+    """Apply each of plan's events to fabric (random sensitivity scores);
+    returns the last event's report."""
+    for event in plan.events:
+        weight_scores = None
+        if criterion is Criterion.SENSITIVITY:
+            weight_scores = {l.index: rng.random(l.conv_weight.data.shape)
+                             for l in fabric.alive_links()}
+        report = apply_event(fabric, event, criterion, weight_scores)
+        assert_weight_stage_meets_the_ceiling(report, event.live_params_ceiling)
+        assert report.live_params == fabric.live_param_count()
+    return report
 
 
 class TestPlanProperties:
@@ -788,11 +842,46 @@ class TestPlanProperties:
             if criterion is Criterion.SENSITIVITY:
                 weight_scores = {l.index: rng.random(l.conv_weight.data.shape)
                                  for l in fabric.alive_links()}
-            apply_event(fabric, event, criterion, weight_scores)
+            report = apply_event(fabric, event, criterion, weight_scores)
+            assert_weight_stage_meets_the_ceiling(report, event.live_params_ceiling)
             alive = fabric.alive_links()
             assert len(alive) >= plan.budget.links_kept >= floor
             edges = [(l.src, l.dst) for l in alive]
             assert path_exists(edges, fabric.input_node, fabric.output_node)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    @pytest.mark.filterwarnings("ignore:rescaling")
+    def test_whole_schedule_ends_at_the_reported_count(self, data):
+        # the last event's ceiling is the target: a run ends there unless its
+        # last report shows a weight shortfall (protected weights, or a target
+        # below the alive links' biases and batch norms) or a link stage that
+        # alone took the fabric below it
+        layers, scales = data.draw(st.integers(2, 6)), data.draw(st.integers(2, 5))
+        fabric = build_fabric(layers, scales, data.draw(st.integers(1, 2)), 2 ** (scales - 1),
+                              data.draw(st.integers(2, 10)),
+                              seed=data.draw(st.integers(0, 2**16)))
+        plan = build_plan(data.draw(st.sampled_from(list(Strategy))),
+                          data.draw(st.floats(0.01, 0.99)), fabric,
+                          data.draw(st.integers(1, 200)))
+        report = run_plan(plan, fabric, data.draw(st.sampled_from(list(Criterion))),
+                          np.random.default_rng(data.draw(st.integers(0, 2**16))))
+        target = plan.budget.reported_params
+        assert plan.events[-1].live_params_ceiling == target
+        assert fabric.live_param_count() == target or report.weight_shortfall > 0 \
+            or report.weight_quota == 0 and report.live_params < target
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("criterion", list(Criterion))
+    @pytest.mark.filterwarnings("ignore:rescaling")
+    def test_desk_fabric_ends_exactly_at_the_reported_count(self, strategy, criterion):
+        # 4x5x8, 10 classes, s = 0.05 over 20 epochs: the target is 1,740
+        for seed in range(3):
+            fabric = build_fabric(4, 5, 8, 16, 10, seed=seed)
+            plan = build_plan(strategy, 0.05, fabric, 20)
+            report = run_plan(plan, fabric, criterion, np.random.default_rng(seed))
+            assert report.weight_shortfall == 0
+            assert fabric.live_param_count() == plan.budget.reported_params == 1_740
 
 
 @st.composite
@@ -844,7 +933,7 @@ class TestWeightStageProperties:
             scores, {l.index: l.conv_weight.mask for l in alive}, quota)
         expected.update(new_masks)
 
-        report = apply_event(fabric, PruneEvent(1, 0, quota), criterion, weight_scores)
+        report = apply_event(fabric, masking(fabric, quota), criterion, weight_scores)
         assert (report.masked_weights, report.skipped_weights, report.weight_shortfall) \
             == (masked, skipped, shortfall)
         for link in fabric.links:

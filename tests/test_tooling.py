@@ -11,6 +11,7 @@ module needs is public.
 
 import argparse
 import ast
+import json
 import re
 import shlex
 from collections import Counter
@@ -112,6 +113,17 @@ def test_readme_names_every_config_rule():
     # each field ExperimentConfig.check holds to a rule, as `dotted.field`
     readme = (ROOT / "README.md").read_text()
     assert [name for name in runner._RULES if f"`{name}`" not in readme] == []
+
+
+def test_readme_names_every_key_prune_plan_prints(tmp_path, capsys):
+    # the top-level keys and those of each event, as `key`
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    assert cli.main(["prune-plan", "--config", str(config), "--strategy", "iterative"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    keys = set(payload) | {key for event in payload["events"] for key in event}
+    readme = (ROOT / "README.md").read_text()
+    assert sorted(key for key in keys if f"`{key}`" not in readme) == []
 
 
 def subcommands(parser):
