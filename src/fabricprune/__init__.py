@@ -22,9 +22,8 @@ from .fabric import (
 from .noise import (
     AnnotatorConfig,
     FittingReport,
-    apply_class_noise,
-    apply_uniform_noise,
     fitting_report,
+    flip_labels,
     relabel_with_annotator,
     train_annotator,
 )

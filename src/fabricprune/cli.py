@@ -7,6 +7,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .data import FormatError
 from .fabric import Fabric, FabricError, build_fabric, export_dot, load_fabric, param_breakdown
 from .noise import classification_error, fitting_report
@@ -199,7 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # a non-finite loss, parameter or logit ends a run as TrainingDiverged,
+        # one line below; numpy's overflow warnings on the way there add nothing
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except ConfigError as exc:
         source = f"config {args.config}" if args.config else "arguments"
         print(f"invalid {source}: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import array
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -201,26 +202,37 @@ class RecordLayout:
         return 1 + 3 * self.resolution * self.resolution
 
 
+CHUNK_BYTES = 1 << 20  # load_binary_records decodes about this many bytes of records at a time
+
+
 def load_binary_records(path, layout: RecordLayout) -> ImageDataset:
-    """Parse a file of fixed-size label+pixel records into a dataset."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Parse a file of fixed-size label+pixel records into a dataset. Records
+    are read and decoded in file order, a chunk of them at a time, into one
+    preallocated float array: no copy of the file's bytes is held beside it."""
     size = layout.record_size
-    if len(raw) == 0 or len(raw) % size != 0:
-        expected = (len(raw) // size + 1) * size
-        raise FormatError(
-            f"{path}: file is {len(raw)} bytes, not a positive multiple of the "
-            f"{size}-byte record (nearest would be {expected})")
-    records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, size)
-    labels = records[:, 0].astype(np.int64)
-    bad = np.nonzero(labels >= layout.num_classes)[0]
-    if bad.size:
-        offset = int(bad[0]) * size
-        raise FormatError(
-            f"{path}: label {labels[bad[0]]} at byte offset {offset} is outside "
-            f"[0, {layout.num_classes})")
     r = layout.resolution
-    images = records[:, 1:].reshape(-1, 3, r, r).astype(np.float32)
+    with open(path, "rb") as fh:
+        nbytes = os.fstat(fh.fileno()).st_size
+        if nbytes == 0 or nbytes % size != 0:
+            expected = (nbytes // size + 1) * size
+            raise FormatError(
+                f"{path}: file is {nbytes} bytes, not a positive multiple of the "
+                f"{size}-byte record (nearest would be {expected})")
+        count = nbytes // size
+        labels = np.empty(count, dtype=np.int64)
+        images = np.empty((count, 3, r, r), dtype=np.float32)
+        per_chunk = max(1, CHUNK_BYTES // size)
+        for start in range(0, count, per_chunk):
+            records = np.frombuffer(fh.read(per_chunk * size), dtype=np.uint8).reshape(-1, size)
+            stop = start + len(records)
+            labels[start:stop] = records[:, 0]
+            bad = np.nonzero(labels[start:stop] >= layout.num_classes)[0]
+            if bad.size:
+                offset = (start + int(bad[0])) * size
+                raise FormatError(
+                    f"{path}: label {labels[start + bad[0]]} at byte offset {offset} is outside "
+                    f"[0, {layout.num_classes})")
+            images[start:stop] = records[:, 1:].reshape(-1, 3, r, r)
     images /= 255.0  # in place: one float array at a time
     return ImageDataset(images, labels, layout.num_classes)
 

@@ -1,7 +1,7 @@
 """Structured label noise and the indicators that measure its effect.
 
-Three corruption processes: uniformly random flips, class-dependent flips
-through a row-stochastic transition matrix, and class-and-feature-dependent
+Three corruption processes: uniformly random flips, class-dependent pair
+flips (a flipped label goes to the next class) and class-and-feature-dependent
 relabeling by an artificial annotator (a small fabric classifier trained
 until its held-out error lands near a target rate). Each corrupts only an
 ImageDataset's given labels and keeps its true ones, which is what makes the
@@ -34,8 +34,11 @@ def _on_rows(draws: np.ndarray, labeled: ImageDataset) -> np.ndarray:
     return placed
 
 
-def apply_uniform_noise(labeled: ImageDataset, p: float, seed: int) -> ImageDataset:
-    """Flip each label with probability p, uniformly into another class."""
+def flip_labels(labeled: ImageDataset, p: float, seed: int,
+                pair: bool = False) -> ImageDataset:
+    """Flip each label with probability p: uniformly into another class, or
+    with pair to the next class, (k + 1) mod K. One seed flips the same items
+    either way, and at K = 2 the two kinds are the same noise."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"flip probability must be in [0, 1], got {p}")
     if labeled.num_classes < 2 and p > 0.0:
@@ -45,40 +48,11 @@ def apply_uniform_noise(labeled: ImageDataset, p: float, seed: int) -> ImageData
         rng = np.random.default_rng(seed)
         n = len(labeled)
         flips = _on_rows(rng.random(n) < p, labeled)
-        offsets = _on_rows(rng.integers(1, labeled.num_classes, size=n), labeled)
-        given[flips] = (given[flips] + offsets[flips]) % labeled.num_classes
-    return replace(labeled, given_labels=given)
-
-
-def validate_transition_matrix(matrix: np.ndarray, num_classes: int) -> None:
-    if matrix.shape != (num_classes, num_classes):
-        raise ValueError(f"transition matrix must be {num_classes}x{num_classes}")
-    if not np.isfinite(matrix).all():
-        raise ValueError("transition probabilities must be finite")
-    if (matrix < 0).any():
-        raise ValueError("transition probabilities must be nonnegative")
-    sums = matrix.sum(axis=1)
-    if np.abs(sums - 1.0).max() > 1e-9:
-        raise ValueError(f"rows must sum to 1, got {sums}")
-
-
-def uniform_transition_matrix(num_classes: int, p: float) -> np.ndarray:
-    """The matrix equivalent of uniform noise: 1-p diagonal, p spread evenly."""
-    matrix = np.full((num_classes, num_classes), p / (num_classes - 1))
-    np.fill_diagonal(matrix, 1.0 - p)
-    return matrix
-
-
-def apply_class_noise(labeled: ImageDataset, transition: np.ndarray,
-                      seed: int) -> ImageDataset:
-    """Sample each given label from the transition row of its clean label."""
-    transition = np.asarray(transition, dtype=np.float64)
-    validate_transition_matrix(transition, labeled.num_classes)
-    rng = np.random.default_rng(seed)
-    cumulative = np.cumsum(transition[labeled.labels], axis=1)
-    draws = _on_rows(rng.random(len(labeled)), labeled)
-    given = (draws[:, None] >= cumulative).sum(axis=1)
-    given = np.minimum(given, labeled.num_classes - 1).astype(labeled.labels.dtype)
+        if pair:
+            given[flips] += 1
+        else:
+            given[flips] += _on_rows(rng.integers(1, labeled.num_classes, size=n), labeled)[flips]
+        given %= labeled.num_classes
     return replace(labeled, given_labels=given)
 
 

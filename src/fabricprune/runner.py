@@ -49,15 +49,13 @@ from .fabric import (
 )
 from .noise import (
     AnnotatorConfig,
-    apply_class_noise,
-    apply_uniform_noise,
     classification_error,
     fitting_report,
+    flip_labels,
     load_noisy_labels,
     relabel_with_annotator,
     save_noisy_labels,
     train_annotator,
-    uniform_transition_matrix,
 )
 from .pruning import (
     RECIPE_EPOCHS,
@@ -140,11 +138,11 @@ class PruneConfig:
 @dataclass
 class NoiseConfig:
     # epsilon, the target mislabel rate of every kind, is the flip probability of
-    # "uniform", the rate of "class"'s uniform_transition_matrix(K, epsilon) (the
-    # same flips, other draws) and the annotator's target held-out error
+    # "uniform" (to any other class) and "class" (to the next class) and the
+    # annotator's target held-out error
     kind: str = "uniform"  # one of NOISE_KINDS
     epsilon: float = 0.1
-    seed: int = 0  # the uniform and class draws; the annotator draws from annotator.seed
+    seed: int = 0  # the uniform and class flips; the annotator draws from annotator.seed
     annotator: AnnotatorConfig = field(default_factory=AnnotatorConfig)
 
 
@@ -348,11 +346,8 @@ def inject_noise(full: ImageDataset, splits, config: NoiseConfig, out_dir: Path 
     annotator trains on the train rows and holds out the validation rows;
     TrainingDiverged names its epoch when it diverges."""
     info: dict = {"kind": config.kind, "target_rate": config.epsilon}
-    if config.kind == "uniform":
-        noisy = apply_uniform_noise(full, config.epsilon, config.seed)
-    elif config.kind == "class":
-        matrix = uniform_transition_matrix(full.num_classes, config.epsilon)
-        noisy = apply_class_noise(full, matrix, config.seed)
+    if config.kind in ("uniform", "class"):
+        noisy = flip_labels(full, config.epsilon, config.seed, pair=config.kind == "class")
     elif config.kind == "annotator":
         annotator, ann_info = train_annotator(full.subset(splits[0]), full.subset(splits[1]),
                                               config.epsilon, config.annotator)

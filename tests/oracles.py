@@ -377,3 +377,45 @@ def stratified_split_reference(labels, fractions, seed):
             split.extend(members[start : start + count].tolist())
             start += count
     return [np.array(sorted(s), dtype=np.int64) for s in splits]
+
+
+def uniform_transition_matrix(num_classes, p):
+    """Uniform noise as a transition matrix: 1 - p on the diagonal, p spread
+    evenly over the other classes of each row."""
+    matrix = np.full((num_classes, num_classes), p / (num_classes - 1))
+    np.fill_diagonal(matrix, 1.0 - p)
+    return matrix
+
+
+def pair_transition_matrix(num_classes, p):
+    """Pair-flip noise as a transition matrix: row k keeps 1 - p on k and
+    sends p to (k + 1) mod num_classes."""
+    matrix = np.zeros((num_classes, num_classes))
+    for k in range(num_classes):
+        matrix[k, k] += 1.0 - p
+        matrix[k, (k + 1) % num_classes] += p
+    return matrix
+
+
+def sample_transitions(labels, matrix, seed):
+    """Given labels drawn label by label from the transition row of each
+    clean label, by inverse CDF of one uniform draw per label."""
+    rng = np.random.default_rng(seed)
+    given = np.empty_like(labels)
+    for i, clean in enumerate(labels):
+        u = rng.random()
+        for j, cumulative in enumerate(np.cumsum(matrix[clean])):
+            if u < cumulative:
+                break
+        else:  # u past a row sum rounded below 1
+            j = np.flatnonzero(matrix[clean])[-1]
+        given[i] = j
+    return given
+
+
+def transition_cells(clean, given, num_classes):
+    """(num_classes, num_classes) counts of the (clean, given) label pairs."""
+    cells = np.zeros((num_classes, num_classes), dtype=np.int64)
+    for k, j in zip(clean, given):
+        cells[k, j] += 1
+    return cells

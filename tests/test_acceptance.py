@@ -19,10 +19,8 @@ from fabricprune.data import ImageDataset, make_synthetic
 from fabricprune.fabric import build_fabric, param_breakdown
 from fabricprune.noise import (
     AnnotatorConfig,
-    apply_class_noise,
-    apply_uniform_noise,
     fitting_report,
-    uniform_transition_matrix,
+    flip_labels,
 )
 from fabricprune.pruning import (
     Criterion,
@@ -380,13 +378,16 @@ def test_criterion_7_noise_suite(tmp_path_factory):
     labels = rng.integers(0, 10, 10_000)
     images = np.zeros((10_000, 3, 2, 2), dtype=np.float32)
     base = ImageDataset(images, labels.copy(), 10, labels.copy())
-    uniform = apply_uniform_noise(base, 0.2, seed=3)
+    uniform = flip_labels(base, 0.2, seed=3)
     sigma = np.sqrt(0.2 * 0.8 / 10_000)
     assert abs(uniform.noise_rate - 0.2) <= 3 * sigma
 
-    # Type 2: symmetric transition matrix at the same rate
-    classnoise = apply_class_noise(base, uniform_transition_matrix(10, 0.2), seed=4)
+    # Type 2: class-dependent pair flips at the same rate, each to the next class
+    classnoise = flip_labels(base, 0.2, seed=4, pair=True)
     assert abs(classnoise.noise_rate - 0.2) <= 3 * sigma
+    flipped = classnoise.given_labels != classnoise.labels
+    np.testing.assert_array_equal(classnoise.given_labels[flipped],
+                                  (classnoise.labels[flipped] + 1) % 10)
 
     # fitting_report on constructed 10-item cases, exactly
     clean = np.array([0, 0, 1, 1, 2, 2, 0, 1, 2, 0])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import stratified_split_reference
 
+from fabricprune import data
 from fabricprune.data import (
     AugmentConfig,
     FormatError,
@@ -307,6 +308,7 @@ class TestBinaryRecords:
         np.testing.assert_array_equal(loaded.images.view(np.uint32), expected.view(np.uint32))
 
     def test_decoding_holds_one_float_array(self, tmp_path):
+        # beside the float array only a chunk of records, never the file's bytes
         layout = RecordLayout(resolution=32, num_classes=10)
         path = tmp_path / "records.bin"
         path.write_bytes(bytes(layout.record_size * 3300))  # about 10 MB
@@ -317,7 +319,26 @@ class TestBinaryRecords:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < path.stat().st_size + 1.3 * float_bytes
+        assert peak < 1.10 * float_bytes
+
+    def test_chunks_decode_as_one_read(self, tmp_path, monkeypatch):
+        # 50 records of 193 bytes, 5 to a 1,000-byte chunk; the first bad
+        # label is named even when a later chunk holds another
+        monkeypatch.setattr(data, "CHUNK_BYTES", 1000)
+        rng = np.random.default_rng(9)
+        records = rng.integers(0, 256, (50, 1 + 3 * 8 * 8), dtype=np.uint8)
+        records[:, 0] %= 10
+        path = tmp_path / "records.bin"
+        path.write_bytes(records.tobytes())
+        layout = RecordLayout(resolution=8, num_classes=10)
+        loaded = load_binary_records(path, layout)
+        expected = records[:, 1:].reshape(-1, 3, 8, 8).astype(np.float32) / 255.0
+        np.testing.assert_array_equal(loaded.images.view(np.uint32), expected.view(np.uint32))
+        np.testing.assert_array_equal(loaded.labels, records[:, 0])
+        records[[17, 33], 0] = 12
+        path.write_bytes(records.tobytes())
+        with pytest.raises(FormatError, match=rf"label 12 at byte offset {17 * 193} is outside"):
+            load_binary_records(path, layout)
 
     def test_label_out_of_range_names_offset(self, tmp_path):
         layout = RecordLayout(resolution=2, num_classes=3)

@@ -2,20 +2,25 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    pair_transition_matrix,
+    sample_transitions,
+    transition_cells,
+    uniform_transition_matrix,
+)
 
 from fabricprune.data import ImageDataset, make_synthetic
 from fabricprune.noise import (
     AnnotatorConfig,
-    apply_class_noise,
-    apply_uniform_noise,
     classification_error,
     fitting_report,
+    flip_labels,
     load_noisy_labels,
     relabel_with_annotator,
     save_noisy_labels,
     train_annotator,
-    uniform_transition_matrix,
-    validate_transition_matrix,
 )
 
 
@@ -33,23 +38,23 @@ def big_uniform_set(n=10_000, num_classes=10, seed=0):
 class TestUniformNoise:
     def test_zero_probability_is_identity(self):
         ls = big_uniform_set(200)
-        noisy = apply_uniform_noise(ls, 0.0, seed=1)
+        noisy = flip_labels(ls, 0.0, seed=1)
         np.testing.assert_array_equal(noisy.given_labels, noisy.labels)
 
     def test_probability_one_flips_everything(self):
         ls = big_uniform_set(500)
-        noisy = apply_uniform_noise(ls, 1.0, seed=2)
+        noisy = flip_labels(ls, 1.0, seed=2)
         assert np.all(noisy.given_labels != noisy.labels)
 
     def test_flip_rate_within_three_sigma(self):
         ls = big_uniform_set(10_000)
-        noisy = apply_uniform_noise(ls, 0.2, seed=3)
+        noisy = flip_labels(ls, 0.2, seed=3)
         sigma = np.sqrt(0.2 * 0.8 / 10_000)
         assert abs(noisy.noise_rate - 0.2) <= 3 * sigma  # 0.2 +/- 0.012
 
     def test_flipped_labels_uniform_over_others(self):
         ls = label_only_set(np.zeros(30_000, dtype=np.int64), 4)
-        noisy = apply_uniform_noise(ls, 1.0, seed=4)
+        noisy = flip_labels(ls, 1.0, seed=4)
         counts = np.bincount(noisy.given_labels, minlength=4)
         assert counts[0] == 0
         assert counts[1:].min() > 9_000  # each of 3 classes near 10k
@@ -57,47 +62,48 @@ class TestUniformNoise:
     def test_clean_labels_preserved(self):
         ls = big_uniform_set(100)
         before = ls.labels.copy()
-        noisy = apply_uniform_noise(ls, 0.5, seed=5)
+        noisy = flip_labels(ls, 0.5, seed=5)
         np.testing.assert_array_equal(noisy.labels, before)
         np.testing.assert_array_equal(ls.given_labels, before)  # input untouched
 
     def test_deterministic_per_seed(self):
         ls = big_uniform_set(1000)
-        a = apply_uniform_noise(ls, 0.3, seed=6)
-        b = apply_uniform_noise(ls, 0.3, seed=6)
+        a = flip_labels(ls, 0.3, seed=6)
+        b = flip_labels(ls, 0.3, seed=6)
         np.testing.assert_array_equal(a.given_labels, b.given_labels)
 
     def test_single_class_with_noise_rejected(self):
         ls = label_only_set([0, 0, 0], 1)
         with pytest.raises(ValueError):
-            apply_uniform_noise(ls, 0.5, seed=0)
-        apply_uniform_noise(ls, 0.0, seed=0)  # p=0 is fine
+            flip_labels(ls, 0.5, seed=0)
+        flip_labels(ls, 0.0, seed=0)  # p=0 is fine
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError):
-            apply_uniform_noise(big_uniform_set(10), 1.5, seed=0)
+            flip_labels(big_uniform_set(10), 1.5, seed=0)
 
 
 class TestClassNoise:
     def test_identity_matrix_changes_nothing(self):
+        # at p = 0 the pair-flip matrix is the identity
+        np.testing.assert_array_equal(pair_transition_matrix(10, 0.0), np.eye(10))
         ls = big_uniform_set(300)
-        noisy = apply_class_noise(ls, np.eye(10), seed=1)
+        noisy = flip_labels(ls, 0.0, seed=1, pair=True)
         np.testing.assert_array_equal(noisy.given_labels, noisy.labels)
 
     def test_deterministic_pair_flip_row(self):
-        ls = label_only_set([2] * 50 + [0] * 50, 4)
-        matrix = np.eye(4)
-        matrix[2, 2] = 0.0
-        matrix[2, 3] = 1.0  # class 2 always relabelled 3
-        noisy = apply_class_noise(ls, matrix, seed=2)
+        # at p = 1 class 2 is always relabelled 3, and class 3 wraps to 0
+        ls = label_only_set([2] * 50 + [3] * 50, 4)
+        noisy = flip_labels(ls, 1.0, seed=2, pair=True)
         np.testing.assert_array_equal(noisy.given_labels[:50], 3)
         np.testing.assert_array_equal(noisy.given_labels[50:], 0)
 
     def test_symmetric_flipping_rates_within_three_sigma(self):
+        # every class flips at the one rate
         rng = np.random.default_rng(3)
         labels = rng.integers(0, 5, 20_000)
         ls = label_only_set(labels, 5)
-        noisy = apply_class_noise(ls, uniform_transition_matrix(5, 0.1), seed=4)
+        noisy = flip_labels(ls, 0.1, seed=4, pair=True)
         for cls in range(5):
             members = ls.labels == cls
             n = members.sum()
@@ -105,65 +111,73 @@ class TestClassNoise:
             sigma = np.sqrt(0.1 * 0.9 / n)
             assert abs(rate - 0.1) <= 3 * sigma
 
-    def test_non_stochastic_rows_rejected(self):
-        ls = big_uniform_set(10, num_classes=3)
-        bad = np.full((3, 3), 0.5)
-        with pytest.raises(ValueError):
-            apply_class_noise(ls, bad, seed=0)
-
-    def test_negative_entries_rejected(self):
-        matrix = np.eye(3)
-        matrix[0, 1] = -0.1
-        matrix[0, 0] = 1.1
-        with pytest.raises(ValueError):
-            validate_transition_matrix(matrix, 3)
-
-    @pytest.mark.parametrize("rate", [np.nan, np.inf])
-    def test_non_finite_entries_rejected(self, rate):
-        # a NaN row passes both the sign and the row-sum checks
-        ls = big_uniform_set(10, num_classes=3)
-        with pytest.raises(ValueError, match="finite"):
-            apply_class_noise(ls, uniform_transition_matrix(3, rate), seed=0)
-
     def test_pair_flip_matrix_is_stochastic(self):
-        # each class leaks only into its successor (mod 6)
-        matrix = 0.75 * np.eye(6) + 0.25 * np.roll(np.eye(6), 1, axis=1)
-        validate_transition_matrix(matrix, 6)
-        noisy = apply_class_noise(big_uniform_set(6000, num_classes=6, seed=5), matrix, seed=6)
+        # each class leaks only into its successor (mod 6), where the matrix puts its mass
+        matrix = pair_transition_matrix(6, 0.25)
+        np.testing.assert_allclose(matrix.sum(axis=1), 1.0)
+        noisy = flip_labels(big_uniform_set(6000, num_classes=6, seed=5), 0.25, seed=6,
+                            pair=True)
+        assert (matrix[noisy.labels, noisy.given_labels] > 0).all()
         flipped = noisy.given_labels != noisy.labels
         np.testing.assert_array_equal(noisy.given_labels[flipped],
                                       (noisy.labels[flipped] + 1) % 6)
         assert (noisy.given_labels[flipped] == 0).any()  # wraps around
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(num_classes=st.integers(2, 12), p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400))
+def test_uniform_and_pair_flip_the_same_items(num_classes, p, seed, n):
+    ls = big_uniform_set(n, num_classes, seed)
+    uniform = flip_labels(ls, p, seed)
+    pair = flip_labels(ls, p, seed, pair=True)
+    flipped = uniform.given_labels != ls.labels
+    np.testing.assert_array_equal(pair.given_labels != ls.labels, flipped)
+    np.testing.assert_array_equal(pair.given_labels[flipped],
+                                  (ls.labels[flipped] + 1) % num_classes)
+    if num_classes == 2:
+        np.testing.assert_array_equal(pair.given_labels, uniform.given_labels)
+    if p == 0.0:
+        assert not flipped.any()
+    if p == 1.0:
+        assert flipped.all()
+
+
+def assert_cells_within_three_sigma(noisy, matrix):
+    """Each (clean, given) count within 3 sigma of n_k * M[k, j], where n_k
+    counts clean class k; a cell M holds at 0 stays empty."""
+    cells = transition_cells(noisy.labels, noisy.given_labels, noisy.num_classes)
+    n_k = cells.sum(axis=1, keepdims=True)
+    sigma = np.sqrt(n_k * matrix * (1.0 - matrix))
+    assert (np.abs(cells - n_k * matrix) <= 3 * sigma).all(), cells
+
+
 class TestTypeEquivalence:
+    # the library's flips and a label-by-label matrix sampler both land in
+    # the cells the oracle's transition matrix predicts
+    @staticmethod
+    def check(matrix, pair):
+        ls = big_uniform_set(20_000, num_classes=5, seed=7)
+        assert_cells_within_three_sigma(flip_labels(ls, 0.15, seed=10, pair=pair), matrix)
+        sampled = sample_transitions(ls.labels, matrix, seed=9)
+        assert_cells_within_three_sigma(ImageDataset(ls.images, ls.labels, 5, sampled), matrix)
+
     def test_uniform_equals_matrix_form_within_three_sigma(self):
-        ls = big_uniform_set(10_000, num_classes=10, seed=7)
-        direct = apply_uniform_noise(ls, 0.15, seed=10)
-        viamatrix = apply_class_noise(ls, uniform_transition_matrix(10, 0.15), seed=9)
-        sigma = np.sqrt(0.15 * 0.85 / 10_000)
-        assert abs(direct.noise_rate - viamatrix.noise_rate) <= 6 * sigma
-        for noisy in (direct, viamatrix):
-            assert abs(noisy.noise_rate - 0.15) <= 3 * sigma
-        # flipped destinations spread evenly in both
-        for noisy in (direct, viamatrix):
-            flipped = noisy.given_labels[noisy.given_labels != noisy.labels]
-            counts = np.bincount(flipped, minlength=10)
-            assert counts.min() > 0.5 * counts.max()
+        self.check(uniform_transition_matrix(5, 0.15), pair=False)
+
+    def test_pair_equals_matrix_form_within_three_sigma(self):
+        self.check(pair_transition_matrix(5, 0.15), pair=True)
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda ls: apply_uniform_noise(ls, 0.4, seed=8),
-    lambda ls: apply_class_noise(ls, uniform_transition_matrix(5, 0.4), seed=8),
-], ids=["uniform", "class"])
-def test_the_same_items_flip_in_any_row_order(corrupt):
+@pytest.mark.parametrize("pair", [False, True], ids=["uniform", "class"])
+def test_the_same_items_flip_in_any_row_order(pair):
     # draws are made in item order, so reordering the rows moves no flip
     ls = big_uniform_set(400, num_classes=5, seed=9)
     order = np.random.default_rng(10).permutation(len(ls))
     shuffled = ls.subset(np.arange(len(ls)))
     shuffled.reorder(order)
-    np.testing.assert_array_equal(corrupt(shuffled).given_labels,
-                                  corrupt(ls).given_labels[order])
+    np.testing.assert_array_equal(flip_labels(shuffled, 0.4, 8, pair=pair).given_labels,
+                                  flip_labels(ls, 0.4, 8, pair=pair).given_labels[order])
 
 
 class TestFittingReport:
@@ -200,7 +214,7 @@ class TestFittingReport:
     def test_random_predictions_noisy_fitting_near_chance(self):
         rng = np.random.default_rng(10)
         ls = big_uniform_set(20_000, num_classes=10, seed=11)
-        noisy = apply_uniform_noise(ls, 0.5, seed=12)
+        noisy = flip_labels(ls, 0.5, seed=12)
         preds = rng.integers(0, 10, len(noisy))
         report = fitting_report(preds, noisy)
         sigma = np.sqrt(0.1 * 0.9 / report.noisy_count)
@@ -209,7 +223,7 @@ class TestFittingReport:
     def test_permutation_invariant(self):
         rng = np.random.default_rng(13)
         ls = big_uniform_set(500, num_classes=4, seed=14)
-        noisy = apply_uniform_noise(ls, 0.3, seed=15)
+        noisy = flip_labels(ls, 0.3, seed=15)
         preds = rng.integers(0, 4, 500)
         base = fitting_report(preds, noisy)
         perm = rng.permutation(500)
@@ -227,7 +241,7 @@ class TestFittingReport:
 class TestSidecar:
     def test_round_trip(self, tmp_path):
         ls = big_uniform_set(50, num_classes=5, seed=16)
-        noisy = apply_uniform_noise(ls, 0.4, seed=17)
+        noisy = flip_labels(ls, 0.4, seed=17)
         path = tmp_path / "labels.txt"
         save_noisy_labels(noisy, path)
         restored = load_noisy_labels(ls, path)
@@ -237,7 +251,7 @@ class TestSidecar:
     def test_round_trip_through_reordered_rows(self, tmp_path):
         # the sidecar stays in item order and names items, not rows
         ls = big_uniform_set(50, num_classes=5, seed=16)
-        noisy = apply_uniform_noise(ls, 0.4, seed=17)
+        noisy = flip_labels(ls, 0.4, seed=17)
         save_noisy_labels(noisy, tmp_path / "items.txt")
         order = np.random.default_rng(18).permutation(len(ls))
         noisy.reorder(order)
@@ -259,7 +273,7 @@ class TestSidecar:
 
     def test_clean_label_mismatch_detected(self, tmp_path):
         ls = label_only_set([0, 1, 2], 3)
-        noisy = apply_uniform_noise(ls, 0.5, seed=18)
+        noisy = flip_labels(ls, 0.5, seed=18)
         path = tmp_path / "labels.txt"
         save_noisy_labels(noisy, path)
         other = label_only_set([2, 1, 0], 3)

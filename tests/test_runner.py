@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import pair_transition_matrix
 
 from fabricprune import runner
 from fabricprune.data import (
@@ -20,14 +21,12 @@ from fabricprune.data import (
 from fabricprune.fabric import Fabric, load_fabric
 from fabricprune.noise import (
     AnnotatorConfig,
-    apply_class_noise,
-    apply_uniform_noise,
     classification_error,
     fitting_report,
+    flip_labels,
     load_noisy_labels,
     relabel_with_annotator,
     train_annotator,
-    uniform_transition_matrix,
 )
 from fabricprune.runner import (
     RECIPE_EPOCHS,
@@ -566,10 +565,15 @@ sys.exit(1)
         assert error == pytest.approx(summary["final_test_error"])
 
     def test_class_noise_kind(self, tmp_path):
+        # class noise is pair flips: every flip in the sidecar goes to (k + 1) mod 3
         config = tiny_config(tmp_path / "run", epochs=1,
                              noise=NoiseConfig(kind="class", epsilon=0.2, seed=5))
         summary = run_experiment(config)
         assert summary["noise"]["kind"] == "class"
+        lines = (tmp_path / "run" / "noisy_labels.txt").read_text().splitlines()
+        _, clean, given = np.array([line.split() for line in lines], dtype=np.int64).T
+        assert (given != clean).any()
+        assert (pair_transition_matrix(3, 0.2)[clean, given] > 0).all()
 
 
 BELOW_ONE = dict(train_fraction=0.5, val_fraction=0.15, test_fraction=0.2)
@@ -612,10 +616,8 @@ class TestImagesHeldOnce:
         summary = run_experiment(config)
         loaded = make_synthetic(3, 40, 4, seed=2, difficulty="medium")
         items = stratified_split_indices(loaded.labels, BELOW_ONE.values(), 2)
-        if kind == "uniform":
-            noisy = apply_uniform_noise(loaded, 0.3, 4)
-        elif kind == "class":
-            noisy = apply_class_noise(loaded, uniform_transition_matrix(3, 0.3), 4)
+        if kind in ("uniform", "class"):
+            noisy = flip_labels(loaded, 0.3, 4, pair=kind == "class")
         else:
             fabric, info = train_annotator(loaded.subset(items[0]), loaded.subset(items[1]),
                                            0.3, annotator)
@@ -641,7 +643,7 @@ class TestImagesHeldOnce:
         run_experiment(config)
         path = tmp_path / "run" / "noisy_labels.txt"
         dataset, _ = runner.load_split_dataset(config.data)
-        noisy = apply_uniform_noise(make_synthetic(3, 20, 4, seed=2), 0.4, 4)
+        noisy = flip_labels(make_synthetic(3, 20, 4, seed=2), 0.4, 4)
         restored = load_noisy_labels(dataset, path)
         np.testing.assert_array_equal(restored.given_labels, noisy.given_labels[dataset.index])
         # an error names the item as loaded, not the row of that number
