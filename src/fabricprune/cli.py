@@ -94,8 +94,7 @@ def cmd_prune_plan(args) -> int:
         "links_kept": plan.budget.links_kept,
         "min_links_kept": plan.budget.min_links_kept,
         "links_to_remove": plan.budget.links_to_remove,
-        "events": [{"epoch": e.epoch, "links": e.links_to_remove,
-                    "live_params_ceiling": e.live_params_ceiling} for e in plan.events],
+        "events": [vars(e) for e in plan.events],
         "baseline_params": fabric.param_count().total,
         "reported_params": plan.budget.reported_params,
     })

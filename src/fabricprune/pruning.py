@@ -1,18 +1,18 @@
 """Two-stage fabric pruning: whole links first, then individual weights.
 
-Each event builds one score map, a per-weight criterion value for every
-conv weight of the alive links. Links are scored by the Euclidean norm of
-their scores, removed smallest-first under the condition that input and
-output stay connected, and followed by cascade removal of links made
-obsolete. Weights on surviving links are then ranked once by their
-scores, smallest first, and cut: each link's last unmasked weight in that
-ranking is protected, so no conv matrix ends up all zero, and the first
-unprotected weights are masked until the live parameters reach the event's
-ceiling; a plan's last ceiling is the reported count. Schedules place the
-work at epoch 5 (early), epoch 75 (late), or spread it over epochs 5, 15,
-..., 75 (iterative) of the 200-epoch recipe, mapped proportionally onto a
-run's epochs; the number of links kept never drops below the longest
-linear path.
+An event has two ceilings, the alive links and the live params it leaves,
+and reads both quotas from the fabric. It builds one score map, a
+per-weight criterion value for every conv weight of the alive links. Links
+are scored by the Euclidean norm of their scores and removed smallest-first
+with cascade removal of links made obsolete, while input and output stay
+connected. Weights on surviving links are then ranked once by their scores,
+smallest first: each link's last unmasked weight in that ranking is
+protected, so no conv matrix ends up all zero, and the first unprotected
+ones are masked. A plan's last ceilings are the kept links and the reported
+count. Schedules place the work at epoch 5 (early), epoch 75 (late), or
+spread it over epochs 5, 15, ..., 75 (iterative) of the 200-epoch recipe,
+mapped proportionally onto a run's epochs; the number of links kept never
+drops below the longest linear path.
 """
 
 from __future__ import annotations
@@ -113,12 +113,12 @@ def link_condition(fabric: Fabric, proposed: set[int]) -> bool:
 @dataclass
 class PruneEvent:
     epoch: int
-    links_to_remove: int
+    alive_links_ceiling: int  # alive links the event leaves at most
     live_params_ceiling: int  # live params the event leaves at most, after its link stage
 
     def __post_init__(self):
-        if self.links_to_remove < 0 or self.live_params_ceiling < 0:
-            raise ValueError("a prune event's link quota and ceiling must be nonnegative")
+        if self.alive_links_ceiling < 0 or self.live_params_ceiling < 0:
+            raise ValueError("a prune event's ceilings must be nonnegative")
 
 
 @dataclass
@@ -160,14 +160,14 @@ def build_plan(strategy: Strategy, sparsity: float, fabric: Fabric,
     """Derive the pruning schedule of an `epochs`-epoch run for a target
     sparsity on a built fabric.
 
-    Kept links never drop below the longest linear path; the link quota is
-    split over the strategy's recipe events. The target is reported_param_count
-    of the fabric's dims, and the last event's ceiling. Event k of n before it
-    keeps stem, head and the A_k links left after it, with a share f_k of their
-    conv weights that falls linearly from 1 to what the target leaves the kept
-    links (at least 0). Epochs are mapped onto `epochs`; events that land on
-    one epoch are merged with a warning, adding their link quotas and keeping
-    the later ceiling.
+    Kept links never drop below the longest linear path. Event k of n leaves
+    at most the A_k links that an even split of the links to remove leaves
+    after it. The target is reported_param_count of the fabric's dims, and
+    the last event's parameter ceiling. Event k before it keeps stem, head
+    and the A_k links, with a share f_k of their conv weights that falls
+    linearly from 1 to what the target leaves the kept links (at least 0).
+    Epochs are mapped onto `epochs`; of events that land on one epoch the
+    last is kept, with a warning.
     """
     if not 0.0 < sparsity < 1.0:
         raise ValueError(f"sparsity must be in (0, 1), got {sparsity}")
@@ -193,9 +193,7 @@ def build_plan(strategy: Strategy, sparsity: float, fabric: Fabric,
         share = 1 - (1 - final_share) * Fraction(k, n)
         ceiling = budget.reported_params if k == n else \
             fixed + alive * rest + math.ceil(share * alive * conv)
-        if epoch in events:
-            links += events[epoch].links_to_remove
-        events[epoch] = PruneEvent(epoch, links, ceiling)
+        events[epoch] = PruneEvent(epoch, alive, ceiling)
     if len(events) < n:
         warnings.warn(f"rescaling {RECIPE_EPOCHS}->{epochs} merged pruning events")
     return PrunePlan(strategy=strategy, sparsity=sparsity, budget=budget,
@@ -227,7 +225,7 @@ class PruneReport:
         return json.dumps(asdict(self))
 
 
-def _apply_link_stage(fabric: Fabric, quota: int, scores: dict[int, np.ndarray],
+def _apply_link_stage(fabric: Fabric, ceiling: int, scores: dict[int, np.ndarray],
                       report: PruneReport) -> None:
     links = fabric.alive_links()
     # a link's score is the Euclidean norm of its weights' scores
@@ -235,9 +233,8 @@ def _apply_link_stage(fabric: Fabric, quota: int, scores: dict[int, np.ndarray],
              for link in links}
     order = sorted(links, key=lambda l: (norms[l.index], l.index))
     alive = {link.index for link in links}
-    remaining = quota
     for link in order:
-        if remaining <= 0:
+        if len(alive) <= ceiling:
             break
         if link.index not in alive:
             continue  # already swept away by an earlier cascade
@@ -245,18 +242,16 @@ def _apply_link_stage(fabric: Fabric, quota: int, scores: dict[int, np.ndarray],
         if not kept:
             report.skipped_links.append((link.index, "connectivity"))
             continue
-        cascade = sorted(alive - kept - {link.index})
-        cost = 1 + len(cascade)
-        if cost > remaining:
+        if len(kept) < ceiling:
             report.skipped_links.append((link.index, "cascade_overshoot"))
             continue
+        cascade = sorted(alive - kept - {link.index})
         for index in [link.index, *cascade]:
             fabric.links[index].alive = False
         alive = kept
         report.killed_links.append(link.index)
         report.cascade_links.extend(cascade)
-        remaining -= cost
-    report.link_shortfall = remaining
+    report.link_shortfall = len(alive) - ceiling
 
 
 def _apply_weight_stage(fabric: Fabric, quota: int, scores: dict[int, np.ndarray],
@@ -308,22 +303,23 @@ def apply_event(fabric: Fabric, event: PruneEvent, criterion: Criterion,
 
     Both stages read one score map, link index -> per-weight scores: |w| of
     each alive link's conv weights under magnitude, or weight_scores (as
-    sensitivity_grads gives them) under sensitivity. Cascade kills count
-    toward the link quota, so a candidate whose cascade would overshoot the
-    quota is skipped like a condition failure. The weight quota is the live
-    params the link stage leaves above the event's ceiling. Quota that
-    cannot be met is reported as a shortfall, never forced.
+    sensitivity_grads gives them) under sensitivity. The quotas are what the
+    fabric holds above the event's ceilings: alive links, then live params
+    after the link stage. A candidate whose cascade would undercut the link
+    ceiling is skipped like a condition failure. Quota that cannot be met is
+    reported as a shortfall, never forced; later ceilings still apply.
     """
+    link_quota = max(0, len(fabric.alive_links()) - event.alive_links_ceiling)
     if criterion is Criterion.SENSITIVITY:
-        if weight_scores is None and (event.links_to_remove > 0
+        if weight_scores is None and (link_quota > 0
                                       or fabric.live_param_count() > event.live_params_ceiling):
             raise UsageError("sensitivity pruning needs per-weight scores")
         scores = weight_scores
     else:
         scores = {link.index: np.abs(link.conv_weight.data) for link in fabric.alive_links()}
-    report = PruneReport(epoch=event.epoch, link_quota=event.links_to_remove, weight_quota=0)
-    if event.links_to_remove > 0:
-        _apply_link_stage(fabric, event.links_to_remove, scores, report)
+    report = PruneReport(epoch=event.epoch, link_quota=link_quota, weight_quota=0)
+    if link_quota > 0:
+        _apply_link_stage(fabric, event.alive_links_ceiling, scores, report)
     report.weight_quota = max(0, fabric.live_param_count() - event.live_params_ceiling)
     if report.weight_quota > 0:
         _apply_weight_stage(fabric, report.weight_quota, scores, report)

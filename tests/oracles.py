@@ -314,7 +314,8 @@ def plan_reference(strategy, sparsity, total_links, floor_links, channels, class
     plus a share of their conv weights that steps linearly from 1 (before
     the first event) to the target's share (clamped at 0); the last ceiling
     is the target. Returns the budget's fields as a dict and the events as
-    (epoch, links to remove, live-params ceiling) tuples.
+    (epoch, alive-links ceiling, live-params ceiling) tuples; of colliding
+    events the later one's ceilings stay.
     """
     frac = Fraction(str(sparsity))
     links_kept = min(max(math.ceil(frac * total_links), floor_links), total_links)
@@ -339,12 +340,11 @@ def plan_reference(strategy, sparsity, total_links, floor_links, channels, class
         alive -= links
         share = 1 + (final_share - 1) * Fraction(k, len(recipe))
         ceiling = fixed + alive * rest + math.ceil(share * alive * conv)
-        events.append((epoch, links, target if k == len(recipe) else ceiling))
+        events.append((epoch, alive, target if k == len(recipe) else ceiling))
     merged = {}
-    for epoch, links, ceiling in events:
+    for epoch, *ceilings in events:
         mapped = max(1, math.floor(epoch * (epochs / 200) + 0.5))
-        prev_links = merged.get(mapped, (0, None))[0]
-        merged[mapped] = (prev_links + links, ceiling)
+        merged[mapped] = tuple(ceilings)
     if len(merged) < len(recipe):
         warnings.warn(f"rescaling 200->{epochs} merged pruning events")
     return budget, [(e, *merged[e]) for e in sorted(merged)]

@@ -251,12 +251,13 @@ def test_criterion_4_graph_invariants():
         goal = (layers - 1, scales - 1)
 
         for event_idx in range(int(rng.integers(1, 4))):
-            quota_links = int(rng.integers(0, len(fabric.alive_links()) + 1))
+            alive = len(fabric.alive_links())
+            quota_links = int(rng.integers(0, alive + 1))
             # at most quota_links links of 12 params and 40 weights over the ceiling
             ceiling = max(0, fabric.live_param_count()
                           - int(rng.integers(0, 12 * quota_links + 40)))
             report = apply_event(
-                fabric, PruneEvent(event_idx, quota_links, ceiling),
+                fabric, PruneEvent(event_idx, alive - quota_links, ceiling),
                 Criterion.MAGNITUDE)
 
             edges = [(l.src, l.dst) for l in fabric.alive_links()]
@@ -343,7 +344,8 @@ def test_criterion_5_small_instance_oracles():
             n = int(rng.integers(1, 6))
 
             expected = _greedy_oracle(edges, scores, n, (0, 0), (1, 1), table)
-            report = apply_event(fabric, PruneEvent(1, n, fabric.live_param_count()), crit,
+            report = apply_event(fabric, PruneEvent(1, len(fabric.links) - n,
+                                                    fabric.live_param_count()), crit,
                                  weight_scores)
             assert report.killed_links == expected[0], (seed, crit)
             assert sorted(report.cascade_links) == sorted(expected[1]), (seed, crit)

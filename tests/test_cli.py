@@ -226,7 +226,12 @@ class TestPrunePlan:
         assert [e["epoch"] for e in payload["events"]] == list(range(5, 76, 10))
         assert payload["links_kept"] >= payload["min_links_kept"]
         assert payload["reported_params"] < payload["baseline_params"]
-        assert sum(e["links"] for e in payload["events"]) == payload["links_to_remove"]
+        assert [list(e) for e in payload["events"]] == \
+            [["epoch", "alive_links_ceiling", "live_params_ceiling"]] * 8
+        ceilings = [e["alive_links_ceiling"] for e in payload["events"]]
+        assert sorted(ceilings, reverse=True) == ceilings
+        assert ceilings[-1] == payload["links_kept"] \
+            == payload["total_links"] - payload["links_to_remove"]
         assert payload["events"][-1]["live_params_ceiling"] == payload["reported_params"]
 
     def test_events_are_the_runs_event_epochs(self, capsys, tmp_path):

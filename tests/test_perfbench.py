@@ -28,7 +28,8 @@ fabricprune.tensor.backward(loss)
 pruning = fabricprune.pruning
 # one link of 42 params goes, then 2 weights are masked
 ceiling = fabric.live_param_count() - 42 - 2
-pruning.apply_event(fabric, pruning.PruneEvent(1, 1, ceiling), pruning.Criterion.MAGNITUDE)
+links = len(fabric.alive_links())
+pruning.apply_event(fabric, pruning.PruneEvent(1, links - 1, ceiling), pruning.Criterion.MAGNITUDE)
 print(json.dumps(tracer.per_layer()))
 """
 

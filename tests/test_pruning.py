@@ -1,7 +1,7 @@
 import itertools
 import json
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -50,13 +50,15 @@ def tiny_fabric(layers=2, scales=2, channels=1, seed=0, dtype=np.float64):
 
 
 def killing(fabric, n):
-    """An event whose link quota is n and whose ceiling masks no weight."""
-    return PruneEvent(1, n, fabric.live_param_count())
+    """An event whose link ceiling is n below the alive links and whose
+    parameter ceiling masks no weight."""
+    return PruneEvent(1, len(fabric.alive_links()) - n, fabric.live_param_count())
 
 
 def masking(fabric, n, epoch=1):
-    """An event with no link quota whose ceiling masks n weights."""
-    return PruneEvent(epoch, 0, fabric.live_param_count() - n)
+    """An event whose link ceiling is the alive links and whose parameter
+    ceiling masks n weights."""
+    return PruneEvent(epoch, len(fabric.alive_links()), fabric.live_param_count() - n)
 
 
 def set_link_weights(fabric, values):
@@ -81,7 +83,8 @@ class TestScoreMap:
         def event(weight_scores):
             fabric = build_fabric(3, 3, 1, 4, 2, seed=12)
             # three links of 12 params go, then 10 weights are masked
-            report = apply_event(fabric, PruneEvent(1, 3, fabric.live_param_count() - 46),
+            report = apply_event(fabric, PruneEvent(1, len(fabric.links) - 3,
+                                                    fabric.live_param_count() - 46),
                                  Criterion.MAGNITUDE, weight_scores)
             return report.to_json(), fabric.state()
 
@@ -96,7 +99,8 @@ class TestScoreMap:
     def test_sensitivity_without_scores_raises(self, quotas):
         # (links to kill, weights to mask)
         fabric = tiny_fabric()
-        event = PruneEvent(1, quotas[0], fabric.live_param_count() - quotas[1])
+        event = PruneEvent(1, len(fabric.links) - quotas[0],
+                           fabric.live_param_count() - quotas[1])
         with pytest.raises(UsageError, match="per-weight scores"):
             apply_event(fabric, event, Criterion.SENSITIVITY)
 
@@ -129,9 +133,9 @@ class TestScoreMap:
         set_link_weights(fabric, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         scores = {l.index: np.full((1, 1, 3, 3), 6.0 - l.index) for l in fabric.links}
         # link 3's 12 params go, then one weight is masked
-        report = apply_event(fabric, PruneEvent(1, 1, fabric.live_param_count() - 13),
+        report = apply_event(fabric, PruneEvent(1, 5, fabric.live_param_count() - 13),
                              Criterion.SENSITIVITY, scores)
-        # killing 5 or 4 would sweep two more links away: over the quota of 1
+        # killing 5 or 4 would sweep two more links away: below the ceiling of 5
         assert report.skipped_links == [(5, "cascade_overshoot"), (4, "cascade_overshoot")]
         assert report.killed_links == [3]
         (masked,) = [l for l in fabric.alive_links() if l.conv_weight.mask is not None]
@@ -147,7 +151,8 @@ class TestScoreMap:
                     .astype(np.float32))
             weight_scores = {l.index: np.abs(l.conv_weight.data)
                              for l in fabric.alive_links()}
-            report = apply_event(fabric, PruneEvent(1, 6, fabric.live_param_count() // 2),
+            report = apply_event(fabric, PruneEvent(1, len(fabric.links) - 6,
+                                                    fabric.live_param_count() // 2),
                                  criterion, weight_scores=weight_scores)
             return report, fabric
 
@@ -406,6 +411,24 @@ class TestSelectPrunable:
         assert report.killed_links == [0, 1]
         assert report.cascade_links == [5]
 
+    def test_a_later_ceiling_makes_up_a_link_shortfall(self):
+        # with links 1 and 2 dead the paths are 0 -> 5 and 4 -> 3: every kill
+        # cascades its partner, so a ceiling one link below the four alive is
+        # a shortfall, and the next event's ceiling of 2 still gets there
+        fabric = tiny_fabric()
+        set_link_weights(fabric, [1.0, 9.0, 9.0, 2.0, 3.0, 4.0])
+        for index in (1, 2):
+            fabric.links[index].alive = False
+        live = fabric.live_param_count()
+        first = apply_event(fabric, PruneEvent(1, 3, live), Criterion.MAGNITUDE)
+        assert (first.link_quota, first.link_shortfall, first.killed_links) == (1, 1, [])
+        assert first.skipped_links == [(i, "cascade_overshoot") for i in (0, 3, 4, 5)]
+        second = apply_event(fabric, PruneEvent(2, 2, live), Criterion.MAGNITUDE)
+        assert (second.link_quota, second.link_shortfall) == (2, 0)
+        assert (second.killed_links, second.cascade_links) == ([0], [5])
+        assert second.alive_links == 2
+        assert [l.index for l in fabric.alive_links()] == [3, 4]
+
     @pytest.mark.parametrize("n", range(7))
     def test_connectivity_never_broken_exhaustive(self, n):
         # every ranking of the smallest grid's six links, set through the
@@ -419,6 +442,16 @@ class TestSelectPrunable:
             assert path_exists(kept, (0, 0), (1, 1))
 
 
+def assert_link_ceilings_fall_evenly(plan):
+    """The link ceilings fall from the total links to the kept links in
+    drops that differ by at most 1, larger drops first."""
+    ceilings = [plan.budget.total_links] + [e.alive_links_ceiling for e in plan.events]
+    drops = [a - b for a, b in zip(ceilings, ceilings[1:])]
+    assert ceilings[-1] == plan.budget.links_kept
+    assert min(drops) >= 0 and max(drops) - min(drops) <= 1
+    assert sorted(drops, reverse=True) == drops
+
+
 class TestBuildPlan:
     def test_iterative_has_eight_events(self):
         plan = build_plan(Strategy.ITERATIVE, 0.05, tiny_fabric(3, 3))
@@ -430,27 +463,24 @@ class TestBuildPlan:
         assert plan.budget.total_links == 122
         assert plan.budget.min_links_kept == 12
         assert plan.budget.links_kept == 12  # max(ceil(6.1), 12)
-        assert plan.events[0].links_to_remove == 110
+        assert plan.events[0].alive_links_ceiling == 12
 
     def test_early_single_event_full_quota(self):
         fabric = build_fabric(8, 6, 1, 32, 10)
         plan = build_plan(Strategy.EARLY, 0.05, fabric)
         assert len(plan.events) == 1
         assert plan.events[0].epoch == 5
-        assert plan.events[0].links_to_remove == plan.budget.links_to_remove
+        assert plan.events[0].alive_links_ceiling == plan.budget.links_kept
         assert plan.events[0].live_params_ceiling == plan.budget.reported_params
 
     def test_late_single_event_at_75(self):
         plan = build_plan(Strategy.LATE, 0.10, tiny_fabric(3, 3))
         assert [e.epoch for e in plan.events] == [75]
 
-    def test_iterative_quotas_sum_and_balance(self):
+    def test_iterative_link_ceilings_fall_evenly(self):
         fabric = build_fabric(8, 6, 2, 32, 10)
         plan = build_plan(Strategy.ITERATIVE, 0.05, fabric)
-        link_quotas = [e.links_to_remove for e in plan.events]
-        assert sum(link_quotas) == plan.budget.links_to_remove
-        assert max(link_quotas) - min(link_quotas) <= 1
-        assert sorted(link_quotas, reverse=True) == link_quotas
+        assert_link_ceilings_fall_evenly(plan)
         ceilings = [e.live_params_ceiling for e in plan.events]
         assert sorted(ceilings, reverse=True) == ceilings
         assert ceilings[-1] == plan.budget.reported_params
@@ -458,7 +488,7 @@ class TestBuildPlan:
     def test_paper_dims_early_plan_is_one_event_at_the_reported_count(self):
         # 12 kept links keep 223,737 of their 442,368 conv weights (51 %)
         plan = build_plan(Strategy.EARLY, 0.05, build_fabric(8, 6, 64, 32, 10))
-        assert plan.events == [PruneEvent(5, 110, 228_611)]
+        assert plan.events == [PruneEvent(5, 12, 228_611)]
         assert plan.budget.reported_params == 228_611
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
@@ -473,7 +503,8 @@ class TestRescalePlan:
         plan = build_plan(Strategy.ITERATIVE, 0.05, fabric)
         scaled = build_plan(Strategy.ITERATIVE, 0.05, fabric, epochs=40)
         assert [e.epoch for e in scaled.events] == [1, 3, 5, 7, 9, 11, 13, 15]
-        assert sum(e.links_to_remove for e in scaled.events) == plan.budget.links_to_remove
+        assert_link_ceilings_fall_evenly(scaled)
+        assert [astuple(e)[1:] for e in scaled.events] == [astuple(e)[1:] for e in plan.events]
 
     def test_identity_factor(self):
         fabric = build_fabric(8, 6, 1, 32, 10)
@@ -481,13 +512,15 @@ class TestRescalePlan:
         scaled = build_plan(Strategy.ITERATIVE, 0.05, fabric, epochs=200)
         assert [e.epoch for e in scaled.events] == [e.epoch for e in plan.events]
 
-    def test_collisions_merge_quotas_with_warning(self):
+    def test_collisions_keep_the_later_event_with_warning(self):
         fabric = build_fabric(8, 6, 1, 32, 10)
         plan = build_plan(Strategy.ITERATIVE, 0.05, fabric)
         with pytest.warns(UserWarning):
             scaled = build_plan(Strategy.ITERATIVE, 0.05, fabric, epochs=8)
-        assert sum(e.links_to_remove for e in scaled.events) == plan.budget.links_to_remove
-        assert [e.epoch for e in scaled.events] == sorted({e.epoch for e in scaled.events})
+        # recipe epochs 5..75 land on 1, 1, 1, 1, 2, 2, 3, 3: events 4, 6 and 8 stay
+        assert scaled.events == [PruneEvent(e, *astuple(plan.events[k])[1:])
+                                 for e, k in [(1, 3), (2, 5), (3, 7)]]
+        assert scaled.events[-1].alive_links_ceiling == plan.budget.links_kept
         assert scaled.events[-1].live_params_ceiling == plan.budget.reported_params
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -509,8 +542,7 @@ class TestRescalePlan:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             plan = build_plan(strategy, sparsity, fabric, epochs)
-        assert [(e.epoch, e.links_to_remove, e.live_params_ceiling)
-                for e in plan.events] == events
+        assert [astuple(e) for e in plan.events] == events
         assert asdict(plan.budget) == budget
         assert [str(w.message) for w in caught] == [str(w.message) for w in expected_warnings]
 
@@ -557,7 +589,8 @@ class TestApplyEvent:
     def test_reachability_after_event(self, seed):
         fabric = build_fabric(4, 3, 1, 4, 2, seed=seed)
         # seven links of 12 params go, then 20 weights are masked
-        apply_event(fabric, PruneEvent(1, 7, fabric.live_param_count() - 7 * 12 - 20),
+        apply_event(fabric, PruneEvent(1, len(fabric.links) - 7,
+                                       fabric.live_param_count() - 7 * 12 - 20),
                     Criterion.MAGNITUDE)
         edges = [(l.src, l.dst) for l in fabric.alive_links()]
         assert path_exists(edges, (0, 0), (3, 2))
@@ -597,7 +630,7 @@ class TestApplyEvent:
         fabric = build_fabric(5, 4, 1, 8, 3, seed=1)
         before = len(fabric.alive_links())
         ceiling = fabric.live_param_count() - 12 * 12 - 30  # twelve links of 12 params
-        report = apply_event(fabric, PruneEvent(1, 12, ceiling), Criterion.MAGNITUDE)
+        report = apply_event(fabric, PruneEvent(1, before - 12, ceiling), Criterion.MAGNITUDE)
         assert report.link_shortfall == 0
         assert report.links_removed == 12
         assert before - len(fabric.alive_links()) == 12
@@ -620,7 +653,8 @@ class TestApplyEvent:
         fabric = build_fabric(4, 3, 2, 4, 3, seed=3)
         stem_before = [p.data.tobytes() for p in fabric.stem.parameters()]
         head_before = [p.data.tobytes() for p in fabric.head_parameters()]
-        apply_event(fabric, PruneEvent(1, 10, fabric.live_param_count() // 2),
+        apply_event(fabric, PruneEvent(1, len(fabric.links) - 10,
+                                       fabric.live_param_count() // 2),
                     Criterion.MAGNITUDE)
         assert fabric.stem.alive and fabric.stem.conv_weight.mask is None
         assert [p.data.tobytes() for p in fabric.stem.parameters()] == stem_before
@@ -629,7 +663,7 @@ class TestApplyEvent:
     def test_no_all_zero_filter_after_weight_stage(self):
         for seed in range(100):
             fabric = tiny_fabric(seed=seed)
-            apply_event(fabric, PruneEvent(1, 2, 0), Criterion.MAGNITUDE)
+            apply_event(fabric, PruneEvent(1, 4, 0), Criterion.MAGNITUDE)
             for link in fabric.alive_links():
                 assert link.unmasked_weight_count() >= 1
 
@@ -728,11 +762,12 @@ class TestRandomizedSequences:
         goal = (layers - 1, scales - 1)
 
         for event_index in range(int(rng.integers(1, 4))):
-            quota_links = int(rng.integers(0, len(fabric.alive_links()) + 1))
+            alive = len(fabric.alive_links())
+            quota_links = int(rng.integers(0, alive + 1))
             # at most quota_links links of 12 params and 30 weights over the ceiling
             ceiling = max(0, fabric.live_param_count()
                           - int(rng.integers(0, 12 * quota_links + 30)))
-            report = apply_event(fabric, PruneEvent(event_index, quota_links, ceiling),
+            report = apply_event(fabric, PruneEvent(event_index, alive - quota_links, ceiling),
                                  Criterion.MAGNITUDE)
 
             edges = [(l.src, l.dst) for l in fabric.alive_links()]
@@ -809,7 +844,8 @@ class TestPathRuleProperties:
 
 def run_plan(plan, fabric, criterion, rng):
     """Apply each of plan's events to fabric (random sensitivity scores);
-    returns the last event's report."""
+    returns their reports."""
+    reports = []
     for event in plan.events:
         weight_scores = None
         if criterion is Criterion.SENSITIVITY:
@@ -818,7 +854,8 @@ def run_plan(plan, fabric, criterion, rng):
         report = apply_event(fabric, event, criterion, weight_scores)
         assert_weight_stage_meets_the_ceiling(report, event.live_params_ceiling)
         assert report.live_params == fabric.live_param_count()
-    return report
+        reports.append(report)
+    return reports
 
 
 class TestPlanProperties:
@@ -827,7 +864,8 @@ class TestPlanProperties:
     @pytest.mark.filterwarnings("ignore:rescaling")
     def test_whole_schedule_keeps_the_link_floor_and_a_path(self, data):
         # README: kept links never drop below the longest linear path, so no
-        # event of a full build_plan schedule may take more than its quota
+        # event of a full build_plan schedule may cut below its link ceiling;
+        # alive links only shrink, so the last event's fabric is the check
         layers, scales = data.draw(st.integers(2, 6)), data.draw(st.integers(2, 5))
         fabric = build_fabric(layers, scales, 1, 2 ** (scales - 1), 2,
                               seed=data.draw(st.integers(0, 2**16)))
@@ -836,18 +874,36 @@ class TestPlanProperties:
                           data.draw(st.floats(0.01, 0.99)), fabric,
                           data.draw(st.integers(1, 200)))
         criterion = data.draw(st.sampled_from(list(Criterion)))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        for event in plan.events:
-            weight_scores = None
-            if criterion is Criterion.SENSITIVITY:
-                weight_scores = {l.index: rng.random(l.conv_weight.data.shape)
-                                 for l in fabric.alive_links()}
-            report = apply_event(fabric, event, criterion, weight_scores)
-            assert_weight_stage_meets_the_ceiling(report, event.live_params_ceiling)
-            alive = fabric.alive_links()
-            assert len(alive) >= plan.budget.links_kept >= floor
-            edges = [(l.src, l.dst) for l in alive]
-            assert path_exists(edges, fabric.input_node, fabric.output_node)
+        run_plan(plan, fabric, criterion, np.random.default_rng(data.draw(st.integers(0, 2**16))))
+        alive = fabric.alive_links()
+        assert len(alive) >= plan.budget.links_kept >= floor
+        edges = [(l.src, l.dst) for l in alive]
+        assert path_exists(edges, fabric.input_node, fabric.output_node)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(grids(), st.sampled_from(list(Strategy)), st.floats(0.01, 0.99),
+           st.integers(1, 200), st.sampled_from(list(Criterion)), st.integers(0, 2**16))
+    @pytest.mark.filterwarnings("ignore:rescaling")
+    def test_whole_schedule_cuts_to_each_link_ceiling(self, fabric, strategy, sparsity,
+                                                      epochs, criterion, seed):
+        # an event reads its link quota from the fabric and cuts to its
+        # ceiling, or reports the gap as a shortfall with every link still
+        # alive skipped; a later event's ceiling makes the gap up
+        plan = build_plan(strategy, sparsity, fabric, epochs)
+        alive = {link.index for link in fabric.links}
+        reports = run_plan(plan, fabric, criterion, np.random.default_rng(seed))
+        for event, report in zip(plan.events, reports):
+            ceiling, before = event.alive_links_ceiling, len(alive)
+            alive -= {*report.killed_links, *report.cascade_links}
+            assert report.alive_links == len(alive) >= ceiling >= plan.budget.min_links_kept
+            assert report.link_quota == before - ceiling
+            assert report.link_shortfall == len(alive) - ceiling
+            if report.link_shortfall:
+                assert alive <= {index for index, _ in report.skipped_links}
+        for ceilings in zip(*(astuple(e)[1:] for e in plan.events)):
+            assert sorted(ceilings, reverse=True) == list(ceilings)
+        assert astuple(plan.events[-1])[1:] == (plan.budget.links_kept,
+                                                plan.budget.reported_params)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.data())
@@ -865,7 +921,7 @@ class TestPlanProperties:
                           data.draw(st.floats(0.01, 0.99)), fabric,
                           data.draw(st.integers(1, 200)))
         report = run_plan(plan, fabric, data.draw(st.sampled_from(list(Criterion))),
-                          np.random.default_rng(data.draw(st.integers(0, 2**16))))
+                          np.random.default_rng(data.draw(st.integers(0, 2**16))))[-1]
         target = plan.budget.reported_params
         assert plan.events[-1].live_params_ceiling == target
         assert fabric.live_param_count() == target or report.weight_shortfall > 0 \
@@ -879,7 +935,7 @@ class TestPlanProperties:
         for seed in range(3):
             fabric = build_fabric(4, 5, 8, 16, 10, seed=seed)
             plan = build_plan(strategy, 0.05, fabric, 20)
-            report = run_plan(plan, fabric, criterion, np.random.default_rng(seed))
+            report = run_plan(plan, fabric, criterion, np.random.default_rng(seed))[-1]
             assert report.weight_shortfall == 0
             assert fabric.live_param_count() == plan.budget.reported_params == 1_740
 

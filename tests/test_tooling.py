@@ -19,6 +19,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from fabricprune import cli, runner
+from fabricprune.noise import AnnotatorConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fabricprune"
@@ -122,6 +123,30 @@ def test_readme_names_every_key_prune_plan_prints(tmp_path, capsys):
     assert cli.main(["prune-plan", "--config", str(config), "--strategy", "iterative"]) == 0
     payload = json.loads(capsys.readouterr().out)
     keys = set(payload) | {key for event in payload["events"] for key in event}
+    readme = (ROOT / "README.md").read_text()
+    assert sorted(key for key in keys if f"`{key}`" not in readme) == []
+
+
+def test_readme_names_every_key_a_run_writes(tmp_path):
+    # a pruned run with sensitivity scoring and annotator noise writes every
+    # record kind: the keys of its .jsonl records and of report.json, its
+    # noise and fitting parts included, as `key`
+    config = runner.ExperimentConfig(
+        layers=2, channels=2, input_resolution=4, epochs=2, batch_size=16, seed=1,
+        data=runner.DataConfig(classes=3, n_per_class=10, resolution=4, seed=2,
+                               train_fraction=0.6, val_fraction=0.2, test_fraction=0.2),
+        prune=runner.PruneConfig(strategy="early", sparsity=0.5, criterion="sensitivity"),
+        noise=runner.NoiseConfig(kind="annotator", epsilon=0.3,
+                                 annotator=AnnotatorConfig(layers=2, channels=2, max_epochs=2)),
+        out_dir=str(tmp_path))
+    runner.run_experiment(config)
+    keys = set()
+    for name in ("metrics.jsonl", "timings.jsonl", "prune_events.jsonl"):
+        records = [json.loads(line) for line in (tmp_path / name).read_text().splitlines()]
+        assert records, name
+        keys |= {key for record in records for key in record}
+    report = json.loads((tmp_path / "report.json").read_text())
+    keys |= set(report) | set(report["noise"]) | set(report["fitting"])
     readme = (ROOT / "README.md").read_text()
     assert sorted(key for key in keys if f"`{key}`" not in readme) == []
 
